@@ -62,7 +62,7 @@ echo "== atgnn-lint: source hygiene (replaces the former grep/awk lints) =="
 #   * kernels address Dense storage via stride-aware accessors only
 #     (no raw row*cols indexing outside dense.rs — padded-layout safety)
 #   * kernels and layers never read plan-knob env vars (ATGNN_LAYOUT,
-#     ATGNN_SPMMT_CHUNKS, ...) directly — knobs reach kernels only
+#     ATGNN_COL_TILE, ...) directly — knobs reach kernels only
 #     through ExecPlan::apply_kernel_knobs, so the autotuner's resolved
 #     plan cannot be silently bypassed
 # Unlike the old awk strip (which stopped at the FIRST #[cfg(test)] and
@@ -135,5 +135,11 @@ echo "== serve smoke (resilient online inference serving) =="
 # zero lost accepted requests (accepted == answered + expired +
 # cancelled after drain), then write BENCH_serve.json.
 ATGNN_SMOKE=1 cargo run --release -q -p atgnn-bench --bin serve
+
+echo "== benchmark smoke (the frozen end-to-end benchmark still builds and gates) =="
+# benchmark/ is frozen (BENCHMARK.json), so nothing here edits it; this
+# step proves the gated `e2e` binary still builds against the product API
+# and that all four workloads pass their correctness gates at smoke size.
+bash benchmark/run.sh --smoke
 
 echo "== ci.sh: all checks passed =="

@@ -4,7 +4,7 @@
 //! For ER and Kronecker graphs × k ∈ {32, 60, 64}, resolves an
 //! [`ExecPlan`] through the measure tier (`atgnn::tune`) against a
 //! cold bench-local database, then times the attention hot path — one
-//! fused GAT sweep plus the backward `AᵀH` scatter — under the tuned
+//! fused GAT sweep plus the backward `AᵀH` gather — under the tuned
 //! plan and under the static default a non-tuned process would use.
 //! Identical plans share one timing, so "no change" reports exactly
 //! 1.000x instead of noise.
@@ -21,14 +21,17 @@
 //!   the tuner picks plans, it never changes kernels.
 //!
 //! Acceptance (skipped under `ATGNN_SMOKE=1`): tuned ≥ 1.0x the static
-//! default on every configuration and ≥ 1.15x on at least one.
+//! default on every configuration; the best speedup is printed, not
+//! gated (the 11–18.8x once asserted here as "≥ 1.15x somewhere" was the
+//! `spmm_t` partial-buffer count collapsing to 1 — that kernel is a
+//! gather now and the default path has the whole gain).
 //! Results land in `results/BENCH_autotune.json`.
 
 use atgnn::plan::ExecPlan;
 use atgnn::tune::{self, Tier, TuneMode};
 use atgnn::GnnModel;
 use atgnn_bench::scale;
-use atgnn_graphgen::{erdos_renyi, kronecker};
+use atgnn_graphgen::{erdos_renyi, kronecker, reorder};
 use atgnn_sparse::{attention, spmm, Csr};
 use atgnn_tensor::micro;
 use atgnn_tensor::{init, knobs, Activation, Dense};
@@ -40,19 +43,18 @@ const SLOPE: f64 = 0.2;
 
 fn plan_desc(p: &ExecPlan) -> String {
     format!(
-        "{:?}/{:?}/{:?}/{:?}/{:?}/ct={}/ch={}",
+        "{:?}/{:?}/{:?}/{:?}/{:?}/ct={}",
         p.exec(),
         p.reorder(),
         p.layout(),
         p.micro_kernel(),
         p.simd(),
         p.col_tile(),
-        p.spmmt_chunks(),
     )
 }
 
 /// The workload the tuned knobs steer: one fused GAT attention sweep
-/// plus the `AᵀH` scatter, on inputs laid out per the plan.
+/// plus the `AᵀH` gather, on inputs laid out per the plan.
 struct Workload<T> {
     a: Csr<T>,
     h: Dense<T>,
@@ -141,7 +143,6 @@ fn main() {
     let entry_micro = micro::mode();
     let entry_simd = micro::simd_mode();
     let entry_col_tile = knobs::col_tile();
-    let entry_chunks = knobs::spmmt_chunks();
     let base = ExecPlan::fused();
 
     let graphs: Vec<(&'static str, Csr<f32>)> = vec![
@@ -178,7 +179,6 @@ fn main() {
                 .with_micro(tuned_plan.micro_kernel())
                 .with_simd(tuned_plan.simd())
                 .with_col_tile(tuned_plan.col_tile())
-                .with_spmmt_chunks(tuned_plan.spmmt_chunks())
                 .with_precision(tuned_plan.precision());
             assert_eq!(
                 manual, tuned_plan,
@@ -191,11 +191,15 @@ fn main() {
             );
 
             // Interleaved-min timing; an unchanged plan reuses the
-            // static timing so "no change" is exactly 1.000x.
+            // static timing so "no change" is exactly 1.000x. The static
+            // plan's `auto` reordering resolves per graph when it runs,
+            // so compare the plans as they execute.
             let w_static = workload(&static_plan, a, k);
             let mut static_s = f64::INFINITY;
             let mut tuned_s = f64::INFINITY;
-            let differs = tuned_plan != static_plan.pin_all();
+            let static_as_run =
+                static_plan.with_reorder(reorder::resolve(a, static_plan.reorder()));
+            let differs = tuned_plan != static_as_run.pin_all();
             for round in 0..warm + rounds {
                 let t = Instant::now();
                 std::hint::black_box(run(&static_plan, &w_static));
@@ -277,7 +281,6 @@ fn main() {
     micro::set_mode(entry_micro);
     micro::set_simd_mode(entry_simd);
     knobs::set_col_tile(entry_col_tile);
-    knobs::set_spmmt_chunks(entry_chunks);
 
     let mut json = String::new();
     json.push_str("{\n  \"autotune\": [\n");
@@ -329,9 +332,5 @@ fn main() {
             );
         }
         println!("acceptance: best tuned speedup {best:.3}x");
-        assert!(
-            best >= 1.15,
-            "no configuration reached 1.15x (best {best:.3}x)"
-        );
     }
 }

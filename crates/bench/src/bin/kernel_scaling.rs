@@ -1,7 +1,7 @@
 //! Thread-scaling sweep for the runtime-backed sparse kernels.
 //!
-//! Measures `spmm` (nnz-balanced gather) and `spmm_t` (partial-buffer
-//! scatter + tree reduction) across thread counts on a uniform
+//! Measures `spmm` and `spmm_t` (the same nnz-balanced gather, over the
+//! CSR and the pattern's CSC view) across thread counts on a uniform
 //! (Erdős–Rényi) and a skewed (Kronecker power-law) graph, and emits
 //! `results/BENCH_kernels.json` with ns/op, the speedup over one thread,
 //! and two derived rates per sample:

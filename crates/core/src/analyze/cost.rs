@@ -2,7 +2,7 @@
 //!
 //! Tier 1 of the autotuner: given a graph's structural statistics
 //! (`graphgen::stats`) and the feature width, estimate the relative cost
-//! of the knob settings that matter and prune the seven-axis plan space
+//! of the knob settings that matter and prune the plan space
 //! to a handful of candidates worth calibrating. The model is
 //! deliberately coarse — its job is *ranking and pruning*, not absolute
 //! prediction; the calibration microbench (tier 2) settles whatever the
@@ -19,7 +19,7 @@
 
 use crate::plan::{Layout, ReorderStrategy};
 use atgnn_graphgen::stats::DegreeStats;
-use atgnn_sparse::{spmm, Csr};
+use atgnn_sparse::Csr;
 use atgnn_tensor::{micro, rt, Scalar};
 
 /// Extra stream cost factor charged to a gather expected to miss cache.
@@ -50,10 +50,6 @@ pub struct Profile {
     /// Active worker threads ([`rt::num_threads`]) — part of the DB key:
     /// a plan tuned at one thread count is not evidence at another.
     pub threads: usize,
-    /// Whether `spmm_t` takes the chunked-partial path at this size.
-    pub spmm_t_heavy: bool,
-    /// The chunk grid `spmm_t` would derive on its own.
-    pub auto_chunks: usize,
     /// Element width in bytes (f32 vs f64 changes the resident window).
     pub elem_bytes: usize,
 }
@@ -71,8 +67,6 @@ impl Profile {
             avg_gather_rows: s.avg_neighbor_distance,
             bandwidth: s.bandwidth,
             threads: rt::num_threads(),
-            spmm_t_heavy: spmm::spmm_t_is_heavy(a.rows(), s.m, k, a.cols()),
-            auto_chunks: spmm::spmm_t_auto_chunks(a.rows(), s.m, k),
             elem_bytes: T::BYTES,
         }
     }
@@ -95,53 +89,6 @@ pub fn sweep_cost(p: &Profile, stride: usize) -> f64 {
     words * (1.0 + MISS_PENALTY * p.gather_miss()) / p.threads.max(1) as f64
 }
 
-/// Relative cost of the `AᵀH` scatter with `chunks` partial buffers
-/// (`0` = the size-derived grid): the scatter itself plus one `n·k`
-/// zero-init per chunk plus the pairwise merge traffic, parallel over at
-/// most `min(threads, chunks)` workers. On one thread every partial
-/// buffer is pure overhead, which is exactly why the tuner's model tier
-/// collapses the grid to a single chunk there.
-pub fn spmm_t_cost(p: &Profile, chunks: usize) -> f64 {
-    if !p.spmm_t_heavy {
-        return (p.nnz * p.k.max(1)) as f64 * (1.0 + MISS_PENALTY * p.gather_miss());
-    }
-    let chunks = if chunks == 0 { p.auto_chunks } else { chunks }.clamp(1, p.n.max(1));
-    let nk = (p.n * p.k.max(1)) as f64;
-    let scatter = (p.nnz * p.k.max(1)) as f64 * (1.0 + MISS_PENALTY * p.gather_miss());
-    let zero_init = chunks as f64 * nk;
-    let merges = 2.0 * (chunks.saturating_sub(1)) as f64 * nk;
-    (scatter + zero_init + merges) / p.threads.min(chunks).max(1) as f64
-}
-
-/// The model-tier chunk-grid choice: argmin of [`spmm_t_cost`] over the
-/// small set worth considering — one chunk (no partial overhead), the
-/// thread count and its double (parallel scatter with minimal merge
-/// depth), and the kernel's own size-derived grid.
-pub fn best_spmmt_chunks(p: &Profile) -> usize {
-    if !p.spmm_t_heavy {
-        return 0; // grid unused: keep the kernel's auto default
-    }
-    let mut candidates = vec![1, p.threads, 2 * p.threads, p.auto_chunks];
-    candidates.retain(|&c| c >= 1);
-    candidates.sort_unstable();
-    candidates.dedup();
-    let best = candidates
-        .into_iter()
-        .min_by(|&a, &b| {
-            spmm_t_cost(p, a)
-                .partial_cmp(&spmm_t_cost(p, b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .unwrap_or(0);
-    // Express "the kernel's own derivation" as 0 so an untouched plan
-    // stays untouched in the DB record.
-    if best == p.auto_chunks {
-        0
-    } else {
-        best
-    }
-}
-
 /// Per-axis candidate sets after model-tier pruning — what the
 /// calibration microbench (tier 2) actually measures. Each list leads
 /// with the model's pick; a singleton list means the axis is settled
@@ -153,8 +100,6 @@ pub struct AxisCandidates {
     /// Reorder strategies worth measuring (already `resolve`d — never
     /// `Auto`).
     pub reorders: Vec<ReorderStrategy>,
-    /// `spmm_t` chunk grids worth measuring (`0` = size-derived).
-    pub spmmt_chunks: Vec<usize>,
 }
 
 /// Prunes the knob space for one profile. `resolved_reorder` is the
@@ -172,8 +117,6 @@ pub struct AxisCandidates {
 ///   payoff is sub-noise there); otherwise the resolved strategy is
 ///   measured against `Off` so a mispredicted permutation can still be
 ///   rejected by evidence.
-/// * **Chunk grid** — settled by [`best_spmmt_chunks`]; the kernel's own
-///   derivation stays as the alternative when the model deviates from it.
 pub fn prune(p: &Profile, resolved_reorder: ReorderStrategy) -> AxisCandidates {
     let lane = micro::LANE;
     let ragged = !p.k.is_multiple_of(lane);
@@ -189,17 +132,7 @@ pub fn prune(p: &Profile, resolved_reorder: ReorderStrategy) -> AxisCandidates {
         ReorderStrategy::Off | ReorderStrategy::Auto => vec![ReorderStrategy::Off],
         r => vec![r, ReorderStrategy::Off],
     };
-    let model_chunks = best_spmmt_chunks(p);
-    let spmmt_chunks = if !p.spmm_t_heavy || model_chunks == 0 {
-        vec![0]
-    } else {
-        vec![model_chunks, 0]
-    };
-    AxisCandidates {
-        layouts,
-        reorders,
-        spmmt_chunks,
-    }
+    AxisCandidates { layouts, reorders }
 }
 
 /// The grid shape for `p` ranks — a re-export of the one grid cost
@@ -223,27 +156,8 @@ mod tests {
             avg_gather_rows: 2500.0,
             bandwidth: 8000,
             threads,
-            spmm_t_heavy: true,
-            auto_chunks: 64,
             elem_bytes: 4,
         }
-    }
-
-    #[test]
-    fn single_thread_collapses_the_chunk_grid() {
-        // On one worker every partial buffer is pure overhead, so the
-        // model must pick exactly one chunk.
-        assert_eq!(best_spmmt_chunks(&profile(1)), 1);
-        // With real parallelism the wide grid pays for itself.
-        assert!(best_spmmt_chunks(&profile(16)) != 1);
-    }
-
-    #[test]
-    fn light_scatter_keeps_the_kernel_default() {
-        let mut p = profile(1);
-        p.spmm_t_heavy = false;
-        assert_eq!(best_spmmt_chunks(&p), 0);
-        assert_eq!(prune(&p, ReorderStrategy::Off).spmmt_chunks, vec![0]);
     }
 
     #[test]

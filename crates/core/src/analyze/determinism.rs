@@ -6,12 +6,11 @@
 //! per DAG node by consulting reduction-order facts exported by the
 //! kernels themselves:
 //!
-//! * gather-style aggregations (`spmm`, `spmmm`, `mspmm`, and the fused
-//!   sweep) accumulate neighbors in ascending CSR order per output
+//! * gather-style aggregations (`spmm`, `spmm_t` — the same row loop
+//!   over the pattern's CSC view — `spmmm`, `mspmm`, and the fused
+//!   sweep) accumulate neighbors in ascending stored order per output
 //!   element ([`atgnn_sparse::spmm::GATHER_ORDER`],
 //!   [`atgnn_sparse::attention::SWEEP_ORDER`]);
-//! * the scatter-style `spmm_t` merges size-derived partial buffers in a
-//!   fixed tree ([`atgnn_sparse::spmm::SCATTER_ORDER`]);
 //! * dense dot products group into fixed lanes that depend only on the
 //!   row ([`atgnn_tensor::micro::accumulation_order`] — the eight-lane
 //!   tree under `ATGNN_SIMD=wide`, four fixed lanes otherwise);
@@ -64,13 +63,9 @@ pub struct NodeProof {
 /// The schedule fact covering one op family, if the kernels export one.
 fn schedule_fact(kind: OpKind) -> Option<(ReductionOrder, &'static str)> {
     match kind {
-        OpKind::SpMm | OpKind::SpMmm | OpKind::MSpMm => Some((
+        OpKind::SpMm | OpKind::SpMmT | OpKind::SpMmm | OpKind::MSpMm => Some((
             spmm::GATHER_ORDER,
             "csr-gather: neighbors accumulate in ascending storage order",
-        )),
-        OpKind::SpMmT => Some((
-            spmm::SCATTER_ORDER,
-            "scatter: size-derived partial buffers merged in a fixed tree",
         )),
         OpKind::MatMul
         | OpKind::MatMulNt
@@ -163,6 +158,9 @@ mod tests {
         // The plan choice (fused vs staged) must not change bits: both
         // paths accumulate neighbors in the same CSR-ascending order.
         assert_eq!(atgnn_sparse::attention::SWEEP_ORDER, spmm::GATHER_ORDER);
+        // So does the backward `AᵀG`: one gather order for every kernel.
+        let (order, _) = schedule_fact(OpKind::SpMmT).expect("spmm_t must carry a fact");
+        assert_eq!(order, ReductionOrder::RowSequential);
     }
 
     #[test]

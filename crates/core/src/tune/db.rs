@@ -63,8 +63,6 @@ pub struct PlanRecord {
     pub simd: String,
     /// Attention column tile (`0` = auto).
     pub col_tile: usize,
-    /// `AᵀH` scatter chunks (`0` = size-derived).
-    pub spmmt_chunks: usize,
     /// `f32` / `bf16` / `f16` (resolved — never `auto`; the tuner
     /// persists only concrete storage decisions).
     pub precision: String,
@@ -92,7 +90,6 @@ impl PlanRecord {
             }
             .to_string(),
             col_tile: plan.col_tile(),
-            spmmt_chunks: plan.spmmt_chunks(),
             precision: plan.precision().name().to_string(),
         }
     }
@@ -124,7 +121,6 @@ impl PlanRecord {
                 .with_micro(micro)
                 .with_simd(simd)
                 .with_col_tile(self.col_tile)
-                .with_spmmt_chunks(self.spmmt_chunks)
                 .with_precision(Precision::parse(&self.precision)?),
         )
     }
@@ -241,7 +237,7 @@ impl TuneDb {
                  \"kernel_version\": {}, \"tier\": \"{}\", \"measured_s\": {:?}, \
                  \"plan\": {{\"exec\": \"{}\", \"reorder\": \"{}\", \"layout\": \"{}\", \
                  \"micro\": \"{}\", \"simd\": \"{}\", \"col_tile\": {}, \
-                 \"spmmt_chunks\": {}, \"precision\": \"{}\"}}}}",
+                 \"precision\": \"{}\"}}}}",
                 e.key.fingerprint,
                 e.key.k,
                 e.key.threads,
@@ -254,7 +250,6 @@ impl TuneDb {
                 e.plan.micro,
                 e.plan.simd,
                 e.plan.col_tile,
-                e.plan.spmmt_chunks,
                 e.plan.precision,
             ));
         }
@@ -289,10 +284,12 @@ impl TuneDb {
 /// Parses one entry. `Ok(None)` is a *stale* entry — its declared
 /// `kernel_version` predates [`crate::tune::KERNEL_VERSION`], so its
 /// plan may lack axes that exist now (the precision axis arrived in
-/// generation 2). Stale entries are dropped silently rather than
-/// rejected: an old database stays loadable, it just no longer answers
-/// for anything. Entries claiming the *current* generation must parse
-/// completely — a malformed current entry is still a [`DbError`].
+/// generation 2) or carry ones that no longer do (the `spmm_t` chunk
+/// count left in generation 3). Stale entries are dropped silently
+/// rather than rejected: an old database stays loadable, it just no
+/// longer answers for anything. Entries claiming the *current*
+/// generation must parse completely — a malformed current entry is
+/// still a [`DbError`].
 fn parse_entry(v: &json::Value) -> Result<Option<DbEntry>, DbError> {
     let field = |name: &str| {
         v.get(name)
@@ -346,7 +343,6 @@ fn parse_entry(v: &json::Value) -> Result<Option<DbEntry>, DbError> {
             micro: plan_string("micro")?,
             simd: plan_string("simd")?,
             col_tile: plan_num("col_tile")? as usize,
-            spmmt_chunks: plan_num("spmmt_chunks")? as usize,
             precision: plan_string("precision")?,
         },
         tier: string("tier")?,
@@ -573,7 +569,7 @@ mod json {
 mod tests {
     use super::*;
 
-    fn entry(fp: u64, chunks: usize) -> DbEntry {
+    fn entry(fp: u64, col_tile: usize) -> DbEntry {
         DbEntry {
             key: DbKey {
                 fingerprint: fp,
@@ -587,8 +583,7 @@ mod tests {
                 layout: "tight".into(),
                 micro: "blocked".into(),
                 simd: "wide".into(),
-                col_tile: 0,
-                spmmt_chunks: chunks,
+                col_tile,
                 precision: "f32".into(),
             },
             tier: "measure".into(),
@@ -607,7 +602,7 @@ mod tests {
         let mut db2 = back.clone();
         db2.put(entry(7, 16));
         assert_eq!(db2.entries.len(), 2);
-        assert_eq!(db2.get(&entry(7, 0).key).unwrap().plan.spmmt_chunks, 16);
+        assert_eq!(db2.get(&entry(7, 0).key).unwrap().plan.col_tile, 16);
     }
 
     #[test]
@@ -615,7 +610,7 @@ mod tests {
         let plan = ExecPlan::fused()
             .with_reorder(ReorderStrategy::Degree)
             .with_layout(Layout::Tight)
-            .with_spmmt_chunks(1)
+            .with_col_tile(8)
             .pin_all();
         let rec = PlanRecord::of(&plan);
         let back = rec.to_plan().expect("record must rebuild");
@@ -662,6 +657,17 @@ mod tests {
              \"micro\": \"blocked\", \"simd\": \"wide\", \"col_tile\": 0, \
              \"spmmt_chunks\": 4}}\n  ]\n}\n";
         let db = TuneDb::parse(gen1).expect("stale generations must still load");
+        assert!(db.entries.is_empty(), "{:?}", db.entries);
+
+        // A generation-2 document: complete for its era, including the
+        // chunk-count column generation 3 dropped. Retired the same way.
+        let gen2 = "{\"version\": 1, \"entries\": [\n    \
+             {\"fingerprint\": \"0x0000000000000007\", \"k\": 64, \"threads\": 1, \
+             \"kernel_version\": 2, \"tier\": \"measure\", \"measured_s\": 0.01, \
+             \"plan\": {\"exec\": \"fused\", \"reorder\": \"off\", \"layout\": \"tight\", \
+             \"micro\": \"blocked\", \"simd\": \"wide\", \"col_tile\": 0, \
+             \"spmmt_chunks\": 4, \"precision\": \"f32\"}}\n  ]\n}\n";
+        let db = TuneDb::parse(gen2).expect("generation 2 must still load");
         assert!(db.entries.is_empty(), "{:?}", db.entries);
 
         // Mixed documents keep only the current generation.

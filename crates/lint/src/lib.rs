@@ -111,7 +111,7 @@ fn slice_index_mut_pat() -> String {
 fn range_mut_pat() -> String {
     format!(".range_{}", "mut(")
 }
-/// The plan-owned knob env vars (the eight `ExecPlan` axes plus the
+/// The plan-owned knob env vars (the seven `ExecPlan` axes plus the
 /// tuner's own switches). Kernels and layers must receive these through
 /// `ExecPlan::apply_kernel_knobs`, never read them directly.
 fn plan_knob_pats() -> Vec<String> {
@@ -122,7 +122,6 @@ fn plan_knob_pats() -> Vec<String> {
         "MICROKERNEL",
         "SIMD",
         "COL_TILE",
-        "SPMMT_CHUNKS",
         "PRECISION",
         "TUNE",
     ]

@@ -5,13 +5,16 @@
 //! outputs, the VA backward terms `N` — has *exactly* the sparsity pattern
 //! of the adjacency matrix (paper Section 6.2: "the output almost always
 //! has the same sparsity pattern as the adjacency matrix"). [`Csr`] keeps
-//! the pattern (`indptr`, `indices`) behind `Arc`s so these intermediates
-//! share it at zero cost; only the value array is per-matrix.
+//! the pattern (`indptr`, `indices`) behind one `Arc` so these
+//! intermediates share it at zero cost; only the value array is
+//! per-matrix. The pattern also owns the lazily built CSC view of itself
+//! ([`TransposeIndex`]) that `spmm_t` gathers over, so that view is built
+//! once per graph and shared — and dropped — exactly as the pattern is.
 
 use crate::coo::Coo;
 use atgnn_tensor::{Dense, Scalar};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     /// Per-thread count of CSR value-array creations (see [`value_allocs`]).
@@ -36,13 +39,87 @@ fn note_value_alloc() {
     VALUE_ALLOCS.with(|c| c.set(c.get() + 1));
 }
 
+/// The CSC view of a CSR pattern: transposed entry `e` (column-major,
+/// ascending source row within a column) came from row `src[e]` and sits
+/// at position `perm[e]` of the original value array.
+#[derive(Debug)]
+pub(crate) struct TransposeIndex {
+    /// Column pointer (length `cols + 1`).
+    pub(crate) indptr: Vec<usize>,
+    /// Source row of each transposed entry.
+    pub(crate) src: Vec<u32>,
+    /// Position of each transposed entry in the CSR value array.
+    pub(crate) perm: Vec<u32>,
+}
+
+impl TransposeIndex {
+    /// The one transposition in the crate: a counting sort of the stored
+    /// entries by column. Rows are visited in ascending order, so entries
+    /// within a column come out in ascending source row.
+    fn build(rows: usize, cols: usize, indptr: &[usize], indices: &[u32]) -> Self {
+        let nnz = indices.len();
+        assert!(
+            nnz <= u32::MAX as usize && rows <= u32::MAX as usize,
+            "transpose index: {rows} rows / {nnz} stored entries exceed the u32 id range"
+        );
+        #[cfg(test)]
+        TRANSPOSE_BUILDS.with(|c| c.set(c.get() + 1));
+        let mut counts = vec![0usize; cols + 1];
+        for &c in indices {
+            counts[c as usize + 1] += 1;
+        }
+        for i in 0..cols {
+            counts[i + 1] += counts[i];
+        }
+        let mut cursor = counts.clone();
+        let mut src = vec![0u32; nnz];
+        let mut perm = vec![0u32; nnz];
+        for r in 0..rows {
+            for e in indptr[r]..indptr[r + 1] {
+                let pos = &mut cursor[indices[e] as usize];
+                src[*pos] = r as u32;
+                perm[*pos] = e as u32;
+                *pos += 1;
+            }
+        }
+        Self {
+            indptr: counts,
+            src,
+            perm,
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Per-thread count of [`TransposeIndex::build`] runs.
+    static TRANSPOSE_BUILDS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// A sparsity pattern and the lazily built CSC view of it.
+#[derive(Debug)]
+struct Pattern {
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    transposed: OnceLock<TransposeIndex>,
+}
+
+impl Pattern {
+    fn new(indptr: Vec<usize>, indices: Vec<u32>) -> Arc<Self> {
+        Arc::new(Self {
+            indptr,
+            indices,
+            transposed: OnceLock::new(),
+        })
+    }
+}
+
 /// A sparse matrix in CSR format with reference-counted structure.
 #[derive(Debug)]
 pub struct Csr<T> {
     rows: usize,
     cols: usize,
-    indptr: Arc<Vec<usize>>,
-    indices: Arc<Vec<u32>>,
+    pattern: Arc<Pattern>,
     values: Vec<T>,
 }
 
@@ -52,8 +129,7 @@ impl<T: Clone> Clone for Csr<T> {
         Self {
             rows: self.rows,
             cols: self.cols,
-            indptr: Arc::clone(&self.indptr),
-            indices: Arc::clone(&self.indices),
+            pattern: Arc::clone(&self.pattern),
             values: self.values.clone(),
         }
     }
@@ -121,8 +197,7 @@ impl<T: Scalar> Csr<T> {
         Self {
             rows,
             cols,
-            indptr: Arc::new(out_indptr),
-            indices: Arc::new(out_indices),
+            pattern: Pattern::new(out_indptr, out_indices),
             values: out_values,
         }
     }
@@ -162,8 +237,7 @@ impl<T: Scalar> Csr<T> {
         Self {
             rows,
             cols,
-            indptr: Arc::new(indptr),
-            indices: Arc::new(indices),
+            pattern: Pattern::new(indptr, indices),
             values,
         }
     }
@@ -174,8 +248,7 @@ impl<T: Scalar> Csr<T> {
         Self {
             rows,
             cols,
-            indptr: Arc::new(vec![0; rows + 1]),
-            indices: Arc::new(Vec::new()),
+            pattern: Pattern::new(vec![0; rows + 1], Vec::new()),
             values: Vec::new(),
         }
     }
@@ -186,8 +259,7 @@ impl<T: Scalar> Csr<T> {
         Self {
             rows: n,
             cols: n,
-            indptr: Arc::new((0..=n).collect()),
-            indices: Arc::new((0..n as u32).collect()),
+            pattern: Pattern::new((0..=n).collect(), (0..n as u32).collect()),
             values: vec![T::one(); n],
         }
     }
@@ -207,19 +279,19 @@ impl<T: Scalar> Csr<T> {
     /// Number of stored entries.
     #[inline(always)]
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        self.pattern.indices.len()
     }
 
     /// The row-pointer array (length `rows + 1`).
     #[inline(always)]
     pub fn indptr(&self) -> &[usize] {
-        &self.indptr
+        &self.pattern.indptr
     }
 
     /// The column-index array (length `nnz`).
     #[inline(always)]
     pub fn indices(&self) -> &[u32] {
-        &self.indices
+        &self.pattern.indices
     }
 
     /// The value array (length `nnz`).
@@ -237,14 +309,14 @@ impl<T: Scalar> Csr<T> {
     /// Column indices and values of row `i`.
     #[inline(always)]
     pub fn row(&self, i: usize) -> (&[u32], &[T]) {
-        let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
-        (&self.indices[lo..hi], &self.values[lo..hi])
+        let (lo, hi) = (self.pattern.indptr[i], self.pattern.indptr[i + 1]);
+        (&self.pattern.indices[lo..hi], &self.values[lo..hi])
     }
 
     /// Number of stored entries in row `i`.
     #[inline(always)]
     pub fn row_nnz(&self, i: usize) -> usize {
-        self.indptr[i + 1] - self.indptr[i]
+        self.pattern.indptr[i + 1] - self.pattern.indptr[i]
     }
 
     /// A new matrix sharing this one's pattern with fresh values.
@@ -260,8 +332,7 @@ impl<T: Scalar> Csr<T> {
         Self {
             rows: self.rows,
             cols: self.cols,
-            indptr: Arc::clone(&self.indptr),
-            indices: Arc::clone(&self.indices),
+            pattern: Arc::clone(&self.pattern),
             values,
         }
     }
@@ -276,38 +347,28 @@ impl<T: Scalar> Csr<T> {
     pub fn same_pattern(&self, other: &Self) -> bool {
         self.rows == other.rows
             && self.cols == other.cols
-            && (Arc::ptr_eq(&self.indices, &other.indices)
-                || (*self.indptr == *other.indptr && *self.indices == *other.indices))
+            && (Arc::ptr_eq(&self.pattern, &other.pattern)
+                || (self.indptr() == other.indptr() && self.indices() == other.indices()))
     }
 
-    /// Materialized transpose (counting sort over columns, `O(nnz)`).
+    /// The CSC view of this matrix's pattern, built on first use and
+    /// shared with every matrix that shares the pattern.
+    pub(crate) fn transposed(&self) -> &TransposeIndex {
+        self.pattern.transposed.get_or_init(|| {
+            TransposeIndex::build(self.rows, self.cols, self.indptr(), self.indices())
+        })
+    }
+
+    /// Materialized transpose (`O(nnz)`). Builds its own index rather
+    /// than caching one on `self`: the arrays move into the result.
     pub fn transpose(&self) -> Self {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in self.indices.iter() {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 0..self.cols {
-            counts[i + 1] += counts[i];
-        }
-        let indptr = counts.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![T::zero(); self.nnz()];
-        let mut cursor = counts;
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let pos = cursor[c as usize];
-                indices[pos] = r as u32;
-                values[pos] = v;
-                cursor[c as usize] += 1;
-            }
-        }
+        let t = TransposeIndex::build(self.rows, self.cols, self.indptr(), self.indices());
+        let values = t.perm.iter().map(|&e| self.values[e as usize]).collect();
         note_value_alloc();
         Self {
             rows: self.cols,
             cols: self.rows,
-            indptr: Arc::new(indptr),
-            indices: Arc::new(indices),
+            pattern: Pattern::new(t.indptr, t.src),
             values,
         }
     }
@@ -378,8 +439,7 @@ impl<T: Scalar> Csr<T> {
         Self {
             rows: r1 - r0,
             cols: c1 - c0,
-            indptr: Arc::new(indptr),
-            indices: Arc::new(indices),
+            pattern: Pattern::new(indptr, indices),
             values,
         }
     }
@@ -434,8 +494,7 @@ impl<T: Scalar> Csr<T> {
         Self {
             rows: n,
             cols: n,
-            indptr: Arc::new(indptr),
-            indices: Arc::new(indices),
+            pattern: Pattern::new(indptr, indices),
             values,
         }
     }
@@ -450,8 +509,8 @@ impl<T: Scalar> Csr<T> {
     /// tag, not a hash of the contents.
     pub fn structure_key(&self) -> (usize, usize, usize, usize) {
         (
-            Arc::as_ptr(&self.indptr) as usize,
-            Arc::as_ptr(&self.indices) as usize,
+            self.indptr().as_ptr() as usize,
+            self.indices().as_ptr() as usize,
             self.rows,
             self.nnz(),
         )
@@ -477,10 +536,10 @@ impl<T: Scalar> Csr<T> {
         };
         mix(self.rows as u64);
         mix(self.cols as u64);
-        for &p in self.indptr.iter() {
+        for &p in self.indptr() {
             mix(p as u64);
         }
-        for &c in self.indices.iter() {
+        for &c in self.indices() {
             mix(c as u64);
         }
         h
@@ -671,6 +730,89 @@ mod tests {
         assert!(m.same_pattern(&tt));
         assert_eq!(m.values(), tt.values());
         assert_eq!(m.transpose().get(0, 2), 3.0);
+    }
+
+    /// Checks a built index against the pattern it was built from.
+    fn assert_index_is_the_csc_view(m: &Csr<f64>) {
+        let t = TransposeIndex::build(m.rows(), m.cols(), m.indptr(), m.indices());
+        assert_eq!(t.indptr.len(), m.cols() + 1);
+        assert_eq!((t.indptr[0], t.indptr[m.cols()]), (0, m.nnz()));
+        assert_eq!((t.src.len(), t.perm.len()), (m.nnz(), m.nnz()));
+        let mut seen = vec![false; m.nnz()];
+        for j in 0..m.cols() {
+            let col = t.indptr[j]..t.indptr[j + 1];
+            // Ascending source row: the order a row scatter visits them in.
+            assert!(t.src[col.clone()].windows(2).all(|w| w[0] < w[1]));
+            for e in col {
+                let (r, at) = (t.src[e] as usize, t.perm[e] as usize);
+                assert!((m.indptr()[r]..m.indptr()[r + 1]).contains(&at));
+                assert_eq!(m.indices()[at] as usize, j);
+                assert!(!std::mem::replace(&mut seen[at], true), "entry {at} twice");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_index_on_degenerate_shapes() {
+        assert_index_is_the_csc_view(&sample()); // row 1 and no column empty
+        assert_index_is_the_csc_view(&Csr::empty(0, 4));
+        assert_index_is_the_csc_view(&Csr::empty(4, 0));
+        assert_index_is_the_csc_view(&Csr::empty(3, 3)); // all rows empty
+        assert_index_is_the_csc_view(&Csr::empty(1, 1));
+        assert_index_is_the_csc_view(&Csr::identity(1)); // n = 1, self loop
+        assert_index_is_the_csc_view(&Csr::identity(5)); // self loops only
+
+        // Columns 0, 2 and 4 empty: zero-length gather ranges.
+        let gaps = Csr::from_coo(&Coo::from_triplets(
+            3,
+            5,
+            vec![(0, 1), (2, 1), (1, 3), (2, 3)],
+            vec![1.0, 2.0, 3.0, 4.0],
+        ));
+        assert_index_is_the_csc_view(&gaps);
+        assert_eq!(gaps.transposed().indptr, [0, 0, 2, 2, 4, 4]);
+        assert_eq!(gaps.transposed().src, [0, 2, 1, 2]);
+        assert_eq!(gaps.transposed().perm, [0, 2, 1, 3]);
+    }
+
+    #[test]
+    fn transpose_index_lives_and_dies_with_the_pattern() {
+        let builds = || TRANSPOSE_BUILDS.with(|c| c.get());
+        let m = sample();
+        let shares = [
+            m.with_values(vec![9.0; 4]),
+            m.clone(),
+            m.map_values(|v| v * 2.0),
+        ];
+        assert!(m.pattern.transposed.get().is_none(), "built lazily");
+        let before = builds();
+        let built: *const TransposeIndex = shares[0].transposed();
+        assert!(std::ptr::eq(m.transposed(), built));
+        assert!(shares.iter().all(|s| std::ptr::eq(s.transposed(), built)));
+        assert_eq!(builds() - before, 1, "one build per pattern");
+        // New patterns start with an empty cell.
+        for fresh in [m.permute(&[2, 1, 0]), m.block(0, 2, 0, 3), m.transpose()] {
+            assert!(fresh.pattern.transposed.get().is_none());
+        }
+        // Two threads racing the first use still build once. Raw threads:
+        // the pool cannot promise that two chunks land on two workers.
+        let raced = sample();
+        let start = std::sync::Barrier::new(2);
+        // atgnn-lint: allow(raw-threads)
+        let per_thread: Vec<usize> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mine = raced.clone();
+                        start.wait();
+                        mine.transposed();
+                        builds()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(per_thread.iter().sum::<usize>(), 1);
     }
 
     #[test]

@@ -7,83 +7,29 @@
 //! hub rows of power-law graphs no longer serialize the kernel, and each
 //! chunk writes a disjoint block of the output — allocation-free per row.
 //!
-//! `spmm_t` (the `Aᵀ·G` aggregation in every backward pass) is a scatter:
-//! it parallelizes over a *fixed*, size-derived chunk grid into per-chunk
-//! partial outputs merged by a deterministic tree reduction, so its
-//! floating-point result is bit-identical for every `ATGNN_THREADS`
-//! setting.
+//! `spmm_t` (the `Aᵀ·G` aggregation in every backward pass) is the same
+//! row loop over the CSC view the pattern owns (`Csr::transposed`): one
+//! writer per output row, entries of a column in ascending source row —
+//! the rounding sequence of a sequential row scatter, for every
+//! `ATGNN_THREADS` setting.
 
 use crate::csr::Csr;
 use crate::semiring::Semiring;
 use atgnn_tensor::rt::{self, Cost, DisjointSlice, Tunable};
-use atgnn_tensor::{gemm, knobs, micro, ops, Buf, Dense, Int8Buf, Scalar, Store};
-use std::sync::Mutex;
+use atgnn_tensor::{gemm, micro, Buf, Dense, Int8Buf, Scalar, Store};
 
 /// Result elements below which the row loop stays sequential. Override
 /// with `ATGNN_SPMM_PAR_THRESHOLD` (`0` forces the parallel path).
 static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_SPMM_PAR_THRESHOLD", 8 * 1024);
 
-/// Scatter work (`nnz · k`) below which `spmm_t` uses the plain
-/// sequential scatter. Override with `ATGNN_SPMM_T_PAR_THRESHOLD`. The
-/// gate depends on the problem size only — never on the thread count —
-/// so the chosen path (and its floating-point rounding) is reproducible
-/// across `ATGNN_THREADS` settings.
-static SPMM_T_PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_SPMM_T_PAR_THRESHOLD", 64 * 1024);
-
-// Partial-buffer override for the parallel `spmm_t` scatter: the
-// process-global, plan-settable `atgnn_tensor::knobs::spmmt_chunks`
-// (`ATGNN_SPMMT_CHUNKS`). `0` (the default) derives the count from the
-// problem size via [`spmm_t_chunk_count`]. Never a thread-count
-// function, so the reduction tree shape is identical for every
-// `ATGNN_THREADS` setting.
-
-/// Minimum partial-buffer count (and the row-count floor for taking the
-/// parallel path at all).
-const SPMM_T_MIN_CHUNKS: usize = 8;
-
-/// Schedule fact for the gather-style kernels (`spmm`, `spmmm`, `mspmm`):
-/// each output row is produced by exactly one chunk and its reduction
-/// runs over stored entries in ascending CSR order, so the rounding
-/// sequence of every element is a function of the data alone. Consumed by
-/// the plan-time determinism analysis (`atgnn::analyze::determinism`).
+/// Schedule fact for the gather-style kernels (`spmm`, `spmm_t`, `spmmm`,
+/// `mspmm`): each output row is produced by exactly one chunk and its
+/// reduction runs over stored entries in ascending order (CSR entry
+/// order; ascending source row of the CSC view for `spmm_t`), so the
+/// rounding sequence of every element is a function of the data alone.
+/// Consumed by the plan-time determinism analysis
+/// (`atgnn::analyze::determinism`).
 pub const GATHER_ORDER: rt::ReductionOrder = rt::ReductionOrder::RowSequential;
-
-/// Schedule fact for the scatter-style `spmm_t`: size-derived partial
-/// buffers ([`spmm_t_chunk_count`] — never a thread-count function,
-/// `ATGNN_SPMMT_CHUNKS` included) merged pairwise in a fixed tree order.
-pub const SCATTER_ORDER: rt::ReductionOrder = rt::ReductionOrder::FixedTree;
-
-/// Number of partial buffers for the parallel `spmm_t` scatter, derived
-/// from the problem size only (never the thread count) so the reduction
-/// tree — and therefore the floating-point result — is bit-identical
-/// across `ATGNN_THREADS` settings. Roughly one chunk per parallel-gate
-/// quantum of scatter work, clamped to `[8, 64]` and to the row count.
-fn spmm_t_chunk_count(rows: usize, nnz: usize, k: usize) -> usize {
-    let forced = knobs::spmmt_chunks();
-    if forced > 0 {
-        return forced.min(rows.max(1));
-    }
-    spmm_t_auto_chunks(rows, nnz, k)
-}
-
-/// The size-derived chunk grid [`spmm_t`] uses when no override is set —
-/// exposed so the plan-time autotuner (`atgnn::tune`) can enumerate it
-/// as a candidate without re-deriving the formula.
-pub fn spmm_t_auto_chunks(rows: usize, nnz: usize, k: usize) -> usize {
-    let quantum = SPMM_T_PAR_THRESHOLD.get().max(1);
-    (nnz.saturating_mul(k.max(1)) / quantum)
-        .clamp(SPMM_T_MIN_CHUNKS, 64)
-        .min(rows.max(1))
-}
-
-/// Whether [`spmm_t`] on this problem takes the chunked-partial path at
-/// all (the size-only gate). When `false` the scatter is sequential and
-/// the chunk-count knob is irrelevant — the autotuner prunes that axis.
-pub fn spmm_t_is_heavy(rows: usize, nnz: usize, k: usize, n_out: usize) -> bool {
-    nnz.saturating_mul(k.max(1)) >= SPMM_T_PAR_THRESHOLD.get()
-        && nnz >= 2 * n_out.max(1)
-        && rows >= SPMM_T_MIN_CHUNKS
-}
 
 /// Generalized SpMM: `out = A ⊕ H` over the given semiring
 /// (paper Section 4.3). `out[i][f] = finish(⊕_{j ∈ row i} a_ij ⊗ h_jf)`.
@@ -372,77 +318,40 @@ pub fn spmm_i8(a: &Csr<f32>, h: &Int8Buf) -> Dense<f32> {
     out
 }
 
-/// Sequential scatter of rows `lo..hi` of `Aᵀ·H` into a fresh `n_out × k`
-/// buffer — the shared body of both `spmm_t` paths.
-fn spmm_t_scatter<T: Scalar>(a: &Csr<T>, h: &Dense<T>, lo: usize, hi: usize) -> Dense<T> {
-    let mut out = h.zeros_matching(a.cols(), h.cols());
-    for i in lo..hi {
-        let (cols, vals) = a.row(i);
-        // Full-stride rows on both sides (equal strides via zeros_matching):
-        // padded scatters run whole vectors; `fma(a, 0, +0)` keeps the
-        // zero tails intact.
-        let hrow = h.row_padded(i);
-        for (&j, &av) in cols.iter().zip(vals) {
-            micro::axpy(out.row_padded_mut(j as usize), av, hrow);
-        }
-    }
-    out
-}
-
-/// `out = Aᵀ · H` without materializing `Aᵀ` (row scatter).
+/// `out = Aᵀ · H` without materializing `Aᵀ`: [`spmm`]'s row loop over the
+/// CSC view of `A`'s pattern, `out[j] = Σ_e A.vals[perm[e]] · H[src[e]]`.
 ///
 /// The backward pass runs on the reversed graph (paper Section 5.2); for
 /// the undirected graphs dominating GNN workloads `Aᵀ = A`, but the kernel
 /// supports the general case.
 ///
-/// Large inputs scatter in parallel: input rows are cut into a
-/// size-derived number of nnz-balanced chunks ([`spmm_t_chunk_count`],
-/// overridable via `ATGNN_SPMMT_CHUNKS`), each chunk scatters into its own
-/// partial output, and partials merge pairwise in a fixed tree order — so
-/// the result is bit-identical for every `ATGNN_THREADS` setting, which
-/// the distributed tests and the training-determinism guarantee rely on.
+/// The view is built by the first call on a pattern and reused by every
+/// matrix sharing it (Ψ's values change each step, its pattern is `A`'s).
+/// Each output row has one writer and a column's entries are in ascending
+/// source row, so every element sees the rounding sequence of a
+/// sequential row scatter whatever the thread count — which the
+/// distributed tests and the training-determinism guarantee rely on.
 pub fn spmm_t<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
     assert_eq!(a.rows(), h.rows(), "spmm_t: dimension mismatch");
-    let k = h.cols();
-    let n_out = a.cols();
-    let nnz = a.nnz();
-    let chunks = spmm_t_chunk_count(a.rows(), nnz, k);
-    // Size-only path gate: enough scatter work to amortize the partial
-    // buffers, and enough stored entries that zero-initializing the
-    // partial output copies stays a minor cost.
-    if !spmm_t_is_heavy(a.rows(), nnz, k, n_out) {
-        return spmm_t_scatter(a, h, 0, a.rows());
-    }
-    let bounds = rt::balanced_boundaries(a.rows(), Cost::Prefix(a.indptr()), chunks);
-    let n_parts = bounds.len() - 1;
-    let partials: Vec<Mutex<Option<Dense<T>>>> = (0..n_parts).map(|_| Mutex::new(None)).collect();
-    rt::dispatch(n_parts, |c| {
-        let p = spmm_t_scatter(a, h, bounds[c], bounds[c + 1]);
-        *partials[c].lock().unwrap_or_else(|e| e.into_inner()) = Some(p);
-    });
-    // Deterministic tree reduction: level strides 1, 2, 4, …; each merge
-    // folds the right partial into the left (`partials[i] += partials[i +
-    // stride]`), and merges within a level run in parallel.
-    let mut stride = 1;
-    while stride < n_parts {
-        let pairs: Vec<usize> = (0..n_parts)
-            .step_by(2 * stride)
-            .filter(|&i| i + stride < n_parts)
-            .collect();
-        rt::dispatch(pairs.len(), |pi| {
-            let i = pairs[pi];
-            let right = partials[i + stride]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("spmm_t: partial already merged");
-            let mut left = partials[i].lock().unwrap_or_else(|e| e.into_inner());
-            ops::add_assign(left.as_mut().expect("spmm_t: missing left partial"), &right);
+    let t = a.transposed();
+    let vals = a.values();
+    let mut out = h.zeros_matching(a.cols(), h.cols());
+    let out_stride = out.stride();
+    let parallel = a.cols() * h.cols() >= PAR_THRESHOLD.get();
+    let slots = DisjointSlice::new(out.as_mut_slice());
+    rt::parallel_for(a.cols(), Cost::Prefix(&t.indptr), parallel, |lo, hi| {
+        // SAFETY: row ranges are disjoint across chunk bodies.
+        let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
+        rt::with_scratch::<T, _>(|col_vals| {
+            for (j, out_row) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
+                let col = t.indptr[j]..t.indptr[j + 1];
+                col_vals.clear();
+                col_vals.extend(t.perm[col.clone()].iter().map(|&e| vals[e as usize]));
+                aggregate_rows_into(out_row, h, &t.src[col], col_vals);
+            }
         });
-        stride *= 2;
-    }
-    let reduced = partials[0].lock().unwrap_or_else(|e| e.into_inner()).take();
-    reduced.expect("spmm_t: missing reduced output")
+    });
+    out
 }
 
 /// The execution order of a three-factor product.
@@ -540,12 +449,142 @@ mod tests {
         assert!(spmm_semiring(&Real, &a, &h).max_abs_diff(&want) < 1e-12);
     }
 
+    /// Sequential row scatter of `Aᵀ·H` — the rounding-order reference
+    /// [`spmm_t`] must reproduce bit for bit.
+    fn spmm_t_scatter<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
+        let mut out = h.zeros_matching(a.cols(), h.cols());
+        for i in 0..a.rows() {
+            let (cols, vals) = a.row(i);
+            // Full-stride rows on both sides (equal strides via
+            // zeros_matching); `fma(a, 0, +0)` keeps the zero tails intact.
+            let hrow = h.row_padded(i);
+            for (&j, &av) in cols.iter().zip(vals) {
+                micro::axpy(out.row_padded_mut(j as usize), av, hrow);
+            }
+        }
+        out
+    }
+
+    /// Whole-storage bit equality (padded tails included).
+    fn same_bits(a: &Dense<f64>, b: &Dense<f64>) -> bool {
+        a.shape() == b.shape()
+            && a.stride() == b.stride()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Seeded `rows × cols` graphs with `entries` COO triplets (duplicates
+    /// summed by `from_coo`) and values whose sums round. `levels > 0`
+    /// draws Kronecker-style (R-MAT quadrant descent: a few hub rows and
+    /// hub columns); `levels == 0` draws uniformly.
+    fn seeded(rows: usize, cols: usize, entries: usize, levels: u32, seed: u64) -> Csr<f64> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut coo = Coo::new(rows, cols);
+        for _ in 0..entries {
+            let (r, c) = if levels == 0 {
+                (next(), next())
+            } else {
+                (0..levels).fold((0, 0), |(r, c), _| {
+                    let (dr, dc) = [(0, 0), (0, 0), (0, 0), (0, 1), (1, 0), (1, 1)][next() % 6];
+                    (2 * r + dr, 2 * c + dc)
+                })
+            };
+            let v = (next() % 2000) as f64 / 337.0 - 2.9;
+            coo.push((r % rows) as u32, (c % cols) as u32, v);
+        }
+        Csr::from_coo(&coo)
+    }
+
     #[test]
     fn spmm_t_matches_transpose() {
         let a = graph();
         let h = feats();
         let want = gemm::matmul(&a.transpose().to_dense(), &h);
         assert!(spmm_t(&a, &h).max_abs_diff(&want) < 1e-12);
+
+        // The contract across the space: for every graph family, width,
+        // layout and thread count, the gather is the sequential scatter
+        // and the public SpMM of the materialized transpose, bit for bit.
+        // (The microkernel modes are swept by tests/simd_equivalence.rs
+        // and ci.sh's scalar passes — flipping them here would race the
+        // other unit tests.)
+        let graphs = [
+            ("erdos-renyi", seeded(1200, 1200, 9600, 0, 1)),
+            // 8192 output rows: the parallel path runs even at k = 1.
+            ("kronecker", seeded(8192, 8192, 40_000, 13, 2)),
+            ("duplicate-heavy", seeded(200, 150, 20_000, 0, 3)),
+            ("wide block", seeded(500, 900, 6000, 0, 4)),
+            ("tall block", seeded(900, 500, 6000, 10, 5)),
+        ];
+        let max = rt::max_threads();
+        for (name, a) in &graphs {
+            let at = a.transpose();
+            for k in [1usize, 3, 17, 64] {
+                let tight = Dense::from_fn(a.rows(), k, |i, j| {
+                    ((i * 31 + j * 17) % 23) as f64 / 11.0 - 1.0
+                });
+                for h in [tight.padded(), tight] {
+                    let want = spmm_t_scatter(a, &h);
+                    assert!(want.padding_is_zero());
+                    for threads in [1usize, 2, 8] {
+                        rt::set_threads(threads);
+                        let case = format!("{name} k={k} padded={} t={threads}", h.is_padded());
+                        assert!(same_bits(&spmm_t(a, &h), &want), "{case}: scatter");
+                        assert!(same_bits(&spmm(&at, &h), &want), "{case}: spmm(Aᵀ)");
+                    }
+                }
+            }
+        }
+        rt::set_threads(max);
+    }
+
+    #[test]
+    fn spmm_t_on_degenerate_shapes_and_edited_values() {
+        let gaps = Csr::from_coo(&Coo::from_triplets(
+            3,
+            5,
+            vec![(0, 1), (2, 1), (1, 3), (2, 3)],
+            vec![1.5, -2.0, 3.25, 4.0],
+        ));
+        let shapes: [Csr<f64>; 7] = [
+            Csr::empty(0, 4),
+            Csr::empty(4, 0),
+            Csr::empty(3, 3),
+            Csr::identity(1),
+            Csr::identity(5),
+            gaps.clone(),
+            gaps.transpose(),
+        ];
+        for a in &shapes {
+            let tight = Dense::from_fn(a.rows(), 3, |i, j| (i * 3 + j) as f64 * 0.37 - 1.0);
+            for h in [tight.padded(), tight] {
+                let got = spmm_t(a, &h);
+                assert_eq!(got.shape(), (a.cols(), 3));
+                assert!(same_bits(&got, &spmm_t_scatter(a, &h)));
+                assert!(got.padding_is_zero());
+            }
+        }
+        // Empty columns are zero-length gather ranges: `+0.0`, tails included.
+        let out = spmm_t(&gaps, &Dense::ones(3, 3).padded());
+        for j in [0, 2, 4] {
+            assert!(out.row_padded(j).iter().all(|x| x.to_bits() == 0));
+        }
+        // The index caches the pattern, never the values.
+        let mut edited = gaps.clone();
+        let h = Dense::from_fn(3, 2, |i, j| (i + 2 * j) as f64 - 1.5);
+        let before = spmm_t(&edited, &h);
+        edited.values_mut()[2] = -7.0;
+        let after = spmm_t(&edited, &h);
+        assert!(same_bits(&after, &spmm_t_scatter(&edited, &h)));
+        assert!(!same_bits(&after, &before));
     }
 
     #[test]
@@ -689,28 +728,6 @@ mod tests {
         assert_eq!(
             cheaper_order_for(1, 64, 0, FusedOnePass),
             ProductOrder::AggregateFirst
-        );
-    }
-
-    #[test]
-    fn spmm_t_chunk_count_is_size_derived_and_clamped() {
-        // Skip the derived-count assertions if a CI run pinned the knob.
-        if knobs::spmmt_chunks() == 0 {
-            let q = SPMM_T_PAR_THRESHOLD.get().max(1);
-            // Work below one quantum clamps to the floor …
-            assert_eq!(spmm_t_chunk_count(1 << 20, 0, 8), SPMM_T_MIN_CHUNKS);
-            // … scales with nnz·k …
-            assert_eq!(spmm_t_chunk_count(1 << 20, 16 * q, 1), 16);
-            // … caps at 64 …
-            assert_eq!(spmm_t_chunk_count(1 << 20, 1000 * q, 1), 64);
-            // … and never exceeds the row count.
-            assert_eq!(spmm_t_chunk_count(4, 1000 * q, 1), 4);
-        }
-        // The thread count is not an input, so the grid (and the FP
-        // reduction tree) cannot vary across ATGNN_THREADS settings.
-        assert_eq!(
-            spmm_t_chunk_count(512, 4096, 16),
-            spmm_t_chunk_count(512, 4096, 16)
         );
     }
 

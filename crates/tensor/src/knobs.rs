@@ -1,24 +1,21 @@
 //! Sweepable process-global kernel knobs.
 //!
-//! The two size-class knobs the sparse kernels consult on their hot paths
-//! — the attention sweep's aggregation tile width and the `AᵀH` scatter's
-//! partial-buffer count — live here as plain atomics with a lazy
-//! environment fallback, the same pattern as the kernel-mode switches in
-//! [`crate::micro`]. Keeping them programmatic (not `OnceLock`-frozen)
-//! is what lets the plan-time autotuner (`atgnn::tune`) and the bench
-//! sweeps try candidate values in one process; the environment variables
-//! (`ATGNN_COL_TILE`, `ATGNN_SPMMT_CHUNKS`) remain the user-facing
-//! overrides and are read here exactly once, on first access.
+//! The one size-class knob the sparse kernels consult on their hot paths
+//! — the attention sweep's aggregation tile width — lives here as a plain
+//! atomic with a lazy environment fallback, the same pattern as the
+//! kernel-mode switches in [`crate::micro`]. Keeping it programmatic (not
+//! `OnceLock`-frozen) is what lets the plan-time autotuner
+//! (`atgnn::tune`) and the bench sweeps try candidate values in one
+//! process; the environment variable (`ATGNN_COL_TILE`) remains the
+//! user-facing override and is read here exactly once, on first access.
 //!
 //! This module and [`crate::micro`] are the **only** sanctioned readers
 //! of plan-knob environment variables inside the kernel crates —
 //! `atgnn-lint`'s `plan-knob-env` rule pins that, so `ExecPlan`
 //! resolution stays the single entry point for plan decisions.
 //!
-//! Neither knob changes numerical results: the tile width only reorders
-//! the aggregation's *outer* column loop, and the chunk count is part of
-//! the explicit plan (the scatter's reduction tree is a deterministic
-//! function of the chosen count, never of the thread count).
+//! The knob does not change numerical results: the tile width only
+//! reorders the aggregation's *outer* column loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -29,27 +26,19 @@ const UNSET: usize = usize::MAX;
 /// (`ATGNN_COL_TILE`); `0` derives the width per call site.
 static COL_TILE: AtomicUsize = AtomicUsize::new(UNSET);
 
-/// Partial-buffer count for the parallel `spmm_t` scatter
-/// (`ATGNN_SPMMT_CHUNKS`); `0` derives the count from the problem size.
-static SPMMT_CHUNKS: AtomicUsize = AtomicUsize::new(UNSET);
-
-fn load(cell: &AtomicUsize, env_var: &str) -> usize {
-    match cell.load(Ordering::Relaxed) {
+/// The active aggregation tile width; `0` means "derive automatically".
+pub fn col_tile() -> usize {
+    match COL_TILE.load(Ordering::Relaxed) {
         UNSET => {
-            let v = std::env::var(env_var)
+            let v = std::env::var("ATGNN_COL_TILE")
                 .ok()
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(0);
-            cell.store(v, Ordering::Relaxed);
+            COL_TILE.store(v, Ordering::Relaxed);
             v
         }
         v => v,
     }
-}
-
-/// The active aggregation tile width; `0` means "derive automatically".
-pub fn col_tile() -> usize {
-    load(&COL_TILE, "ATGNN_COL_TILE")
 }
 
 /// Overrides the aggregation tile width for the rest of the process
@@ -58,35 +47,18 @@ pub fn set_col_tile(v: usize) {
     COL_TILE.store(v.min(UNSET - 1), Ordering::Relaxed);
 }
 
-/// The active `spmm_t` partial-buffer count; `0` means "size-derived".
-pub fn spmmt_chunks() -> usize {
-    load(&SPMMT_CHUNKS, "ATGNN_SPMMT_CHUNKS")
-}
-
-/// Overrides the `spmm_t` partial-buffer count for the rest of the
-/// process (plan application / bench sweeps). `0` restores the
-/// size-derived grid.
-pub fn set_spmmt_chunks(v: usize) {
-    SPMMT_CHUNKS.store(v.min(UNSET - 1), Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn setters_round_trip_and_zero_restores_auto() {
-        // The suite never pins these envs, so the lazy default is 0; the
-        // setters are process-global, so restore before returning.
+        // The suite never pins this env, so the lazy default is 0; the
+        // setter is process-global, so restore before returning.
         let tile0 = col_tile();
-        let chunks0 = spmmt_chunks();
         set_col_tile(24);
-        set_spmmt_chunks(3);
         assert_eq!(col_tile(), 24);
-        assert_eq!(spmmt_chunks(), 3);
         set_col_tile(tile0);
-        set_spmmt_chunks(chunks0);
         assert_eq!(col_tile(), tile0);
-        assert_eq!(spmmt_chunks(), chunks0);
     }
 }

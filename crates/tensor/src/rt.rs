@@ -64,10 +64,6 @@ pub enum ReductionOrder {
     /// elements, so the rounding sequence of each element is a function
     /// of the data alone.
     RowSequential,
-    /// Partial results are produced over a chunking derived from the
-    /// problem size only ([`fixed_chunks`] — never from the thread
-    /// count) and merged pairwise in a fixed tree order.
-    FixedTree,
     /// A fixed small-lane accumulator grouping (e.g. the 4-lane blocked
     /// dot product) that is a function of the operand slice alone —
     /// independent of which thread evaluates it.
@@ -98,7 +94,6 @@ impl ReductionOrder {
     pub fn name(self) -> &'static str {
         match self {
             ReductionOrder::RowSequential => "row-sequential",
-            ReductionOrder::FixedTree => "fixed-tree",
             ReductionOrder::FixedLanes => "fixed-lanes",
             ReductionOrder::LaneTree => "lane-tree",
             ReductionOrder::Unspecified => "unspecified",

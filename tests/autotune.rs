@@ -29,7 +29,6 @@ struct Globals {
     micro: MicroKernel,
     simd: SimdMode,
     col_tile: usize,
-    chunks: usize,
     mode: TuneMode,
 }
 
@@ -40,7 +39,6 @@ impl Globals {
             micro: micro::mode(),
             simd: micro::simd_mode(),
             col_tile: knobs::col_tile(),
-            chunks: knobs::spmmt_chunks(),
             mode: tune::mode(),
         }
     }
@@ -51,7 +49,6 @@ impl Drop for Globals {
         micro::set_mode(self.micro);
         micro::set_simd_mode(self.simd);
         knobs::set_col_tile(self.col_tile);
-        knobs::set_spmmt_chunks(self.chunks);
         tune::set_mode(self.mode);
     }
 }
@@ -166,13 +163,13 @@ fn pinned_env_fields_survive_a_database_hit() {
     let a = graph(64);
     let k = 8;
     let r = tune::resolve_report(ExecPlan::fused(), &a, k, TuneMode::Auto, Some(&path));
-    assert_ne!(r.plan.spmmt_chunks(), 7, "test needs a distinct pin value");
-    // A base with an explicitly pinned field (what ATGNN_SPMMT_CHUNKS=7
+    assert_ne!(r.plan.col_tile(), 7, "test needs a distinct pin value");
+    // A base with an explicitly pinned field (what ATGNN_COL_TILE=7
     // would build) overrides the loaded plan on that axis only.
-    let pinned = ExecPlan::fused().with_spmmt_chunks(7);
+    let pinned = ExecPlan::fused().with_col_tile(7);
     let warm = tune::resolve_report(pinned, &a, k, TuneMode::Auto, Some(&path));
     assert_eq!(warm.tier, Tier::DbHit);
-    assert_eq!(warm.plan.spmmt_chunks(), 7);
+    assert_eq!(warm.plan.col_tile(), 7);
     assert_eq!(warm.plan.layout(), r.plan.layout());
     assert_eq!(warm.plan.reorder(), r.plan.reorder());
     let _ = std::fs::remove_file(&path);
@@ -193,7 +190,6 @@ fn tuned_plans_are_bit_identical_to_the_same_plan_chosen_manually() {
         .with_micro(tuned.micro_kernel())
         .with_simd(tuned.simd())
         .with_col_tile(tuned.col_tile())
-        .with_spmmt_chunks(tuned.spmmt_chunks())
         .with_precision(tuned.precision());
     assert_eq!(manual, tuned);
 

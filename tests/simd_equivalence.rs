@@ -139,6 +139,16 @@ fn spmm_is_bit_identical_across_simd_modes_and_layouts_on_awkward_k() {
                 }
             }
         }
+        // `spmm_t` is the same row loop over the pattern's CSC view: in
+        // every mode and layout it is `spmm` of the materialized transpose.
+        let at = a.transpose();
+        for src in [&h, &hp] {
+            let back = under_all_modes(|| spmm::spmm_t(&a, src));
+            let fwd = under_all_modes(|| spmm::spmm(&at, src));
+            for (i, ((_, b), (_, f))) in back.iter().zip(&fwd).enumerate() {
+                assert!(bit_identical(b, f), "spmm_t k={k} combo {i} ≠ spmm(Aᵀ)");
+            }
+        }
     }
 }
 
