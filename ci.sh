@@ -65,6 +65,10 @@ echo "== atgnn-lint: source hygiene (replaces the former grep/awk lints) =="
 #     ATGNN_COL_TILE, ...) directly — knobs reach kernels only
 #     through ExecPlan::apply_kernel_knobs, so the autotuner's resolved
 #     plan cannot be silently bypassed
+#   * no std HashMap/HashSet in non-test code of crates/sparse/src
+#     (hash-in-kernels: hashing on a kernel path is what made ego
+#     extraction 29 % of a served batch, and RandomState iteration order
+#     is a determinism hazard the plan analysis cannot see)
 # Unlike the old awk strip (which stopped at the FIRST #[cfg(test)] and
 # went blind for the rest of the file), the scanner resumes after each
 # test module. Suppress a finding with `// atgnn-lint: allow(<rule>)`.

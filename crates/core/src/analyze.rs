@@ -150,6 +150,12 @@ pub enum Rule {
     /// serving runtime's liveness contract demands `recv_timeout` /
     /// `wait_timeout` / bounded `is_finished()` polling.
     UnfencedWait,
+    /// Source lint: a `std::collections` hash container in non-test code
+    /// of `crates/sparse/src` — hashing on a kernel path costs what the
+    /// ego extractor's two `HashMap`s did (29 % of a served batch), and
+    /// `RandomState` iteration order is a determinism hazard the DAG
+    /// analysis cannot see.
+    HashInKernels,
 }
 
 impl Rule {
@@ -177,13 +183,14 @@ impl Rule {
             Rule::PlanKnobEnv => "plan-knob-env",
             Rule::RawHalfBits => "raw-half-bits",
             Rule::UnfencedWait => "unfenced-wait",
+            Rule::HashInKernels => "hash-in-kernels",
         }
     }
 
     /// Parses a kebab-case rule name (the inverse of [`Rule::name`]);
     /// used by `atgnn-lint`'s `allow(...)` annotations.
     pub fn from_name(name: &str) -> Option<Rule> {
-        const ALL: [Rule; 21] = [
+        const ALL: [Rule; 22] = [
             Rule::ShapeMismatch,
             Rule::UnfusedVirtual,
             Rule::IllegalFusion,
@@ -205,6 +212,7 @@ impl Rule {
             Rule::PlanKnobEnv,
             Rule::RawHalfBits,
             Rule::UnfencedWait,
+            Rule::HashInKernels,
         ];
         ALL.into_iter().find(|r| r.name() == name)
     }

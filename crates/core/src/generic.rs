@@ -115,7 +115,17 @@ pub struct GenericLayer<T, S> {
 impl<T: Scalar, S: Semiring<T>> GenericLayer<T, S> {
     /// One inference layer: evaluates `Ψ`, composes `Φ` and `⊕` in the
     /// configured order, applies `σ`.
+    ///
+    /// # Panics
+    /// Panics unless `a` is `n × n` for `n = h.rows()`: a custom `Ψ` sees
+    /// `(A, H)` whole, so the row-prefix blocks of
+    /// [`crate::AGnnLayer::forward`] are not defined here.
     pub fn forward(&self, a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
+        assert_eq!(
+            (a.rows(), a.cols()),
+            (h.rows(), h.rows()),
+            "GenericLayer::forward takes a square adjacency over H's rows"
+        );
         let psi = self.psi.eval(a, h);
         let z = match self.order {
             ComposeOrder::AggregateThenUpdate => {

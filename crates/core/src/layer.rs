@@ -120,6 +120,18 @@ pub trait AGnnLayer<T: Scalar>: Send + Sync {
     /// With `cache = Some(..)` (training) the layer stores the
     /// intermediates its backward pass needs; with `None` (the artifact's
     /// `--inference` mode) nothing beyond the output is allocated.
+    ///
+    /// **Block contract (inference only).** SDDMM → softmax → SpMM never
+    /// needs `A` square. With `cache = None`, `a` may be a *row-prefix
+    /// block*: `r × n` with `n = h.rows()` and `r <= n`, whose destination
+    /// rows are the first `r` source rows (DGL's block convention; see
+    /// `Csr::row_prefix`). The result has `r` rows, each bit-identical to
+    /// the same row of the call on any square `n × n` matrix that agrees
+    /// with `a` on those rows — the per-row reduction order does not
+    /// depend on how many rows are computed. Every layer in
+    /// [`crate::layers`] honours this under both `AttentionExec` paths;
+    /// the training forward (`cache = Some`) and [`AGnnLayer::backward`]
+    /// take a square `a` only.
     fn forward(&self, a: &Csr<T>, h: &Dense<T>, cache: Option<&mut LayerCache<T>>) -> Dense<T>;
 
     /// Given `G^l = ∂L/∂Z^l`, the layer input `H^l`, and the forward

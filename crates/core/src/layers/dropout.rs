@@ -12,7 +12,7 @@
 //! fixed function) simply leaves the step unchanged.
 
 use crate::layer::{AGnnLayer, BackwardResult, Gradients, LayerCache};
-use atgnn_sparse::Csr;
+use atgnn_sparse::{attention, Csr};
 use atgnn_tensor::{Activation, Dense, Scalar};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -107,11 +107,13 @@ impl<T: Scalar> AGnnLayer<T> for DropoutLayer<T> {
         self.dim
     }
 
-    fn forward(&self, _a: &Csr<T>, h: &Dense<T>, _cache: Option<&mut LayerCache<T>>) -> Dense<T> {
+    fn forward(&self, a: &Csr<T>, h: &Dense<T>, _cache: Option<&mut LayerCache<T>>) -> Dense<T> {
+        // Element-wise, so a row-prefix block is its destination rows.
+        let h = attention::dst_rows(a, h);
         if self.train && self.rate > 0.0 {
-            self.apply_mask(h)
+            self.apply_mask(&h)
         } else {
-            h.clone()
+            h.into_owned()
         }
     }
 

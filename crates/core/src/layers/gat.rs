@@ -114,12 +114,17 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
     }
 
     fn forward(&self, a: &Csr<T>, h: &Dense<T>, cache: Option<&mut LayerCache<T>>) -> Dense<T> {
+        assert!(a.rows() <= h.rows(), "GAT forward: A has more rows than H");
         let mut hp = gemm::matmul(h, &self.w);
         // Scores come from the full-precision projection (the analyzer
         // keeps softmax inputs at f32); only the aggregated feature
         // buffer is stored at the plan's precision, rounded exactly once
         // here — the same values every storage kernel would stream.
-        let u = gemm::matvec(&hp, &self.a_src);
+        // `u` scores destinations, so a row-prefix block needs it on its
+        // own rows only; `v` and `H'` cover every source.
+        let u: Vec<T> = (0..a.rows())
+            .map(|i| gemm::dot(hp.row(i), &self.a_src))
+            .collect();
         let v = gemm::matvec(&hp, &self.a_dst);
         if self.plan.precision().is_narrow() {
             self.plan.precision().round_matrix(&mut hp);

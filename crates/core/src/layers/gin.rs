@@ -23,7 +23,7 @@
 //! ```
 
 use crate::layer::{AGnnLayer, BackwardResult, Gradients, LayerCache};
-use atgnn_sparse::{spmm, Csr};
+use atgnn_sparse::{attention, spmm, Csr};
 use atgnn_tensor::{gemm, init, ops, Activation, Dense, Scalar};
 
 /// A GIN layer with a two-stage MLP update and learnable `ε`.
@@ -64,7 +64,7 @@ impl<T: Scalar> GinLayer<T> {
 
     fn aggregate(&self, a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
         let mut s = spmm::spmm(a, h);
-        ops::axpy(&mut s, T::one() + self.eps[0], h);
+        ops::axpy(&mut s, T::one() + self.eps[0], &attention::dst_rows(a, h));
         s
     }
 }

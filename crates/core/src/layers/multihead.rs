@@ -97,7 +97,8 @@ impl<T: Scalar> AGnnLayer<T> for MultiHeadGatLayer<T> {
         if let Some(c) = caches.as_deref_mut() {
             c.sub = Vec::with_capacity(self.heads.len());
         }
-        let n = h.rows();
+        // Heads honour the row-prefix block contract, so this does too.
+        let n = a.rows();
         let mut out = Dense::zeros(n, self.out_dim());
         let kh = self.head_dim();
         let inv_h = T::from_f64(1.0 / self.heads.len() as f64);

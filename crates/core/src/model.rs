@@ -15,6 +15,7 @@ use crate::optimizer::Optimizer;
 use crate::plan::{ExecPlan, Layout, Reordering};
 use atgnn_sparse::{norm, Csr};
 use atgnn_tensor::{ops, Activation, Dense, Scalar};
+use std::borrow::Cow;
 use std::sync::Mutex;
 
 /// The models evaluated in the paper (plus the Section 8.4 C-GNN).
@@ -183,11 +184,13 @@ impl<T: Scalar> GnnModel<T> {
     /// after the reorder permute (outputs return to the caller tight via
     /// `restore_rows`/`into_tight`). The layout choice never changes
     /// results: kernels read logical rows for every reduction, so padded
-    /// and tight pipelines are bit-identical.
-    fn ingest(plan: ExecPlan, x: Dense<T>) -> Dense<T> {
+    /// and tight pipelines are bit-identical. The result is what the
+    /// layer loop owns: borrowed features are copied here exactly once,
+    /// owned ones only if they have to be padded.
+    fn ingest(plan: ExecPlan, x: Cow<'_, Dense<T>>) -> Dense<T> {
         match plan.layout() {
-            Layout::Padded => x.padded(),
-            Layout::Tight => x,
+            Layout::Padded if !x.is_padded() => x.padded(),
+            _ => x.into_owned(),
         }
     }
 
@@ -277,22 +280,74 @@ impl<T: Scalar> GnnModel<T> {
     pub fn inference(&self, a: &Csr<T>, x: &Dense<T>) -> Dense<T> {
         self.with_resolution(a, |plan, r| match r {
             Some(r) => {
-                let xp = Self::ingest(plan, r.permute_rows(x));
+                let xp = Self::ingest(plan, Cow::Owned(r.permute_rows(x)));
                 // restore_rows gathers logical rows, so the caller always
                 // receives a tight matrix regardless of the plan layout.
-                r.restore_rows(&self.raw_inference(&r.a, &xp))
+                r.restore_rows(&self.run_layers(&r.a, xp, &[a.rows()]))
             }
             None => self
-                .raw_inference(a, &Self::ingest(plan, x.clone()))
+                .run_layers(a, Self::ingest(plan, Cow::Borrowed(x)), &[a.rows()])
                 .into_tight(),
         })
     }
 
-    /// The layer loop of [`GnnModel::inference`], in the given vertex order.
-    fn raw_inference(&self, a: &Csr<T>, x: &Dense<T>) -> Dense<T> {
-        let mut h = x.clone();
-        for layer in &self.layers {
-            let z = layer.forward(a, &h, None);
+    /// Inference for the first `levels[0]` nodes of a graph whose nodes
+    /// are numbered by distance from them — an ego subgraph in discovery
+    /// order, `levels[h]` nodes within `h` hops (`EgoSubgraph::levels`).
+    /// Layer `l` of `L` can only reach an output row from `L - l` hops
+    /// away, so it runs on the `levels[L-1-l] × levels[L-l]` leading block
+    /// of `a` (the [`AGnnLayer::forward`] block contract) instead of on
+    /// all of it; a `levels` shorter than `L + 1` repeats its last entry.
+    /// `a` needs the rows of its largest block only: `levels[L-1]` of
+    /// them, or all `levels.last()` when `levels` is shorter than `L + 1`.
+    ///
+    /// Returns the `levels[0]` output rows, tight, bit-identical to the
+    /// same rows of [`GnnModel::inference`] on the square graph with
+    /// `ReorderStrategy::Off`. A prefix is only a prefix in the caller's
+    /// order, so this path never reorders, and its plan — the base plan
+    /// with the width-aware layout default — depends on the model alone:
+    /// nothing is resolved, measured or cached per graph.
+    ///
+    /// # Panics
+    /// Panics if `levels` is empty, decreasing, longer than `depth() + 1`
+    /// or does not end at `x.rows()`, or if `a` lacks a block's rows.
+    pub fn inference_prefix(&self, a: &Csr<T>, x: Dense<T>, levels: &[usize]) -> Dense<T> {
+        assert!(
+            !levels.is_empty() && levels.len() <= self.depth() + 1,
+            "inference_prefix: {} levels for a {}-layer model",
+            levels.len(),
+            self.depth()
+        );
+        assert!(
+            levels.windows(2).all(|w| w[0] <= w[1]),
+            "inference_prefix: levels {levels:?} decrease"
+        );
+        assert_eq!(
+            levels.last(),
+            Some(&x.rows()),
+            "inference_prefix: the last level must count every feature row"
+        );
+        let plan = self.plan.defaulted_for_width(self.hot_width());
+        self.run_layers(a, Self::ingest(plan, Cow::Owned(x)), levels)
+            .into_tight()
+    }
+
+    /// The layer loop of [`GnnModel::inference`] (every level is `n`) and
+    /// [`GnnModel::inference_prefix`], in the given vertex order: layer
+    /// `l` of `L` maps the first `level(L-l)` nodes' features to the first
+    /// `level(L-1-l)` nodes' outputs, `level(i)` being `levels[i]` clamped
+    /// to the last entry.
+    fn run_layers(&self, a: &Csr<T>, x: Dense<T>, levels: &[usize]) -> Dense<T> {
+        let depth = self.layers.len();
+        let level = |i: usize| levels[i.min(levels.len() - 1)];
+        let mut h = x;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (dst, src) = (level(depth - 1 - l), level(depth - l));
+            let z = if (dst, src) == (a.rows(), a.cols()) {
+                layer.forward(a, &h, None)
+            } else {
+                layer.forward(&a.row_prefix(dst, src), &h, None)
+            };
             h = layer.activation().apply(&z);
         }
         h
@@ -301,7 +356,13 @@ impl<T: Scalar> GnnModel<T> {
     /// Training-mode forward pass: returns the output `H^L` and the
     /// per-layer contexts the backward pass consumes.
     pub fn forward_cached(&self, a: &Csr<T>, x: &Dense<T>) -> (Dense<T>, Vec<TrainContext<T>>) {
-        let mut h = x.clone();
+        self.forward_cached_owned(a, x.clone())
+    }
+
+    /// [`GnnModel::forward_cached`] over features the loop may keep (the
+    /// first layer's context stores them as its `h_in`).
+    fn forward_cached_owned(&self, a: &Csr<T>, x: Dense<T>) -> (Dense<T>, Vec<TrainContext<T>>) {
+        let mut h = x;
         let mut ctxs = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
             let mut cache = LayerCache::new();
@@ -372,22 +433,23 @@ impl<T: Scalar> GnnModel<T> {
     ) -> T {
         let (value, grads) = self.with_resolution(a, |plan, r| match r {
             Some(r) => {
-                let (out_p, ctxs) =
-                    self.forward_cached(&r.a, &Self::ingest(plan, r.permute_rows(x)));
+                let (out_p, ctxs) = self
+                    .forward_cached_owned(&r.a, Self::ingest(plan, Cow::Owned(r.permute_rows(x))));
                 let out = r.restore_rows(&out_p);
                 let value = loss.value(&out);
                 // Re-enter the plan layout alongside the permutation: the
                 // loss runs on tight caller-order rows, the backward pass
                 // on the plan's padded rows.
-                let grad_p = Self::ingest(plan, r.permute_rows(&loss.gradient(&out)));
+                let grad_p = Self::ingest(plan, Cow::Owned(r.permute_rows(&loss.gradient(&out))));
                 let (grads, _) = self.backward(&r.a, &ctxs, &grad_p);
                 (value, grads)
             }
             None => {
-                let (out, ctxs) = self.forward_cached(a, &Self::ingest(plan, x.clone()));
+                let (out, ctxs) =
+                    self.forward_cached_owned(a, Self::ingest(plan, Cow::Borrowed(x)));
                 let out = out.into_tight();
                 let value = loss.value(&out);
-                let grad_out = Self::ingest(plan, loss.gradient(&out));
+                let grad_out = Self::ingest(plan, Cow::Owned(loss.gradient(&out)));
                 let (grads, _) = self.backward(a, &ctxs, &grad_out);
                 (value, grads)
             }

@@ -129,6 +129,9 @@ fn plan_knob_pats() -> Vec<String> {
     .map(|axis| format!("ATGNN{}{axis}", '_'))
     .collect()
 }
+fn hash_container_pats() -> [String; 2] {
+    [format!("Hash{}", "Map"), format!("Hash{}", "Set")]
+}
 /// The half-precision storage types and the float bit-access methods.
 /// Assembled from pieces like every other pattern so this file's own
 /// literals stay inert.
@@ -254,6 +257,21 @@ pub fn rules() -> Vec<SourceRule> {
                   ExecPlan::apply_kernel_knobs; a direct env read \
                   bypasses the autotuner's resolved plan and the pinned \
                   override semantics",
+        },
+        SourceRule {
+            rule: Rule::HashInKernels,
+            in_scope: |p| p.starts_with("crates/sparse/src/"),
+            matches: |line| {
+                hash_container_pats()
+                    .iter()
+                    .any(|c| line.contains(c.as_str()))
+            },
+            skip_tests: true,
+            keep_strings: false,
+            why: "sparse kernels index by node id; a hash container pays \
+                  hashing and allocation per entry on the hot path, and \
+                  RandomState iteration order is nondeterminism the plan \
+                  analysis cannot see (use a dense or sorted structure)",
         },
     ]
 }
@@ -711,6 +729,24 @@ mod tests {
         // ...nor does bit access on full-precision floats.
         let f32_bits = format!("fn h(x: f32) -> u32 {{ x.{bits}) }}\n");
         assert!(scan("crates/tensor/src/micro.rs", &f32_bits).is_empty());
+    }
+
+    #[test]
+    fn hash_containers_stay_out_of_sparse_kernels() {
+        let [map, set] = hash_container_pats();
+        let src = format!(
+            "use std::collections::{map};\nfn f() {{ let s: {set}<u32> = {set}::new(); }}\n"
+        );
+        let found = scan("crates/sparse/src/sample.rs", &src);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found.iter().all(|d| d.rule == Rule::HashInKernels));
+        // Test modules may keep a hashed oracle.
+        let oracle = format!("#[cfg(test)]\nmod tests {{\n    use std::collections::{map};\n}}\n");
+        assert!(scan("crates/sparse/src/sample.rs", &oracle).is_empty());
+        // Scoped to the sparse crate: the tuner's database and the serve
+        // runtime are not kernels.
+        assert!(scan("crates/core/src/tune/db.rs", &src).is_empty());
+        assert!(scan("crates/tensor/src/rt.rs", &src).is_empty());
     }
 
     #[test]

@@ -36,9 +36,12 @@ pub struct ServeConfig {
     /// with `ServeError::Overloaded`.
     pub queue_cap: usize,
     /// Receptive-field depth of the ego extraction (usually the model's
-    /// layer count).
+    /// layer count; hops beyond it cannot reach an answer and are not
+    /// extracted).
     pub hops: usize,
-    /// Neighbour fanout kept per expanded node at full service.
+    /// Neighbour fanout kept per expanded node at full service. The
+    /// builders clamp it to at least 1 (the self-edge of a row that
+    /// stores one); a literal 0 keeps that self-edge and nothing else.
     pub fanout: usize,
     /// Fanout on the reduced-fanout degradation rung.
     pub degraded_fanout: usize,
@@ -111,7 +114,7 @@ impl ServeConfig {
             cfg.hops = v;
         }
         if let Some(v) = env_parse::<usize>("ATGNN_SERVE_FANOUT") {
-            cfg.fanout = v;
+            cfg.fanout = v.max(1);
         }
         if let Some(v) = env_parse::<u64>("ATGNN_SERVE_WATCHDOG_MS") {
             cfg.watchdog = Duration::from_millis(v.max(1));
@@ -146,7 +149,7 @@ impl ServeConfig {
     }
 
     pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.fanout = fanout;
+        self.fanout = fanout.max(1);
         self
     }
 

@@ -5,8 +5,10 @@
 //! stays up under overload, stragglers, and injected faults:
 //!
 //! * **dynamic batching** — per-node requests are coalesced into one
-//!   fused attention sweep over the union ego subgraph
-//!   ([`atgnn_sparse::Csr::ego_union`]); a batch closes at
+//!   pass over the union ego subgraph
+//!   ([`atgnn_sparse::Csr::ego_union_in`]), each layer a fused attention
+//!   sweep over the row-prefix block that can still reach a requested
+//!   node ([`atgnn::GnnModel::inference_prefix`]); a batch closes at
 //!   `ATGNN_SERVE_BATCH_MAX` requests or after
 //!   `ATGNN_SERVE_BATCH_WINDOW_US`, whichever first;
 //! * **admission control** — a bounded queue sheds load with the typed

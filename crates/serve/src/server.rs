@@ -4,10 +4,11 @@
 //! One coordinator thread (the *worker*) drains a bounded request queue
 //! into dynamic batches: a batch closes at `batch_max` requests or when
 //! the (rung-scaled) batch window elapses, whichever first. Each batch
-//! becomes one fused attention sweep over the union ego subgraph of the
-//! requested nodes — the actual compute runs on the persistent
-//! `atgnn_tensor::rt` pool inside `GnnModel::inference`; the worker only
-//! coordinates.
+//! becomes one fused attention sweep per layer over the union ego
+//! subgraph of the requested nodes, each layer on the row-prefix block it
+//! can still reach a seed from — the actual compute runs on the
+//! persistent `atgnn_tensor::rt` pool inside
+//! `GnnModel::inference_prefix`; the worker only coordinates.
 //!
 //! Robustness contract (enforced by `tests/serve_runtime.rs` and the
 //! chaos phase of the serve bench):
@@ -31,7 +32,7 @@ use crate::wal::{self, IntentLog};
 use atgnn::checkpoint;
 use atgnn::GnnModel;
 use atgnn_net::FaultPlan;
-use atgnn_sparse::Csr;
+use atgnn_sparse::{Csr, EgoScratch};
 use atgnn_tensor::Dense;
 use std::collections::VecDeque;
 use std::fmt;
@@ -651,6 +652,13 @@ fn worker_main(sh: &Shared, mut model: GnnModel<f32>) {
     // The plan actually applied to the model; refreshed lazily when the
     // ladder moves across the bf16 boundary.
     let mut applied_precision = None;
+    // Layer `l` of `L` reaches a seed's output from at most `L - l` hops
+    // away, so deeper levels than the model has layers are never read;
+    // with fewer, the early layers run over the whole ego graph and read
+    // the fringe nodes' self-edge rows.
+    let hops = cfg.hops.min(model.depth());
+    let fringe_rows = cfg.hops < model.depth();
+    let mut scratch = EgoScratch::new();
     let mut batch_idx: u64 = 0;
     loop {
         let Some(first) = wait_first(sh) else {
@@ -695,9 +703,12 @@ fn worker_main(sh: &Shared, mut model: GnnModel<f32>) {
         if !live.is_empty() {
             let seeds: Vec<usize> = live.iter().map(|p| p.node).collect();
             let fanout = ladder.fanout(cfg.fanout, cfg.degraded_fanout);
-            let ego = sh.graph.ego_union(&seeds, cfg.hops, fanout, cfg.seed);
-            let sub_feats = sh.feats.gather_rows(&ego.nodes);
-            let out = model.inference(&ego.csr, &sub_feats);
+            let ego =
+                sh.graph
+                    .ego_union_in(&mut scratch, &seeds, hops, fanout, cfg.seed, fringe_rows);
+            // Rows `0..levels[0]` of the output: the distinct seeds.
+            let out =
+                model.inference_prefix(&ego.csr, sh.feats.gather_rows(&ego.nodes), &ego.levels);
             let computed_at = Instant::now();
             for (pending, &center) in live.iter().zip(ego.centers.iter()) {
                 let response = InferResponse {

@@ -47,6 +47,7 @@ use crate::csr::Csr;
 use crate::{fused, masked, sddmm, spmm};
 use atgnn_tensor::rt::{self, Cost, DisjointSlice, Tunable};
 use atgnn_tensor::{blocks, gemm, knobs, micro, Activation, Buf, Dense, Scalar, Store};
+use std::borrow::Cow;
 
 /// Stored entries below which the fused attention sweeps stay sequential.
 /// Override with `ATGNN_ATTENTION_PAR_THRESHOLD` (`0` forces parallel).
@@ -623,13 +624,14 @@ fn fused_sweep_storage<S: Store>(
 // ---------------------------------------------------------------------------
 
 /// Fused VA forward: `Z' = (A ⊙ (H Hᵀ)) H` in one sweep. VA applies no
-/// softmax — `psi` caches the *raw* scores `Ψ = A ⊙ (H Hᵀ)`.
+/// softmax — `psi` caches the *raw* scores `Ψ = A ⊙ (H Hᵀ)`. `a` may be a
+/// row-prefix block (see [`dst_rows`]).
 pub fn attention_forward_va<T: Scalar>(
     a: &Csr<T>,
     h: &Dense<T>,
     want_cache: bool,
 ) -> FusedAttention<T> {
-    assert_eq!(a.rows(), h.rows(), "va attention: A rows must match H rows");
+    assert!(a.rows() <= h.rows(), "va attention: A has more rows than H");
     fused_sweep(a, h, false, want_cache, false, |r, cols, e, _| {
         let hr = h.row(r);
         for (slot, &c) in e.iter_mut().zip(cols) {
@@ -641,7 +643,8 @@ pub fn attention_forward_va<T: Scalar>(
 
 /// Fused AGNN forward: `Z = sm(A ⊙ (β · H Hᵀ ⊘ n nᵀ)) H'` in one sweep
 /// (`H' = H W`, projected by the caller). `scores` caches the raw cosines
-/// the backward pass needs; zero-norm endpoints give a zero cosine.
+/// the backward pass needs; zero-norm endpoints give a zero cosine. `a`
+/// may be a row-prefix block (see [`dst_rows`]).
 pub fn attention_forward_agnn<T: Scalar>(
     a: &Csr<T>,
     h: &Dense<T>,
@@ -649,10 +652,9 @@ pub fn attention_forward_agnn<T: Scalar>(
     beta: T,
     want_cache: bool,
 ) -> FusedAttention<T> {
-    assert_eq!(
-        a.rows(),
-        h.rows(),
-        "agnn attention: A rows must match H rows"
+    assert!(
+        a.rows() <= h.rows(),
+        "agnn attention: A has more rows than H"
     );
     let norms = blocks::row_l2_norms(h);
     fused_sweep(a, hp, true, want_cache, true, move |r, cols, e, sec| {
@@ -1057,6 +1059,20 @@ pub fn attention_backward_agnn<T: Scalar>(
 // Staged oracle pipelines
 // ---------------------------------------------------------------------------
 
+/// The destination features of a row-prefix block: `a` is `r × n` with
+/// `n = h.rows()`, and its destination nodes are the first `r` source
+/// nodes (DGL's block convention), so they read the first `r` rows of `h`
+/// — `h` itself, borrowed, for a square `a`. The fused sweeps index `h`
+/// by destination row directly; this serves the paths whose kernels take
+/// destination and source features as separate matrices.
+pub fn dst_rows<'h, T: Scalar>(a: &Csr<T>, h: &'h Dense<T>) -> Cow<'h, Dense<T>> {
+    if a.rows() == h.rows() {
+        Cow::Borrowed(h)
+    } else {
+        Cow::Owned(h.slice_rows(0, a.rows()))
+    }
+}
+
 /// Staged VA forward: materialized scores, then SpMM — the pre-fusion
 /// pipeline, kept as the equivalence-test oracle.
 pub fn staged_forward_va<T: Scalar>(
@@ -1064,7 +1080,7 @@ pub fn staged_forward_va<T: Scalar>(
     h: &Dense<T>,
     want_cache: bool,
 ) -> FusedAttention<T> {
-    let psi = fused::va_scores(a, h);
+    let psi = sddmm::sddmm_pattern(a, &dst_rows(a, h), h);
     let out = spmm::spmm(&psi, h);
     FusedAttention {
         out,
@@ -1081,7 +1097,9 @@ pub fn staged_forward_agnn<T: Scalar>(
     beta: T,
     want_cache: bool,
 ) -> FusedAttention<T> {
-    let (scores, cos) = fused::agnn_scores(a, h, beta);
+    let norms = blocks::row_l2_norms(h);
+    let (scores, cos) =
+        fused::agnn_scores_block(a, &dst_rows(a, h), h, &norms[..a.rows()], &norms, beta);
     let psi = masked::row_softmax(&scores);
     let out = spmm::spmm(&psi, hp);
     FusedAttention {

@@ -444,6 +444,42 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
+    /// The leading `rows × cols` block, for a matrix whose first `rows`
+    /// rows store no column at or beyond `cols` — the per-layer block of
+    /// an ego graph in discovery order (`atgnn::GnnModel::inference_prefix`),
+    /// where the nodes a layer still needs are a prefix of the nodes it
+    /// reads. Costs the prefix's stored entries, not the matrix's.
+    ///
+    /// # Panics
+    /// Panics if the block exceeds the matrix or one of its rows stores a
+    /// column `>= cols`.
+    pub fn row_prefix(&self, rows: usize, cols: usize) -> Self {
+        assert!(
+            rows <= self.rows && cols <= self.cols,
+            "row_prefix: {rows}x{cols} block of a {}x{} matrix",
+            self.rows,
+            self.cols
+        );
+        let indptr = &self.indptr()[..=rows];
+        let nnz = indptr[rows];
+        // Columns ascend within a row, so the last one bounds the row.
+        for r in 0..rows {
+            if let Some(&last) = self.row(r).0.last() {
+                assert!(
+                    (last as usize) < cols,
+                    "row_prefix: row {r} stores column {last}, outside the first {cols}"
+                );
+            }
+        }
+        note_value_alloc();
+        Self {
+            rows,
+            cols,
+            pattern: Pattern::new(indptr.to_vec(), self.indices()[..nnz].to_vec()),
+            values: self.values[..nnz].to_vec(),
+        }
+    }
+
     /// Symmetric vertex permutation: row and column `new` of the result are
     /// row and column `perm[new]` of `self` (`B[i][j] = A[perm[i]][perm[j]]`).
     ///
@@ -842,6 +878,23 @@ mod tests {
         assert_eq!(b.get(1, 0), 3.0);
         assert_eq!(b.get(1, 1), 4.0);
         assert_eq!(b.nnz(), 2);
+    }
+
+    #[test]
+    fn row_prefix_is_the_leading_block() {
+        let m = sample();
+        let p = m.row_prefix(2, 3);
+        assert_eq!((p.rows(), p.cols()), (2, 3));
+        assert_eq!(p.indptr(), &[0, 2, 2]);
+        assert_eq!((p.indices(), p.values()), (&[0, 2][..], &[1.0, 2.0][..]));
+        assert_eq!(m.row_prefix(0, 0).nnz(), 0);
+        assert!(m.row_prefix(3, 3).same_pattern(&m));
+    }
+
+    #[test]
+    #[should_panic(expected = "stores column 2")]
+    fn row_prefix_rejects_a_column_outside_the_block() {
+        let _ = sample().row_prefix(1, 2);
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub mod spmm;
 
 pub use coo::Coo;
 pub use csr::Csr;
-pub use sample::EgoSubgraph;
+pub use sample::{EgoScratch, EgoSubgraph};
 pub use semiring::{Average, MaxPlus, MinPlus, Real, Semiring, SemiringKind};
