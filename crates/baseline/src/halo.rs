@@ -572,23 +572,16 @@ impl<T: Scalar> LocalDistModel<T> {
         caches: &[LocalCache<T>],
         grad_out_own: &Dense<T>,
     ) -> Vec<Vec<Vec<T>>> {
-        let last = self.layers.len() - 1;
-        let mut g = ops::hadamard(
-            grad_out_own,
-            &self.layers[last].activation.derivative(&caches[last].z),
-        );
-        let mut grads: Vec<Option<Vec<Vec<T>>>> = (0..self.layers.len()).map(|_| None).collect();
-        for l in (0..self.layers.len()).rev() {
-            let (dh, gr) = self.layers[l].backward(plan, comm, &caches[l], &g);
-            grads[l] = Some(gr);
-            if l > 0 {
-                g = ops::hadamard(
-                    &dh,
-                    &self.layers[l - 1].activation.derivative(&caches[l - 1].z),
-                );
-            }
+        let mut g = grad_out_own.clone();
+        let mut grads = Vec::with_capacity(self.layers.len());
+        for (layer, cache) in self.layers.iter().zip(caches).rev() {
+            layer.activation.chain_assign(&mut g, &cache.z);
+            let (dh, gr) = layer.backward(plan, comm, cache, &g);
+            grads.push(gr);
+            g = dh;
         }
-        grads.into_iter().map(|g| g.unwrap()).collect()
+        grads.reverse();
+        grads
     }
 }
 

@@ -11,9 +11,14 @@
 //!   sweep) accumulate neighbors in ascending stored order per output
 //!   element ([`atgnn_sparse::spmm::GATHER_ORDER`],
 //!   [`atgnn_sparse::attention::SWEEP_ORDER`]);
-//! * dense dot products group into fixed lanes that depend only on the
-//!   row ([`atgnn_tensor::micro::accumulation_order`] — the eight-lane
-//!   tree under `ATGNN_SIMD=wide`, four fixed lanes otherwise);
+//! * the dense products `matmul` / `matmul_nt` fold every output element
+//!   `kk`-ascending inside one chunk ([`atgnn_tensor::gemm::FOLD_ORDER`]),
+//!   and `matmul_tn` folds `r`-ascending inside size-derived row blocks
+//!   merged in ascending order ([`atgnn_tensor::gemm::TN_ORDER`]);
+//! * dense dot products (`matvec`, `matvec_t`, SDDMM scoring) group into
+//!   fixed lanes that depend only on the row
+//!   ([`atgnn_tensor::micro::accumulation_order`] — the eight-lane tree
+//!   under `ATGNN_SIMD=wide`, four fixed lanes otherwise);
 //! * the softmax's exponential sum follows the active softmax kernel
 //!   ([`atgnn_sparse::masked::softmax_accumulation_order`]: the wide
 //!   lane tree, or one ascending fold);
@@ -31,8 +36,8 @@
 //! ([`atgnn_sparse::semiring::SemiringKind::order_insensitive`]).
 
 use atgnn_sparse::{masked, spmm};
-use atgnn_tensor::micro;
 use atgnn_tensor::rt::ReductionOrder;
+use atgnn_tensor::{gemm, micro};
 
 use super::{classify, Diagnostic, OpKind, Rule};
 use crate::dag::Dag;
@@ -67,12 +72,16 @@ fn schedule_fact(kind: OpKind) -> Option<(ReductionOrder, &'static str)> {
             spmm::GATHER_ORDER,
             "csr-gather: neighbors accumulate in ascending storage order",
         )),
-        OpKind::MatMul
-        | OpKind::MatMulNt
-        | OpKind::MatMulTn
-        | OpKind::MatVec
-        | OpKind::MatVecT
-        | OpKind::Sddmm => Some((
+        OpKind::MatMul | OpKind::MatMulNt => Some((
+            gemm::FOLD_ORDER,
+            "gemm tile: one kk-ascending mul_add fold per output element",
+        )),
+        OpKind::MatMulTn => Some((
+            gemm::TN_ORDER,
+            "gemm tn: r-ascending folds inside size-derived row blocks, \
+             partials merged in ascending block order",
+        )),
+        OpKind::MatVec | OpKind::MatVecT | OpKind::Sddmm => Some((
             micro::accumulation_order(),
             "microkernel dot: lane grouping is a function of the row alone",
         )),
@@ -161,6 +170,19 @@ mod tests {
         // So does the backward `AᵀG`: one gather order for every kernel.
         let (order, _) = schedule_fact(OpKind::SpMmT).expect("spmm_t must carry a fact");
         assert_eq!(order, ReductionOrder::RowSequential);
+    }
+
+    #[test]
+    fn dense_products_carry_the_gemm_facts_not_the_dot_fact() {
+        for kind in [OpKind::MatMul, OpKind::MatMulNt] {
+            let (order, _) = schedule_fact(kind).expect("gemm must carry a fact");
+            assert_eq!(order, ReductionOrder::RowSequential);
+        }
+        let (order, _) = schedule_fact(OpKind::MatMulTn).expect("gemm must carry a fact");
+        assert_eq!(order, ReductionOrder::FixedBlocks);
+        assert!(order.thread_invariant());
+        let (order, _) = schedule_fact(OpKind::MatVec).expect("matvec must carry a fact");
+        assert_eq!(order, micro::accumulation_order());
     }
 
     #[test]

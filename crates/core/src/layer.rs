@@ -144,6 +144,22 @@ pub trait AGnnLayer<T: Scalar>: Send + Sync {
         g: &Dense<T>,
     ) -> BackwardResult<T>;
 
+    /// The parameter gradients of [`AGnnLayer::backward`] alone, for a
+    /// caller that would drop `∂L/∂H^l` — a training step at layer 0,
+    /// where it is `∂L/∂X`. The gradients must be bit-identical to
+    /// `backward`'s. The default computes the input gradient and discards
+    /// it; the layers [`crate::GnnModel::uniform`] builds skip every
+    /// product that feeds only `dh_in`.
+    fn backward_params(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+    ) -> Gradients<T> {
+        self.backward(a, h, cache, g).grads
+    }
+
     /// Flat mutable views of every parameter tensor, in a stable order
     /// matching the [`Gradients`] slots.
     fn param_slices_mut(&mut self) -> Vec<&mut [T]>;

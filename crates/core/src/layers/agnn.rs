@@ -85,6 +85,35 @@ impl<T: Scalar> AgnnLayer<T> {
     pub fn psi(&self, a: &Csr<T>, h: &Dense<T>) -> Csr<T> {
         attention::agnn_psi(a, h, self.beta[0])
     }
+
+    /// The parameter gradients `[∂W, ∂β]`, plus the sweep results and
+    /// `∂(HW)` the input gradient is assembled from.
+    fn backward_shared(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+    ) -> (Gradients<T>, attention::AgnnBackward<T>, Dense<T>) {
+        let psi = cache.psi.as_ref().expect("AGNN backward needs cached Ψ");
+        let cos = cache
+            .scores
+            .as_ref()
+            .expect("AGNN backward needs cached cosines");
+        let hp = cache
+            .h_proj
+            .as_ref()
+            .expect("AGNN backward needs cached HW");
+        // Softmax backward, ∂β, the normalized gradient P = ∂cos ⊘ n nᵀ,
+        // the correction products ∂cos ⊙ cos (with row sums) and P H — one
+        // sweep on the fused path.
+        let bk = attention::backward_agnn(self.plan.exec(), a, psi, cos, h, hp, g, self.beta[0]);
+        // Product-rule terms of Z = Ψ (H W): ∂(HW) = Ψᵀ G, ∂W = Hᵀ ∂(HW).
+        let dhp = spmm::spmm_t(psi, g);
+        let dw = gemm::matmul_tn(h, &dhp);
+        let grads = Gradients::from_slots(vec![dw.into_vec(), vec![bk.dbeta]]);
+        (grads, bk, dhp)
+    }
 }
 
 impl<T: Scalar> AGnnLayer<T> for AgnnLayer<T> {
@@ -121,20 +150,7 @@ impl<T: Scalar> AGnnLayer<T> for AgnnLayer<T> {
         cache: &LayerCache<T>,
         g: &Dense<T>,
     ) -> BackwardResult<T> {
-        let psi = cache.psi.as_ref().expect("AGNN backward needs cached Ψ");
-        let cos = cache
-            .scores
-            .as_ref()
-            .expect("AGNN backward needs cached cosines");
-        let hp = cache
-            .h_proj
-            .as_ref()
-            .expect("AGNN backward needs cached HW");
-        let beta = self.beta[0];
-        // Softmax backward, ∂β, the normalized gradient P = ∂cos ⊘ n nᵀ,
-        // the correction products ∂cos ⊙ cos (with row sums) and P H — one
-        // sweep on the fused path.
-        let bk = attention::backward_agnn(self.plan.exec(), a, psi, cos, h, hp, g, beta);
+        let (grads, bk, dhp) = self.backward_shared(a, h, cache, g);
         let norms = blocks::row_l2_norms(h);
         let inv = |x: T| {
             if x == T::zero() {
@@ -156,14 +172,19 @@ impl<T: Scalar> AGnnLayer<T> for AgnnLayer<T> {
                 *o -= coef * hv;
             }
         }
-        // Product-rule terms of Z = Ψ (H W).
-        let dhp = spmm::spmm_t(psi, g);
-        let dw = gemm::matmul_tn(h, &dhp);
+        // Product rule: ∂H += ∂(HW) Wᵀ.
         ops::add_assign(&mut dh, &gemm::matmul_nt(&dhp, &self.w));
-        BackwardResult {
-            dh_in: dh,
-            grads: Gradients::from_slots(vec![dw.into_vec(), vec![bk.dbeta]]),
-        }
+        BackwardResult { dh_in: dh, grads }
+    }
+
+    fn backward_params(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+    ) -> Gradients<T> {
+        self.backward_shared(a, h, cache, g).0
     }
 
     fn param_slices_mut(&mut self) -> Vec<&mut [T]> {

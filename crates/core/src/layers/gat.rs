@@ -102,6 +102,43 @@ impl<T: Scalar> GatLayer<T> {
         let v = gemm::matvec(&hp, &self.a_dst);
         attention::gat_psi(a, &u, &v, self.slope)
     }
+
+    /// The parameter gradients `[∂W, ∂a₁, ∂a₂]` and `∂H'`, whose product
+    /// with `Wᵀ` is the input gradient.
+    fn backward_through_projection(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+    ) -> (Gradients<T>, Dense<T>) {
+        let psi = cache.psi.as_ref().expect("GAT backward needs cached Ψ");
+        let c_pre = cache.scores.as_ref().expect("GAT backward needs cached C");
+        let hp = cache.h_proj.as_ref().expect("GAT backward needs cached H'");
+        // Softmax backward, LeakyReLU gradient and ∂u = row sums of ∂C —
+        // one sweep on the fused path.
+        let (dc, du) = attention::backward_gat(self.plan.exec(), a, psi, c_pre, hp, g, self.slope);
+        // ∂v = column sums of ∂C (a scatter, kept on the masked kernel).
+        let dv = masked::col_sums(&dc);
+        // ∂a₁ = H'ᵀ ∂u, ∂a₂ = H'ᵀ ∂v.
+        let da_src = gemm::matvec_t(hp, &du);
+        let da_dst = gemm::matvec_t(hp, &dv);
+        // ∂H' = Ψᵀ G + ∂u a₁ᵀ + ∂v a₂ᵀ.
+        let mut dhp = spmm::spmm_t(psi, g);
+        for i in 0..dhp.rows() {
+            let (dui, dvi) = (du[i], dv[i]);
+            let row = dhp.row_mut(i);
+            for ((o, &a1), &a2) in row.iter_mut().zip(&self.a_src).zip(&self.a_dst) {
+                *o += dui * a1 + dvi * a2;
+            }
+        }
+        // ∂W = Hᵀ ∂H'.
+        let dw = gemm::matmul_tn(h, &dhp);
+        (
+            Gradients::from_slots(vec![dw.into_vec(), da_src, da_dst]),
+            dhp,
+        )
+    }
 }
 
 impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
@@ -155,33 +192,22 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
         cache: &LayerCache<T>,
         g: &Dense<T>,
     ) -> BackwardResult<T> {
-        let psi = cache.psi.as_ref().expect("GAT backward needs cached Ψ");
-        let c_pre = cache.scores.as_ref().expect("GAT backward needs cached C");
-        let hp = cache.h_proj.as_ref().expect("GAT backward needs cached H'");
-        // Softmax backward, LeakyReLU gradient and ∂u = row sums of ∂C —
-        // one sweep on the fused path.
-        let (dc, du) = attention::backward_gat(self.plan.exec(), a, psi, c_pre, hp, g, self.slope);
-        // ∂v = column sums of ∂C (a scatter, kept on the masked kernel).
-        let dv = masked::col_sums(&dc);
-        // ∂a₁ = H'ᵀ ∂u, ∂a₂ = H'ᵀ ∂v.
-        let da_src = gemm::matvec_t(hp, &du);
-        let da_dst = gemm::matvec_t(hp, &dv);
-        // ∂H' = Ψᵀ G + ∂u a₁ᵀ + ∂v a₂ᵀ.
-        let mut dhp = spmm::spmm_t(psi, g);
-        for i in 0..dhp.rows() {
-            let (dui, dvi) = (du[i], dv[i]);
-            let row = dhp.row_mut(i);
-            for ((o, &a1), &a2) in row.iter_mut().zip(&self.a_src).zip(&self.a_dst) {
-                *o += dui * a1 + dvi * a2;
-            }
-        }
-        // ∂W = Hᵀ ∂H', ∂L/∂H = ∂H' Wᵀ.
-        let dw = gemm::matmul_tn(h, &dhp);
-        let dh = gemm::matmul_nt(&dhp, &self.w);
+        let (grads, dhp) = self.backward_through_projection(a, h, cache, g);
+        // ∂L/∂H = ∂H' Wᵀ.
         BackwardResult {
-            dh_in: dh,
-            grads: Gradients::from_slots(vec![dw.into_vec(), da_src, da_dst]),
+            dh_in: gemm::matmul_nt(&dhp, &self.w),
+            grads,
         }
+    }
+
+    fn backward_params(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+    ) -> Gradients<T> {
+        self.backward_through_projection(a, h, cache, g).0
     }
 
     fn param_slices_mut(&mut self) -> Vec<&mut [T]> {

@@ -66,18 +66,26 @@ impl<T: Scalar> AGnnLayer<T> for GcnLayer<T> {
     fn backward(
         &self,
         a: &Csr<T>,
-        _h: &Dense<T>,
+        h: &Dense<T>,
         cache: &LayerCache<T>,
         g: &Dense<T>,
     ) -> BackwardResult<T> {
-        let h_agg = cache.h_agg.as_ref().expect("GCN backward needs cached ÂH");
         let m = gemm::matmul_nt(g, &self.w);
-        let dh = spmm::spmm_t(a, &m);
-        let dw = gemm::matmul_tn(h_agg, g);
         BackwardResult {
-            dh_in: dh,
-            grads: Gradients::from_slots(vec![dw.into_vec()]),
+            dh_in: spmm::spmm_t(a, &m),
+            grads: self.backward_params(a, h, cache, g),
         }
+    }
+
+    fn backward_params(
+        &self,
+        _a: &Csr<T>,
+        _h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+    ) -> Gradients<T> {
+        let h_agg = cache.h_agg.as_ref().expect("GCN backward needs cached ÂH");
+        Gradients::from_slots(vec![gemm::matmul_tn(h_agg, g).into_vec()])
     }
 
     fn param_slices_mut(&mut self) -> Vec<&mut [T]> {

@@ -101,8 +101,8 @@ impl<T: Scalar> AGnnLayer<T> for GinLayer<T> {
         let z1 = cache.h_proj.as_ref().expect("GIN backward needs cached Z1");
         let r = Activation::Relu.apply(z1);
         let dw2 = gemm::matmul_tn(&r, g);
-        let dr = gemm::matmul_nt(g, &self.w2);
-        let dz1 = ops::hadamard(&dr, &Activation::Relu.derivative(z1));
+        let mut dz1 = gemm::matmul_nt(g, &self.w2);
+        Activation::Relu.chain_assign(&mut dz1, z1);
         let dw1 = gemm::matmul_tn(s, &dz1);
         let ds = gemm::matmul_nt(&dz1, &self.w1);
         let deps = ops::total_sum(&ops::hadamard(&ds, h));

@@ -101,7 +101,6 @@ impl<T: Scalar> AGnnLayer<T> for VaLayer<T> {
         g: &Dense<T>,
     ) -> BackwardResult<T> {
         let psi = cache.psi.as_ref().expect("VA backward needs cached Ψ");
-        let h_agg = cache.h_agg.as_ref().expect("VA backward needs cached ΨH");
         // M = G Wᵀ.
         let m = gemm::matmul_nt(g, &self.w);
         // N = A ⊙ (M Hᵀ) and N H in one sweep on the fused path.
@@ -109,12 +108,22 @@ impl<T: Scalar> AGnnLayer<T> for VaLayer<T> {
         let (n, mut dh) = attention::backward_va(self.plan.exec(), a, &m, h);
         ops::add_assign(&mut dh, &spmm::spmm_t(&n, h));
         ops::add_assign(&mut dh, &spmm::spmm_t(psi, &m));
-        // Y = (Ψ H)ᵀ G.
-        let dw = gemm::matmul_tn(h_agg, g);
         BackwardResult {
             dh_in: dh,
-            grads: Gradients::from_slots(vec![dw.into_vec()]),
+            grads: self.backward_params(a, h, cache, g),
         }
+    }
+
+    fn backward_params(
+        &self,
+        _a: &Csr<T>,
+        _h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+    ) -> Gradients<T> {
+        let h_agg = cache.h_agg.as_ref().expect("VA backward needs cached ΨH");
+        // Y = (Ψ H)ᵀ G.
+        Gradients::from_slots(vec![gemm::matmul_tn(h_agg, g).into_vec()])
     }
 
     fn param_slices_mut(&mut self) -> Vec<&mut [T]> {

@@ -32,14 +32,15 @@ impl<T: Scalar> Mse<T> {
 impl<T: Scalar> Loss<T> for Mse<T> {
     fn value(&self, output: &Dense<T>) -> T {
         assert_eq!(output.shape(), self.target.shape(), "MSE shape mismatch");
-        let diff = ops::sub(output, &self.target);
         let scale = T::from_f64(1.0 / output.len() as f64);
-        ops::total_sum(&ops::hadamard(&diff, &diff)) * scale
+        ops::sum_sq_diff(output, &self.target) * scale
     }
 
     fn gradient(&self, output: &Dense<T>) -> Dense<T> {
         let scale = T::from_f64(2.0 / output.len() as f64);
-        ops::scale(&ops::sub(output, &self.target), scale)
+        let mut grad = output.clone();
+        ops::zip_assign(&mut grad, &self.target, |o, t| (o - t) * scale);
+        grad
     }
 }
 

@@ -14,7 +14,7 @@ use crate::loss::Loss;
 use crate::optimizer::Optimizer;
 use crate::plan::{ExecPlan, Layout, Reordering};
 use atgnn_sparse::{norm, Csr};
-use atgnn_tensor::{ops, Activation, Dense, Scalar};
+use atgnn_tensor::{Activation, Dense, Scalar};
 use std::borrow::Cow;
 use std::sync::Mutex;
 
@@ -386,32 +386,39 @@ impl<T: Scalar> GnnModel<T> {
         ctxs: &[TrainContext<T>],
         grad_output: &Dense<T>,
     ) -> (Vec<Gradients<T>>, Dense<T>) {
+        let (grads, dx) = self.backward_owned(a, ctxs, grad_output.clone(), true);
+        (grads, dx.expect("the input gradient was asked for"))
+    }
+
+    /// The layer loop of [`GnnModel::backward`] over a gradient buffer it
+    /// may overwrite: `σ'` is chained in place into `g` and into every
+    /// layer's returned `∂L/∂H^l`, so the loop allocates nothing of its
+    /// own. Without `want_dx` layer 0 computes its parameter gradients
+    /// only ([`AGnnLayer::backward_params`]) and `None` is returned for
+    /// `∂L/∂X`; the parameter gradients are the same bits either way.
+    fn backward_owned(
+        &self,
+        a: &Csr<T>,
+        ctxs: &[TrainContext<T>],
+        mut g: Dense<T>,
+        want_dx: bool,
+    ) -> (Vec<Gradients<T>>, Option<Dense<T>>) {
         assert_eq!(ctxs.len(), self.layers.len(), "context count mismatch");
-        let last = self.layers.len() - 1;
-        // G^L = ∇_{H^L} L ⊙ σ'(Z^L)   (Eq. 4).
-        let mut g = ops::hadamard(
-            grad_output,
-            &self.layers[last].activation().derivative(&ctxs[last].z),
-        );
-        let mut grads: Vec<Option<Gradients<T>>> = (0..self.layers.len()).map(|_| None).collect();
-        let mut dh_in = None;
-        for l in (0..self.layers.len()).rev() {
-            let res = self.layers[l].backward(a, &ctxs[l].h_in, &ctxs[l].cache, &g);
-            grads[l] = Some(res.grads);
-            if l > 0 {
-                // G^{l-1} = σ'(Z^{l-1}) ⊙ Γ^l   (Eq. 6).
-                g = ops::hadamard(
-                    &res.dh_in,
-                    &self.layers[l - 1].activation().derivative(&ctxs[l - 1].z),
-                );
+        let mut grads = Vec::with_capacity(self.layers.len());
+        for (l, (layer, ctx)) in self.layers.iter().zip(ctxs).enumerate().rev() {
+            // G^L = ∇_{H^L} L ⊙ σ'(Z^L) (Eq. 4), then
+            // G^{l-1} = σ'(Z^{l-1}) ⊙ Γ^l (Eq. 6).
+            layer.activation().chain_assign(&mut g, &ctx.z);
+            if l > 0 || want_dx {
+                let res = layer.backward(a, &ctx.h_in, &ctx.cache, &g);
+                grads.push(res.grads);
+                g = res.dh_in;
             } else {
-                dh_in = Some(res.dh_in);
+                grads.push(layer.backward_params(a, &ctx.h_in, &ctx.cache, &g));
             }
         }
-        (
-            grads.into_iter().map(|g| g.unwrap()).collect(),
-            dh_in.unwrap(),
-        )
+        grads.reverse();
+        (grads, want_dx.then_some(g))
     }
 
     /// One full-batch training step (forward + backward + update).
@@ -441,8 +448,7 @@ impl<T: Scalar> GnnModel<T> {
                 // loss runs on tight caller-order rows, the backward pass
                 // on the plan's padded rows.
                 let grad_p = Self::ingest(plan, Cow::Owned(r.permute_rows(&loss.gradient(&out))));
-                let (grads, _) = self.backward(&r.a, &ctxs, &grad_p);
-                (value, grads)
+                (value, self.backward_owned(&r.a, &ctxs, grad_p, false).0)
             }
             None => {
                 let (out, ctxs) =
@@ -450,8 +456,7 @@ impl<T: Scalar> GnnModel<T> {
                 let out = out.into_tight();
                 let value = loss.value(&out);
                 let grad_out = Self::ingest(plan, Cow::Owned(loss.gradient(&out)));
-                let (grads, _) = self.backward(a, &ctxs, &grad_out);
-                (value, grads)
+                (value, self.backward_owned(a, &ctxs, grad_out, false).0)
             }
         });
         self.apply_gradients(&grads, opt);

@@ -213,8 +213,8 @@ pub fn backward_gin<T: Scalar>(
     let z1 = cache.h_proj.as_ref().expect("GIN dist cache Z1");
     let h_j = &cache.h_in;
     let r = Activation::Relu.apply(z1);
-    let dr = gemm::matmul_nt(g_j, w2);
-    let dz1 = ops::hadamard(&dr, &Activation::Relu.derivative(z1));
+    let mut dz1 = gemm::matmul_nt(g_j, w2);
+    Activation::Relu.chain_assign(&mut dz1, z1);
     let ds_j = gemm::matmul_nt(&dz1, w1);
     // dH = Aᵀ dS + (1+ε) dS: transpose product over the grid columns.
     let ds_i = ctx.bcast_row_side(&ds_j);

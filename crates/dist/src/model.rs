@@ -383,33 +383,32 @@ impl<T: Scalar> DistGnnModel<T> {
         (h, caches)
     }
 
-    /// Distributed backward pass from the column-side output gradient.
+    /// Distributed backward pass from the column-side output gradient,
+    /// which it consumes (`σ'` is chained into the buffer in place).
     /// Returns the *globally all-reduced* parameter gradients per layer
     /// (identical on every rank).
     pub fn backward(
         &self,
         ctx: &DistContext<'_, T>,
         caches: &[DistCache<T>],
-        grad_out_j: &Dense<T>,
+        mut g: Dense<T>,
     ) -> Vec<DistGrads<T>> {
         ctx.comm.set_phase("backward");
-        let last = self.layers.len() - 1;
-        let mut g = ops::hadamard(grad_out_j, &self.layers[last].1.derivative(&caches[last].z));
-        let mut grads: Vec<Option<DistGrads<T>>> = (0..self.layers.len()).map(|_| None).collect();
-        for l in (0..self.layers.len()).rev() {
-            let (dh, local_grads) = self.layers[l].0.backward(ctx, &caches[l], &g);
+        let mut grads = Vec::with_capacity(self.layers.len());
+        for ((layer, act), cache) in self.layers.iter().zip(caches).rev() {
+            act.chain_assign(&mut g, &cache.z);
+            let (dh, local_grads) = layer.backward(ctx, cache, &g);
             ctx.comm.set_phase("grad-allreduce");
             let reduced: DistGrads<T> = local_grads
                 .into_iter()
                 .map(|slot| ctx.allreduce_params(slot))
                 .collect();
             ctx.comm.set_phase("backward");
-            grads[l] = Some(reduced);
-            if l > 0 {
-                g = ops::hadamard(&dh, &self.layers[l - 1].1.derivative(&caches[l - 1].z));
-            }
+            grads.push(reduced);
+            g = dh;
         }
-        grads.into_iter().map(|g| g.unwrap()).collect()
+        grads.reverse();
+        grads
     }
 
     /// One full-batch training step against an MSE target block, with the
@@ -427,17 +426,19 @@ impl<T: Scalar> DistGnnModel<T> {
         // Global MSE: each rank holds a replicated column block; sum the
         // squared error over one representative per block (the diagonal),
         // then all-reduce.
-        let diff = ops::sub(&out, target_j);
         let local = if ctx.i == ctx.j {
-            ops::total_sum(&ops::hadamard(&diff, &diff))
+            ops::sum_sq_diff(&out, target_j)
         } else {
             T::zero()
         };
         let denom = T::from_f64((ctx.n * k_out) as f64);
         let total = ctx.allreduce_params(vec![local])[0] / denom;
-        // Gradient of the global MSE w.r.t. this block.
-        let grad_j = ops::scale(&diff, T::from_f64(2.0) / denom);
-        let grads = self.backward(ctx, &caches, &grad_j);
+        // Gradient of the global MSE w.r.t. this block, built in the
+        // output's own buffer.
+        let scale = T::from_f64(2.0) / denom;
+        let mut grad_j = out;
+        ops::zip_assign(&mut grad_j, target_j, |o, t| (o - t) * scale);
+        let grads = self.backward(ctx, &caches, grad_j);
         self.apply_sgd(&grads, lr);
         total
     }
@@ -661,7 +662,7 @@ mod tests {
                     // Global-MSE gradient for this block.
                     let diff = ops::sub(&out_j, &target.slice_rows(c0, c1 - c0));
                     let grad_j = ops::scale(&diff, 2.0 / (n * 2) as f64);
-                    let dist_grads = model.backward(&ctx, &caches, &grad_j);
+                    let dist_grads = model.backward(&ctx, &caches, grad_j);
                     let mut worst = 0.0f64;
                     for (sg, dg) in seq_grads.iter().zip(&dist_grads) {
                         for (ss, ds) in sg.slots.iter().zip(dg) {
@@ -755,7 +756,7 @@ mod tests {
             let x_j = x.slice_rows(c0, c1 - c0);
             let (out_j, caches) = model.forward_cached(&ctx, &x_j);
             let fwd_err = out_j.max_abs_diff(&seq.slice_rows(c0, c1 - c0));
-            let grads = model.backward(&ctx, &caches, &probe.slice_rows(c0, c1 - c0));
+            let grads = model.backward(&ctx, &caches, probe.slice_rows(c0, c1 - c0));
             let mut grad_err = 0.0f64;
             for (ss, ds) in seq_grads[0].slots.iter().zip(&grads[0]) {
                 for (a, b) in ss.iter().zip(ds) {
@@ -812,7 +813,7 @@ mod tests {
             let x_j = x.slice_rows(c0, c1 - c0);
             let (out_j, caches) = model.forward_cached(&ctx, &x_j);
             let fwd_err = out_j.max_abs_diff(&seq.slice_rows(c0, c1 - c0));
-            let grads = model.backward(&ctx, &caches, &probe.slice_rows(c0, c1 - c0));
+            let grads = model.backward(&ctx, &caches, probe.slice_rows(c0, c1 - c0));
             let mut grad_err = 0.0f64;
             for (ss, ds) in seq_grads[0].slots.iter().zip(&grads[0]) {
                 for (a, b) in ss.iter().zip(ds) {

@@ -591,7 +591,7 @@ mod tests {
     #[test]
     fn raw_threads_flagged_even_in_tests_but_not_in_rt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
-        assert_eq!(scan("crates/tensor/src/par.rs", src).len(), 1);
+        assert_eq!(scan("crates/tensor/src/gemm.rs", src).len(), 1);
         assert!(scan("crates/tensor/src/rt.rs", src).is_empty());
     }
 

@@ -108,6 +108,19 @@ impl Activation {
     pub fn derivative<T: Scalar>(self, z: &Dense<T>) -> Dense<T> {
         ops::map(z, |v| self.grad(v))
     }
+
+    /// `g ⊙= σ'(Z)` — the chain step of the backward recursion (Eq. 4 and
+    /// Eq. 6) in one pass over a buffer the caller owns. Bit-identical to
+    /// `ops::hadamard(g, &self.derivative(z))`: it multiplies, never
+    /// selects, so `−x · 0 = −0` and NaN propagate the same way.
+    /// [`Activation::Identity`] returns without touching memory, since
+    /// `x · 1 = x` bit for bit. Panics if the shapes differ.
+    pub fn chain_assign<T: Scalar>(self, g: &mut Dense<T>, z: &Dense<T>) {
+        assert_eq!(g.shape(), z.shape(), "element-wise op: shape mismatch");
+        if self != Activation::Identity {
+            ops::zip_assign(g, z, |x, zv| x * self.grad(zv));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -156,6 +169,48 @@ mod tests {
         assert_eq!(out.as_slice(), &[0.0, 0.0, 2.0]);
         let d = Activation::Relu.derivative(&z);
         assert_eq!(d.as_slice(), &[0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn chain_assign_is_the_allocating_pair_bit_for_bit() {
+        // ±0, negatives, ∞ and NaN on both sides: the product must carry
+        // the same sign of zero as the two-pass form and be NaN exactly
+        // where it is (which NaN is the hardware's choice).
+        let specials = [
+            0.0f32,
+            -0.0,
+            1.5,
+            -2.5,
+            f32::INFINITY,
+            -f32::INFINITY,
+            f32::NAN,
+        ];
+        let (rows, cols) = (specials.len(), 2 * specials.len() + 1);
+        let g = Dense::from_fn(rows, cols, |r, c| specials[(r + c) % specials.len()]);
+        let z = Dense::from_fn(rows, cols, |r, c| {
+            specials[(3 * r + 2 * c) % specials.len()]
+        });
+        for act in ACTS {
+            for (g, z) in [(g.clone(), z.clone()), (g.padded(), z.padded())] {
+                let want = ops::hadamard(&g, &act.derivative(&z));
+                let mut got = g.clone();
+                act.chain_assign(&mut got, &z);
+                assert!(got.padding_is_zero(), "{act:?}");
+                for r in 0..rows {
+                    for (x, y) in got.row(r).iter().zip(want.row(r)) {
+                        let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+                        assert!(same, "{act:?} row {r}: {x} vs {y}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn chain_assign_rejects_mismatched_shapes_even_for_identity() {
+        let mut g = Dense::<f32>::zeros(2, 3);
+        Activation::Identity.chain_assign(&mut g, &Dense::zeros(3, 2));
     }
 
     #[test]

@@ -2,27 +2,111 @@
 //!
 //! GNN workloads multiply tall-skinny feature matrices (`n×k`, `k ≪ n`) by
 //! small parameter matrices (`k×k`), so the kernels here parallelize over
-//! row chunks (see [`crate::par`]) and keep the inner loops over `k`
-//! contiguous. Four
-//! variants cover every transposition the forward and backward passes need
-//! without ever materializing a transpose of a tall matrix:
+//! row ranges on the [`crate::rt`] pool and keep the inner loops over `k`
+//! contiguous. Four variants cover every transposition the forward and
+//! backward passes need without ever materializing a transpose of a tall
+//! matrix:
 //!
 //! * [`matmul`]        — `C = A · B`
 //! * [`matmul_tn`]     — `C = Aᵀ · B` (e.g. `Y = Hᵀ (...) G` weight gradients)
 //! * [`matmul_nt`]     — `C = A · Bᵀ` (e.g. `M = G Wᵀ`)
 //! * [`matvec`] / [`matvec_t`] — matrix-vector products for the GAT
 //!   attention vectors `u = H'a₁`.
+//!
+//! [`matmul`] and [`matmul_nt`] share one family of register-tile kernels
+//! over a packed right-hand operand ([`Packed`]); [`matmul_tn`] needs no
+//! packing and runs its own outer-product tile.
 
 use crate::dense::Dense;
 use crate::micro;
-use crate::par;
-use crate::rt::{self, Cost, DisjointSlice, Tunable};
+use crate::rt::{self, Cost, DisjointSlice, ReductionOrder, Tunable};
 use crate::scalar::Scalar;
 
 /// Minimum number of result elements before a product is parallelized.
 /// Below this, dispatch overhead outweighs the work. Override with
 /// `ATGNN_GEMM_PAR_THRESHOLD` (`0` forces the parallel path).
 static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_GEMM_PAR_THRESHOLD", 16 * 1024);
+
+/// The accumulation-order fact of [`matmul`] and [`matmul_nt`], for the
+/// plan-time determinism analysis: every output element is one
+/// `kk`-ascending fold owned by one chunk, in every microkernel mode.
+pub const FOLD_ORDER: ReductionOrder = ReductionOrder::RowSequential;
+
+/// The accumulation-order fact of [`matmul_tn`]: `r`-ascending folds
+/// inside the size-derived row blocks of [`tn_blocks`], partials merged
+/// in ascending block order.
+pub const TN_ORDER: ReductionOrder = ReductionOrder::FixedBlocks;
+
+/// The column-panel width the tile kernels run at for an `n`-column
+/// result of a `k`-long reduction, `None` for the plain loops. A function
+/// of the environment and the problem size only, never the thread count.
+/// The two widths share the kk-ascending per-element `mul_add` sequence,
+/// so they are bit-identical; only the scalar oracle rounds differently.
+fn panel_lane(n: usize, k: usize) -> Option<usize> {
+    if k > 0 && micro::wide() && n >= micro::LANE {
+        Some(micro::LANE)
+    } else if k > 0 && micro::blocked() && n >= 4 {
+        Some(4)
+    } else {
+        None
+    }
+}
+
+/// A right-hand operand packed for the tile kernels: its full `lane`-wide
+/// column panels k-major — `panels[jt][kk·lane + c]` is column
+/// `lane·jt + c` at reduction step `kk` — then the `n % lane` leftover
+/// columns, k-major too, in `tail`.
+struct Packed<T> {
+    panels: Vec<T>,
+    tail: Vec<T>,
+    k: usize,
+    n: usize,
+    lane: usize,
+}
+
+impl<T: Scalar> Packed<T> {
+    /// Packs `n` columns of `k` steps; `fill(panel, j0, w)` writes
+    /// columns `j0..j0 + w` k-major into `panel`.
+    fn new(k: usize, n: usize, lane: usize, fill: impl Fn(&mut [T], usize, usize)) -> Self {
+        let rem = n % lane;
+        let mut panels = vec![T::zero(); k * (n - rem)];
+        for (jt, panel) in panels.chunks_exact_mut(lane * k).enumerate() {
+            fill(panel, lane * jt, lane);
+        }
+        let mut tail = vec![T::zero(); k * rem];
+        if rem > 0 {
+            fill(&mut tail, n - rem, rem);
+        }
+        Self {
+            panels,
+            tail,
+            k,
+            n,
+            lane,
+        }
+    }
+
+    /// The columns of `B` ([`matmul`]).
+    fn of(b: &Dense<T>, lane: usize) -> Self {
+        Self::new(b.rows(), b.cols(), lane, |panel, j0, w| {
+            for (kk, seg) in panel.chunks_exact_mut(w).enumerate() {
+                seg.copy_from_slice(&b.row(kk)[j0..j0 + w]);
+            }
+        })
+    }
+
+    /// The columns of `Bᵀ` — the rows of `B`, read straight from `B`
+    /// with no intermediate transpose ([`matmul_nt`]).
+    fn of_transposed(b: &Dense<T>, lane: usize) -> Self {
+        Self::new(b.cols(), b.rows(), lane, |panel, j0, w| {
+            for c in 0..w {
+                for (dst, &v) in panel.iter_mut().skip(c).step_by(w).zip(b.row(j0 + c)) {
+                    *dst = v;
+                }
+            }
+        })
+    }
+}
 
 /// `C = A · B`.
 ///
@@ -38,18 +122,29 @@ pub fn matmul<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
         b.rows(),
         b.cols()
     );
-    let (m, k) = a.shape();
-    let n = b.cols();
-    // Dispatch on the microkernel modes (a function of the environment and
-    // the problem size only, never the thread count). The wide and blocked
-    // kernels share the kk-ascending per-element `mul_add` sequence, so
-    // they are bit-identical; only the scalar oracle rounds differently.
-    if micro::wide() && n >= micro::LANE && k > 0 {
-        return matmul_wide(a, b);
+    let (k, n) = b.shape();
+    if let Some(lane) = panel_lane(n, k) {
+        return matmul_tiled(a, &Packed::of(b, lane));
     }
-    if micro::blocked() && n >= 4 && k > 0 {
-        return matmul_blocked(a, b);
-    }
+    plain_rows(a, n, |i, row_out| {
+        // i-k-j loop order: the inner j loop streams over a contiguous
+        // row of B and of the output, which LLVM auto-vectorizes.
+        for (kk, &aik) in a.row(i).iter().enumerate() {
+            for (o, &bv) in row_out.iter_mut().zip(b.row(kk)) {
+                *o += aik * bv;
+            }
+        }
+    })
+}
+
+/// The driver of the plain loops: an `a.rows() × n` result in `a`'s
+/// layout, `body(i, row)` filling logical row `i` (zero on entry).
+fn plain_rows<T: Scalar>(
+    a: &Dense<T>,
+    n: usize,
+    body: impl Fn(usize, &mut [T]) + Sync,
+) -> Dense<T> {
+    let m = a.rows();
     let mut out = a.zeros_matching(m, n);
     let out_stride = out.stride();
     let slots = DisjointSlice::new(out.as_mut_slice());
@@ -58,39 +153,25 @@ pub fn matmul<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
         // SAFETY: row ranges are disjoint across chunk bodies.
         let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
         for (i, row_full) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
-            let row_out = &mut row_full[..n];
-            let arow = a.row(i);
-            // i-k-j loop order: the inner j loop streams over a contiguous
-            // row of B and of the output, which LLVM auto-vectorizes.
-            for (kk, &aik) in arow.iter().enumerate().take(k) {
-                for (o, &bv) in row_out.iter_mut().zip(b.row(kk)) {
-                    *o += aik * bv;
-                }
-            }
+            body(i, &mut row_full[..n]);
         }
     });
     out
 }
 
-/// SIMD-width `C = A · B`: B's [`micro::LANE`]-wide column panels are
-/// packed k-major, and a 4×8 register tile accumulates with one
-/// [`micro::fma_splat`] vector op per `(row, kk)` pair. Every output
-/// element still accumulates kk-ascending with one `mul_add` rounding per
-/// step — the exact FP sequence of [`matmul_blocked`] — so the wide gemm
-/// stays in the bit-exact kernel family; it is purely a register/vector
-/// utilization upgrade.
-fn matmul_wide<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
-    const LANE: usize = micro::LANE;
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let n8 = n - n % LANE;
-    // panel[jt][kk*LANE + c] = B[kk][LANE*jt + c]
-    let mut packed = vec![T::zero(); k * n8];
-    for (jt, panel) in packed.chunks_exact_mut(LANE * k).enumerate() {
-        for (kk, vecs) in panel.chunks_exact_mut(LANE).enumerate() {
-            vecs.copy_from_slice(&b.row(kk)[LANE * jt..LANE * jt + LANE]);
-        }
-    }
+/// `A` times a packed operand, four rows at a time. At [`micro::LANE`]
+/// width a 4×8 register tile accumulates with one [`micro::fma_splat`]
+/// vector op per `(row, kk)` pair; at width 4 a 4×4 tile does the same in
+/// scalars.
+///
+/// The FP sequence of each output element is a function of its row and
+/// column alone — the quad/single and panel/tail kernels of both widths
+/// all use the same kk-ascending `mul_add` order — so the chunk
+/// boundaries handed out by [`rt::parallel_for`] (which depend on the
+/// thread count) never change results.
+fn matmul_tiled<T: Scalar>(a: &Dense<T>, p: &Packed<T>) -> Dense<T> {
+    let (m, n) = (a.rows(), p.n);
+    let wide = p.lane == micro::LANE;
     let mut out = a.zeros_matching(m, n);
     let out_stride = out.stride();
     let slots = DisjointSlice::new(out.as_mut_slice());
@@ -104,18 +185,21 @@ fn matmul_wide<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
             let (r0, rest) = quad.split_at_mut(out_stride);
             let (r1, rest) = rest.split_at_mut(out_stride);
             let (r2, r3) = rest.split_at_mut(out_stride);
-            row_quad_wide(
-                [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)],
-                [&mut r0[..n], &mut r1[..n], &mut r2[..n], &mut r3[..n]],
-                &packed,
-                b,
-                k,
-                n,
-            );
+            let ar = [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)];
+            let or = [&mut r0[..n], &mut r1[..n], &mut r2[..n], &mut r3[..n]];
+            if wide {
+                row_quad_wide(ar, or, p);
+            } else {
+                row_quad(ar, or, p);
+            }
             i += 4;
         }
-        for row_full in quads.into_remainder().chunks_mut(out_stride.max(1)) {
-            row_single_wide(a.row(i), &mut row_full[..n], &packed, b, k, n);
+        for row_full in quads.into_remainder().chunks_mut(out_stride) {
+            if wide {
+                row_single_wide(a.row(i), &mut row_full[..n], p);
+            } else {
+                row_single(a.row(i), &mut row_full[..n], p);
+            }
             i += 1;
         }
     });
@@ -124,45 +208,75 @@ fn matmul_wide<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
 
 /// 4×[`micro::LANE`] register tile: four lane-array accumulators, one
 /// broadcast-fma per `(row, kk)`, kk-ascending.
-fn row_quad_wide<T: Scalar>(
-    ar: [&[T]; 4],
-    out: [&mut [T]; 4],
-    packed: &[T],
-    b: &Dense<T>,
-    k: usize,
-    n: usize,
-) {
+fn row_quad_wide<T: Scalar>(ar: [&[T]; 4], out: [&mut [T]; 4], p: &Packed<T>) {
     const LANE: usize = micro::LANE;
-    let n8 = n - n % LANE;
     let [o0, o1, o2, o3] = out;
-    for (jt, panel) in packed.chunks_exact(LANE * k).enumerate() {
+    for (jt, panel) in p.panels.chunks_exact(LANE * p.k).enumerate() {
         let j = LANE * jt;
         let mut acc = [[T::zero(); LANE]; 4];
-        for ((((p, &a0), &a1), &a2), &a3) in panel
+        for ((((q, &a0), &a1), &a2), &a3) in panel
             .chunks_exact(LANE)
             .zip(ar[0])
             .zip(ar[1])
             .zip(ar[2])
             .zip(ar[3])
         {
-            acc[0] = micro::fma_splat(acc[0], a0, p);
-            acc[1] = micro::fma_splat(acc[1], a1, p);
-            acc[2] = micro::fma_splat(acc[2], a2, p);
-            acc[3] = micro::fma_splat(acc[3], a3, p);
+            acc[0] = micro::fma_splat(acc[0], a0, q);
+            acc[1] = micro::fma_splat(acc[1], a1, q);
+            acc[2] = micro::fma_splat(acc[2], a2, q);
+            acc[3] = micro::fma_splat(acc[3], a3, q);
         }
         o0[j..j + LANE].copy_from_slice(&acc[0]);
         o1[j..j + LANE].copy_from_slice(&acc[1]);
         o2[j..j + LANE].copy_from_slice(&acc[2]);
         o3[j..j + LANE].copy_from_slice(&acc[3]);
     }
-    // Column remainder: stride down the unpacked column of B, still
-    // kk-ascending per element.
-    for j in n8..n {
-        let mut acc = [T::zero(); 4];
-        for (kk, (((&a0, &a1), &a2), &a3)) in
-            ar[0].iter().zip(ar[1]).zip(ar[2]).zip(ar[3]).enumerate()
+    quad_tail(ar, [o0, o1, o2, o3], p);
+}
+
+/// 4×4 register tile: 16 accumulators, kk-ascending `mul_add`.
+fn row_quad<T: Scalar>(ar: [&[T]; 4], out: [&mut [T]; 4], p: &Packed<T>) {
+    let [o0, o1, o2, o3] = out;
+    for (jt, panel) in p.panels.chunks_exact(4 * p.k).enumerate() {
+        let j = 4 * jt;
+        let mut acc = [T::zero(); 16];
+        for ((((q, &a0), &a1), &a2), &a3) in panel
+            .chunks_exact(4)
+            .zip(ar[0])
+            .zip(ar[1])
+            .zip(ar[2])
+            .zip(ar[3])
         {
-            let bv = b[(kk, j)];
+            for (c, &bv) in q.iter().enumerate() {
+                acc[c] = a0.mul_add(bv, acc[c]);
+                acc[4 + c] = a1.mul_add(bv, acc[4 + c]);
+                acc[8 + c] = a2.mul_add(bv, acc[8 + c]);
+                acc[12 + c] = a3.mul_add(bv, acc[12 + c]);
+            }
+        }
+        o0[j..j + 4].copy_from_slice(&acc[0..4]);
+        o1[j..j + 4].copy_from_slice(&acc[4..8]);
+        o2[j..j + 4].copy_from_slice(&acc[8..12]);
+        o3[j..j + 4].copy_from_slice(&acc[12..16]);
+    }
+    quad_tail(ar, [o0, o1, o2, o3], p);
+}
+
+/// The leftover columns of a row quad: down the packed tail, still
+/// kk-ascending per element.
+fn quad_tail<T: Scalar>(ar: [&[T]; 4], out: [&mut [T]; 4], p: &Packed<T>) {
+    let rem = p.n % p.lane;
+    let [o0, o1, o2, o3] = out;
+    for (c, j) in (p.n - rem..p.n).enumerate() {
+        let mut acc = [T::zero(); 4];
+        for ((((&bv, &a0), &a1), &a2), &a3) in p.tail[c..]
+            .iter()
+            .step_by(rem)
+            .zip(ar[0])
+            .zip(ar[1])
+            .zip(ar[2])
+            .zip(ar[3])
+        {
             acc[0] = a0.mul_add(bv, acc[0]);
             acc[1] = a1.mul_add(bv, acc[1]);
             acc[2] = a2.mul_add(bv, acc[2]);
@@ -176,171 +290,67 @@ fn row_quad_wide<T: Scalar>(
 }
 
 /// 1×[`micro::LANE`] tile for leftover rows — same kk-ascending FP order.
-fn row_single_wide<T: Scalar>(
-    arow: &[T],
-    out: &mut [T],
-    packed: &[T],
-    b: &Dense<T>,
-    k: usize,
-    n: usize,
-) {
+fn row_single_wide<T: Scalar>(arow: &[T], out: &mut [T], p: &Packed<T>) {
     const LANE: usize = micro::LANE;
-    let n8 = n - n % LANE;
-    for (jt, panel) in packed.chunks_exact(LANE * k).enumerate() {
-        let j = LANE * jt;
+    for (jt, panel) in p.panels.chunks_exact(LANE * p.k).enumerate() {
         let mut acc = [T::zero(); LANE];
-        for (p, &av) in panel.chunks_exact(LANE).zip(arow) {
-            acc = micro::fma_splat(acc, av, p);
+        for (q, &av) in panel.chunks_exact(LANE).zip(arow) {
+            acc = micro::fma_splat(acc, av, q);
         }
-        out[j..j + LANE].copy_from_slice(&acc);
+        out[LANE * jt..LANE * jt + LANE].copy_from_slice(&acc);
     }
-    for (j, o) in out.iter_mut().enumerate().skip(n8) {
-        let mut acc = T::zero();
-        for (kk, &av) in arow.iter().enumerate() {
-            acc = av.mul_add(b[(kk, j)], acc);
-        }
-        *o = acc;
-    }
-}
-
-/// Register-blocked `C = A · B`: B's 4-wide column panels are packed
-/// k-major so the 4×4 tile kernel streams them contiguously, and every
-/// output element accumulates with kk-ascending `mul_add`.
-///
-/// The FP sequence of each output element is a function of its row and
-/// column alone — the quad/single and panel/remainder kernels all use the
-/// same kk-ascending order — so the chunk boundaries handed out by
-/// [`rt::parallel_for`] (which depend on the thread count) never change
-/// results.
-fn matmul_blocked<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let n4 = n - n % 4;
-    // panel[jt][kk*4 + c] = B[kk][4*jt + c]
-    let mut packed = vec![T::zero(); k * n4];
-    for (jt, panel) in packed.chunks_exact_mut(4 * k).enumerate() {
-        for (kk, quad) in panel.chunks_exact_mut(4).enumerate() {
-            quad.copy_from_slice(&b.row(kk)[4 * jt..4 * jt + 4]);
-        }
-    }
-    let mut out = a.zeros_matching(m, n);
-    let out_stride = out.stride();
-    let slots = DisjointSlice::new(out.as_mut_slice());
-    let parallel = m * n >= PAR_THRESHOLD.get();
-    rt::parallel_for(m, Cost::Uniform, parallel, |lo, hi| {
-        // SAFETY: row ranges are disjoint across chunk bodies.
-        let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
-        let mut quads = rows_out.chunks_exact_mut(4 * out_stride);
-        let mut i = lo;
-        for quad in &mut quads {
-            let (r0, rest) = quad.split_at_mut(out_stride);
-            let (r1, rest) = rest.split_at_mut(out_stride);
-            let (r2, r3) = rest.split_at_mut(out_stride);
-            row_quad(
-                [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)],
-                [&mut r0[..n], &mut r1[..n], &mut r2[..n], &mut r3[..n]],
-                &packed,
-                b,
-                k,
-                n,
-            );
-            i += 4;
-        }
-        for row_full in quads.into_remainder().chunks_mut(out_stride.max(1)) {
-            row_single(a.row(i), &mut row_full[..n], &packed, b, k, n);
-            i += 1;
-        }
-    });
-    out
-}
-
-/// 4×4 register tile: 16 accumulators, kk-ascending `mul_add`.
-fn row_quad<T: Scalar>(
-    ar: [&[T]; 4],
-    out: [&mut [T]; 4],
-    packed: &[T],
-    b: &Dense<T>,
-    k: usize,
-    n: usize,
-) {
-    let n4 = n - n % 4;
-    let [o0, o1, o2, o3] = out;
-    for (jt, panel) in packed.chunks_exact(4 * k).enumerate() {
-        let j = 4 * jt;
-        let mut acc = [T::zero(); 16];
-        for ((((p, &a0), &a1), &a2), &a3) in panel
-            .chunks_exact(4)
-            .zip(ar[0])
-            .zip(ar[1])
-            .zip(ar[2])
-            .zip(ar[3])
-        {
-            for (c, &bv) in p.iter().enumerate() {
-                acc[c] = a0.mul_add(bv, acc[c]);
-                acc[4 + c] = a1.mul_add(bv, acc[4 + c]);
-                acc[8 + c] = a2.mul_add(bv, acc[8 + c]);
-                acc[12 + c] = a3.mul_add(bv, acc[12 + c]);
-            }
-        }
-        o0[j..j + 4].copy_from_slice(&acc[0..4]);
-        o1[j..j + 4].copy_from_slice(&acc[4..8]);
-        o2[j..j + 4].copy_from_slice(&acc[8..12]);
-        o3[j..j + 4].copy_from_slice(&acc[12..16]);
-    }
-    // Column remainder: stride down the unpacked column of B, still
-    // kk-ascending per element.
-    for j in n4..n {
-        let mut acc = [T::zero(); 4];
-        for (kk, (((&a0, &a1), &a2), &a3)) in
-            ar[0].iter().zip(ar[1]).zip(ar[2]).zip(ar[3]).enumerate()
-        {
-            let bv = b[(kk, j)];
-            acc[0] = a0.mul_add(bv, acc[0]);
-            acc[1] = a1.mul_add(bv, acc[1]);
-            acc[2] = a2.mul_add(bv, acc[2]);
-            acc[3] = a3.mul_add(bv, acc[3]);
-        }
-        o0[j] = acc[0];
-        o1[j] = acc[1];
-        o2[j] = acc[2];
-        o3[j] = acc[3];
-    }
+    single_tail(arow, out, p);
 }
 
 /// 1×4 tile for leftover rows — same kk-ascending FP order as [`row_quad`].
-fn row_single<T: Scalar>(
-    arow: &[T],
-    out: &mut [T],
-    packed: &[T],
-    b: &Dense<T>,
-    k: usize,
-    n: usize,
-) {
-    let n4 = n - n % 4;
-    for (jt, panel) in packed.chunks_exact(4 * k).enumerate() {
-        let j = 4 * jt;
+fn row_single<T: Scalar>(arow: &[T], out: &mut [T], p: &Packed<T>) {
+    for (jt, panel) in p.panels.chunks_exact(4 * p.k).enumerate() {
         let mut acc = [T::zero(); 4];
-        for (p, &av) in panel.chunks_exact(4).zip(arow) {
-            for (c, &bv) in p.iter().enumerate() {
+        for (q, &av) in panel.chunks_exact(4).zip(arow) {
+            for (c, &bv) in q.iter().enumerate() {
                 acc[c] = av.mul_add(bv, acc[c]);
             }
         }
-        out[j..j + 4].copy_from_slice(&acc);
+        out[4 * jt..4 * jt + 4].copy_from_slice(&acc);
     }
-    for (j, o) in out.iter_mut().enumerate().skip(n4) {
+    single_tail(arow, out, p);
+}
+
+/// The leftover columns of a leftover row.
+fn single_tail<T: Scalar>(arow: &[T], out: &mut [T], p: &Packed<T>) {
+    let rem = p.n % p.lane;
+    for (c, o) in out[p.n - rem..].iter_mut().enumerate() {
         let mut acc = T::zero();
-        for (kk, &av) in arow.iter().enumerate() {
-            acc = av.mul_add(b[(kk, j)], acc);
+        for (&bv, &av) in p.tail[c..].iter().step_by(rem).zip(arow) {
+            acc = av.mul_add(bv, acc);
         }
         *o = acc;
     }
+}
+
+/// Rows per cache block of the [`matmul_tn`] tile loop: a block of `A`
+/// and of `B` at `k = 64` is 256 KB each, so the 64 tile passes over it
+/// stream from L2.
+const TN_BLOCK_ROWS: usize = 1024;
+
+/// Upper bound on [`matmul_tn`]'s partial products (`k × j` each).
+const TN_MAX_BLOCKS: usize = 64;
+
+/// The row grid of [`matmul_tn`] — boundaries of the blocks whose partial
+/// products are merged in ascending order. Derived from `n` alone, so the
+/// result is independent of the thread count.
+pub fn tn_blocks(n: usize) -> Vec<usize> {
+    rt::fixed_chunks(n, TN_BLOCK_ROWS, TN_MAX_BLOCKS)
 }
 
 /// `C = Aᵀ · B` without materializing `Aᵀ`.
 ///
 /// This is the weight-gradient pattern `Y = Hᵀ(...)`: `A` is tall (`n×k`),
-/// `B` is tall (`n×j`), and the result is small (`k×j`). The row-major
-/// layout makes the natural loop accumulate rank-1 updates row by row.
+/// `B` is tall (`n×j`), and the result is small (`k×j`). For a fixed row
+/// `r`, `A[r][kt..]` and `B[r][jt..]` are already contiguous, so the
+/// outer-product form needs no packing. Each block of [`tn_blocks`]
+/// accumulates its own `k × j` partial `r`-ascending, one `mul_add` per
+/// step; the partials are merged in ascending block order.
 ///
 /// # Panics
 /// Panics if `A.rows() != B.rows()`.
@@ -352,40 +362,98 @@ pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
         a.rows(),
         b.rows()
     );
-    let n = a.rows();
-    let k = a.cols();
+    let (n, k) = a.shape();
     let j = b.cols();
-    // The output is k×j (small). Parallelize by splitting the long n
-    // dimension and reducing partial products. `map_reduce_ranges` chunks
-    // by problem size only and folds partials in fixed order, so this
-    // weight-gradient reduction is bit-identical across thread counts.
-    let reduce = |lo: usize, hi: usize| {
-        let mut acc = Dense::zeros(k, j);
-        for r in lo..hi {
-            let arow = a.row(r);
-            let brow = b.row(r);
-            for (kk, &av) in arow.iter().enumerate() {
-                micro::axpy(acc.row_mut(kk), av, brow);
+    if k == 0 || j == 0 {
+        return Dense::zeros(k, j);
+    }
+    let bounds = tn_blocks(n);
+    let blocks = bounds.len() - 1;
+    // Block `c` owns rows `c·k..(c+1)·k` of the partials matrix.
+    let mut partials = Dense::zeros(blocks * k, j);
+    let stride = partials.stride();
+    let slots = DisjointSlice::new(partials.as_mut_slice());
+    let parallel = n * k * j >= PAR_THRESHOLD.get().saturating_mul(8);
+    rt::parallel_for(blocks, Cost::Uniform, parallel, |lo, hi| {
+        for c in lo..hi {
+            // SAFETY: block row ranges are disjoint across chunk bodies.
+            let part = unsafe { slots.range_mut(c * k * stride, (c + 1) * k * stride) };
+            for r0 in (bounds[c]..bounds[c + 1]).step_by(TN_BLOCK_ROWS) {
+                tn_accumulate(a, b, r0, bounds[c + 1].min(r0 + TN_BLOCK_ROWS), part);
             }
         }
-        acc
-    };
-    if n * k * j >= PAR_THRESHOLD.get().saturating_mul(8) {
-        par::map_reduce_ranges(n, reduce, |mut x, y| {
-            crate::ops::add_assign(&mut x, &y);
-            x
-        })
-        .unwrap_or_else(|| Dense::zeros(k, j))
+    });
+    let mut data = partials.into_vec();
+    let (first, rest) = data.split_at_mut(k * j);
+    for part in rest.chunks_exact(k * j) {
+        for (o, &v) in first.iter_mut().zip(part) {
+            *o += v;
+        }
+    }
+    data.truncate(k * j);
+    Dense::from_vec(k, j, data)
+}
+
+/// `out += A[lo..hi]ᵀ · B[lo..hi]` on a tight `k × j` slice. Under the
+/// blocked microkernels the 4-row × 16-column tiles run on eight
+/// [`micro::LANE`]-wide register accumulators (two loads and four
+/// broadcasts per eight [`micro::fma_splat`]s) and [`micro::axpy`] covers
+/// the ragged `k % 4` / `j % 16` edges; the scalar oracle runs every
+/// element through its plain `axpy`. Both orders are `r`-ascending per
+/// element.
+fn tn_accumulate<T: Scalar>(a: &Dense<T>, b: &Dense<T>, lo: usize, hi: usize, out: &mut [T]) {
+    const LANE: usize = micro::LANE;
+    let (k, j) = (a.cols(), b.cols());
+    let (k4, j16) = if micro::blocked() {
+        (k - k % 4, j - j % (2 * LANE))
     } else {
-        reduce(0, n)
+        (0, 0)
+    };
+    for (kt, quad) in out[..k4 * j].chunks_exact_mut(4 * j).enumerate() {
+        let (q0, rest) = quad.split_at_mut(j);
+        let (q1, rest) = rest.split_at_mut(j);
+        let (q2, q3) = rest.split_at_mut(j);
+        let mut rows = [q0, q1, q2, q3];
+        for jt in (0..j16).step_by(2 * LANE) {
+            let (mid, end) = (jt + LANE, jt + 2 * LANE);
+            let mut acc = [[[T::zero(); LANE]; 2]; 4];
+            for (t, row) in acc.iter_mut().zip(&rows) {
+                t[0].copy_from_slice(&row[jt..mid]);
+                t[1].copy_from_slice(&row[mid..end]);
+            }
+            for r in lo..hi {
+                let av = &a.row(r)[4 * kt..4 * kt + 4];
+                let (b0, b1) = b.row(r)[jt..end].split_at(LANE);
+                for (t, &x) in acc.iter_mut().zip(av) {
+                    t[0] = micro::fma_splat(t[0], x, b0);
+                    t[1] = micro::fma_splat(t[1], x, b1);
+                }
+            }
+            for (row, t) in rows.iter_mut().zip(&acc) {
+                row[jt..mid].copy_from_slice(&t[0]);
+                row[mid..end].copy_from_slice(&t[1]);
+            }
+        }
+    }
+    if k4 == k && j16 == j {
+        return;
+    }
+    for r in lo..hi {
+        let (arow, brow) = (a.row(r), b.row(r));
+        for (kk, (orow, &av)) in out.chunks_exact_mut(j).zip(arow).enumerate() {
+            let from = if kk < k4 { j16 } else { 0 };
+            micro::axpy(&mut orow[from..], av, &brow[from..]);
+        }
     }
 }
 
 /// `C = A · Bᵀ` without materializing `Bᵀ`.
 ///
 /// This is the pattern `M = G Wᵀ` (tall × smallᵀ) and also the dot-product
-/// score pattern `H Hᵀ` restricted to dense output — each output element is
-/// a dot product of two contiguous rows.
+/// score pattern `H Hᵀ` restricted to dense output. The tile kernels of
+/// [`matmul`] run over `Bᵀ`'s column panels packed straight from `B`'s
+/// rows, so the result is bit-identical to `matmul(A, Bᵀ)`: every element
+/// accumulates kk-ascending.
 ///
 /// # Panics
 /// Panics if `A.cols() != B.cols()`.
@@ -397,23 +465,17 @@ pub fn matmul_nt<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
         a.cols(),
         b.cols()
     );
-    let m = a.rows();
-    let n = b.rows();
-    let mut out = a.zeros_matching(m, n);
-    let out_stride = out.stride();
-    let slots = DisjointSlice::new(out.as_mut_slice());
-    let parallel = m * n >= PAR_THRESHOLD.get();
-    rt::parallel_for(m, Cost::Uniform, parallel, |lo, hi| {
-        // SAFETY: row ranges are disjoint across chunk bodies.
-        let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
-        for (i, row_full) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
-            let arow = a.row(i);
-            for (jj, o) in row_full[..n].iter_mut().enumerate() {
-                *o = dot(arow, b.row(jj));
-            }
+    let (n, k) = b.shape();
+    if let Some(lane) = panel_lane(n, k) {
+        return matmul_tiled(a, &Packed::of_transposed(b, lane));
+    }
+    plain_rows(a, n, |i, row_out| {
+        // One ascending multiply-then-add fold per element: the
+        // sequence of `matmul`'s plain loop.
+        for (jj, o) in row_out.iter_mut().enumerate() {
+            *o = micro::dot_scalar(a.row(i), b.row(jj));
         }
-    });
-    out
+    })
 }
 
 /// `y = A · x` (matrix-vector product).
@@ -541,8 +603,8 @@ mod tests {
         for (m, k, n) in [(7, 5, 9), (13, 8, 16), (4, 3, 12), (1, 9, 24)] {
             let a = arb(m, k, 21);
             let b = arb(k, n, 22);
-            let w = matmul_wide(&a, &b);
-            let bl = matmul_blocked(&a, &b);
+            let w = matmul_tiled(&a, &Packed::of(&b, micro::LANE));
+            let bl = matmul_tiled(&a, &Packed::of(&b, 4));
             assert_eq!(w.max_abs_diff(&bl), 0.0, "{m}x{k}x{n}");
         }
     }

@@ -14,7 +14,7 @@
 //!   rounding is defined (RNE, lint-enforced single site).
 //! * [`gemm`] — dense matrix products (`MM` in the paper's Table 2),
 //!   including the transposed variants needed by the backward passes,
-//!   blocked and parallelized over row chunks via [`par`].
+//!   on register tiles, parallelized over row ranges via [`rt`].
 //! * [`blocks`] — the tensor building blocks of Table 2: replication
 //!   `rep_i(x) = x 1ᵀ`, row summation `sum(X) = X 1`, their composition
 //!   `rs_i(X)`, outer products, row norms, and a numerically stable dense
@@ -29,8 +29,7 @@
 //! * [`rt`] — the persistent worker-pool runtime every kernel schedules
 //!   onto: nnz-balanced work descriptors, chunked self-scheduling,
 //!   deterministic reductions, per-thread scratch arenas, and the
-//!   `ATGNN_THREADS` / `*_PAR_THRESHOLD` tuning knobs; [`par`] — legacy
-//!   fork-join helpers, now thin shims over [`rt`]; [`rng`] — the
+//!   `ATGNN_THREADS` / `*_PAR_THRESHOLD` tuning knobs; [`rng`] — the
 //!   self-contained ChaCha8 generator behind every seeded random choice
 //!   in the workspace.
 //!
@@ -46,7 +45,6 @@ pub mod init;
 pub mod knobs;
 pub mod micro;
 pub mod ops;
-pub mod par;
 pub mod rng;
 pub mod rt;
 pub mod scalar;

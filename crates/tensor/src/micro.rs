@@ -2,10 +2,10 @@
 //! switches.
 //!
 //! The attention hot path spends its cycles in three inner-loop shapes: dot
-//! products (SDDMM scoring, `matmul_nt`), axpy updates (SpMM / attention
-//! aggregation, `matmul_tn`), and the dense `matmul` itself. This module
-//! provides those inner loops at three width tiers, selected by two
-//! process-wide switches:
+//! products (SDDMM scoring, `matvec`), axpy updates (SpMM / attention
+//! aggregation), and the broadcast-fma register tiles of the dense
+//! products in [`crate::gemm`]. This module provides those inner loops at
+//! three width tiers, selected by two process-wide switches:
 //!
 //! * `ATGNN_MICROKERNEL={blocked,scalar}` — [`MicroKernel`]: `scalar`
 //!   reproduces the pre-microkernel loops bit-for-bit and remains the

@@ -136,6 +136,11 @@ pub fn map_assign<T: Scalar>(a: &mut Dense<T>, f: impl Fn(T) -> T + Sync + Send)
     map_apply(a, |x| *x = f(*x));
 }
 
+/// `a[i] = f(a[i], b[i])` for every logical element, in place.
+pub fn zip_assign<T: Scalar>(a: &mut Dense<T>, b: &Dense<T>, f: impl Fn(T, T) -> T + Sync + Send) {
+    zip_apply(a, b, |x, y| *x = f(*x, y));
+}
+
 /// Returns `f` mapped over every element.
 pub fn map<T: Scalar>(a: &Dense<T>, f: impl Fn(T) -> T + Sync + Send) -> Dense<T> {
     let mut out = a.clone();
@@ -153,6 +158,21 @@ pub fn total_sum<T: Scalar>(a: &Dense<T>) -> T {
     for i in 0..a.rows() {
         for &v in a.row(i) {
             s += v;
+        }
+    }
+    s
+}
+
+/// `Σ (a − b)²` over the logical elements in row-major order — the
+/// ascending fold of `total_sum(&hadamard(&d, &d))` with `d = a − b`,
+/// without the two temporaries.
+pub fn sum_sq_diff<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> T {
+    assert_eq!(a.shape(), b.shape(), "element-wise op: shape mismatch");
+    let mut s = T::zero();
+    for i in 0..a.rows() {
+        for (&x, &y) in a.row(i).iter().zip(b.row(i)) {
+            let d = x - y;
+            s += d * d;
         }
     }
     s

@@ -77,6 +77,12 @@ pub enum ReductionOrder {
     /// 4-lane blocked kernels and carry a documented tolerance instead of
     /// bit-identity against the scalar oracle.
     LaneTree,
+    /// The reduction range is cut into blocks at boundaries derived from
+    /// the problem size alone, each block folds its inputs in ascending
+    /// order into its own partial, and the partials are merged in
+    /// ascending block order (`gemm::matmul_tn`). Which thread runs a
+    /// block never shows in the result.
+    FixedBlocks,
     /// No registered order guarantee: the accumulation order may depend
     /// on scheduling, so bit-identity across thread counts cannot be
     /// proven.
@@ -96,6 +102,7 @@ impl ReductionOrder {
             ReductionOrder::RowSequential => "row-sequential",
             ReductionOrder::FixedLanes => "fixed-lanes",
             ReductionOrder::LaneTree => "lane-tree",
+            ReductionOrder::FixedBlocks => "fixed-blocks",
             ReductionOrder::Unspecified => "unspecified",
         }
     }
