@@ -33,13 +33,6 @@ echo "== cargo test (SIMD layer off: scalar lanes + tight layout) =="
 # (tests/simd_equivalence.rs, DESIGN.md §6).
 ATGNN_SIMD=scalar ATGNN_LAYOUT=tight cargo test -q --workspace
 
-echo "== cargo test (precision oracle: ATGNN_PRECISION=f32 pinned) =="
-# The mixed-precision oracle configuration: storage narrowing disabled
-# explicitly (not just by default), so the suite proves the f32 plan axis
-# is the bit-exactness baseline the narrow paths are tolerance-gated
-# against (tests/precision.rs, DESIGN.md §6).
-ATGNN_PRECISION=f32 cargo test -q --workspace
-
 echo "== cargo test (bf16 storage smoke: narrow feature buffers) =="
 # The narrow-storage configuration: plans resolved under the env store
 # features as bf16 with f32 accumulation. The tolerance-gated suites
@@ -47,9 +40,10 @@ echo "== cargo test (bf16 storage smoke: narrow feature buffers) =="
 # properties, awkward-k oracle equivalence, padded tails through a bf16
 # train_step, gradient drift bounds) plus the kernel-equivalence suites,
 # whose oracles pin their own storage. The full workspace is *expected*
-# to fail here (layer gradchecks assert f32-exact tolerances), which is
-# the point of the f32 oracle pass above.
-ATGNN_PRECISION=bf16 cargo test -q --test precision --test fused_attention --test simd_equivalence --test autotune --test extensions
+# to fail here (layer gradchecks assert f32-exact tolerances); f32 — what
+# an unset ATGNN_PRECISION means — is the oracle, and the passes above
+# are its full-suite run.
+ATGNN_PRECISION=bf16 cargo test -q --test precision --test fused_attention --test simd_equivalence --test extensions
 
 echo "== atgnn-lint: source hygiene (replaces the former grep/awk lints) =="
 # A real scanner (string/comment stripping, brace-tracked #[cfg(test)]
@@ -63,8 +57,8 @@ echo "== atgnn-lint: source hygiene (replaces the former grep/awk lints) =="
 #     (no raw row*cols indexing outside dense.rs — padded-layout safety)
 #   * kernels and layers never read plan-knob env vars (ATGNN_LAYOUT,
 #     ATGNN_COL_TILE, ...) directly — knobs reach kernels only
-#     through ExecPlan::apply_kernel_knobs, so the autotuner's resolved
-#     plan cannot be silently bypassed
+#     through ExecPlan::apply_kernel_knobs, so the plan a model was
+#     given cannot be silently bypassed
 #   * no std HashMap/HashSet in non-test code of crates/sparse/src
 #     (hash-in-kernels: hashing on a kernel path is what made ego
 #     extraction 29 % of a served batch, and RandomState iteration order
@@ -73,6 +67,18 @@ echo "== atgnn-lint: source hygiene (replaces the former grep/awk lints) =="
 # went blind for the rest of the file), the scanner resumes after each
 # test module. Suppress a finding with `// atgnn-lint: allow(<rule>)`.
 cargo run --release -q -p atgnn-lint -- --deny warnings
+
+echo "== env-knob budget (distinct ATGNN_* names under crates/) =="
+# ROADMAP: no PR adds an environment knob. A ratchet, not a target: a PR
+# that removes a name lowers KNOB_BUDGET in the same diff.
+KNOB_BUDGET=35
+knobs=$(grep -rhoE 'ATGNN_[A-Z0-9_]+' crates | sort -u)
+knob_count=$(wc -l <<<"$knobs")
+if ((knob_count > KNOB_BUDGET)); then
+    echo "$knobs"
+    echo "error: $knob_count distinct ATGNN_* names under crates/, budget is $KNOB_BUDGET" >&2
+    exit 1
+fi
 
 echo "== atgnn-lint --dag: abstract interpretation of every canned plan =="
 # Shapes, virtual safety, fusion legality, semirings, determinism
@@ -111,16 +117,6 @@ echo "== simd smoke (SIMD-width × layout sweep harness) =="
 # wide/scalar × padded/tight sweep, the in-run bit-identity and
 # tolerance equivalence gates, and the BENCH_simd.json writer run.
 ATGNN_SMOKE=1 cargo run --release -q -p atgnn-bench --bin simd
-
-echo "== autotune smoke (cost model + calibration + persistent tuning DB) =="
-# Smoke mode: tiny graphs, no speedup assertion — verifies measure-tier
-# plan resolution, the bit-identity gate (tuned plan vs the same plan
-# built manually through the env-knob builders), and the
-# BENCH_autotune.json writer. The second run (fresh process,
-# ATGNN_TUNE_WARM=1) must resolve every configuration as a db-hit on the
-# database the first run persisted — tunings survive processes.
-ATGNN_SMOKE=1 cargo run --release -q -p atgnn-bench --bin autotune
-ATGNN_SMOKE=1 ATGNN_TUNE_WARM=1 cargo run --release -q -p atgnn-bench --bin autotune
 
 echo "== precision smoke (mixed-precision storage sweep harness) =="
 # Smoke mode: tiny graph, no speedup assertion — verifies the f32

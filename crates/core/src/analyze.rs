@@ -66,7 +66,6 @@ use crate::dag::{Dag, Dim, Node, Shape, TensorClass};
 use crate::model::ModelKind;
 
 pub mod alias;
-pub mod cost;
 pub mod determinism;
 pub mod precision;
 pub mod stability;
@@ -135,9 +134,9 @@ pub enum Rule {
     /// silently wrong once the padded layout makes `stride != cols`.
     DenseRawIndex,
     /// Source lint: kernel or layer code reading a plan-knob environment
-    /// variable directly instead of going through `ExecPlan` resolution
+    /// variable directly instead of going through `ExecPlan`
     /// (the sanctioned lazy-fallback homes `micro`/`knobs` excepted) —
-    /// scattered env reads would let a tuned plan and the kernels
+    /// scattered env reads would let a model's plan and the kernels
     /// disagree about the active configuration.
     PlanKnobEnv,
     /// Source lint: raw f32↔bf16/f16 bit manipulation (`to_bits` /

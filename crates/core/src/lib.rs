@@ -52,10 +52,8 @@ pub mod model;
 pub mod optimizer;
 pub mod plan;
 pub mod train;
-pub mod tune;
 
 pub use analyze::{Diagnostic, Rule, Severity, Span};
 pub use layer::{AGnnLayer, Gradients, LayerCache};
 pub use model::{GnnModel, ModelKind};
 pub use plan::{AttentionExec, ExecPlan, Layout, ReorderStrategy, Reordering};
-pub use tune::TuneMode;

@@ -57,17 +57,16 @@ pub struct TrainContext<T: Scalar> {
     pub cache: LayerCache<T>,
 }
 
-/// A cached plan resolution, keyed on the adjacency's shared structure
-/// so repeated `inference`/`train_step` calls on the same graph resolve
-/// (and permute) once. With `ATGNN_TUNE` active this is what keeps the
-/// warm-path plan-resolution cost to a hashmap-style key check.
-struct CachedResolution<T> {
-    key: (usize, usize, usize, usize),
-    /// The plan resolved for this graph (autotuner output when tuning is
-    /// on; env/width defaulting otherwise).
-    plan: ExecPlan,
+/// The one part of running a plan that depends on the graph — its
+/// reordering — kept so repeated `inference`/`train_step` calls on the
+/// same adjacency permute it once.
+struct CachedReordering<T> {
+    /// [`Csr::stamp`] of the adjacency this was computed from: the
+    /// permuted copy carries its values, so a hit needs the same values
+    /// as well as the same pattern.
+    stamp: u64,
     /// `None` records "this plan declines to reorder this graph" (e.g.
-    /// `auto` on a small graph), so the resolution isn't re-measured.
+    /// `auto` on a small graph), so the decision isn't re-made.
     reordering: Option<Reordering<T>>,
 }
 
@@ -75,14 +74,14 @@ struct CachedResolution<T> {
 pub struct GnnModel<T> {
     layers: Vec<Box<dyn AGnnLayer<T>>>,
     /// The model-level *base* execution plan. `inference`/`train_step`
-    /// resolve it per graph (reorder + layout + kernel knobs; see
-    /// [`crate::tune`]) and consume the resolution; attention execution
-    /// (fused vs staged) is dispatched by the layers, which
+    /// run it with the width-aware layout default filled in
+    /// ([`GnnModel::resolved_plan`]); attention execution (fused vs
+    /// staged) is dispatched by the layers, which
     /// [`GnnModel::with_plan`] keeps in sync.
     plan: ExecPlan,
-    /// Per-adjacency resolution cache (a `Mutex` to keep the model
+    /// The last adjacency's reordering (a `Mutex` to keep the model
     /// `Sync`; never contended — model methods take `&self`/`&mut self`).
-    resolution_cache: Mutex<Option<CachedResolution<T>>>,
+    reorder_cache: Mutex<Option<CachedReordering<T>>>,
 }
 
 impl<T: Scalar> GnnModel<T> {
@@ -96,34 +95,35 @@ impl<T: Scalar> GnnModel<T> {
         Self {
             layers,
             plan: ExecPlan::from_env(),
-            resolution_cache: Mutex::new(None),
+            reorder_cache: Mutex::new(None),
         }
     }
 
     /// This model with a different base plan. The plan's attention
     /// execution is propagated into every layer
-    /// ([`AGnnLayer::set_plan`]), and the per-graph resolution cache is
-    /// dropped so the next run re-resolves under the new base.
+    /// ([`AGnnLayer::set_plan`]), and the cached reordering is dropped
+    /// so the next run reorders under the new plan's strategy.
     pub fn with_plan(mut self, plan: ExecPlan) -> Self {
         self.plan = plan;
         for layer in &mut self.layers {
             layer.set_plan(plan);
         }
         *self
-            .resolution_cache
+            .reorder_cache
             .get_mut()
             .unwrap_or_else(|e| e.into_inner()) = None;
         self
     }
 
-    /// The model-level base execution plan (before per-graph resolution).
+    /// The model-level base execution plan (before the width-aware layout
+    /// default).
     pub fn plan(&self) -> ExecPlan {
         self.plan
     }
 
     /// The widest feature dimension the layer stack touches — the `k`
-    /// plan resolution tunes for (the hot kernels stream rows of this
-    /// width).
+    /// the layout default is chosen for (the hot kernels stream rows of
+    /// this width).
     pub fn hot_width(&self) -> usize {
         self.layers
             .iter()
@@ -132,51 +132,31 @@ impl<T: Scalar> GnnModel<T> {
             .unwrap_or(0)
     }
 
-    /// The plan this model actually runs on `a`: resolves (or reuses the
-    /// cached resolution of) the base plan against the graph.
-    pub fn resolved_plan(&self, a: &Csr<T>) -> ExecPlan {
-        self.with_resolution(a, |plan, _| plan)
+    /// The plan this model actually runs:
+    /// [`ExecPlan::defaulted_for_width`] of the base plan at
+    /// [`GnnModel::hot_width`] — the same for every graph, so `_a` is
+    /// only here for the callers that pass it.
+    pub fn resolved_plan(&self, _a: &Csr<T>) -> ExecPlan {
+        self.plan.defaulted_for_width(self.hot_width())
     }
 
-    /// Runs `f` with the plan resolved for `a` and its reordering
-    /// (computing or reusing the cached resolution).
-    ///
-    /// Resolution goes through the autotuner ([`crate::tune::resolve`]):
-    /// under `ATGNN_TUNE=off` (the default) that is only env knobs plus
-    /// width-aware layout defaulting; under the tuning modes the
-    /// resolved plan's kernel knobs are also applied process-wide — the
-    /// one sanctioned bridge from plans to kernel globals.
+    /// Runs `f` with the plan this model runs and its reordering of `a`
+    /// (computed, or reused if `a` is the matrix the last call saw).
     fn with_resolution<R>(
         &self,
         a: &Csr<T>,
         f: impl FnOnce(ExecPlan, Option<&Reordering<T>>) -> R,
     ) -> R {
-        let mut guard = self
-            .resolution_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let key = a.structure_key();
-        match guard.as_ref() {
-            Some(c) if c.key == key => {}
-            _ => {
-                let plan = crate::tune::resolve(self.plan, a, self.hot_width());
-                if crate::tune::mode() != crate::tune::TuneMode::Off {
-                    plan.apply_kernel_knobs();
-                }
-                let reordering = if plan.reorder() == crate::plan::ReorderStrategy::Off {
-                    None
-                } else {
-                    plan.reorder_graph(a)
-                };
-                *guard = Some(CachedResolution {
-                    key,
-                    plan,
-                    reordering,
-                });
-            }
-        }
-        let cached = guard.as_ref().expect("resolution cache just filled");
-        f(cached.plan, cached.reordering.as_ref())
+        let plan = self.resolved_plan(a);
+        let mut guard = self.reorder_cache.lock().unwrap_or_else(|e| e.into_inner());
+        let cached = match &mut *guard {
+            Some(c) if c.stamp == a.stamp() => c,
+            slot => slot.insert(CachedReordering {
+                stamp: a.stamp(),
+                reordering: plan.reorder_graph(a),
+            }),
+        };
+        f(plan, cached.reordering.as_ref())
     }
 
     /// Converts caller features into the resolved plan's dense layout —
@@ -304,9 +284,8 @@ impl<T: Scalar> GnnModel<T> {
     /// Returns the `levels[0]` output rows, tight, bit-identical to the
     /// same rows of [`GnnModel::inference`] on the square graph with
     /// `ReorderStrategy::Off`. A prefix is only a prefix in the caller's
-    /// order, so this path never reorders, and its plan — the base plan
-    /// with the width-aware layout default — depends on the model alone:
-    /// nothing is resolved, measured or cached per graph.
+    /// order, so this path never reorders, and nothing is cached per
+    /// graph.
     ///
     /// # Panics
     /// Panics if `levels` is empty, decreasing, longer than `depth() + 1`
@@ -327,7 +306,7 @@ impl<T: Scalar> GnnModel<T> {
             Some(&x.rows()),
             "inference_prefix: the last level must count every feature row"
         );
-        let plan = self.plan.defaulted_for_width(self.hot_width());
+        let plan = self.resolved_plan(a);
         self.run_layers(a, Self::ingest(plan, Cow::Owned(x)), levels)
             .into_tight()
     }

@@ -25,16 +25,26 @@
 //! (`ATGNN_PRECISION`), *does* change numerics: it selects the scalar
 //! format layers hold their hot feature buffers in (f32 stays the
 //! bit-exactness oracle; bf16/f16 round features through
-//! `atgnn_tensor::convert` while every accumulation stays f32). Since
-//! the autotuner ([`crate::tune`]) a plan carries
-//! *all seven* knobs plus a **pinned mask** recording which fields were
-//! chosen explicitly (an env var or a `with_*` builder) versus left to
-//! resolution. The tuner only ever fills unpinned fields — env knobs
-//! always win — and [`ExecPlan::apply_kernel_knobs`] is the single point
-//! where a resolved plan reaches the process-global kernel switches,
-//! which the `plan-knob-env` source lint enforces. Precision is *not* a
-//! process global: layers read it straight off their plan, so
-//! differently-configured models coexist in one process.
+//! `atgnn_tensor::convert` while every accumulation stays f32).
+//!
+//! There is no resolver. The environment is read by
+//! [`ExecPlan::from_env`]; the `with_*` builders override it;
+//! [`ExecPlan::defaulted_for_width`] — a pure function of the plan and
+//! the model's hot width — picks the layout when nobody chose one; and
+//! the two choices that need more than the plan are made where that
+//! knowledge lives: `reorder::permutation` resolves `auto` per graph,
+//! `GnnModel::uniform` resolves [`Precision::Auto`] per model kind.
+//!
+//! Microkernel family, SIMD width and column tile are still
+//! process-global atomics in `atgnn_tensor::{micro, knobs}`; a plan
+//! carries a snapshot of them, and [`ExecPlan::apply_kernel_knobs`] is
+//! the single point where a plan writes them back — which the
+//! `plan-knob-env` source lint enforces. The product never calls it on
+//! its own: the atomics exist for the bench sweeps and for callers that
+//! apply a plan explicitly, and passing the plan to the kernels by value
+//! is what will remove them. Precision is *not* a process global: layers
+//! read it straight off their plan, so differently-configured models
+//! coexist in one process.
 
 use crate::analyze::{self, Diagnostic};
 use crate::model::ModelKind;
@@ -65,32 +75,23 @@ pub enum Layout {
 
 impl Layout {
     /// Reads `ATGNN_LAYOUT` (`padded`/`tight`); any other value —
-    /// including unset — resolves to [`Layout::default_for`]'s
-    /// width-blind approximation: `Padded` exactly when the wide kernels
-    /// are active ([`micro::wide`]). Plan resolution refines the unset
-    /// case once the feature width is known.
-    pub fn from_env() -> Self {
-        match std::env::var("ATGNN_LAYOUT").as_deref() {
-            Ok("padded") => Layout::Padded,
-            Ok("tight") => Layout::Tight,
-            _ => {
-                if micro::wide() {
-                    Layout::Padded
-                } else {
-                    Layout::Tight
-                }
-            }
-        }
+    /// including unset — is `None`: nobody chose, so the plan takes
+    /// [`Layout::default_for`] once the feature width is known.
+    pub fn from_env() -> Option<Self> {
+        std::env::var("ATGNN_LAYOUT")
+            .ok()
+            .as_deref()
+            .and_then(Self::parse)
     }
 
-    /// The right default once the feature width is known: padding exists
-    /// so the wide kernels see whole 8-lane vectors, and at a whole-lane
-    /// `k` the tight layout is *already* lane-shaped —
-    /// `padded_stride(k) == k` — so padding would buy nothing and the
-    /// ingest copy it forces is pure overhead. Only wide kernels over a
-    /// ragged `k` want padding.
-    pub fn default_for(k: usize) -> Self {
-        if micro::wide() && !k.is_multiple_of(micro::LANE) {
+    /// The right default once the feature width is known, given whether
+    /// the 8-lane wide kernels run: padding exists so they see whole
+    /// vectors, and at a whole-lane `k` the tight layout is *already*
+    /// lane-shaped — `padded_stride(k) == k` — so padding would buy
+    /// nothing and the ingest copy it forces is pure overhead. Only wide
+    /// kernels over a ragged `k` want padding.
+    pub fn default_for(k: usize, wide: bool) -> Self {
+        if wide && !k.is_multiple_of(micro::LANE) {
             Layout::Padded
         } else {
             Layout::Tight
@@ -134,9 +135,10 @@ pub enum Precision {
     /// IEEE binary16 storage: more mantissa, narrower range — the
     /// stability analyzer's loss-scale rule exists because of it.
     F16,
-    /// Resolve against the precision analyzer's per-node verdicts at
-    /// plan-resolution time: narrow only buffers whose verdict is not
-    /// keep-f32 (see `crate::analyze::precision::auto_precision`).
+    /// Resolve against the precision analyzer's per-node verdicts when
+    /// the model kind is known (`GnnModel::uniform`): narrow only buffers
+    /// whose verdict is not keep-f32 (see
+    /// `crate::analyze::precision::auto_precision`).
     Auto,
 }
 
@@ -151,8 +153,7 @@ impl Precision {
             .unwrap_or(Precision::F32)
     }
 
-    /// Human-readable name used in diagnostics, bench reports, and the
-    /// tuning database.
+    /// Human-readable name used in diagnostics and bench reports.
     pub fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
@@ -174,8 +175,8 @@ impl Precision {
     }
 
     /// Bytes per stored feature element (`Auto` reports the f32 size —
-    /// resolution replaces it with a concrete format before any kernel
-    /// runs).
+    /// `GnnModel::uniform` replaces it with a concrete format, and every
+    /// layer treats an unresolved `Auto` as f32).
     pub fn bytes(self) -> usize {
         match self {
             Precision::Bf16 | Precision::F16 => 2,
@@ -215,7 +216,9 @@ impl Precision {
 pub struct ExecPlan {
     exec: AttentionExec,
     reorder: ReorderStrategy,
-    layout: Layout,
+    /// `None` until somebody chooses (`ATGNN_LAYOUT`, `with_layout`) or
+    /// [`ExecPlan::defaulted_for_width`] fills in the width-aware default.
+    layout: Option<Layout>,
     micro: MicroKernel,
     simd: SimdMode,
     /// Attention aggregation column tile; `0` = per-call auto derivation.
@@ -225,9 +228,6 @@ pub struct ExecPlan {
     spmmt_chunks: usize,
     /// Scalar storage precision for the layers' hot feature buffers.
     precision: Precision,
-    /// Bitmask of [`ExecPlan::PIN_EXEC`] … [`ExecPlan::PIN_PRECISION`]
-    /// marking fields chosen explicitly rather than left to resolution.
-    pinned: u8,
 }
 
 impl Default for ExecPlan {
@@ -237,24 +237,6 @@ impl Default for ExecPlan {
 }
 
 impl ExecPlan {
-    /// The attention-execution field was set explicitly.
-    pub const PIN_EXEC: u8 = 1;
-    /// The reorder-strategy field was set explicitly.
-    pub const PIN_REORDER: u8 = 1 << 1;
-    /// The layout field was set explicitly.
-    pub const PIN_LAYOUT: u8 = 1 << 2;
-    /// The microkernel field was set explicitly.
-    pub const PIN_MICRO: u8 = 1 << 3;
-    /// The SIMD-mode field was set explicitly.
-    pub const PIN_SIMD: u8 = 1 << 4;
-    /// The column-tile field was set explicitly.
-    pub const PIN_COL_TILE: u8 = 1 << 5;
-    /// The storage-precision field was set explicitly.
-    pub const PIN_PRECISION: u8 = 1 << 6;
-    /// Every field pinned — what [`crate::tune::resolve`] returns, so a
-    /// resolved plan round-trips the tuning database bit-for-bit.
-    pub const PIN_ALL: u8 = 0x7f;
-
     /// The one-pass fused plan (the default), with `auto` reordering,
     /// the environment's layout, and the process's current kernel
     /// configuration — so applying an untouched plan's knobs is a no-op.
@@ -268,7 +250,6 @@ impl ExecPlan {
             col_tile: knobs::col_tile(),
             spmmt_chunks: 0,
             precision: Precision::from_env(),
-            pinned: 0,
         }
     }
 
@@ -284,19 +265,14 @@ impl ExecPlan {
     /// Reads the plan knobs from the environment: `ATGNN_EXEC`
     /// (`"staged"` selects the oracle path; anything else — including
     /// unset — selects the fused path), `ATGNN_REORDER`
-    /// (`auto`/`degree`/`rcm`/`off`), `ATGNN_LAYOUT` (see
-    /// [`Layout::from_env`]), `ATGNN_MICROKERNEL`, `ATGNN_SIMD`,
-    /// `ATGNN_COL_TILE`, and `ATGNN_PRECISION` (see
-    /// [`Precision::from_env`]).
-    ///
-    /// Every variable that is *present* pins its field, so later plan
-    /// resolution (the autotuner) never overrides an explicit choice;
-    /// absent variables leave their fields at defaults and unpinned.
+    /// (`auto`/`degree`/`rcm`/`off`) and `ATGNN_COL_TILE`, on top of what
+    /// every plan starts from: `ATGNN_LAYOUT` (see [`Layout::from_env`]),
+    /// `ATGNN_PRECISION` (see [`Precision::from_env`]) and the process's
+    /// kernel configuration (`ATGNN_MICROKERNEL`, `ATGNN_SIMD`).
     pub fn from_env() -> Self {
         let mut plan = match std::env::var("ATGNN_EXEC").as_deref() {
-            Ok("staged") => Self::staged().pin(Self::PIN_EXEC),
-            Ok(_) => Self::fused().pin(Self::PIN_EXEC),
-            Err(_) => Self::fused(),
+            Ok("staged") => Self::staged(),
+            _ => Self::fused(),
         };
         if let Some(r) = std::env::var("ATGNN_REORDER")
             .ok()
@@ -305,139 +281,87 @@ impl ExecPlan {
         {
             plan = plan.with_reorder(r);
         }
-        if std::env::var("ATGNN_LAYOUT")
-            .as_deref()
-            .is_ok_and(|v| Layout::parse(v).is_some())
-        {
-            plan = plan.pin(Self::PIN_LAYOUT);
-        }
-        if std::env::var("ATGNN_MICROKERNEL").is_ok() {
-            plan = plan.pin(Self::PIN_MICRO);
-        }
-        if std::env::var("ATGNN_SIMD").is_ok() {
-            plan = plan.pin(Self::PIN_SIMD);
-        }
         if let Some(t) = std::env::var("ATGNN_COL_TILE")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
         {
             plan = plan.with_col_tile(t);
         }
-        if std::env::var("ATGNN_PRECISION")
-            .as_deref()
-            .is_ok_and(|v| Precision::parse(v).is_some())
-        {
-            plan = plan.pin(Self::PIN_PRECISION);
-        }
         plan
     }
 
-    /// This plan with a different attention execution (pins the field).
+    /// This plan with a different attention execution.
     pub fn with_exec(mut self, exec: AttentionExec) -> Self {
         self.exec = exec;
-        self.pin(Self::PIN_EXEC)
+        self
     }
 
-    /// This plan with a different reorder strategy (pins the field).
+    /// This plan with a different reorder strategy.
     pub fn with_reorder(mut self, reorder: ReorderStrategy) -> Self {
         self.reorder = reorder;
-        self.pin(Self::PIN_REORDER)
+        self
     }
 
-    /// This plan with a different dense layout (pins the field).
+    /// This plan with an explicitly chosen dense layout, which
+    /// [`ExecPlan::defaulted_for_width`] then leaves alone.
     pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self.pin(Self::PIN_LAYOUT)
+        self.layout = Some(layout);
+        self
     }
 
-    /// This plan with a different microkernel family (pins the field).
+    /// This plan with a different microkernel family.
     pub fn with_micro(mut self, micro: MicroKernel) -> Self {
         self.micro = micro;
-        self.pin(Self::PIN_MICRO)
+        self
     }
 
-    /// This plan with a different SIMD width mode (pins the field).
+    /// This plan with a different SIMD width mode.
     pub fn with_simd(mut self, simd: SimdMode) -> Self {
         self.simd = simd;
-        self.pin(Self::PIN_SIMD)
+        self
     }
 
-    /// This plan with a forced attention column tile (pins the field;
-    /// `0` = auto derivation).
+    /// This plan with a forced attention column tile (`0` = auto
+    /// derivation).
     pub fn with_col_tile(mut self, tile: usize) -> Self {
         self.col_tile = tile;
-        self.pin(Self::PIN_COL_TILE)
+        self
     }
 
-    /// This plan with a different storage precision (pins the field).
+    /// This plan with a different storage precision.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
-        self.pin(Self::PIN_PRECISION)
-    }
-
-    /// Marks the given pin bits as explicitly chosen.
-    pub fn pin(mut self, mask: u8) -> Self {
-        self.pinned |= mask & Self::PIN_ALL;
         self
     }
 
-    /// Marks every field as chosen — what plan resolution returns.
-    pub fn pin_all(self) -> Self {
-        self.pin(Self::PIN_ALL)
+    /// Whether this plan's kernel configuration selects the 8-lane wide
+    /// kernels — `micro::wide` asked of the plan, not of the process.
+    fn wide(&self) -> bool {
+        self.micro == MicroKernel::Blocked && self.simd == SimdMode::Wide
     }
 
-    /// Whether all bits of `mask` are pinned.
-    pub fn is_pinned(&self, mask: u8) -> bool {
-        self.pinned & mask == mask & Self::PIN_ALL
-    }
-
-    /// The raw pin bitmask.
-    pub fn pinned_mask(&self) -> u8 {
-        self.pinned
-    }
-
-    /// Copies every field *pinned in `base`* from `base` into this plan
-    /// (and unions the pin bits) — how env-var choices override a plan
-    /// loaded from the tuning database.
-    pub fn overridden_by(mut self, base: &ExecPlan) -> Self {
-        if base.is_pinned(Self::PIN_EXEC) {
-            self.exec = base.exec;
-        }
-        if base.is_pinned(Self::PIN_REORDER) {
-            self.reorder = base.reorder;
-        }
-        if base.is_pinned(Self::PIN_LAYOUT) {
-            self.layout = base.layout;
-        }
-        if base.is_pinned(Self::PIN_MICRO) {
-            self.micro = base.micro;
-        }
-        if base.is_pinned(Self::PIN_SIMD) {
-            self.simd = base.simd;
-        }
-        if base.is_pinned(Self::PIN_COL_TILE) {
-            self.col_tile = base.col_tile;
-        }
-        if base.is_pinned(Self::PIN_PRECISION) {
-            self.precision = base.precision;
-        }
-        self.pin(base.pinned)
-    }
-
-    /// Applies the width-aware layout default ([`Layout::default_for`])
-    /// when the layout was not chosen explicitly. Every resolution tier
-    /// — even `ATGNN_TUNE=off` — runs this once the feature width is
-    /// known; it never changes results, only whether ingest pads.
+    /// This plan with the width-aware layout default
+    /// ([`Layout::default_for`]) when no layout was chosen explicitly —
+    /// all that is left of plan resolution, and what
+    /// `GnnModel::resolved_plan` returns. A pure function of the plan and
+    /// `k`; it never changes results, only whether ingest pads.
     pub fn defaulted_for_width(mut self, k: usize) -> Self {
-        if !self.is_pinned(Self::PIN_LAYOUT) {
-            self.layout = Layout::default_for(k);
+        if self.layout.is_none() {
+            self.layout = Some(Layout::default_for(k, self.wide()));
         }
         self
     }
 
-    /// The dense layout this plan runs its kernels in.
+    /// The dense layout this plan runs its kernels in; before
+    /// [`ExecPlan::defaulted_for_width`] has seen the feature width, an
+    /// unchosen layout reads as the width-blind default — `Padded`
+    /// exactly when the wide kernels are selected.
     pub fn layout(&self) -> Layout {
-        self.layout
+        self.layout.unwrap_or(if self.wide() {
+            Layout::Padded
+        } else {
+            Layout::Tight
+        })
     }
 
     /// The execution path this plan selects.
@@ -475,7 +399,7 @@ impl ExecPlan {
     /// feature buffers in. Layers read this directly off their plan (no
     /// process-global mirror — two models with different precisions
     /// coexist in one process); `Auto` is resolved to a concrete format
-    /// by plan resolution before any layer consumes it.
+    /// by `GnnModel::uniform`, and layers treat an unresolved one as f32.
     pub fn precision(&self) -> Precision {
         self.precision
     }
@@ -487,22 +411,16 @@ impl ExecPlan {
     /// This is the **single sanctioned bridge** from plan to kernel
     /// globals — kernels and layers never read plan-knob env vars
     /// themselves (the `plan-knob-env` lint). Applying a plan built by
-    /// [`ExecPlan::fused`]/[`ExecPlan::from_env`] in an untuned process
-    /// is a no-op, because construction snapshots the same globals.
+    /// [`ExecPlan::fused`]/[`ExecPlan::from_env`] is a no-op while
+    /// nobody else has written them, because construction snapshots the
+    /// same globals. The model never calls this; callers that want a
+    /// plan's kernel configuration to take effect do.
     /// The precision axis has **no** global to write: layers read it
     /// straight off their plan ([`ExecPlan::precision`]).
     pub fn apply_kernel_knobs(&self) {
         micro::set_mode(self.micro);
         micro::set_simd_mode(self.simd);
         knobs::set_col_tile(self.col_tile);
-    }
-
-    /// Resolves this plan against a concrete graph and feature width via
-    /// the autotuner (`ATGNN_TUNE={off,model,measure,auto}`): unpinned
-    /// fields are filled by the active tier, pinned fields always pass
-    /// through. See [`crate::tune::resolve`].
-    pub fn resolve<T: Scalar>(self, a: &Csr<T>, k: usize) -> ExecPlan {
-        crate::tune::resolve(self, a, k)
     }
 
     /// Computes and applies this plan's locality reordering to an
@@ -578,16 +496,15 @@ mod tests {
 
     #[test]
     fn layout_resolves_from_env_and_is_overridable() {
-        // Width-blind auto resolution tracks the kernel mode (only
-        // assertable when no explicit override is pinned in the
-        // environment).
+        // Width-blind default tracks the kernel mode (only assertable
+        // when the environment does not choose a layout itself).
         if std::env::var("ATGNN_LAYOUT").is_err() {
             let want = if micro::wide() {
                 Layout::Padded
             } else {
                 Layout::Tight
             };
-            assert_eq!(Layout::from_env(), want);
+            assert_eq!(Layout::from_env(), None);
             assert_eq!(ExecPlan::default().layout(), want);
         }
         let p = ExecPlan::fused().with_layout(Layout::Tight);
@@ -604,57 +521,45 @@ mod tests {
         // At whole-lane k the tight layout is already lane-shaped, so
         // the default must not pay the padding copy; ragged k pads only
         // when the wide kernels can use the alignment.
-        assert_eq!(Layout::default_for(64), Layout::Tight);
-        assert_eq!(Layout::default_for(8), Layout::Tight);
-        let want_ragged = if micro::wide() {
-            Layout::Padded
-        } else {
-            Layout::Tight
-        };
-        assert_eq!(Layout::default_for(60), want_ragged);
-        // defaulted_for_width respects an explicit pin…
-        let pinned = ExecPlan::fused().with_layout(Layout::Padded);
-        assert_eq!(pinned.defaulted_for_width(64).layout(), Layout::Padded);
-        // …and refines an unpinned layout once the width is known.
+        for wide in [false, true] {
+            assert_eq!(Layout::default_for(64, wide), Layout::Tight);
+            assert_eq!(Layout::default_for(8, wide), Layout::Tight);
+        }
+        assert_eq!(Layout::default_for(60, true), Layout::Padded);
+        assert_eq!(Layout::default_for(60, false), Layout::Tight);
+        // defaulted_for_width respects an explicit choice…
+        let chosen = ExecPlan::fused().with_layout(Layout::Padded);
+        assert_eq!(chosen.defaulted_for_width(64).layout(), Layout::Padded);
+        // …and otherwise decides from the plan's own kernel fields, not
+        // from the process's.
         if std::env::var("ATGNN_LAYOUT").is_err() {
-            let p = ExecPlan::fused().defaulted_for_width(64);
-            assert_eq!(p.layout(), Layout::Tight);
+            let wide = ExecPlan::fused()
+                .with_micro(MicroKernel::Blocked)
+                .with_simd(SimdMode::Wide);
+            assert_eq!(wide.defaulted_for_width(64).layout(), Layout::Tight);
+            assert_eq!(wide.defaulted_for_width(60).layout(), Layout::Padded);
+            let scalar = wide.with_simd(SimdMode::Scalar);
+            assert_eq!(scalar.defaulted_for_width(60).layout(), Layout::Tight);
         }
     }
 
     #[test]
-    fn builders_pin_their_fields() {
-        let p = ExecPlan::fused();
-        assert!(!p.is_pinned(ExecPlan::PIN_REORDER));
-        let p = p.with_reorder(ReorderStrategy::Off);
-        assert!(p.is_pinned(ExecPlan::PIN_REORDER));
-        assert!(!p.is_pinned(ExecPlan::PIN_LAYOUT));
-        let p = p
+    fn builders_set_their_fields() {
+        let p = ExecPlan::fused()
+            .with_exec(AttentionExec::Staged)
+            .with_reorder(ReorderStrategy::Off)
             .with_layout(Layout::Tight)
-            .with_micro(MicroKernel::Blocked)
-            .with_simd(SimdMode::Wide)
+            .with_micro(MicroKernel::Scalar)
+            .with_simd(SimdMode::Scalar)
             .with_col_tile(32)
-            .with_precision(Precision::F32)
-            .with_exec(AttentionExec::FusedOnePass);
-        assert!(p.is_pinned(ExecPlan::PIN_ALL));
+            .with_precision(Precision::Bf16);
+        assert_eq!(p.exec(), AttentionExec::Staged);
+        assert_eq!(p.reorder(), ReorderStrategy::Off);
+        assert_eq!(p.layout(), Layout::Tight);
+        assert_eq!(p.micro_kernel(), MicroKernel::Scalar);
+        assert_eq!(p.simd(), SimdMode::Scalar);
         assert_eq!(p.col_tile(), 32);
-        assert_eq!(ExecPlan::fused().pin_all().pinned_mask(), ExecPlan::PIN_ALL);
-    }
-
-    #[test]
-    fn pinned_base_fields_override_a_loaded_plan() {
-        // A DB-loaded plan says tile=8/tight; the env pinned tile=16:
-        // the env choice must win, everything unpinned must come from
-        // the loaded plan.
-        let loaded = ExecPlan::fused()
-            .with_layout(Layout::Tight)
-            .with_col_tile(8)
-            .pin_all();
-        let base = ExecPlan::fused().with_col_tile(16);
-        let merged = loaded.overridden_by(&base);
-        assert_eq!(merged.col_tile(), 16);
-        assert_eq!(merged.layout(), Layout::Tight);
-        assert!(merged.is_pinned(ExecPlan::PIN_ALL));
+        assert_eq!(p.precision(), Precision::Bf16);
     }
 
     #[test]
@@ -671,7 +576,6 @@ mod tests {
         // not pin a different choice).
         if std::env::var("ATGNN_PRECISION").is_err() {
             assert_eq!(ExecPlan::default().precision(), Precision::F32);
-            assert!(!ExecPlan::fused().is_pinned(ExecPlan::PIN_PRECISION));
         }
         for p in [
             Precision::F32,
@@ -686,7 +590,6 @@ mod tests {
         assert_eq!(Precision::F32.bytes(), 4);
         assert!(Precision::F16.is_narrow() && !Precision::Auto.is_narrow());
         let plan = ExecPlan::fused().with_precision(Precision::Bf16);
-        assert!(plan.is_pinned(ExecPlan::PIN_PRECISION));
         assert_eq!(plan.precision(), Precision::Bf16);
         // round_matrix applies the convert-module rounding in place; f32
         // is the identity.
@@ -700,10 +603,6 @@ mod tests {
         let mut id = src.clone();
         Precision::F32.round_matrix(&mut id);
         assert_eq!(id.max_abs_diff(&src), 0.0);
-        // A pinned precision overrides a loaded plan, like every axis.
-        let loaded = ExecPlan::fused().pin_all();
-        let merged = loaded.overridden_by(&ExecPlan::fused().with_precision(Precision::F16));
-        assert_eq!(merged.precision(), Precision::F16);
     }
 
     #[test]

@@ -157,35 +157,6 @@ impl<'a, T: Scalar> DistContext<'a, T> {
         }
     }
 
-    /// Builds the context with an autotuner-resolved plan
-    /// ([`atgnn::tune::resolve_dist`]): model-tier cost analysis plus a
-    /// read-only lookup of the persistent tuning database — never a
-    /// calibration microbench and never a database write, so every rank
-    /// (ranks are threads of one process here) deterministically derives
-    /// the same plan with no global side effects. The tuner's grid
-    /// planner is consulted alongside and asserted consistent with this
-    /// context's own [`Grid`], pinning "local kernel choice and
-    /// distributed grid shape come from one planner".
-    ///
-    /// Returns the context and the resolved plan (fully pinned) so the
-    /// caller can drive its layers and feature ingest with the same
-    /// configuration.
-    pub fn new_tuned(
-        comm: &'a Comm,
-        a_full: &Csr<T>,
-        base: ExecPlan,
-        k: usize,
-    ) -> Result<(Self, ExecPlan), DistError> {
-        let (plan, spec) = atgnn::tune::resolve_dist(base, a_full, k, comm.size());
-        debug_assert_eq!(
-            spec,
-            atgnn::analyze::comm::best_grid(comm.size()),
-            "dist resolution must use the shared grid planner"
-        );
-        let ctx = Self::new_with_plan(comm, a_full, &plan)?;
-        Ok((ctx, plan))
-    }
-
     /// The global vertex permutation this context applied, if any.
     pub fn reorder(&self) -> Option<&DistReorder> {
         self.reorder.as_ref()
@@ -433,22 +404,6 @@ mod tests {
             ctx.a_block.nnz()
         });
         assert_eq!(nnzs.iter().sum::<usize>(), a.nnz());
-    }
-
-    #[test]
-    fn tuned_context_resolves_one_plan_on_every_rank() {
-        let a = full_graph(12);
-        let (plans, _) = Cluster::run(4, |comm| {
-            let (ctx, plan) = DistContext::new_tuned(&comm, &a, ExecPlan::fused(), 4)
-                .expect("square grid and adjacency");
-            assert_eq!(ctx.grid.q, 2);
-            plan
-        });
-        // Dist resolution is deterministic and side-effect-free, so every
-        // rank must independently derive the identical plan.
-        for p in &plans[1..] {
-            assert_eq!(*p, plans[0]);
-        }
     }
 
     #[test]

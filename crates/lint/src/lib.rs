@@ -55,8 +55,8 @@ fn in_kernel_crates(path: &str) -> bool {
 
 /// Files that may legitimately read plan-knob env vars: the knob
 /// registries themselves (`micro.rs`, `knobs.rs`, `rt.rs`) and the
-/// plan/tuner layer in `core` (`plan.rs`, `tune.rs`, `tune/*`). Kernels,
-/// attention layers and the model must go through `ExecPlan`.
+/// plan layer in `core` (`plan.rs`). Kernels, attention layers and the
+/// model must go through `ExecPlan`.
 fn in_plan_knob_scope(path: &str) -> bool {
     let kernel = in_kernel_crates(path)
         && !path.ends_with("/micro.rs")
@@ -111,9 +111,9 @@ fn slice_index_mut_pat() -> String {
 fn range_mut_pat() -> String {
     format!(".range_{}", "mut(")
 }
-/// The plan-owned knob env vars (the seven `ExecPlan` axes plus the
-/// tuner's own switches). Kernels and layers must receive these through
-/// `ExecPlan::apply_kernel_knobs`, never read them directly.
+/// The plan-owned knob env vars (the seven `ExecPlan` axes). Kernels and
+/// layers must receive these through `ExecPlan::apply_kernel_knobs`,
+/// never read them directly.
 fn plan_knob_pats() -> Vec<String> {
     [
         "EXEC",
@@ -123,7 +123,6 @@ fn plan_knob_pats() -> Vec<String> {
         "SIMD",
         "COL_TILE",
         "PRECISION",
-        "TUNE",
     ]
     .iter()
     .map(|axis| format!("ATGNN{}{axis}", '_'))
@@ -255,8 +254,7 @@ pub fn rules() -> Vec<SourceRule> {
             keep_strings: true,
             why: "plan knobs reach kernels only through \
                   ExecPlan::apply_kernel_knobs; a direct env read \
-                  bypasses the autotuner's resolved plan and the pinned \
-                  override semantics",
+                  bypasses the plan a model was given",
         },
         SourceRule {
             rule: Rule::HashInKernels,
@@ -693,11 +691,10 @@ mod tests {
         // Layers and the model are in scope too.
         assert_eq!(scan("crates/core/src/layers/gat.rs", &src).len(), 1);
         assert_eq!(scan("crates/core/src/model.rs", &src).len(), 1);
-        // The knob registries and the plan/tuner layer own the reads.
+        // The knob registries and the plan layer own the reads.
         assert!(scan("crates/tensor/src/knobs.rs", &src).is_empty());
         assert!(scan("crates/tensor/src/micro.rs", &src).is_empty());
         assert!(scan("crates/core/src/plan.rs", &src).is_empty());
-        assert!(scan("crates/core/src/tune.rs", &src).is_empty());
         // A knob name in a comment does not fire (comments are stripped
         // from the strings-kept text as well).
         let comment = format!("// reads ATGNN{}{} at startup\nfn f() {{}}\n", '_', "SIMD");
@@ -743,9 +740,9 @@ mod tests {
         // Test modules may keep a hashed oracle.
         let oracle = format!("#[cfg(test)]\nmod tests {{\n    use std::collections::{map};\n}}\n");
         assert!(scan("crates/sparse/src/sample.rs", &oracle).is_empty());
-        // Scoped to the sparse crate: the tuner's database and the serve
-        // runtime are not kernels.
-        assert!(scan("crates/core/src/tune/db.rs", &src).is_empty());
+        // Scoped to the sparse crate: the checkpoint reader and the
+        // runtime are not sparse kernels.
+        assert!(scan("crates/core/src/checkpoint.rs", &src).is_empty());
         assert!(scan("crates/tensor/src/rt.rs", &src).is_empty());
     }
 

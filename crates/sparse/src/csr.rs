@@ -14,6 +14,7 @@
 use crate::coo::Coo;
 use atgnn_tensor::{Dense, Scalar};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 thread_local! {
@@ -34,9 +35,20 @@ pub fn value_allocs() -> usize {
     VALUE_ALLOCS.with(|c| c.get())
 }
 
+/// Source of [`Csr::stamp`]s. Only uniqueness matters and a stamp
+/// publishes no other data, hence `Relaxed`.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
 #[inline]
-fn note_value_alloc() {
+fn next_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Counts a new value array and returns the stamp it is born with.
+#[inline]
+fn note_value_alloc() -> u64 {
     VALUE_ALLOCS.with(|c| c.set(c.get() + 1));
+    next_stamp()
 }
 
 /// The CSC view of a CSR pattern: transposed entry `e` (column-major,
@@ -121,12 +133,14 @@ pub struct Csr<T> {
     cols: usize,
     pattern: Arc<Pattern>,
     values: Vec<T>,
+    /// See [`Csr::stamp`].
+    stamp: u64,
 }
 
 impl<T: Clone> Clone for Csr<T> {
     fn clone(&self) -> Self {
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows: self.rows,
             cols: self.cols,
             pattern: Arc::clone(&self.pattern),
@@ -193,8 +207,8 @@ impl<T: Scalar> Csr<T> {
             }
             out_indptr[r + 1] = out_indices.len();
         }
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows,
             cols,
             pattern: Pattern::new(out_indptr, out_indices),
@@ -233,8 +247,8 @@ impl<T: Scalar> Csr<T> {
                 assert!((last as usize) < cols, "column index out of range");
             }
         }
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows,
             cols,
             pattern: Pattern::new(indptr, indices),
@@ -244,8 +258,8 @@ impl<T: Scalar> Csr<T> {
 
     /// An empty (all-zero) matrix.
     pub fn empty(rows: usize, cols: usize) -> Self {
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows,
             cols,
             pattern: Pattern::new(vec![0; rows + 1], Vec::new()),
@@ -255,8 +269,8 @@ impl<T: Scalar> Csr<T> {
 
     /// The `n×n` identity pattern with unit values.
     pub fn identity(n: usize) -> Self {
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows: n,
             cols: n,
             pattern: Pattern::new((0..=n).collect(), (0..n as u32).collect()),
@@ -300,10 +314,25 @@ impl<T: Scalar> Csr<T> {
         &self.values
     }
 
-    /// The value array, mutable.
+    /// The value array, mutable. Takes a new [`Csr::stamp`]: whatever
+    /// remembered this matrix by its stamp must not recognise it after
+    /// the caller has written through the returned slice.
     #[inline(always)]
     pub fn values_mut(&mut self) -> &mut [T] {
+        self.stamp = next_stamp();
         &mut self.values
+    }
+
+    /// A process-unique identity of this matrix *as it is now*, for
+    /// caches of per-matrix derived data (the model layer's reordered
+    /// adjacency). Every constructor — `Clone` included — draws a fresh
+    /// stamp and [`Csr::values_mut`] draws another, and nothing else can
+    /// change a `Csr`, so two reads that return the same stamp saw the
+    /// same pattern and the same values. It is an identity, not a content
+    /// hash: equal matrices built separately stamp differently.
+    #[inline(always)]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Column indices and values of row `i`.
@@ -328,8 +357,8 @@ impl<T: Scalar> Csr<T> {
     /// Panics if `values.len() != self.nnz()`.
     pub fn with_values(&self, values: Vec<T>) -> Self {
         assert_eq!(values.len(), self.nnz(), "value array length mismatch");
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows: self.rows,
             cols: self.cols,
             pattern: Arc::clone(&self.pattern),
@@ -364,8 +393,8 @@ impl<T: Scalar> Csr<T> {
     pub fn transpose(&self) -> Self {
         let t = TransposeIndex::build(self.rows, self.cols, self.indptr(), self.indices());
         let values = t.perm.iter().map(|&e| self.values[e as usize]).collect();
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows: self.cols,
             cols: self.rows,
             pattern: Pattern::new(t.indptr, t.src),
@@ -435,8 +464,8 @@ impl<T: Scalar> Csr<T> {
             }
             indptr.push(indices.len());
         }
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows: r1 - r0,
             cols: c1 - c0,
             pattern: Pattern::new(indptr, indices),
@@ -471,8 +500,8 @@ impl<T: Scalar> Csr<T> {
                 );
             }
         }
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows,
             cols,
             pattern: Pattern::new(indptr.to_vec(), self.indices()[..nnz].to_vec()),
@@ -526,59 +555,13 @@ impl<T: Scalar> Csr<T> {
             }
             indptr.push(at);
         }
-        note_value_alloc();
         Self {
+            stamp: note_value_alloc(),
             rows: n,
             cols: n,
             pattern: Pattern::new(indptr, indices),
             values,
         }
-    }
-
-    /// A cheap identity key for this matrix's shared structure, used by the
-    /// model layer to cache reorder permutations per adjacency.
-    ///
-    /// Two matrices with equal keys share the same `indptr`/`indices`
-    /// allocations (plus matching dimensions), so a permutation computed
-    /// for one is valid for the other. The pointer components mean the key
-    /// is only meaningful while the matrix is alive — treat it as a cache
-    /// tag, not a hash of the contents.
-    pub fn structure_key(&self) -> (usize, usize, usize, usize) {
-        (
-            self.indptr().as_ptr() as usize,
-            self.indices().as_ptr() as usize,
-            self.rows,
-            self.nnz(),
-        )
-    }
-
-    /// A content fingerprint of the sparsity *structure* (dimensions,
-    /// `indptr`, `indices` — never the values): FNV-1a over the raw
-    /// pattern words. Unlike [`Csr::structure_key`] this survives the
-    /// process, so it keys the persistent tuning database
-    /// (`atgnn::tune`). [`Csr::permute`] rebuilds the column indices in
-    /// the new vertex order, so a reordered graph fingerprints
-    /// differently — stale tuned plans invalidate naturally.
-    pub fn structure_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        // One xor-multiply per pattern word (not per byte): the hash sits
-        // on the warm-database resolution path, which must stay well under
-        // 1% of a training step even at multi-million-edge scale.
-        let mut mix = |word: u64| {
-            h ^= word;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.rows as u64);
-        mix(self.cols as u64);
-        for &p in self.indptr() {
-            mix(p as u64);
-        }
-        for &c in self.indices() {
-            mix(c as u64);
-        }
-        h
     }
 
     /// Whether the matrix equals its transpose (pattern and values).
@@ -663,30 +646,21 @@ mod tests {
     }
 
     #[test]
-    fn structure_fingerprint_is_content_based_and_permute_sensitive() {
-        let m = sample();
-        // A structural clone (fresh allocations, same pattern) fingerprints
-        // identically even though its Arc-pointer structure_key differs.
-        let rebuilt = Csr::from_raw(
-            m.rows(),
-            m.cols(),
-            m.indptr().to_vec(),
-            m.indices().to_vec(),
-            m.values().to_vec(),
-        );
-        assert_eq!(m.structure_fingerprint(), rebuilt.structure_fingerprint());
-        assert_ne!(m.structure_key(), rebuilt.structure_key());
-        // Values do not participate: tuned plans depend on the pattern only.
-        assert_eq!(
-            m.structure_fingerprint(),
-            m.map_values(|v| v * 2.0).structure_fingerprint()
-        );
-        // A vertex permutation rewrites indptr/indices, so the fingerprint
-        // (and any persistent tuning-DB entry keyed by it) invalidates.
-        assert_ne!(
-            m.structure_fingerprint(),
-            m.permute(&[1, 2, 0]).structure_fingerprint()
-        );
+    fn every_way_to_change_values_changes_the_stamp() {
+        let mut m = sample();
+        let s0 = m.stamp();
+        assert_eq!(m.stamp(), s0, "reading does not restamp");
+        let others = [
+            m.clone().stamp(),
+            m.map_values(|v| v * 2.0).stamp(),
+            m.with_values(m.values().to_vec()).stamp(),
+        ];
+        m.values_mut()[0] = 7.0;
+        let mut seen = vec![s0, m.stamp()];
+        seen.extend(others);
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 5, "stamps must be pairwise distinct");
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //! The one size-class knob the sparse kernels consult on their hot paths
 //! — the attention sweep's aggregation tile width — lives here as a plain
 //! atomic with a lazy environment fallback, the same pattern as the
-//! kernel-mode switches in [`crate::micro`]. Keeping it programmatic (not
-//! `OnceLock`-frozen) is what lets the plan-time autotuner
-//! (`atgnn::tune`) and the bench sweeps try candidate values in one
-//! process; the environment variable (`ATGNN_COL_TILE`) remains the
-//! user-facing override and is read here exactly once, on first access.
+//! kernel-mode switches in [`crate::micro`]. It is programmatic (not
+//! `OnceLock`-frozen) for two callers only: the bench sweeps, which try
+//! candidate values in one process, and `ExecPlan::apply_kernel_knobs`,
+//! by which a caller makes a plan's kernel configuration take effect.
+//! The product itself never writes it, and passing the plan to the
+//! kernels by value is what will remove it. The environment variable
+//! (`ATGNN_COL_TILE`) remains the user-facing override and is read here
+//! exactly once, on first access.
 //!
 //! This module and [`crate::micro`] are the **only** sanctioned readers
 //! of plan-knob environment variables inside the kernel crates —
-//! `atgnn-lint`'s `plan-knob-env` rule pins that, so `ExecPlan`
-//! resolution stays the single entry point for plan decisions.
+//! `atgnn-lint`'s `plan-knob-env` rule pins that, so `ExecPlan` stays
+//! the single entry point for plan decisions.
 //!
 //! The knob does not change numerical results: the tile width only
 //! reorders the aggregation's *outer* column loop.

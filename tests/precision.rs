@@ -351,8 +351,8 @@ fn auto_precision_never_narrows_a_keep_f32_buffer() {
     // model built under an auto plan holds a concrete precision.
     let model = GnnModel::<f64>::uniform(ModelKind::Gat, &[4, 4, 2], Activation::Tanh, 1)
         .with_plan(ExecPlan::fused().with_precision(Precision::Auto));
-    // with_plan keeps the explicit request; uniform's env-free default
-    // resolution is exercised through `tune` (see the autotune suite).
+    // with_plan keeps the explicit request: `uniform` is the one place
+    // that resolves `auto`, and only for the plan the environment gave it.
     assert_eq!(model.plan().precision(), Precision::Auto);
     let resolved = analyze::precision::auto_precision(ModelKind::Gat);
     assert!(resolved == Precision::Bf16 || resolved == Precision::F32);
