@@ -33,16 +33,18 @@ echo "== cargo test (SIMD layer off: scalar lanes + tight layout) =="
 # (tests/simd_equivalence.rs, DESIGN.md §6).
 ATGNN_SIMD=scalar ATGNN_LAYOUT=tight cargo test -q --workspace
 
-echo "== cargo test (bf16 storage smoke: narrow feature buffers) =="
-# The narrow-storage configuration: plans resolved under the env store
-# features as bf16 with f32 accumulation. The tolerance-gated suites
-# must hold — the dedicated mixed-precision suite (round-trip
-# properties, awkward-k oracle equivalence, padded tails through a bf16
-# train_step, gradient drift bounds) plus the kernel-equivalence suites,
-# whose oracles pin their own storage. The full workspace is *expected*
-# to fail here (layer gradchecks assert f32-exact tolerances); f32 — what
-# an unset ATGNN_PRECISION means — is the oracle, and the passes above
-# are its full-suite run.
+echo "== cargo test (bf16 precision axis: features rounded through bf16) =="
+# The narrow configuration: plans resolved under the env round each
+# layer's projected features through bf16 once and stream them as f32
+# through the ordinary kernels (no kernel holds 16-bit elements). The
+# tolerance-gated suites must hold — the dedicated precision suite
+# (round-trip properties, round_matrix and narrow-inference bit
+# contracts, padded tails through a bf16 train_step, gradient drift
+# bounds) plus the kernel-equivalence suites, whose oracles pin their own
+# precision. The full workspace is *expected* to fail here (layer
+# gradchecks assert f32-exact tolerances); f32 — what an unset
+# ATGNN_PRECISION means — is the oracle, and the passes above are its
+# full-suite run.
 ATGNN_PRECISION=bf16 cargo test -q --test precision --test fused_attention --test simd_equivalence --test extensions
 
 echo "== atgnn-lint: source hygiene (replaces the former grep/awk lints) =="
@@ -117,14 +119,6 @@ echo "== simd smoke (SIMD-width × layout sweep harness) =="
 # wide/scalar × padded/tight sweep, the in-run bit-identity and
 # tolerance equivalence gates, and the BENCH_simd.json writer run.
 ATGNN_SMOKE=1 cargo run --release -q -p atgnn-bench --bin simd
-
-echo "== precision smoke (mixed-precision storage sweep harness) =="
-# Smoke mode: tiny graph, no speedup assertion — verifies the f32
-# bit-identity gate (storage sweep vs the Dense oracle across SIMD and
-# layout modes), the narrow-path tolerance gates, the int8 calibration
-# round-trip, the auto-precision verdict gate (keep-f32 nodes are never
-# narrowed), and the BENCH_precision.json writer.
-ATGNN_SMOKE=1 cargo run --release -q -p atgnn-bench --bin precision
 
 echo "== serve smoke (resilient online inference serving) =="
 # Bounded chaos-serve run: the latency/QPS sweep plus one script per

@@ -24,29 +24,16 @@
 //! threads cannot show real speedup — the JSON records
 //! `hardware_threads` so readers can tell the two situations apart).
 //!
-//! A second section sweeps the storage-precision axis on the Kronecker
-//! graph: `spmm_storage` over f32/bf16/f16 feature buffers at the full
-//! pool size. The byte model narrows only the feature stream — indices
-//! (4 B), adjacency values (f32), and the accumulator/output rows (f32)
-//! are unchanged by storage precision: `bytes = nnz · (4 + 4 + k·B) +
-//! n·k·4` with `B` the stored scalar width. GFLOP/s is unchanged (the
-//! arithmetic is always f32), so the bf16/f16 rows make the bandwidth
-//! saving visible alongside identical flop rates.
+//! A last row times the f32 `spmm` the product runs (padded features,
+//! full pool) on the Kronecker graph under the same byte model with
+//! `B = 4`.
 
 use atgnn_bench::measure::time_median;
 use atgnn_bench::scale;
 use atgnn_graphgen::{erdos_renyi, kronecker};
 use atgnn_sparse::{spmm, Csr};
-use atgnn_tensor::{init, rt, Bf16, Buf, Dense, Store, F16};
+use atgnn_tensor::{init, rt};
 use std::fmt::Write as _;
-
-/// Median seconds per `spmm_storage` call with features stored as `S`.
-fn precision_rate<S: Store>(a: &Csr<f32>, h: &Dense<f32>) -> f64 {
-    let hb = Buf::<S>::from_dense(h);
-    time_median(&|| {
-        std::hint::black_box(spmm::spmm_storage(a, &hb));
-    })
-}
 
 struct Sample {
     threads: usize,
@@ -185,8 +172,7 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    // Storage-precision sweep (module docs): same spmm shape, narrow
-    // feature stream, f32 arithmetic throughout.
+    // The f32 row (module docs): the element type every model runs.
     rt::set_threads(rt::max_threads());
     let ap: Csr<f32> = kronecker::adjacency(n, n * 16, 7);
     let hp = init::features::<f32>(ap.rows(), k, 11).padded();
@@ -195,35 +181,28 @@ fn main() {
         ap.rows(),
         ap.nnz()
     );
-    json.push_str("  \"precision\": [\n");
-    let rates: Vec<(&str, usize, f64)> = vec![
-        ("f32", 4, precision_rate::<f32>(&ap, &hp)),
-        ("bf16", 2, precision_rate::<Bf16>(&ap, &hp)),
-        ("f16", 2, precision_rate::<F16>(&ap, &hp)),
-    ];
+    let secs = time_median(&|| {
+        std::hint::black_box(spmm::spmm(&ap, &hp));
+    });
     let flops32 = 2.0 * ap.nnz() as f64 * k as f64;
-    for (pi, (name, b, secs)) in rates.iter().enumerate() {
-        let bytes =
-            ap.nnz() as f64 * (4.0 + 4.0 + (k * b) as f64) + ap.rows() as f64 * k as f64 * 4.0;
-        let (gflops, gbps) = (flops32 / secs / 1e9, bytes / secs / 1e9);
-        println!(
-            "spmm/{name:<5} threads={} {:>12.0} ns/op {:>7.2} GFLOP/s {:>7.2} GB/s",
-            rt::max_threads(),
-            secs * 1e9,
-            gflops,
-            gbps
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"precision\": \"{name}\", \"stored_bytes\": {b}, \"threads\": {}, \"ns_per_op\": {:.0}, \"gflops\": {:.3}, \"gbps\": {:.3}}}{}",
-            rt::max_threads(),
-            secs * 1e9,
-            gflops,
-            gbps,
-            if pi + 1 < rates.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
+    let bytes32 =
+        ap.nnz() as f64 * (4.0 + 4.0 + (k * 4) as f64) + ap.rows() as f64 * k as f64 * 4.0;
+    let (gflops, gbps) = (flops32 / secs / 1e9, bytes32 / secs / 1e9);
+    println!(
+        "spmm/f32   threads={} {:>12.0} ns/op {:>7.2} GFLOP/s {:>7.2} GB/s",
+        rt::max_threads(),
+        secs * 1e9,
+        gflops,
+        gbps
+    );
+    let _ = writeln!(
+        json,
+        "  \"precision\": [\n    {{\"precision\": \"f32\", \"stored_bytes\": 4, \"threads\": {}, \"ns_per_op\": {:.0}, \"gflops\": {:.3}, \"gbps\": {:.3}}}\n  ]\n}}",
+        rt::max_threads(),
+        secs * 1e9,
+        gflops,
+        gbps
+    );
 
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_kernels.json", &json).expect("write BENCH_kernels.json");

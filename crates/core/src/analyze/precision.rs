@@ -21,12 +21,14 @@
 //! [`crate::dag::Storage`]; [`check`] rejects narrow (`bf16`/`f16`)
 //! storage on a keep-f32 node as [`Rule::UnsafeNarrowing`]. Narrow
 //! storage on an accumulate-f32 node is legal — narrow the buffer, widen
-//! the accumulator — which is exactly the mixed-precision recipe the
-//! verdict names, and exactly what the plan's precision axis executes
-//! (`spmm_storage` / the storage fused sweep). [`auto_precision`] is the
-//! consumer of these verdicts: it resolves `ATGNN_PRECISION=auto` by
-//! narrowing a model's plan only when no buffer the axis touches (the
-//! dense operands of the aggregations) carries a keep-f32 verdict.
+//! the accumulator — which is the mixed-precision recipe the verdict
+//! names. The plan's precision axis executes its *numerics*, not its
+//! bytes: the buffer is rounded through the format
+//! (`Precision::round_matrix`) and streamed as f32 by the ordinary
+//! kernels. [`auto_precision`] is the consumer of these verdicts: it
+//! resolves `ATGNN_PRECISION=auto` by narrowing a model's plan only when
+//! no buffer the axis touches (the dense operands of the aggregations)
+//! carries a keep-f32 verdict.
 //! [`report_json`] renders the verdicts for a whole model as a
 //! machine-readable report (hand-rolled JSON: the workspace is
 //! dependency-free by design).

@@ -129,7 +129,7 @@ impl<T: Scalar> AGnnLayer<T> for AgnnLayer<T> {
         let mut hp = gemm::matmul(h, &self.w);
         // The cosine scores read `h` at full precision (keep-f32 by the
         // analyzer's verdict); only the aggregated projection `HW` is
-        // stored at the plan's precision — rounded exactly once here.
+        // rounded through the plan's precision — exactly once, here.
         if self.plan.precision().is_narrow() {
             self.plan.precision().round_matrix(&mut hp);
         }

@@ -155,8 +155,8 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
         let mut hp = gemm::matmul(h, &self.w);
         // Scores come from the full-precision projection (the analyzer
         // keeps softmax inputs at f32); only the aggregated feature
-        // buffer is stored at the plan's precision, rounded exactly once
-        // here — the same values every storage kernel would stream.
+        // buffer is rounded through the plan's precision, exactly once,
+        // here.
         // `u` scores destinations, so a row-prefix block needs it on its
         // own rows only; `v` and `H'` cover every source.
         let u: Vec<T> = (0..a.rows())

@@ -23,9 +23,10 @@
 //! [`MicroKernel`] family, the [`SimdMode`] width, and the attention
 //! column-tile width. A seventh axis, the storage [`Precision`]
 //! (`ATGNN_PRECISION`), *does* change numerics: it selects the scalar
-//! format layers hold their hot feature buffers in (f32 stays the
+//! format layers round their hot feature buffers through (f32 stays the
 //! bit-exactness oracle; bf16/f16 round features through
-//! `atgnn_tensor::convert` while every accumulation stays f32).
+//! `atgnn_tensor::convert`, after which the buffer is streamed as f32 by
+//! the ordinary kernels — half-precision values, full-precision bytes).
 //!
 //! There is no resolver. The environment is read by
 //! [`ExecPlan::from_env`]; the `with_*` builders override it;
@@ -116,12 +117,13 @@ impl Layout {
     }
 }
 
-/// The scalar storage precision a plan's layers hold their hot feature
-/// buffers in (the projected features streamed by the aggregation — the
-/// memory-bandwidth term of every attention sweep). Score math, softmax
-/// normalization, and every accumulator stay f32 regardless: this axis
-/// narrows *storage*, never arithmetic, and all rounding goes through
-/// `atgnn_tensor::convert` (the one-rounding-site invariant).
+/// The scalar format a plan's layers round their hot feature buffers
+/// through (the projected features streamed by the aggregation). Score
+/// math, softmax normalization, and every accumulator stay f32
+/// regardless, and all rounding goes through `atgnn_tensor::convert`
+/// (the one-rounding-site invariant). The axis is an *emulation*: the
+/// rounded buffer is still a `Dense<T>` and the sweep streams `T`-sized
+/// elements, so a narrow plan adds one rounding pass and sheds no bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full-precision storage — the default and the bit-exactness oracle
@@ -174,7 +176,8 @@ impl Precision {
         }
     }
 
-    /// Bytes per stored feature element (`Auto` reports the f32 size —
+    /// Bytes per element of the *format* — not of the buffer a layer
+    /// holds, which stays `T`-sized (`Auto` reports the f32 size —
     /// `GnnModel::uniform` replaces it with a concrete format, and every
     /// layer treats an unresolved `Auto` as f32).
     pub fn bytes(self) -> usize {
@@ -191,11 +194,10 @@ impl Precision {
 
     /// Applies this precision's storage rounding to a feature matrix in
     /// place — the type-uniform layer integration: the matrix stays
-    /// `T`-typed, and since widening is exact, every downstream kernel
-    /// computes the bit-exact image of running the narrow storage kernel
-    /// (`spmm_storage` / `fused_sweep_storage`) on `Buf::from_dense` of
-    /// the same data. `F32` is a no-op; `Auto` must be resolved to a
-    /// concrete format before layers run (debug-asserted).
+    /// `T`-typed, so every downstream kernel is the ordinary `Scalar`
+    /// kernel on the rounded values (one extra pass over the buffer, the
+    /// same bytes streamed afterwards). `F32` is a no-op; `Auto` must be
+    /// resolved to a concrete format before layers run (debug-asserted).
     pub fn round_matrix<T: Scalar>(self, m: &mut Dense<T>) {
         use atgnn_tensor::convert;
         debug_assert!(

@@ -6,17 +6,24 @@
 //!
 //! | rung | name            | effect                                      |
 //! |------|-----------------|---------------------------------------------|
-//! | 0    | full            | configured window, f32 storage, full fanout |
+//! | 0    | full            | configured window, no rounding, full fanout |
 //! | 1    | narrow window   | batch window ÷ 4 (less batching latency)    |
-//! | 2    | bf16 storage    | + `ExecPlan` precision axis → bf16          |
+//! | 2    | bf16 rounding   | + `ExecPlan` precision axis → bf16          |
 //! | 3    | reduced fanout  | + ego sampling fanout → `degraded_fanout`   |
 //!
-//! Rungs are cumulative: rung 3 also narrows the window and stores
-//! bf16. Movement is *monotone* (one rung per decision) and
-//! *hysteretic*: occupancy must sit at/above the high watermark for
-//! `patience` consecutive batch boundaries to step down, and at/below
-//! the low watermark for `patience` boundaries to step up — a single
-//! burst neither thrashes the plan nor strands the server degraded.
+//! Rungs are cumulative: rung 3 also narrows the window and rounds
+//! through bf16. Rung 2 is the precision axis as the product implements
+//! it: projected features are rounded through bf16 and then streamed as
+//! f32 by the ordinary sweep, so it adds a pass and sheds no bytes — it
+//! changes answers (within the bf16 gate) without making a batch
+//! cheaper. Whether it belongs on the ladder is unmeasured; it waits on
+//! a benchmark workload that runs bf16.
+//!
+//! Movement is *monotone* (one rung per decision) and *hysteretic*:
+//! occupancy must sit at/above the high watermark for `patience`
+//! consecutive batch boundaries to step down, and at/below the low
+//! watermark for `patience` boundaries to step up — a single burst
+//! neither thrashes the plan nor strands the server degraded.
 
 use atgnn::plan::Precision;
 use std::time::Duration;
@@ -25,7 +32,8 @@ use std::time::Duration;
 pub const RUNG_FULL: usize = 0;
 /// Narrowed batch window.
 pub const RUNG_NARROW_WINDOW: usize = 1;
-/// bf16 feature storage (via the `ExecPlan` precision axis).
+/// Features rounded through bf16 (the `ExecPlan` precision axis); the
+/// sweep still streams f32.
 pub const RUNG_BF16: usize = 2;
 /// Reduced ego-sampling fanout.
 pub const RUNG_REDUCED_FANOUT: usize = 3;
@@ -108,7 +116,7 @@ impl Ladder {
         }
     }
 
-    /// The storage precision at the current rung.
+    /// The plan precision at the current rung.
     pub fn precision(&self) -> Precision {
         if self.rung >= RUNG_BF16 {
             Precision::Bf16

@@ -17,7 +17,7 @@
 //!   [`ServeError::DeadlineExceeded`];
 //! * **graceful degradation** — under sustained queue pressure a
 //!   hysteretic [`Ladder`] steps service down one rung at a time
-//!   (narrower batch window → bf16 storage via the `ExecPlan` precision
+//!   (narrower batch window → bf16 rounding via the `ExecPlan` precision
 //!   axis → reduced sampling fanout) and back up when pressure clears,
 //!   every move counted in [`ServeStats`];
 //! * **warm restart** — a write-ahead intent log plus a

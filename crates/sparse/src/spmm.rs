@@ -16,7 +16,7 @@
 use crate::csr::Csr;
 use crate::semiring::Semiring;
 use atgnn_tensor::rt::{self, Cost, DisjointSlice, Tunable};
-use atgnn_tensor::{gemm, micro, Buf, Dense, Int8Buf, Scalar, Store};
+use atgnn_tensor::{gemm, micro, Dense, Scalar};
 
 /// Result elements below which the row loop stays sequential. Override
 /// with `ATGNN_SPMM_PAR_THRESHOLD` (`0` forces the parallel path).
@@ -137,182 +137,6 @@ pub fn spmm<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
         for (i, out_row) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
             let (cols, vals) = a.row(i);
             aggregate_rows_into(out_row, h, cols, vals);
-        }
-    });
-    out
-}
-
-/// [`aggregate_rows_into`] over narrow feature storage: same neighbor
-/// order, same quad grouping, every load widened to f32 inside the
-/// `mul_add` ([`micro::axpy_widen`] / [`micro::axpy4_widen`] follow the
-/// same kernel-mode dispatch as the f32 family). Widening is exact, so
-/// this is bit-identical to [`aggregate_rows_into`] on `h.to_dense()` in
-/// every microkernel/SIMD/layout mode.
-#[inline]
-fn aggregate_rows_into_storage<S: Store>(
-    out_row: &mut [f32],
-    h: &Buf<S>,
-    cols: &[u32],
-    vals: &[f32],
-) {
-    let w = out_row.len();
-    if micro::wide() {
-        // Eight neighbors per pass: per element the nested `mul_add`
-        // chain applies neighbors strictly in stored order, so this is
-        // bit-identical to the f32 kernel's 4+4 quad grouping while
-        // halving the f32 accumulator row's load/store traffic — the
-        // row the narrow formats did NOT shrink. (A 16-deep variant was
-        // measured slower: sixteen live row streams spill registers.)
-        let mut cq = cols.chunks_exact(8);
-        let mut vq = vals.chunks_exact(8);
-        for (c8, v8) in (&mut cq).zip(&mut vq) {
-            micro::axpy8_widen(
-                out_row,
-                [v8[0], v8[1], v8[2], v8[3], v8[4], v8[5], v8[6], v8[7]],
-                [
-                    &h.row_padded(c8[0] as usize)[..w],
-                    &h.row_padded(c8[1] as usize)[..w],
-                    &h.row_padded(c8[2] as usize)[..w],
-                    &h.row_padded(c8[3] as usize)[..w],
-                    &h.row_padded(c8[4] as usize)[..w],
-                    &h.row_padded(c8[5] as usize)[..w],
-                    &h.row_padded(c8[6] as usize)[..w],
-                    &h.row_padded(c8[7] as usize)[..w],
-                ],
-            );
-        }
-        let (cr, vr) = (cq.remainder(), vq.remainder());
-        let mut cq4 = cr.chunks_exact(4);
-        let mut vq4 = vr.chunks_exact(4);
-        for (c4, v4) in (&mut cq4).zip(&mut vq4) {
-            micro::axpy4_widen(
-                out_row,
-                [v4[0], v4[1], v4[2], v4[3]],
-                [
-                    &h.row_padded(c4[0] as usize)[..w],
-                    &h.row_padded(c4[1] as usize)[..w],
-                    &h.row_padded(c4[2] as usize)[..w],
-                    &h.row_padded(c4[3] as usize)[..w],
-                ],
-            );
-        }
-        for (&j, &av) in cq4.remainder().iter().zip(vq4.remainder()) {
-            micro::axpy_widen(out_row, av, &h.row_padded(j as usize)[..w]);
-        }
-    } else {
-        for (&j, &av) in cols.iter().zip(vals) {
-            micro::axpy_widen(out_row, av, &h.row_padded(j as usize)[..w]);
-        }
-    }
-}
-
-/// SpMM over narrow feature storage: `out = A · widen(H)` with every
-/// accumulation in f32 — the mixed-precision recipe (half the feature
-/// bytes streamed per stored entry, full-precision arithmetic). The
-/// output layout matches the buffer's (padded in, padded out; tails stay
-/// `+0.0`). For `S = f32` this *is* [`spmm`].
-pub fn spmm_storage<S: Store>(a: &Csr<f32>, h: &Buf<S>) -> Dense<f32> {
-    assert_eq!(a.cols(), h.rows(), "spmm_storage: inner dimensions differ");
-    let k = h.cols();
-    let mut out = if h.is_padded() {
-        Dense::zeros_padded(a.rows(), k)
-    } else {
-        Dense::zeros(a.rows(), k)
-    };
-    debug_assert_eq!(out.stride(), h.stride(), "storage layout must match");
-    let out_stride = out.stride();
-    let parallel = a.rows() * k >= PAR_THRESHOLD.get();
-    let slots = DisjointSlice::new(out.as_mut_slice());
-    rt::parallel_for(a.rows(), Cost::Prefix(a.indptr()), parallel, |lo, hi| {
-        // SAFETY: row ranges are disjoint across chunk bodies.
-        let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
-        for (i, out_row) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
-            let (cols, vals) = a.row(i);
-            aggregate_rows_into_storage(out_row, h, cols, vals);
-        }
-    });
-    out
-}
-
-/// Generalized SpMM over narrow feature storage: [`spmm_semiring`] with
-/// every stored feature widened to f32 at load. The semiring accumulator
-/// (`S::Acc`) is the full-precision side of the recipe — e.g. min-plus
-/// path lengths compare in f32 even when distances are stored as bf16.
-pub fn spmm_semiring_storage<St: Store, S: Semiring<f32>>(
-    s: &S,
-    a: &Csr<f32>,
-    h: &Buf<St>,
-) -> Dense<f32> {
-    assert_eq!(
-        a.cols(),
-        h.rows(),
-        "spmm_semiring_storage: inner dimensions differ"
-    );
-    let k = h.cols();
-    // Semiring outputs stay tight, exactly like [`spmm_semiring`].
-    let mut out = Dense::zeros(a.rows(), k);
-    let out_stride = out.stride();
-    let parallel = a.rows() * k >= PAR_THRESHOLD.get();
-    let slots = DisjointSlice::new(out.as_mut_slice());
-    rt::parallel_for(a.rows(), Cost::Prefix(a.indptr()), parallel, |lo, hi| {
-        // SAFETY: row ranges are disjoint across chunk bodies.
-        let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
-        rt::with_scratch::<S::Acc, _>(|acc| {
-            for (i, out_row) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
-                acc.clear();
-                acc.resize(k, s.zero());
-                let (cols, vals) = a.row(i);
-                for (&j, &av) in cols.iter().zip(vals) {
-                    let hrow = h.row(j as usize);
-                    for (a_f, &hv) in acc.iter_mut().zip(hrow) {
-                        s.combine(a_f, av, hv.widen());
-                    }
-                }
-                for (o, a_f) in out_row.iter_mut().zip(acc.drain(..)) {
-                    *o = s.finish(a_f);
-                }
-            }
-        });
-    });
-    out
-}
-
-/// Int8 inference SpMM: aggregates raw `i8` codes under the f32 edge
-/// weights, then applies each column's dequantization scale once per
-/// output element — the per-column absmax calibration of
-/// [`Int8Buf::quantize`] commutes with the linear aggregation, so this
-/// equals `spmm(a, &h.dequantize())` up to f32 rounding of the per-term
-/// products. Padded code tails are zero, so tails stay `+0.0`.
-pub fn spmm_i8(a: &Csr<f32>, h: &Int8Buf) -> Dense<f32> {
-    assert_eq!(a.cols(), h.rows(), "spmm_i8: inner dimensions differ");
-    let k = h.cols();
-    let mut out = if h.is_padded() {
-        Dense::zeros_padded(a.rows(), k)
-    } else {
-        Dense::zeros(a.rows(), k)
-    };
-    let out_stride = out.stride();
-    let scales = h.scales();
-    let parallel = a.rows() * k >= PAR_THRESHOLD.get();
-    let slots = DisjointSlice::new(out.as_mut_slice());
-    rt::parallel_for(a.rows(), Cost::Prefix(a.indptr()), parallel, |lo, hi| {
-        // SAFETY: row ranges are disjoint across chunk bodies.
-        let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
-        for (i, out_row) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
-            let (cols, vals) = a.row(i);
-            let w = out_row.len();
-            for (&j, &av) in cols.iter().zip(vals) {
-                let hrow = &h.row_padded(j as usize)[..w];
-                for (o, &q) in out_row.iter_mut().zip(hrow) {
-                    *o = av.mul_add(q as f32, *o);
-                }
-            }
-            // One dequantization per output element, after the integer-
-            // weighted sum (zip stops at the logical column count; the
-            // padded tail holds zero codes and stays +0.0).
-            for (o, &sc) in out_row.iter_mut().zip(scales) {
-                *o *= sc;
-            }
         }
     });
     out
@@ -729,84 +553,6 @@ mod tests {
             cheaper_order_for(1, 64, 0, FusedOnePass),
             ProductOrder::AggregateFirst
         );
-    }
-
-    #[test]
-    fn storage_spmm_is_the_f32_kernel_on_the_widened_image() {
-        use atgnn_tensor::convert::{Bf16, F16};
-        let n = 40;
-        let coo = Coo::from_edges(
-            n,
-            n,
-            (0..n as u32)
-                .flat_map(|i| [(i, (i + 1) % n as u32), (i, (i * 5 + 2) % n as u32)])
-                .collect(),
-        );
-        let a: Csr<f32> = Csr::from_coo(&coo);
-        for padded in [false, true] {
-            let mut h =
-                Dense::<f32>::from_fn(n, 11, |i, j| ((i * 13 + j * 7) % 29) as f32 * 0.11 - 1.5);
-            if padded {
-                h = h.padded();
-            }
-            // Narrow storage: bit-identical to spmm on the widened image.
-            let bbuf = Buf::<Bf16>::from_dense(&h);
-            let hbuf = Buf::<F16>::from_dense(&h);
-            for (got, want) in [
-                (spmm_storage(&a, &bbuf), spmm(&a, &bbuf.to_dense())),
-                (spmm_storage(&a, &hbuf), spmm(&a, &hbuf.to_dense())),
-            ] {
-                assert_eq!(got.is_padded(), padded);
-                assert!(!padded || got.padding_is_zero());
-                for r in 0..n {
-                    for (x, y) in got.row_padded(r).iter().zip(want.row_padded(r)) {
-                        assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-            }
-            // f32 "storage" is spmm itself, bit for bit.
-            let id = Buf::<f32>::from_dense(&h);
-            let got32 = spmm_storage(&a, &id);
-            let base = spmm(&a, &h);
-            for r in 0..n {
-                for (x, y) in got32.row_padded(r).iter().zip(base.row_padded(r)) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn storage_semiring_and_i8_paths_match_their_oracles() {
-        use atgnn_tensor::convert::Bf16;
-        let n = 24;
-        let coo = Coo::from_edges(
-            n,
-            n,
-            (0..n as u32)
-                .flat_map(|i| [(i, (i + 3) % n as u32), (i, (i * 7 + 1) % n as u32)])
-                .collect(),
-        );
-        let a: Csr<f32> = Csr::from_coo(&coo);
-        let h = Dense::<f32>::from_fn(n, 5, |i, j| ((i * 11 + j * 3) % 17) as f32 * 0.2 - 1.4);
-        // Semiring storage: widening at load makes it the f32 semiring
-        // kernel on the widened image, bit for bit (min-plus exercises a
-        // non-real finish).
-        let buf = Buf::<Bf16>::from_dense(&h);
-        let got = spmm_semiring_storage(&MinPlus, &a, &buf);
-        let want = spmm_semiring(&MinPlus, &a, &buf.to_dense());
-        for r in 0..n {
-            for (x, y) in got.row(r).iter().zip(want.row(r)) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        // Int8: per-column scales commute with the aggregation, so the
-        // code-domain kernel matches spmm over the dequantized image up
-        // to f32 rounding of the per-term products.
-        let q = Int8Buf::quantize(&h);
-        let gi = spmm_i8(&a, &q);
-        let wi = spmm(&a, &q.dequantize());
-        assert!(gi.max_abs_diff(&wi) < 1e-4, "diff {}", gi.max_abs_diff(&wi));
     }
 
     #[test]

@@ -1,44 +1,36 @@
-//! Mixed-precision storage: the one module where f32 ↔ bf16/f16/int8
-//! rounding is defined.
+//! The one place f32 ↔ bf16 / f16 rounding is defined.
 //!
-//! The kernel stack treats element **storage** as a plan axis
-//! (`ExecPlan`'s `precision` field): features may be held as bf16 or f16
-//! while every reduction accumulates in f32 — the standard tensor-core
-//! recipe (narrow loads, wide accumulator). Three invariants anchor the
-//! design:
+//! The plan's precision axis (`ExecPlan`'s `precision` field) is an
+//! *emulation* axis: `Precision::round_matrix` rounds a layer's feature
+//! buffer through a half format with [`round_matrix`] and the matrix stays
+//! `T`-typed, so every downstream kernel is the ordinary f32 / `Scalar`
+//! kernel — half-precision numerics at full-precision bytes. Nothing in
+//! the workspace holds features as 16-bit elements (the storage kernels
+//! that did were deleted uncalled; DESIGN.md "Mixed-precision storage"
+//! keeps the record). Three invariants anchor what is left:
 //!
 //! * **Widening is exact.** Every bf16/f16 value is exactly
-//!   representable in f32, so `narrow(x).widen()` is the *only* lossy
-//!   step and a storage kernel over narrow data is bit-identical to the
-//!   f32 kernel over `widen(narrow(·))` of the same data. The
-//!   equivalence tests and the `precision` bench gate on exactly that
-//!   identity.
+//!   representable in f32, so `narrow(x).widen()` ([`Store::round`]) is
+//!   the *only* lossy step of the axis.
 //! * **Rounding lives here.** All narrowing is round-to-nearest-even,
 //!   implemented once per format in this module; an `atgnn-lint` rule
 //!   (`raw-half-bits`) forbids half-precision bit twiddling anywhere
 //!   else in the kernel crates.
 //! * **Padded tails stay zero.** `narrow(+0.0)` is the all-zero bit
-//!   pattern in every format, so a [`Buf`] built from a padded
-//!   [`Dense`] keeps the lane-tail invariant the wide kernels rely on
+//!   pattern in every format, so rounding a padded [`Dense`] keeps the
+//!   lane-tail invariant the wide kernels rely on
 //!   (`fma(a, 0.0, +0.0) = +0.0`).
-//!
-//! [`Buf`] mirrors [`Dense`]'s stride-aware accessor surface
-//! (`row`/`row_padded`/`stride`) over a narrow payload; [`Int8Buf`] adds
-//! the inference-only int8 path with per-column absmax calibration
-//! (column scales commute with the linear aggregation, so dequantization
-//! happens once per output row, after the integer-weighted sum).
 
 use crate::dense::Dense;
 use crate::scalar::Scalar;
 
-/// A storage scalar: something features can be *held* as, always widened
-/// to f32 before arithmetic. `f32` itself implements the trait as the
-/// identity, so storage-generic kernels monomorphize to exactly the
-/// full-precision code in the default plan.
+/// A storage format: something a feature value can be rounded through,
+/// always widened back to f32 before arithmetic. `f32` itself implements
+/// the trait as the identity.
 pub trait Store: Copy + Default + Send + Sync + 'static {
     /// Kebab-case format name (`"f32"`, `"bf16"`, `"f16"`).
     const NAME: &'static str;
-    /// Bytes per stored element (drives the bench's bandwidth model).
+    /// Bytes per element of the format.
     const BYTES: usize;
     /// Round-to-nearest-even narrowing from f32.
     fn narrow(x: f32) -> Self;
@@ -177,221 +169,14 @@ impl Store for F16 {
     }
 }
 
-/// A dense matrix of narrow storage scalars with [`Dense`]'s geometry:
-/// same `rows`/`cols`/`stride` contract, same stride-aware accessors, so
-/// storage-generic kernels index it exactly like a feature matrix.
-#[derive(Clone, Debug)]
-pub struct Buf<S> {
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    /// Elements before the first row: sized so `data[base]` sits on a
-    /// cache-line boundary. A lane-padded row is a whole number of
-    /// half-lines (or lines), so aligning the base aligns *every* row —
-    /// a misaligned 128-byte bf16 row would straddle three cache lines
-    /// instead of two, and the gather-bound kernels pay for each line.
-    base: usize,
-    data: Vec<S>,
-}
-
-/// Row-alignment target in bytes (one cache line on current x86/ARM).
-const LINE_BYTES: usize = 64;
-
-impl<S: Store> Buf<S> {
-    /// Narrows a feature matrix into this storage format, preserving the
-    /// source layout (a padded `Dense` yields a padded `Buf`; tails are
-    /// `narrow(0.0)`, the all-zero pattern).
-    pub fn from_dense(src: &Dense<f32>) -> Self {
-        let (rows, cols, stride) = (src.rows(), src.cols(), src.stride());
-        let slack = LINE_BYTES / S::BYTES;
-        let mut data = Vec::with_capacity(rows * stride + slack);
-        // The allocation's address is fixed once capacity is reserved
-        // (nothing below exceeds it), so the gap to the next line
-        // boundary is knowable now; S::BYTES divides the gap because the
-        // allocator aligns to at least `align_of::<S>()`.
-        let addr = data.as_ptr() as usize;
-        let base = (LINE_BYTES - addr % LINE_BYTES) % LINE_BYTES / S::BYTES;
-        data.resize(base, S::narrow(0.0));
-        for r in 0..rows {
-            data.extend(src.row_padded(r).iter().map(|&x| S::narrow(x)));
-        }
-        Buf {
-            rows,
-            cols,
-            stride,
-            base,
-            data,
-        }
-    }
-
-    /// Widens back to f32 with the same geometry. For any kernel input
-    /// `b`, `kernel(b)` must equal `kernel_f32(b.to_dense())` bit for bit
-    /// — widening is exact, so the narrow buffer and its widened image
-    /// are the same numbers.
-    pub fn to_dense(&self) -> Dense<f32> {
-        let mut out = if self.is_padded() {
-            Dense::zeros_padded(self.rows, self.cols)
-        } else {
-            Dense::zeros(self.rows, self.cols)
-        };
-        debug_assert_eq!(out.stride(), self.stride, "layout must round-trip");
-        for r in 0..self.rows {
-            for (o, s) in out.row_padded_mut(r).iter_mut().zip(self.row_padded(r)) {
-                *o = s.widen();
-            }
-        }
-        out
-    }
-
-    /// Number of logical rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of logical columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Elements between consecutive row starts (≥ `cols`).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Whether rows carry lane padding (`stride > cols`).
-    pub fn is_padded(&self) -> bool {
-        self.stride > self.cols
-    }
-
-    /// Row `r` without padding.
-    pub fn row(&self, r: usize) -> &[S] {
-        &self.data[self.base + r * self.stride..self.base + r * self.stride + self.cols]
-    }
-
-    /// Row `r` including the zero tail (length `stride`).
-    pub fn row_padded(&self, r: usize) -> &[S] {
-        &self.data[self.base + r * self.stride..self.base + (r + 1) * self.stride]
-    }
-
-    /// Whether every padding element widens to exactly `+0.0` — the
-    /// invariant that lets wide kernels aggregate whole padded vectors.
-    pub fn padding_is_zero(&self) -> bool {
-        (0..self.rows).all(|r| {
-            self.row_padded(r)[self.cols..]
-                .iter()
-                .all(|s| s.widen().to_bits() == 0)
-        })
-    }
-}
-
 /// Applies a storage format's rounding to a matrix in place (padding
 /// included — zeros round to zeros). This is how the plan's precision
 /// axis narrows a layer's feature buffer: the matrix stays `T`-typed, so
-/// every downstream kernel is the bit-exact image of running the narrow
-/// storage kernel on `Buf::<S>::from_dense` of the same data.
+/// every downstream kernel is the ordinary `Scalar` kernel on the rounded
+/// values.
 pub fn round_matrix<S: Store, T: Scalar>(m: &mut Dense<T>) {
     for v in m.as_mut_slice() {
         *v = T::from_f64(S::round(v.to_f64() as f32) as f64);
-    }
-}
-
-/// An int8-quantized feature matrix for the inference path: per-column
-/// absmax calibration (`scale_c = absmax_c / 127`), so the linear
-/// aggregation runs on raw `i8` codes and multiplies each output column
-/// by its scale once at the end.
-#[derive(Clone, Debug)]
-pub struct Int8Buf {
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    data: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl Int8Buf {
-    /// Calibrates per-column scales over the logical rows and quantizes
-    /// with round-to-nearest, clamped to ±127 (symmetric — no zero-point
-    /// term to carry through the aggregation). All-zero columns get a
-    /// zero scale and zero codes.
-    pub fn quantize(src: &Dense<f32>) -> Self {
-        let (rows, cols, stride) = (src.rows(), src.cols(), src.stride());
-        let mut absmax = vec![0.0f32; cols];
-        for r in 0..rows {
-            for (m, &x) in absmax.iter_mut().zip(src.row(r)) {
-                *m = m.max(x.abs());
-            }
-        }
-        let scales: Vec<f32> = absmax.iter().map(|&m| m / 127.0).collect();
-        let mut data = Vec::with_capacity(rows * stride);
-        for r in 0..rows {
-            let row = src.row(r);
-            for c in 0..stride {
-                let q = if c < cols && scales[c] > 0.0 {
-                    (row[c] / scales[c]).round().clamp(-127.0, 127.0) as i8
-                } else {
-                    0
-                };
-                data.push(q);
-            }
-        }
-        Int8Buf {
-            rows,
-            cols,
-            stride,
-            data,
-            scales,
-        }
-    }
-
-    /// The dequantized image `q · scale` (what the int8 spmm is exact
-    /// against, up to f32 summation order).
-    pub fn dequantize(&self) -> Dense<f32> {
-        let mut out = if self.is_padded() {
-            Dense::zeros_padded(self.rows, self.cols)
-        } else {
-            Dense::zeros(self.rows, self.cols)
-        };
-        for r in 0..self.rows {
-            for (c, o) in out.row_mut(r).iter_mut().enumerate() {
-                *o = self.row(r)[c] as f32 * self.scales[c];
-            }
-        }
-        out
-    }
-
-    /// Number of logical rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of logical columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Elements between consecutive row starts.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Whether rows carry lane padding.
-    pub fn is_padded(&self) -> bool {
-        self.stride > self.cols
-    }
-
-    /// Row `r` without padding.
-    pub fn row(&self, r: usize) -> &[i8] {
-        &self.data[r * self.stride..r * self.stride + self.cols]
-    }
-
-    /// Row `r` including the zero tail.
-    pub fn row_padded(&self, r: usize) -> &[i8] {
-        &self.data[r * self.stride..(r + 1) * self.stride]
-    }
-
-    /// The per-column dequantization scales.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
     }
 }
 
@@ -532,70 +317,5 @@ mod tests {
         // (the padded-tail invariant).
         assert_eq!(Bf16::narrow(0.0).0, 0);
         assert_eq!(F16::narrow(0.0).0, 0);
-    }
-
-    #[test]
-    fn buf_preserves_geometry_and_zero_tails() {
-        let src = Dense::<f32>::from_fn(5, 6, |i, j| (i * 7 + j) as f32 * 0.37 - 1.1).padded();
-        assert!(src.is_padded());
-        let buf = Buf::<Bf16>::from_dense(&src);
-        assert_eq!(
-            (buf.rows(), buf.cols(), buf.stride()),
-            (src.rows(), src.cols(), src.stride())
-        );
-        assert!(buf.padding_is_zero());
-        let back = buf.to_dense();
-        assert_eq!(back.stride(), src.stride());
-        // Widening the buffer equals rounding the source in place.
-        let mut rounded = src.clone();
-        round_matrix::<Bf16, f32>(&mut rounded);
-        for r in 0..src.rows() {
-            for (a, b) in back.row_padded(r).iter().zip(rounded.row_padded(r)) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // Tight sources stay tight.
-        let tight = Dense::<f32>::from_fn(4, 3, |i, j| (i + j) as f32);
-        let tbuf = Buf::<F16>::from_dense(&tight);
-        assert!(!tbuf.is_padded());
-        assert_eq!(tbuf.stride(), 3);
-    }
-
-    #[test]
-    fn f32_storage_is_the_identity() {
-        let src = Dense::<f32>::from_fn(3, 5, |i, j| (i as f32).sin() + j as f32).padded();
-        let buf = Buf::<f32>::from_dense(&src);
-        let back = buf.to_dense();
-        for r in 0..src.rows() {
-            for (a, b) in back.row_padded(r).iter().zip(src.row_padded(r)) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn int8_quantization_bounds_the_per_column_error() {
-        let src =
-            Dense::<f32>::from_fn(32, 9, |i, j| ((i * 31 + j * 17) % 101) as f32 / 50.0 - 1.0)
-                .padded();
-        let q = Int8Buf::quantize(&src);
-        assert_eq!(q.stride(), src.stride());
-        let dq = q.dequantize();
-        for r in 0..src.rows() {
-            for c in 0..src.cols() {
-                let err = (dq.row(r)[c] - src.row(r)[c]).abs();
-                // Half a quantization step per element.
-                assert!(
-                    err <= q.scales()[c] * 0.5 + 1e-7,
-                    "({r},{c}): err {err} scale {}",
-                    q.scales()[c]
-                );
-            }
-        }
-        // A zero column quantizes to zero codes and a zero scale.
-        let zeros = Dense::<f32>::zeros(4, 2);
-        let qz = Int8Buf::quantize(&zeros);
-        assert!(qz.scales().iter().all(|&s| s == 0.0));
-        assert!(qz.dequantize().as_slice().iter().all(|&v| v == 0.0));
     }
 }

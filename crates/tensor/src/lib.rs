@@ -8,10 +8,9 @@
 //! * [`Dense`] — a row-major dense matrix over any [`Scalar`] (`f32`/`f64`),
 //!   holding feature matrices `H ∈ R^{n×k}`, parameter matrices
 //!   `W ∈ R^{k×k}`, and gradients.
-//! * [`convert`] — mixed-precision storage: the bf16/f16 formats behind
-//!   the plan's `precision` axis ([`Store`], [`Buf`]), the int8
-//!   inference quantizer ([`Int8Buf`]), and the *only* place f32 ↔ half
-//!   rounding is defined (RNE, lint-enforced single site).
+//! * [`convert`] — the bf16/f16 formats behind the plan's `precision`
+//!   axis ([`Store`], [`convert::round_matrix`]): the *only* place
+//!   f32 ↔ half rounding is defined (RNE, lint-enforced single site).
 //! * [`gemm`] — dense matrix products (`MM` in the paper's Table 2),
 //!   including the transposed variants needed by the backward passes,
 //!   on register tiles, parallelized over row ranges via [`rt`].
@@ -50,6 +49,6 @@ pub mod rt;
 pub mod scalar;
 
 pub use activation::Activation;
-pub use convert::{Bf16, Buf, Int8Buf, Store, F16};
+pub use convert::{Bf16, Store, F16};
 pub use dense::Dense;
 pub use scalar::Scalar;

@@ -373,76 +373,6 @@ pub fn axpy4<T: Scalar>(out: &mut [T], alpha: [T; 4], x: [&[T]; 4]) {
 }
 
 // ---------------------------------------------------------------------
-// Widening axpy family (mixed-precision storage: narrow loads, f32 math)
-// ---------------------------------------------------------------------
-
-/// `out[i] = alpha·widen(x[i]) + out[i]` — the storage-generic axpy the
-/// mixed-precision kernels run: narrow loads, every arithmetic op in
-/// f32. Strictly elementwise like [`axpy`] and dispatching on the same
-/// kernel-mode switch (`mul_add` under the blocked kernels, the plain
-/// `+=` oracle under `ATGNN_MICROKERNEL=scalar`), and since widening is
-/// exact ([`crate::convert`]), the result is bit-identical to the f32
-/// [`axpy`] over the widened image of `x` in every mode; for `S = f32`
-/// it *is* that axpy.
-#[inline]
-pub fn axpy_widen<S: crate::convert::Store>(out: &mut [f32], alpha: f32, x: &[S]) {
-    debug_assert_eq!(out.len(), x.len());
-    if blocked() {
-        for (o, &xv) in out.iter_mut().zip(x) {
-            *o = alpha.mul_add(xv.widen(), *o);
-        }
-    } else {
-        for (o, &xv) in out.iter_mut().zip(x) {
-            *o += alpha * xv.widen();
-        }
-    }
-}
-
-/// Four-neighbor fused widening update — the storage counterpart of
-/// [`axpy4`], rounding per element exactly as four sequential
-/// blocked-mode [`axpy_widen`] calls. Like [`axpy4`], the fused form is
-/// unconditional `mul_add`: it only runs under [`wide`], which implies
-/// the blocked kernels.
-#[inline]
-pub fn axpy4_widen<S: crate::convert::Store>(out: &mut [f32], alpha: [f32; 4], x: [&[S]; 4]) {
-    let [x0, x1, x2, x3] = x;
-    debug_assert!(out.len() == x0.len() && out.len() == x3.len());
-    for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
-        let t = alpha[1].mul_add(v1.widen(), alpha[0].mul_add(v0.widen(), *o));
-        *o = alpha[3].mul_add(v3.widen(), alpha[2].mul_add(v2.widen(), t));
-    }
-}
-
-/// Eight-neighbor fused widening update, again [`wide`]-only. Per
-/// element this is the exact rounding sequence of eight sequential
-/// blocked-mode [`axpy_widen`] calls (each
-/// `mul_add` one rounding, neighbors applied in order), so any grouping
-/// — 8, 4+4, or eight singles — produces identical bits; the fused form
-/// exists purely to amortize the f32 accumulator row's load/store over
-/// twice as many narrow feature rows as [`axpy4_widen`].
-#[inline]
-pub fn axpy8_widen<S: crate::convert::Store>(out: &mut [f32], alpha: [f32; 8], x: [&[S]; 8]) {
-    let [x0, x1, x2, x3, x4, x5, x6, x7] = x;
-    debug_assert!(out.len() == x0.len() && out.len() == x7.len());
-    for ((((((((o, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in out
-        .iter_mut()
-        .zip(x0)
-        .zip(x1)
-        .zip(x2)
-        .zip(x3)
-        .zip(x4)
-        .zip(x5)
-        .zip(x6)
-        .zip(x7)
-    {
-        let t = alpha[1].mul_add(v1.widen(), alpha[0].mul_add(v0.widen(), *o));
-        let t = alpha[3].mul_add(v3.widen(), alpha[2].mul_add(v2.widen(), t));
-        let t = alpha[5].mul_add(v5.widen(), alpha[4].mul_add(v4.widen(), t));
-        *o = alpha[7].mul_add(v7.widen(), alpha[6].mul_add(v6.widen(), t));
-    }
-}
-
-// ---------------------------------------------------------------------
 // Lane-structured row reductions (softmax support)
 // ---------------------------------------------------------------------
 
@@ -480,89 +410,6 @@ pub fn max_wide<T: Scalar>(x: &[T]) -> T {
     let mut m = acc.iter().fold(T::neg_infinity(), |a, &v| a.max(v));
     for &v in xc.remainder() {
         m = m.max(v);
-    }
-    m
-}
-
-/// Runtime AVX2+FMA detection, probed once per process. The explicit
-/// gather kernel below is the only consumer; everything else in this
-/// module relies on the autovectorizer, which cannot emit `vgatherdps`
-/// from a scalar indexed load.
-#[cfg(target_arch = "x86_64")]
-fn avx2_fma() -> bool {
-    use std::sync::OnceLock;
-    static DETECTED: OnceLock<bool> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    })
-}
-
-/// One GAT score row, fused: `e[i] = leaky_relu(ur + v[cols[i]])` with the
-/// running row max folded into the gather loop's lane accumulators.
-///
-/// Bit-compatibility: per element this performs exactly the scalar
-/// sequence `slope.mul_add(min(pre, 0), max(pre, 0))` on `pre = ur +
-/// v[c]` — the same operand order as [`crate::Activation::LeakyRelu`]'s
-/// branch-free form — so the stored scores match the scalar loop
-/// bit-for-bit. The returned max is a selection over those same values;
-/// IEEE `max` is exact in any association, so it equals
-/// [`max_wide`]-over-the-finished-row bit-for-bit. The AVX2 path's only
-/// difference from the portable one is *which instructions* perform the
-/// loads (`vgatherdps` vs eight scalar loads).
-///
-/// # Safety
-///
-/// Every `cols[i]` must be a valid index into `v` (the sparse kernels
-/// guarantee this: `Csr` construction validates all stored column
-/// indices, and the attention entry points assert `v.len() == a.cols()`).
-/// `e.len()` must equal `cols.len()`.
-pub unsafe fn gat_score_row(ur: f32, v: &[f32], cols: &[u32], slope: f32, e: &mut [f32]) -> f32 {
-    debug_assert_eq!(cols.len(), e.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        return gat_score_row_avx2(ur, v, cols, slope, e);
-    }
-    let mut m = f32::NEG_INFINITY;
-    for (slot, &c) in e.iter_mut().zip(cols) {
-        let pre = ur + *v.get_unchecked(c as usize);
-        let s = slope.mul_add(pre.min(0.0), pre.max(0.0));
-        *slot = s;
-        m = m.max(s);
-    }
-    m
-}
-
-/// AVX2 body of [`gat_score_row`]; same safety contract.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gat_score_row_avx2(ur: f32, v: &[f32], cols: &[u32], slope: f32, e: &mut [f32]) -> f32 {
-    use core::arch::x86_64::*;
-    let d = e.len();
-    let urv = _mm256_set1_ps(ur);
-    let sv = _mm256_set1_ps(slope);
-    let zero = _mm256_setzero_ps();
-    let mut mv = _mm256_set1_ps(f32::NEG_INFINITY);
-    let mut i = 0;
-    while i + 8 <= d {
-        let idx = _mm256_loadu_si256(cols.as_ptr().add(i) as *const __m256i);
-        let g = _mm256_i32gather_ps::<4>(v.as_ptr(), idx);
-        let pre = _mm256_add_ps(urv, g);
-        // min/max operand order matches the scalar form (value first,
-        // constant zero second) so tie and NaN lowering agree.
-        let s = _mm256_fmadd_ps(sv, _mm256_min_ps(pre, zero), _mm256_max_ps(pre, zero));
-        _mm256_storeu_ps(e.as_mut_ptr().add(i), s);
-        mv = _mm256_max_ps(mv, s);
-        i += 8;
-    }
-    let mut lanes = [0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), mv);
-    let mut m = lanes.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    while i < d {
-        let pre = ur + *v.get_unchecked(*cols.get_unchecked(i) as usize);
-        let s = slope.mul_add(pre.min(0.0), pre.max(0.0));
-        *e.get_unchecked_mut(i) = s;
-        m = m.max(s);
-        i += 1;
     }
     m
 }
@@ -712,53 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn widening_axpys_match_the_f32_family_bit_for_bit() {
-        use crate::convert::{Bf16, Buf, Store};
-        use crate::Dense;
-        // bf16 source: the widening kernel must equal the mode-dispatched
-        // f32 [`axpy`] run on the widened image, in whatever mode this
-        // process runs — both sides share the dispatch (`mul_add` under
-        // the blocked kernels, the plain `+=` oracle under
-        // `ATGNN_MICROKERNEL=scalar`) and widening is exact.
-        let src = Dense::<f32>::from_fn(4, 21, |i, j| ((i * 31 + j * 7) % 19) as f32 * 0.21 - 1.7);
-        let buf = Buf::<Bf16>::from_dense(&src);
-        let wide_img = buf.to_dense();
-        let mut got = vec![0.25f32; 21];
-        let mut want = got.clone();
-        axpy_widen(&mut got, 0.613, buf.row(0));
-        axpy(&mut want, 0.613, wide_img.row(0));
-        assert_eq!(
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        // Four-source fused variant vs the f32 [`axpy4`] on the widened
-        // rows — both are unconditional nested `mul_add` (the fused
-        // kernels only run under `wide()`, which implies the blocked
-        // kernels), so this holds in every process mode.
-        let rows: Vec<&[Bf16]> = (0..4).map(|r| buf.row(r)).collect();
-        let wrows: Vec<&[f32]> = (0..4).map(|r| wide_img.row(r)).collect();
-        let alpha = [0.2f32, -0.7, 1.3, 0.05];
-        let mut fused = vec![0.9f32; 21];
-        let mut ref4 = fused.clone();
-        axpy4_widen(&mut fused, alpha, [rows[0], rows[1], rows[2], rows[3]]);
-        axpy4(&mut ref4, alpha, [wrows[0], wrows[1], wrows[2], wrows[3]]);
-        assert_eq!(
-            fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            ref4.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        // f32 "storage" is the identity: axpy_widen == axpy.
-        let mut id = vec![0.1f32; 21];
-        let mut ref32 = id.clone();
-        axpy_widen::<f32>(&mut id, -0.4, src.row(1));
-        axpy(&mut ref32, -0.4, src.row(1));
-        assert_eq!(
-            id.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            ref32.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        let _ = <Bf16 as Store>::BYTES;
-    }
-
-    #[test]
     fn scalar_mode_axpy_matches_plain_loop_bits() {
         let x = seq(13, 1.7);
         let mut got = seq(13, -0.4);
@@ -772,32 +572,6 @@ mod tests {
         }
         for (g, w) in got.iter().zip(want.iter()) {
             assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn gat_score_row_matches_activation_loop_bits() {
-        use crate::Activation;
-        let slope = 0.2f64;
-        let act = Activation::LeakyRelu(slope);
-        let v: Vec<f32> = (0..97).map(|i| ((i as f32) * 0.37 - 11.0).sin()).collect();
-        for d in [0usize, 1, 3, 7, 8, 9, 16, 31, 33] {
-            let cols: Vec<u32> = (0..d).map(|i| ((i * 41 + 7) % 97) as u32).collect();
-            let ur = -0.3f32;
-            let mut want = vec![0.0f32; d];
-            for (slot, &c) in want.iter_mut().zip(&cols) {
-                *slot = act.eval(ur + v[c as usize]);
-            }
-            let wm = max_wide(&want);
-            let mut got = vec![0.0f32; d];
-            // SAFETY: every column index is reduced mod v.len().
-            let gm = unsafe { gat_score_row(ur, &v, &cols, slope as f32, &mut got) };
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits());
-            }
-            if d > 0 {
-                assert_eq!(gm.to_bits(), wm.to_bits());
-            }
         }
     }
 }

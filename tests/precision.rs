@@ -1,4 +1,4 @@
-//! Mixed-precision storage end to end.
+//! The plan's precision axis end to end.
 //!
 //! Four layers of guarantees, cheapest first:
 //!
@@ -6,10 +6,12 @@
 //!    the result is always one of the two enclosing representables, and
 //!    exact ties obey round-to-nearest-even (checked via the alternation
 //!    property: ties on both sides of an *even* value choose it).
-//! 2. **Awkward-k equivalence** — the storage kernels are bit-identical
-//!    to the f32 kernels over the widened image of the narrowed data,
-//!    across feature widths that stress every lane-remainder path and
-//!    across the microkernel/SIMD mode lattice.
+//! 2. **What a narrow plan computes** — `round_matrix` is element-wise
+//!    `Store::round` (padded tails stay `+0.0`), and a GAT / AGNN
+//!    inference under a narrow plan is, bit for bit, the f32 fused sweep
+//!    on a projection rounded once by it — on a square graph and on a
+//!    `row_prefix` block, across feature widths that stress every
+//!    lane-remainder path.
 //! 3. **Padded tails** — a bf16 training plan on the padded layout keeps
 //!    every padded slot exactly `+0.0` through `train_step`.
 //! 4. **Training quality** — analytic gradients under a bf16 plan track
@@ -17,24 +19,20 @@
 //!    progress; finite-difference gradcheck stays an f32-only tool
 //!    (differencing *through* a rounding step measures the staircase,
 //!    not the slope).
-//!
-//! Storage-mode flips touch the process-global microkernel knobs, so the
-//! mode-sweeping test restores them; this file is its own integration
-//! binary so those flips cannot race other suites.
 
+use atgnn::layers::{AgnnLayer, GatLayer, GAT_SLOPE};
 use atgnn::loss::{Loss, Mse};
 use atgnn::optimizer::Sgd;
 use atgnn::plan::{ExecPlan, Precision};
-use atgnn::{analyze, GnnModel, ModelKind};
-use atgnn_sparse::{attention, spmm, Coo, Csr};
-use atgnn_tensor::micro::{self, MicroKernel, SimdMode};
+use atgnn::{analyze, AGnnLayer, GnnModel, ModelKind};
+use atgnn_sparse::{attention, Coo, Csr};
 use atgnn_tensor::rng::Rng;
-use atgnn_tensor::{init, Activation, Bf16, Buf, Dense, Int8Buf, Store, F16};
+use atgnn_tensor::{convert, gemm, init, Activation, Bf16, Dense, Scalar, Store, F16};
 
 /// The feature widths that stress every kernel path: sub-lane, lane
 /// remainders around the 8-wide boundary, and multi-block widths with
 /// awkward tails.
-const AWKWARD_K: [usize; 7] = [1, 3, 7, 8, 9, 31, 33];
+const AWKWARD_K: [usize; 7] = [1, 3, 7, 9, 17, 60, 64];
 
 /// Smallest representable value of `S` strictly above the positive
 /// representable `r`, found by binary search on the f32 bit line (f32
@@ -143,27 +141,6 @@ fn widen_narrow_round_trips_are_exact_and_rne() {
     }
 }
 
-#[test]
-fn int8_quantization_error_is_bounded_by_half_a_step() {
-    let mut rng = Rng::seed_from_u64(0x18);
-    for case in 0..50 {
-        let (n, k) = (rng.gen_range(1, 40), rng.gen_range(1, 20));
-        let h = Dense::<f32>::from_fn(n, k, |_, _| rng.uniform(-8.0, 8.0) as f32);
-        let q = Int8Buf::quantize(&h);
-        let back = q.dequantize();
-        for i in 0..n {
-            for j in 0..k {
-                let err = (back.row(i)[j] - h.row(i)[j]).abs();
-                assert!(
-                    err <= q.scales()[j] * 0.5 + 1e-7,
-                    "case {case}: ({i},{j}) err {err} step {}",
-                    q.scales()[j]
-                );
-            }
-        }
-    }
-}
-
 fn random_graph(n: usize, m: usize, seed: u64) -> Csr<f32> {
     let mut rng = Rng::seed_from_u64(seed);
     let edges: Vec<(u32, u32)> = (0..m)
@@ -174,73 +151,107 @@ fn random_graph(n: usize, m: usize, seed: u64) -> Csr<f32> {
     atgnn_sparse::norm::add_self_loops(&Csr::from_coo(&coo))
 }
 
-/// The widened image of `h` narrowed through `S` — the f32 matrix the
-/// storage kernel is contractually bit-identical to the f32 kernel on.
-fn widened_image<S: Store>(h: &Dense<f32>) -> Dense<f32> {
-    let mut w = h.clone();
-    for v in w.as_mut_slice() {
-        *v = S::round(*v);
-    }
-    w
-}
-
-fn assert_rows_bit_equal(got: &Dense<f32>, want: &Dense<f32>, what: &str) {
+/// Whole-buffer bit equality: same geometry, same bits in every slot,
+/// padded tails included.
+fn assert_bits_equal(got: &Dense<f32>, want: &Dense<f32>, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{what}");
+    assert_eq!(got.stride(), want.stride(), "{what}");
     for i in 0..got.rows() {
-        for (a, b) in got.row(i).iter().zip(want.row(i)) {
+        for (a, b) in got.row_padded(i).iter().zip(want.row_padded(i)) {
             assert_eq!(a.to_bits(), b.to_bits(), "{what}: row {i}");
         }
     }
 }
 
-fn awkward_k_case<S: Store>(k: usize, padded: bool) {
-    let a = random_graph(60, 240, 0xaa + k as u64);
-    let n = a.rows();
-    let h = init::features::<f32>(n, k, 7 + k as u64);
-    let h = if padded { h.padded() } else { h };
-    let buf = Buf::<S>::from_dense(&h);
-    let image = widened_image::<S>(&h);
+/// `round_matrix::<S, T>` is element-wise `S::round` and nothing else:
+/// geometry untouched, padded tails still `+0.0`. The sources span both
+/// signs and nine decades, so f16 saturation and underflow are on the
+/// grid.
+fn round_matrix_case<S: Store, T: Scalar>(k: usize, padded: bool) {
+    let value = |i: usize, j: usize| {
+        (((i * 31 + j * 17) % 23) as f64 - 11.0) * 10f64.powi(((i + j) % 9) as i32 - 4)
+    };
+    let src = Dense::<T>::from_fn(5, k, |i, j| T::from_f64(value(i, j)));
+    let src = if padded { src.padded() } else { src };
+    let mut got = src.clone();
+    convert::round_matrix::<S, T>(&mut got);
     let what = format!("{} k={k} padded={padded}", S::NAME);
-
-    // SpMM: storage kernel == f32 kernel on the widened image.
-    assert_rows_bit_equal(
-        &spmm::spmm_storage(&a, &buf),
-        &spmm::spmm(&a, &image),
-        &what,
+    assert_eq!(
+        (got.shape(), got.stride()),
+        (src.shape(), src.stride()),
+        "{what}"
     );
-
-    // Fused GAT sweep: scores from full-precision u/v, features streamed
-    // narrow.
-    let u = init::glorot_vec::<f32>(n, 1);
-    let v = init::glorot_vec::<f32>(n, 2);
-    let exec = ExecPlan::fused().exec();
-    let got = attention::attention_forward_gat_storage(&a, &u, &v, &buf, 0.2, false);
-    let want = attention::forward_gat(exec, &a, &u, &v, &image, 0.2, false);
-    assert_rows_bit_equal(&got.out, &want.out, &what);
+    for i in 0..src.rows() {
+        let (g, s) = (got.row_padded(i), src.row_padded(i));
+        for (gv, sv) in g[..k].iter().zip(&s[..k]) {
+            let want = S::round(sv.to_f64() as f32) as f64;
+            assert_eq!(gv.to_f64().to_bits(), want.to_bits(), "{what}: row {i}");
+        }
+        for gv in &g[k..] {
+            assert_eq!(gv.to_f64().to_bits(), 0, "{what}: row {i} tail");
+        }
+    }
 }
 
 #[test]
-fn awkward_k_storage_kernels_match_the_widened_f32_oracle() {
-    // The storage contract must hold in every microkernel/SIMD mode —
-    // flip the process-global knobs and restore them on exit.
-    let entry = (micro::mode(), micro::simd_mode());
-    for (mode, simd) in [
-        (MicroKernel::Blocked, SimdMode::Wide),
-        (MicroKernel::Blocked, SimdMode::Scalar),
-        (MicroKernel::Scalar, SimdMode::Scalar),
-    ] {
-        micro::set_mode(mode);
-        micro::set_simd_mode(simd);
-        for k in AWKWARD_K {
-            for padded in [false, true] {
-                awkward_k_case::<Bf16>(k, padded);
-                awkward_k_case::<F16>(k, padded);
-                awkward_k_case::<f32>(k, padded);
-            }
+fn round_matrix_is_elementwise_round_with_zero_tails() {
+    for k in AWKWARD_K {
+        for padded in [false, true] {
+            round_matrix_case::<Bf16, f32>(k, padded);
+            round_matrix_case::<Bf16, f64>(k, padded);
+            round_matrix_case::<F16, f32>(k, padded);
+            round_matrix_case::<F16, f64>(k, padded);
         }
     }
-    micro::set_mode(entry.0);
-    micro::set_simd_mode(entry.1);
+}
+
+/// What a narrow plan means for a GAT / AGNN inference forward: the f32
+/// fused sweep on a projection rounded exactly once by `round_matrix`,
+/// with the scores (`u`, `v`; AGNN's cosines) read before the rounding.
+/// `a` is the square graph or a `row_prefix` block of it.
+fn narrow_inference_case(precision: Precision, k: usize, padded: bool) {
+    let square = random_graph(60, 240, 0xaa + k as u64);
+    let n = square.rows();
+    let h = init::features::<f32>(n, 12, 7 + k as u64);
+    let h = if padded { h.padded() } else { h };
+    let plan = ExecPlan::fused().with_precision(precision);
+    let gat = GatLayer::<f32>::new(12, k, Activation::Identity, 3).with_plan(plan);
+    let agnn = AgnnLayer::<f32>::new(12, k, Activation::Identity, 5).with_plan(plan);
+    let block = square.row_prefix(n / 3, n);
+    for a in [&square, &block] {
+        let what = format!(
+            "{} k={k} padded={padded} rows={}",
+            precision.name(),
+            a.rows()
+        );
+
+        let mut hp = gemm::matmul(&h, gat.weights());
+        let (a_src, a_dst) = gat.attention_vectors();
+        let u: Vec<f32> = (0..a.rows()).map(|i| gemm::dot(hp.row(i), a_src)).collect();
+        let v = gemm::matvec(&hp, a_dst);
+        precision.round_matrix(&mut hp);
+        let want = attention::forward_gat(plan.exec(), a, &u, &v, &hp, GAT_SLOPE, false);
+        assert_bits_equal(&gat.forward(a, &h, None), &want.out, &format!("gat {what}"));
+
+        let mut hp = gemm::matmul(&h, agnn.weights());
+        precision.round_matrix(&mut hp);
+        let want = attention::forward_agnn(plan.exec(), a, &h, &hp, agnn.beta(), false);
+        assert_bits_equal(
+            &agnn.forward(a, &h, None),
+            &want.out,
+            &format!("agnn {what}"),
+        );
+    }
+}
+
+#[test]
+fn narrow_inference_is_the_f32_sweep_on_a_pre_rounded_projection() {
+    for k in AWKWARD_K {
+        for padded in [false, true] {
+            narrow_inference_case(Precision::Bf16, k, padded);
+            narrow_inference_case(Precision::F16, k, padded);
+        }
+    }
 }
 
 fn training_setup(
