@@ -493,7 +493,9 @@ impl Dag {
     }
 
     /// GAT forward: `C = u 𝟙ᵀ + 𝟙 vᵀ`, `Ψ = sm(A ⊙ LeakyReLU(C))`,
-    /// `Z = Ψ H'`.
+    /// `Z = Ψ H'`. Block inference, where `GatLayer::forward` aggregates
+    /// first (`u = H (W a₁)`, `v = H (W a₂)`, `Z = (Ψ H) W`), is the SpMMM
+    /// reassociation of this DAG — the same nodes, no second canned DAG.
     pub fn gat_forward() -> Self {
         let mut d = Dag::new();
         let h = d.add("H", TensorClass::DenseNk, &[]);

@@ -25,8 +25,10 @@
 
 use crate::layer::{AGnnLayer, BackwardResult, Gradients, LayerCache};
 use crate::plan::ExecPlan;
-use atgnn_sparse::{attention, masked, spmm, Csr};
+use atgnn_sparse::spmm::{self, ProductOrder};
+use atgnn_sparse::{attention, masked, Csr};
 use atgnn_tensor::{gemm, init, Activation, Dense, Scalar};
+use std::borrow::Cow;
 
 /// The GAT LeakyReLU slope from the original paper.
 pub const GAT_SLOPE: f64 = 0.2;
@@ -103,6 +105,74 @@ impl<T: Scalar> GatLayer<T> {
         attention::gat_psi(a, &u, &v, self.slope)
     }
 
+    /// The inference forward `Ψ H W` in the given product order (the
+    /// paper's SpMMM choice; [`AGnnLayer::forward`] asks
+    /// [`spmm::product_order`]). The two orders reassociate — `(H W) a`
+    /// against `H (W a)`, `Ψ (H W)` against `(Ψ H) W` — so they agree to
+    /// rounding, not bit for bit; an oracle pins one by passing it here.
+    pub fn forward_ordered(&self, a: &Csr<T>, h: &Dense<T>, order: ProductOrder) -> Dense<T> {
+        self.forward_in_order(a, h, order, None)
+    }
+
+    fn forward_in_order(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        order: ProductOrder,
+        cache: Option<&mut LayerCache<T>>,
+    ) -> Dense<T> {
+        assert!(a.rows() <= h.rows(), "GAT forward: A has more rows than H");
+        // The buffer the sweep aggregates and the vectors that score its
+        // rows: `H'` with `a₁, a₂`, or — `(H W) a = H (W a)` — raw `H` with
+        // the attention vectors folded through `W`.
+        let (mut feats, a_src, a_dst) = match order {
+            ProductOrder::ProjectFirst => (
+                Cow::Owned(gemm::matmul(h, &self.w)),
+                Cow::Borrowed(&self.a_src),
+                Cow::Borrowed(&self.a_dst),
+            ),
+            ProductOrder::AggregateFirst => (
+                Cow::Borrowed(h),
+                Cow::Owned(gemm::matvec(&self.w, &self.a_src)),
+                Cow::Owned(gemm::matvec(&self.w, &self.a_dst)),
+            ),
+        };
+        // Scores come from the full-precision features (the analyzer
+        // keeps softmax inputs at f32); only the aggregated feature
+        // buffer is rounded through the plan's precision, exactly once,
+        // here.
+        // `u` scores destinations, so a row-prefix block needs it on its
+        // own rows only; `v` and the aggregated buffer cover every source.
+        let u: Vec<T> = (0..a.rows())
+            .map(|i| gemm::dot(feats.row(i), &a_src))
+            .collect();
+        let v = gemm::matvec(&feats, &a_dst);
+        if self.plan.precision().is_narrow() {
+            self.plan.precision().round_matrix(feats.to_mut());
+        }
+        let fa = attention::forward_gat(
+            self.plan.exec(),
+            a,
+            &u,
+            &v,
+            &feats,
+            self.slope,
+            cache.is_some(),
+        );
+        if let Some(c) = cache {
+            c.psi = fa.psi;
+            c.scores = fa.scores;
+            c.h_proj = Some(feats.into_owned());
+            c.u = Some(u);
+            c.v = Some(v);
+        }
+        match order {
+            ProductOrder::ProjectFirst => fa.out,
+            // The `a.rows()` aggregated rows, not the `h.rows()` sources.
+            ProductOrder::AggregateFirst => gemm::matmul(&fa.out, &self.w),
+        }
+    }
+
     /// The parameter gradients `[∂W, ∂a₁, ∂a₂]` and `∂H'`, whose product
     /// with `Wᵀ` is the input gradient.
     fn backward_through_projection(
@@ -151,38 +221,14 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
     }
 
     fn forward(&self, a: &Csr<T>, h: &Dense<T>, cache: Option<&mut LayerCache<T>>) -> Dense<T> {
-        assert!(a.rows() <= h.rows(), "GAT forward: A has more rows than H");
-        let mut hp = gemm::matmul(h, &self.w);
-        // Scores come from the full-precision projection (the analyzer
-        // keeps softmax inputs at f32); only the aggregated feature
-        // buffer is rounded through the plan's precision, exactly once,
-        // here.
-        // `u` scores destinations, so a row-prefix block needs it on its
-        // own rows only; `v` and `H'` cover every source.
-        let u: Vec<T> = (0..a.rows())
-            .map(|i| gemm::dot(hp.row(i), &self.a_src))
-            .collect();
-        let v = gemm::matvec(&hp, &self.a_dst);
-        if self.plan.precision().is_narrow() {
-            self.plan.precision().round_matrix(&mut hp);
-        }
-        let fa = attention::forward_gat(
-            self.plan.exec(),
-            a,
-            &u,
-            &v,
-            &hp,
-            self.slope,
-            cache.is_some(),
-        );
-        if let Some(c) = cache {
-            c.psi = fa.psi;
-            c.scores = fa.scores;
-            c.h_proj = Some(hp);
-            c.u = Some(u);
-            c.v = Some(v);
-        }
-        fa.out
+        // Backward reads the cached `H'`, so a training forward projects
+        // first; inference takes whichever order the block's shape makes
+        // cheaper.
+        let order = match cache {
+            Some(_) => ProductOrder::ProjectFirst,
+            None => spmm::product_order(a.rows(), a.cols(), a.nnz(), self.in_dim(), self.out_dim()),
+        };
+        self.forward_in_order(a, h, order, cache)
     }
 
     fn backward(

@@ -27,7 +27,9 @@ pub struct ServeConfig {
     /// A batch closes when it holds this many requests…
     pub batch_max: usize,
     /// …or when this much time has passed since it opened, whichever
-    /// comes first. The degradation ladder narrows this under pressure.
+    /// comes first — or earlier, when the queue is empty and arrivals are
+    /// sparser than what is left of it. The degradation ladder narrows
+    /// this under pressure.
     pub batch_window: Duration,
     /// Per-request answer deadline; requests still queued past it are
     /// answered with `ServeError::DeadlineExceeded`.

@@ -9,8 +9,9 @@
 //!   ([`atgnn_sparse::Csr::ego_union_in`]), each layer a fused attention
 //!   sweep over the row-prefix block that can still reach a requested
 //!   node ([`atgnn::GnnModel::inference_prefix`]); a batch closes at
-//!   `ATGNN_SERVE_BATCH_MAX` requests or after
-//!   `ATGNN_SERVE_BATCH_WINDOW_US`, whichever first;
+//!   `ATGNN_SERVE_BATCH_MAX` requests, after
+//!   `ATGNN_SERVE_BATCH_WINDOW_US`, or on an empty queue whose arrivals
+//!   are sparser than what is left of that window, whichever first;
 //! * **admission control** — a bounded queue sheds load with the typed
 //!   [`ServeError::Overloaded`]; queued requests answer under
 //!   `ATGNN_SERVE_DEADLINE_MS` or settle as

@@ -2,8 +2,9 @@
 //! degradation, and warm restart.
 //!
 //! One coordinator thread (the *worker*) drains a bounded request queue
-//! into dynamic batches: a batch closes at `batch_max` requests or when
-//! the (rung-scaled) batch window elapses, whichever first. Each batch
+//! into dynamic batches: a batch closes at `batch_max` requests, when the
+//! (rung-scaled) batch window elapses, or on an empty queue whose arrivals
+//! are sparser than what is left of the window, whichever first. Each batch
 //! becomes one fused attention sweep per layer over the union ego
 //! subgraph of the requested nodes, each layer on the row-prefix block it
 //! can still reach a seed from — the actual compute runs on the
@@ -581,8 +582,26 @@ fn wait_first(sh: &Shared) -> Option<Pending> {
     }
 }
 
-/// Tops up an open batch until `batch_max` or the window closes.
-fn collect_batch(sh: &Shared, batch: &mut Vec<Pending>, window: Duration, batch_max: usize) {
+/// Why a batch stopped collecting (the `closed_*` counters of [`ServeStats`]).
+enum Closed {
+    Full,
+    Window,
+    Idle,
+}
+
+/// Tops up an open batch until `batch_max`, until the window closes, or —
+/// on an empty queue — until nobody is expected inside it: the latest
+/// inter-arrival gap exceeds what is left of the window. A deadline is its
+/// arrival plus `cfg.deadline`, so deadline differences are the gaps;
+/// `prev` is the deadline of the request admitted before `batch[0]`,
+/// unknown for a worker's first request, which waits the window out.
+fn collect_batch(
+    sh: &Shared,
+    batch: &mut Vec<Pending>,
+    window: Duration,
+    batch_max: usize,
+    prev: Option<Instant>,
+) -> Closed {
     let opened = Instant::now();
     let mut queue = lock(&sh.queue);
     while batch.len() < batch_max {
@@ -591,8 +610,18 @@ fn collect_batch(sh: &Shared, batch: &mut Vec<Pending>, window: Duration, batch_
             continue;
         }
         let elapsed = opened.elapsed();
-        if elapsed >= window || sh.shutdown.load(Ordering::SeqCst) {
-            break;
+        if elapsed >= window {
+            return Closed::Window;
+        }
+        let before = match batch.len() {
+            1 => prev,
+            len => Some(batch[len - 2].deadline),
+        };
+        // A requeued or replayed request can be older than its
+        // predecessor: that gap saturates to zero and the window stands.
+        let gap = before.map(|b| batch[batch.len() - 1].deadline.saturating_duration_since(b));
+        if gap.is_some_and(|g| g > window - elapsed) || sh.shutdown.load(Ordering::SeqCst) {
+            return Closed::Idle;
         }
         if sh.abort.load(Ordering::SeqCst) {
             drop(queue);
@@ -605,6 +634,7 @@ fn collect_batch(sh: &Shared, batch: &mut Vec<Pending>, window: Duration, batch_
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         queue = guard;
     }
+    Closed::Full
 }
 
 /// The chaos gate: routes the worker through the fault plan's fates at
@@ -660,17 +690,22 @@ fn worker_main(sh: &Shared, mut model: GnnModel<f32>) {
     let fringe_rows = cfg.hops < model.depth();
     let mut scratch = EgoScratch::new();
     let mut batch_idx: u64 = 0;
+    // Deadline of the newest request this worker has batched: the next
+    // batch measures its first inter-arrival gap against it.
+    let mut prev_deadline = None;
     loop {
         let Some(first) = wait_first(sh) else {
             return; // shutdown
         };
         let mut batch = vec![first];
-        collect_batch(
+        let closed = collect_batch(
             sh,
             &mut batch,
             ladder.window(cfg.batch_window),
             cfg.batch_max,
+            prev_deadline,
         );
+        prev_deadline = batch.last().map(|p| p.deadline);
         // Publish the batch before the chaos gate: whatever kills the
         // worker from here on, healing finds the full batch in-flight.
         *lock(&sh.in_flight) = batch.clone();
@@ -741,6 +776,11 @@ fn worker_main(sh: &Shared, mut model: GnnModel<f32>) {
         {
             let mut stats = lock(&sh.stats);
             stats.batches += 1;
+            match closed {
+                Closed::Full => stats.closed_full += 1,
+                Closed::Window => stats.closed_window += 1,
+                Closed::Idle => stats.closed_idle += 1,
+            }
             stats.batched_requests += answered;
             stats.answered += answered;
             stats.late += late;

@@ -30,8 +30,16 @@ pub struct ServeStats {
     /// Requests answered with `ServeError::Shutdown` because the server
     /// stopped while they were queued.
     pub cancelled: u64,
-    /// Batches executed.
+    /// Batches executed: `closed_full + closed_window + closed_idle`.
     pub batches: u64,
+    /// Batches closed by reaching `batch_max`.
+    pub closed_full: u64,
+    /// Batches closed by the (rung-scaled) batch window elapsing.
+    pub closed_window: u64,
+    /// Batches closed early on an empty queue: the latest inter-arrival
+    /// gap exceeded what was left of the window (or the server was
+    /// shutting down) — nobody was coming.
+    pub closed_idle: u64,
     /// Requests served through batches (sum of live batch sizes).
     pub batched_requests: u64,
     /// Degradation ladder step-downs (toward cheaper service).

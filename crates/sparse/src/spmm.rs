@@ -187,48 +187,39 @@ pub enum ProductOrder {
     ProjectFirst,
 }
 
-/// Picks the cheaper order for `A (n×n, nnz) · H (n×k_in) · W (k_in×k_out)`
-/// by flop count: aggregate-first costs `nnz·k_in + n·k_in·k_out`,
-/// project-first costs `n·k_in·k_out + nnz·k_out`.
-pub fn cheaper_order(nnz: usize, k_in: usize, k_out: usize) -> ProductOrder {
-    // The n·k_in·k_out projection appears in both; compare the SpMM terms.
-    if nnz * k_in <= nnz * k_out {
+/// Picks the cheaper order for `A (rows×cols, nnz) · H (cols×k_in) ·
+/// W (k_in×k_out)` by flop count: aggregate-first projects only the
+/// `rows` aggregated rows (`nnz·k_in + rows·k_in·k_out`), project-first
+/// projects every source row (`cols·k_in·k_out + nnz·k_out`). Both
+/// attention execution paths have the same shape, so the rule does not
+/// read one. A tie goes to project-first — the order training runs
+/// (backward reads the cached `H W`) — so a square graph at
+/// `k_in = k_out` computes the same bits in inference and in training.
+pub fn product_order(
+    rows: usize,
+    cols: usize,
+    nnz: usize,
+    k_in: usize,
+    k_out: usize,
+) -> ProductOrder {
+    if nnz * k_in + rows * k_in * k_out < cols * k_in * k_out + nnz * k_out {
         ProductOrder::AggregateFirst
     } else {
         ProductOrder::ProjectFirst
     }
 }
 
-/// [`cheaper_order`] made aware of the execution path. The staged path
-/// keeps the pure flop comparison. The one-pass fused path
-/// ([`crate::attention`]) computes the score dot products and the
-/// aggregation from the *same* streamed `h_j` row, so aggregate-first
-/// streams `nnz·k_in` words once, while project-first would stream the
-/// score operand (`k_in`) *and* the projected operand (`k_out`) per
-/// non-zero — `nnz·(k_in + k_out)` — and give up the shared read. The
-/// fused sweep therefore always aggregates first.
-pub fn cheaper_order_for(
-    nnz: usize,
-    k_in: usize,
-    k_out: usize,
-    exec: crate::attention::AttentionExec,
-) -> ProductOrder {
-    match exec {
-        crate::attention::AttentionExec::Staged => cheaper_order(nnz, k_in, k_out),
-        crate::attention::AttentionExec::FusedOnePass => ProductOrder::AggregateFirst,
-    }
-}
-
 /// `SpMMM`: the sparse–dense–dense product `A · H · W` (paper Table 2, a
 /// new kernel identified for forward passes). The order is chosen by
-/// [`cheaper_order`] unless forced.
+/// [`product_order`] unless forced.
 pub fn spmmm<T: Scalar>(
     a: &Csr<T>,
     h: &Dense<T>,
     w: &Dense<T>,
     order: Option<ProductOrder>,
 ) -> Dense<T> {
-    let order = order.unwrap_or_else(|| cheaper_order(a.nnz(), h.cols(), w.cols()));
+    let order =
+        order.unwrap_or_else(|| product_order(a.rows(), a.cols(), a.nnz(), h.cols(), w.cols()));
     match order {
         ProductOrder::AggregateFirst => gemm::matmul(&spmm(a, h), w),
         ProductOrder::ProjectFirst => spmm(a, &gemm::matmul(h, w)),
@@ -503,56 +494,41 @@ mod tests {
     }
 
     #[test]
-    fn cheaper_order_prefers_smaller_spmm() {
-        assert_eq!(cheaper_order(100, 16, 128), ProductOrder::AggregateFirst);
-        assert_eq!(cheaper_order(100, 128, 16), ProductOrder::ProjectFirst);
-    }
-
-    #[test]
-    fn cheaper_order_for_pins_path_aware_decisions() {
-        use crate::attention::AttentionExec::{FusedOnePass, Staged};
-        // Staged delegates to the flop comparison…
-        assert_eq!(
-            cheaper_order_for(100, 128, 16, Staged),
-            ProductOrder::ProjectFirst
-        );
-        assert_eq!(
-            cheaper_order_for(100, 16, 128, Staged),
-            ProductOrder::AggregateFirst
-        );
-        // …while the one-pass sweep shares the streamed h_j row between
-        // scoring and aggregation, so it always aggregates first — even
-        // where the flop count alone would project first.
-        assert_eq!(
-            cheaper_order_for(100, 128, 16, FusedOnePass),
-            ProductOrder::AggregateFirst
-        );
-        assert_eq!(
-            cheaper_order_for(100, 16, 128, FusedOnePass),
-            ProductOrder::AggregateFirst
-        );
-        // Corner cases: empty pattern, degenerate feature widths. Ties
-        // break toward aggregate-first (matches `cheaper_order`).
-        assert_eq!(
-            cheaper_order_for(0, 8, 8, Staged),
-            ProductOrder::AggregateFirst
-        );
-        assert_eq!(
-            cheaper_order_for(0, 8, 8, FusedOnePass),
-            ProductOrder::AggregateFirst
-        );
-        assert_eq!(
-            cheaper_order_for(1, 0, 64, Staged),
-            ProductOrder::AggregateFirst
-        );
-        assert_eq!(
-            cheaper_order_for(1, 64, 0, Staged),
-            ProductOrder::ProjectFirst
-        );
-        assert_eq!(
-            cheaper_order_for(1, 64, 0, FusedOnePass),
-            ProductOrder::AggregateFirst
-        );
+    fn product_order_table() {
+        use ProductOrder::{AggregateFirst as Agg, ProjectFirst as Proj};
+        // (rows, cols, nnz, k_in, k_out) → order.
+        let table = [
+            // Square at k_in = k_out: both orders cost the same; the tie
+            // goes to the order training runs.
+            ((100, 100, 700, 64, 64), Proj),
+            ((1, 1, 1, 1, 1), Proj),
+            // Square: the SpMM runs at the narrower width.
+            ((100, 100, 700, 16, 128), Agg),
+            ((100, 100, 700, 128, 16), Proj),
+            // A row-prefix block projects `rows`, not `cols`, rows…
+            ((10, 100, 70, 64, 64), Agg),
+            ((99, 100, 700, 64, 64), Agg),
+            // …until the wider SpMM costs more than the projection saves.
+            ((10, 100, 70, 128, 16), Agg),
+            ((10, 100, 7000, 128, 16), Proj),
+            // Degenerate shapes: no rows to project, nothing to aggregate,
+            // nothing to compute (a tie).
+            ((0, 100, 0, 64, 64), Agg),
+            ((100, 100, 0, 16, 128), Proj),
+            ((10, 100, 0, 128, 16), Agg),
+            ((10, 100, 70, 0, 64), Agg),
+            ((10, 100, 70, 64, 0), Proj),
+            ((10, 100, 70, 0, 0), Proj),
+            // The served layer-0 block of `serve_er` (batch of 16).
+            ((532, 13_300, 30_270, 64, 64), Agg),
+        ];
+        for ((rows, cols, nnz, k_in, k_out), want) in table {
+            assert_eq!(
+                product_order(rows, cols, nnz, k_in, k_out),
+                want,
+                "rows={rows} cols={cols} nnz={nnz} k_in={k_in} k_out={k_out}"
+            );
+        }
     }
 
     #[test]

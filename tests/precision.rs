@@ -25,6 +25,7 @@ use atgnn::loss::{Loss, Mse};
 use atgnn::optimizer::Sgd;
 use atgnn::plan::{ExecPlan, Precision};
 use atgnn::{analyze, AGnnLayer, GnnModel, ModelKind};
+use atgnn_sparse::spmm::{product_order, ProductOrder};
 use atgnn_sparse::{attention, Coo, Csr};
 use atgnn_tensor::rng::Rng;
 use atgnn_tensor::{convert, gemm, init, Activation, Bf16, Dense, Scalar, Store, F16};
@@ -206,9 +207,10 @@ fn round_matrix_is_elementwise_round_with_zero_tails() {
 }
 
 /// What a narrow plan means for a GAT / AGNN inference forward: the f32
-/// fused sweep on a projection rounded exactly once by `round_matrix`,
-/// with the scores (`u`, `v`; AGNN's cosines) read before the rounding.
-/// `a` is the square graph or a `row_prefix` block of it.
+/// fused sweep on the aggregated feature buffer — the projection, or for an
+/// aggregate-first GAT leg `H` itself — rounded exactly once by
+/// `round_matrix`, with the scores (`u`, `v`; AGNN's cosines) read before
+/// the rounding. `a` is the square graph or a `row_prefix` block of it.
 fn narrow_inference_case(precision: Precision, k: usize, padded: bool) {
     let square = random_graph(60, 240, 0xaa + k as u64);
     let n = square.rows();
@@ -225,13 +227,33 @@ fn narrow_inference_case(precision: Precision, k: usize, padded: bool) {
             a.rows()
         );
 
-        let mut hp = gemm::matmul(&h, gat.weights());
+        // The leg's shape picks the product order, never the precision:
+        // aggregate-first sweeps a rounded copy of `H` itself, scored
+        // through the folded vectors `W a₁`, `W a₂`, and projects the
+        // aggregated rows in f32.
         let (a_src, a_dst) = gat.attention_vectors();
-        let u: Vec<f32> = (0..a.rows()).map(|i| gemm::dot(hp.row(i), a_src)).collect();
-        let v = gemm::matvec(&hp, a_dst);
-        precision.round_matrix(&mut hp);
-        let want = attention::forward_gat(plan.exec(), a, &u, &v, &hp, GAT_SLOPE, false);
-        assert_bits_equal(&gat.forward(a, &h, None), &want.out, &format!("gat {what}"));
+        let want = match product_order(a.rows(), a.cols(), a.nnz(), 12, k) {
+            ProductOrder::ProjectFirst => {
+                let mut hp = gemm::matmul(&h, gat.weights());
+                let u: Vec<f32> = (0..a.rows()).map(|i| gemm::dot(hp.row(i), a_src)).collect();
+                let v = gemm::matvec(&hp, a_dst);
+                precision.round_matrix(&mut hp);
+                attention::forward_gat(plan.exec(), a, &u, &v, &hp, GAT_SLOPE, false).out
+            }
+            ProductOrder::AggregateFirst => {
+                let (w_src, w_dst) = (
+                    gemm::matvec(gat.weights(), a_src),
+                    gemm::matvec(gat.weights(), a_dst),
+                );
+                let u: Vec<f32> = (0..a.rows()).map(|i| gemm::dot(h.row(i), &w_src)).collect();
+                let v = gemm::matvec(&h, &w_dst);
+                let mut hr = h.clone();
+                precision.round_matrix(&mut hr);
+                let agg = attention::forward_gat(plan.exec(), a, &u, &v, &hr, GAT_SLOPE, false);
+                gemm::matmul(&agg.out, gat.weights())
+            }
+        };
+        assert_bits_equal(&gat.forward(a, &h, None), &want, &format!("gat {what}"));
 
         let mut hp = gemm::matmul(&h, agnn.weights());
         precision.round_matrix(&mut hp);

@@ -4,8 +4,12 @@
 //! `levels[L-1-l] × levels[L-l]` leading block of an ego graph in
 //! discovery order. Its seed rows must be **bit-identical** to
 //! `GnnModel::inference` over the whole square ego graph with the reorder
-//! stage off (same per-row reduction order, fewer rows), and — at full
-//! fanout with `hops >= depth` — within 1e-3 of full-graph inference.
+//! stage off (same per-row reduction order, fewer rows) **at the same
+//! product order** — a GAT layer aggregates first on a block it would
+//! project first on the square (`spmm::product_order`), a reassociation,
+//! so the GAT oracle runs each layer through `GatLayer::forward_ordered`
+//! in the order of the block it mirrors — and, at full fanout with
+//! `hops >= depth`, within 1e-3 of full-graph inference.
 //!
 //! The space is parent × batch × fanout × hops × depth × model kind ×
 //! exec × k × threads; its full product is ~41 k cases, so it is swept in
@@ -21,9 +25,11 @@
 //! One `#[test]`, so the in-process `rt::set_threads` sweep cannot race
 //! with itself under the parallel test harness.
 
-use atgnn::plan::{ExecPlan, ReorderStrategy};
-use atgnn::{AttentionExec, GnnModel, ModelKind};
+use atgnn::layers::{GatLayer, GAT_SLOPE};
+use atgnn::plan::{ExecPlan, Layout, ReorderStrategy};
+use atgnn::{AGnnLayer, AttentionExec, GnnModel, ModelKind};
 use atgnn_graphgen::{erdos_renyi, kronecker};
+use atgnn_sparse::spmm::product_order;
 use atgnn_sparse::{Coo, Csr, EgoScratch, EgoSubgraph};
 use atgnn_tensor::{init, ops, rt, Activation, Dense};
 use std::collections::HashMap;
@@ -70,15 +76,29 @@ fn seed_sets(n: usize) -> [Vec<usize>; 3] {
 struct Pair {
     model: GnnModel<f32>,
     reference: GnnModel<f32>,
+    /// For GAT, the reference's layers rebuilt from its parameters, so the
+    /// oracle can pin each layer's product order by argument.
+    gat: Option<Vec<GatLayer<f32>>>,
 }
 
 impl Pair {
     fn new(kind: ModelKind, depth: usize, k: usize, exec: AttentionExec) -> Self {
         let build = || GnnModel::<f32>::uniform(kind, &vec![k; depth + 1], Activation::Relu, 9);
         let plan: ExecPlan = build().plan().with_exec(exec);
+        let reference = build().with_plan(plan.with_reorder(ReorderStrategy::Off));
+        let gat = (kind == ModelKind::Gat).then(|| {
+            let rebuilt = reference.layers().iter().map(|l| {
+                let p = l.param_slices();
+                let w = Dense::from_vec(l.in_dim(), l.out_dim(), p[0].to_vec());
+                GatLayer::with_params(w, p[1].to_vec(), p[2].to_vec(), GAT_SLOPE, l.activation())
+                    .with_plan(plan)
+            });
+            rebuilt.collect()
+        });
         Self {
             model: build().with_plan(plan),
-            reference: build().with_plan(plan.with_reorder(ReorderStrategy::Off)),
+            reference,
+            gat,
         }
     }
 }
@@ -138,11 +158,31 @@ fn serve(
 }
 
 /// Oracle 1: every layer over the whole square ego graph, all `hops` of
-/// it, in the caller's order.
+/// it, in the caller's order — for GAT, each layer in the product order of
+/// the leading block `inference_prefix` runs it on.
 fn square_oracle(served: &Served, pair: &Pair, b: Batch) -> (Vec<usize>, Dense<f32>) {
     let square = served.g.ego_union(b.seeds, b.hops, b.fanout, SAMPLE_SEED);
     let x = served.x.gather_rows(&square.nodes);
-    (square.centers, pair.reference.inference(&square.csr, &x))
+    let Some(gat) = &pair.gat else {
+        return (square.centers, pair.reference.inference(&square.csr, &x));
+    };
+    // `GnnModel::inference`'s layer loop, with the order an argument. The
+    // server extracts `hops.min(depth)` levels of these (fewer if the
+    // expansion ran dry first); `inference_prefix` repeats the last one.
+    let last = b.hops.min(gat.len()).min(square.levels.len() - 1);
+    let level = |i: usize| square.levels[i.min(last)];
+    let mut h = match pair.reference.resolved_plan(&square.csr).layout() {
+        Layout::Padded => x.padded(),
+        Layout::Tight => x,
+    };
+    for (l, layer) in gat.iter().enumerate() {
+        let (dst, src) = (level(gat.len() - 1 - l), level(gat.len() - l));
+        let nnz = square.csr.row_prefix(dst, src).nnz();
+        let order = product_order(dst, src, nnz, layer.in_dim(), layer.out_dim());
+        let z = layer.forward_ordered(&square.csr, &h, order);
+        h = layer.activation().apply(&z);
+    }
+    (square.centers, h.into_tight())
 }
 
 fn assert_same_bits(case: &str, got: &Dense<f32>, want: &Dense<f32>) {

@@ -11,7 +11,7 @@ use atgnn_serve::{ServeConfig, ServeError, Server, RUNG_BF16, RUNG_FULL};
 use atgnn_sparse::Csr;
 use atgnn_tensor::{init, Activation};
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DIMS: [usize; 3] = [8, 8, 4];
 const HOPS: usize = 2; // = layer count: the served receptive field
@@ -240,6 +240,71 @@ fn served_answers_match_direct_inference() {
     assert_eq!(stats.accepted, nodes.len() as u64);
     assert_eq!(stats.answered, nodes.len() as u64);
     assert_eq!(stats.outstanding(), 0);
+    server.shutdown();
+}
+
+/// The batch window closes early only when nobody is coming: on an empty
+/// queue whose latest inter-arrival gap exceeds what is left of it. A long
+/// window and coarse bounds, so a stall of the shared host cannot flake it.
+#[test]
+fn the_batch_window_closes_early_only_when_nobody_is_coming() {
+    let g = served_graph(96, 700, 5);
+    let x = init::features::<f32>(g.rows(), DIMS[0], 21);
+    let window = Duration::from_millis(200);
+    let cfg = ServeConfig::default()
+        .with_hops(HOPS)
+        .with_deadline_ms(10_000)
+        .with_batch_window_us(window.as_micros() as u64);
+    let server = Server::start(cfg, || gat(42), g, x).expect("start");
+    let answer_time = |node: usize| {
+        let submitted = Instant::now();
+        let ticket = server.submit(node).expect("admitted");
+        ticket.wait().expect("answered");
+        submitted.elapsed()
+    };
+
+    // No gap is known before the first request: it waits for company.
+    let first = answer_time(0);
+    assert!(first >= window, "the first request closed after {first:?}");
+    // Arrivals sparser than the window are answered at compute latency
+    // (each used to wait the window out: >= 200 ms).
+    for node in [7usize, 13, 50] {
+        std::thread::sleep(window * 3);
+        let took = answer_time(node);
+        assert!(took < window / 2, "node {node} waited {took:?}");
+    }
+    // A batch's counters land just after its slots fill; drain is the
+    // barrier that makes them visible.
+    assert!(server.drain(Duration::from_secs(10)), "server must drain");
+    let stats = server.stats();
+    assert_eq!(
+        (stats.batches, stats.closed_window, stats.closed_idle),
+        (4, 1, 3)
+    );
+
+    // A burst still batches: its first request may close alone (its gap
+    // to the last sparse arrival is long), the rest share one window.
+    std::thread::sleep(window * 3);
+    let burst: Vec<_> = (0..8usize)
+        .map(|i| server.submit(i * 11).expect("admitted"))
+        .collect();
+    assert!(server.drain(Duration::from_secs(10)), "server must drain");
+    let stats = server.stats();
+    assert_eq!(stats.answered, 12);
+    assert_eq!(
+        stats.closed_full + stats.closed_window + stats.closed_idle,
+        stats.batches
+    );
+    // Only if the host let the burst be one: a submit loop stalled for a
+    // good part of the window is sparse traffic, and may close early.
+    let spread = burst[7].deadline() - burst[0].deadline();
+    if spread < window / 4 {
+        assert!(
+            stats.batches - 4 <= 2,
+            "a burst of 8 took {} batches",
+            stats.batches - 4
+        );
+    }
     server.shutdown();
 }
 
