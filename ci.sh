@@ -58,7 +58,7 @@ echo "== atgnn-lint: source hygiene (replaces the former grep/awk lints) =="
 #   * kernels address Dense storage via stride-aware accessors only
 #     (no raw row*cols indexing outside dense.rs — padded-layout safety)
 #   * kernels and layers never read plan-knob env vars (ATGNN_LAYOUT,
-#     ATGNN_COL_TILE, ...) directly — knobs reach kernels only
+#     ATGNN_SIMD, ...) directly — knobs reach kernels only
 #     through ExecPlan::apply_kernel_knobs, so the plan a model was
 #     given cannot be silently bypassed
 #   * no std HashMap/HashSet in non-test code of crates/sparse/src
@@ -73,7 +73,7 @@ cargo run --release -q -p atgnn-lint -- --deny warnings
 echo "== env-knob budget (distinct ATGNN_* names under crates/) =="
 # ROADMAP: no PR adds an environment knob. A ratchet, not a target: a PR
 # that removes a name lowers KNOB_BUDGET in the same diff.
-KNOB_BUDGET=35
+KNOB_BUDGET=24
 knobs=$(grep -rhoE 'ATGNN_[A-Z0-9_]+' crates | sort -u)
 knob_count=$(wc -l <<<"$knobs")
 if ((knob_count > KNOB_BUDGET)); then

@@ -135,7 +135,7 @@ pub enum Rule {
     DenseRawIndex,
     /// Source lint: kernel or layer code reading a plan-knob environment
     /// variable directly instead of going through `ExecPlan`
-    /// (the sanctioned lazy-fallback homes `micro`/`knobs` excepted) —
+    /// (the sanctioned lazy-fallback home `micro` excepted) —
     /// scattered env reads would let a model's plan and the kernels
     /// disagree about the active configuration.
     PlanKnobEnv,

@@ -1,7 +1,7 @@
 //! Determinism analysis: proving bit-identity of the parallel schedule.
 //!
 //! The kernels promise that results are bit-identical across
-//! `ATGNN_THREADS`, `ATGNN_COL_TILE`, and chunking decisions — a promise
+//! `ATGNN_THREADS`, column-tile widths, and chunking decisions — a promise
 //! the test suite pins empirically. This analysis proves it *statically*
 //! per DAG node by consulting reduction-order facts exported by the
 //! kernels themselves:

@@ -19,9 +19,11 @@
 //!   the **only** place that applies `Csr::permute` — kernels and layers
 //!   stay permutation-agnostic, which ci.sh lints.
 //!
-//! Four more axes are pure performance knobs: the dense [`Layout`], the
-//! [`MicroKernel`] family, the [`SimdMode`] width, and the attention
-//! column-tile width. A seventh axis, the storage [`Precision`]
+//! Three more axes are pure performance knobs: the dense [`Layout`], the
+//! [`MicroKernel`] family and the [`SimdMode`] width. (The attention
+//! column tile is not an axis: the sweep derives it from `k` and the
+//! probed L1d, `atgnn_sparse::attention::auto_col_tile`.) A sixth axis,
+//! the storage [`Precision`]
 //! (`ATGNN_PRECISION`), *does* change numerics: it selects the scalar
 //! format layers round their hot feature buffers through (f32 stays the
 //! bit-exactness oracle; bf16/f16 round features through
@@ -36,22 +38,21 @@
 //! knowledge lives: `reorder::permutation` resolves `auto` per graph,
 //! `GnnModel::uniform` resolves [`Precision::Auto`] per model kind.
 //!
-//! Microkernel family, SIMD width and column tile are still
-//! process-global atomics in `atgnn_tensor::{micro, knobs}`; a plan
-//! carries a snapshot of them, and [`ExecPlan::apply_kernel_knobs`] is
-//! the single point where a plan writes them back — which the
-//! `plan-knob-env` source lint enforces. The product never calls it on
-//! its own: the atomics exist for the bench sweeps and for callers that
-//! apply a plan explicitly, and passing the plan to the kernels by value
-//! is what will remove them. Precision is *not* a process global: layers
-//! read it straight off their plan, so differently-configured models
-//! coexist in one process.
+//! Microkernel family and SIMD width are still process-global atomics
+//! in `atgnn_tensor::micro`; a plan carries a snapshot of them, and
+//! [`ExecPlan::apply_kernel_knobs`] is the single point where a plan
+//! writes them back — which the `plan-knob-env` source lint enforces.
+//! The product never calls it on its own: the atomics exist for the
+//! bench sweeps and for callers that apply a plan explicitly, and
+//! passing the plan to the kernels by value is what will remove them.
+//! Precision is *not* a process global: layers read it straight off
+//! their plan, so differently-configured models coexist in one process.
 
 use crate::analyze::{self, Diagnostic};
 use crate::model::ModelKind;
 use atgnn_graphgen::reorder;
 use atgnn_sparse::Csr;
-use atgnn_tensor::{knobs, micro, Dense, Scalar};
+use atgnn_tensor::{micro, Dense, Scalar};
 
 pub use atgnn_graphgen::reorder::Strategy as ReorderStrategy;
 pub use atgnn_sparse::attention::AttentionExec;
@@ -223,8 +224,6 @@ pub struct ExecPlan {
     layout: Option<Layout>,
     micro: MicroKernel,
     simd: SimdMode,
-    /// Attention aggregation column tile; `0` = per-call auto derivation.
-    col_tile: usize,
     // Always 0: only here so `Debug` still prints the key the frozen
     // benchmark/tests/smoke.rs:108 matches — drop it with that assertion.
     spmmt_chunks: usize,
@@ -249,7 +248,6 @@ impl ExecPlan {
             layout: Layout::from_env(),
             micro: micro::mode(),
             simd: micro::simd_mode(),
-            col_tile: knobs::col_tile(),
             spmmt_chunks: 0,
             precision: Precision::from_env(),
         }
@@ -267,10 +265,10 @@ impl ExecPlan {
     /// Reads the plan knobs from the environment: `ATGNN_EXEC`
     /// (`"staged"` selects the oracle path; anything else — including
     /// unset — selects the fused path), `ATGNN_REORDER`
-    /// (`auto`/`degree`/`rcm`/`off`) and `ATGNN_COL_TILE`, on top of what
-    /// every plan starts from: `ATGNN_LAYOUT` (see [`Layout::from_env`]),
-    /// `ATGNN_PRECISION` (see [`Precision::from_env`]) and the process's
-    /// kernel configuration (`ATGNN_MICROKERNEL`, `ATGNN_SIMD`).
+    /// (`auto`/`degree`/`rcm`/`off`), on top of what every plan starts
+    /// from: `ATGNN_LAYOUT` (see [`Layout::from_env`]), `ATGNN_PRECISION`
+    /// (see [`Precision::from_env`]) and the process's kernel
+    /// configuration (`ATGNN_MICROKERNEL`, `ATGNN_SIMD`).
     pub fn from_env() -> Self {
         let mut plan = match std::env::var("ATGNN_EXEC").as_deref() {
             Ok("staged") => Self::staged(),
@@ -282,12 +280,6 @@ impl ExecPlan {
             .and_then(ReorderStrategy::parse)
         {
             plan = plan.with_reorder(r);
-        }
-        if let Some(t) = std::env::var("ATGNN_COL_TILE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            plan = plan.with_col_tile(t);
         }
         plan
     }
@@ -320,13 +312,6 @@ impl ExecPlan {
     /// This plan with a different SIMD width mode.
     pub fn with_simd(mut self, simd: SimdMode) -> Self {
         self.simd = simd;
-        self
-    }
-
-    /// This plan with a forced attention column tile (`0` = auto
-    /// derivation).
-    pub fn with_col_tile(mut self, tile: usize) -> Self {
-        self.col_tile = tile;
         self
     }
 
@@ -392,11 +377,6 @@ impl ExecPlan {
         self.simd
     }
 
-    /// The attention column tile (`0` = auto).
-    pub fn col_tile(&self) -> usize {
-        self.col_tile
-    }
-
     /// The scalar storage precision this plan's layers hold their hot
     /// feature buffers in. Layers read this directly off their plan (no
     /// process-global mirror — two models with different precisions
@@ -408,7 +388,7 @@ impl ExecPlan {
 
     /// Writes this plan's kernel configuration into the process-global
     /// switches the kernels read ([`micro::set_mode`],
-    /// [`micro::set_simd_mode`], [`knobs::set_col_tile`]).
+    /// [`micro::set_simd_mode`]).
     ///
     /// This is the **single sanctioned bridge** from plan to kernel
     /// globals — kernels and layers never read plan-knob env vars
@@ -422,7 +402,6 @@ impl ExecPlan {
     pub fn apply_kernel_knobs(&self) {
         micro::set_mode(self.micro);
         micro::set_simd_mode(self.simd);
-        knobs::set_col_tile(self.col_tile);
     }
 
     /// Computes and applies this plan's locality reordering to an
@@ -553,22 +532,20 @@ mod tests {
             .with_layout(Layout::Tight)
             .with_micro(MicroKernel::Scalar)
             .with_simd(SimdMode::Scalar)
-            .with_col_tile(32)
             .with_precision(Precision::Bf16);
         assert_eq!(p.exec(), AttentionExec::Staged);
         assert_eq!(p.reorder(), ReorderStrategy::Off);
         assert_eq!(p.layout(), Layout::Tight);
         assert_eq!(p.micro_kernel(), MicroKernel::Scalar);
         assert_eq!(p.simd(), SimdMode::Scalar);
-        assert_eq!(p.col_tile(), 32);
         assert_eq!(p.precision(), Precision::Bf16);
     }
 
     #[test]
     fn applying_an_untouched_plan_is_a_no_op() {
-        let before = (micro::mode(), micro::simd_mode(), knobs::col_tile());
+        let before = (micro::mode(), micro::simd_mode());
         ExecPlan::fused().apply_kernel_knobs();
-        let after = (micro::mode(), micro::simd_mode(), knobs::col_tile());
+        let after = (micro::mode(), micro::simd_mode());
         assert_eq!(before, after);
     }
 
@@ -632,7 +609,7 @@ mod tests {
             .with_reorder(ReorderStrategy::Off)
             .reorder_graph(&a)
             .is_none());
-        // Auto declines tiny graphs (ATGNN_REORDER_MIN_N).
+        // Auto declines tiny graphs (reorder's size floor).
         assert!(ExecPlan::fused().reorder_graph(&a).is_none());
     }
 

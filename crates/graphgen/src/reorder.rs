@@ -22,17 +22,15 @@
 //!   (Erdős–Rényi, meshes) where no hub set exists.
 
 use atgnn_sparse::Csr;
-use atgnn_tensor::rt::Tunable;
 use atgnn_tensor::Scalar;
 use std::collections::VecDeque;
 
-/// The `Auto` size floor (override with `ATGNN_REORDER_MIN_N`): above it
-/// every strategy is in play; between an eighth of it and the floor only
-/// the degree sort is (and only for skewed, dense-rowed graphs — see
-/// [`resolve`]); below an eighth `Auto` always declines — graphs that
-/// tiny fit in cache whole, and reordering would only perturb
-/// floating-point order.
-static AUTO_MIN_N: Tunable = Tunable::new("ATGNN_REORDER_MIN_N", 1024);
+/// The `Auto` size floor: above it every strategy is in play; between an
+/// eighth of it and the floor only the degree sort is (and only for
+/// skewed, dense-rowed graphs — see [`resolve`]); below an eighth `Auto`
+/// always declines — graphs that tiny fit in cache whole, and reordering
+/// would only perturb floating-point order.
+const AUTO_MIN_N: usize = 1024;
 
 /// Which vertex reordering the plan applies before kernel execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -133,7 +131,7 @@ fn degree_cv<T: Scalar>(a: &Csr<T>) -> f64 {
 /// e.g. Kronecker) picks [`Strategy::Degree`] and near-uniform graphs
 /// pick [`Strategy::Rcm`].
 ///
-/// The size gate is not the bare `ATGNN_REORDER_MIN_N` floor: below the
+/// The size gate is not the bare [`AUTO_MIN_N`] floor: below the
 /// floor but above an eighth of it, graphs with both heavy degree skew
 /// (CV ≥ 1) and dense rows (mean degree ≥ 8) still resolve to `Degree` —
 /// on a small skewed Kronecker graph the hub rows dominate the nnz and
@@ -145,8 +143,7 @@ pub fn resolve<T: Scalar>(a: &Csr<T>, strategy: Strategy) -> Strategy {
         Strategy::Auto => {
             let n = a.rows();
             let nnz = a.nnz();
-            let min_n = AUTO_MIN_N.get();
-            if nnz == 0 || n < min_n.div_ceil(8) {
+            if nnz == 0 || n < AUTO_MIN_N.div_ceil(8) {
                 return Strategy::Off;
             }
             let loc = locality_of(a);
@@ -154,7 +151,7 @@ pub fn resolve<T: Scalar>(a: &Csr<T>, strategy: Strategy) -> Strategy {
                 return Strategy::Off;
             }
             let skewed = degree_cv(a) >= 1.0;
-            if n < min_n {
+            if n < AUTO_MIN_N {
                 let mean = nnz as f64 / n as f64;
                 return if skewed && mean >= 8.0 {
                     Strategy::Degree

@@ -54,14 +54,12 @@ fn in_kernel_crates(path: &str) -> bool {
 }
 
 /// Files that may legitimately read plan-knob env vars: the knob
-/// registries themselves (`micro.rs`, `knobs.rs`, `rt.rs`) and the
-/// plan layer in `core` (`plan.rs`). Kernels, attention layers and the
-/// model must go through `ExecPlan`.
+/// registries themselves (`micro.rs`, `rt.rs`) and the plan layer in
+/// `core` (`plan.rs`). Kernels, attention layers and the model must go
+/// through `ExecPlan`.
 fn in_plan_knob_scope(path: &str) -> bool {
-    let kernel = in_kernel_crates(path)
-        && !path.ends_with("/micro.rs")
-        && !path.ends_with("/knobs.rs")
-        && !path.ends_with("/rt.rs");
+    let kernel =
+        in_kernel_crates(path) && !path.ends_with("/micro.rs") && !path.ends_with("/rt.rs");
     kernel
         || is_attention_layer_file(path)
         || path.starts_with("crates/core/src/layers/")
@@ -111,7 +109,7 @@ fn slice_index_mut_pat() -> String {
 fn range_mut_pat() -> String {
     format!(".range_{}", "mut(")
 }
-/// The plan-owned knob env vars (the seven `ExecPlan` axes). Kernels and
+/// The plan-owned knob env vars (the six `ExecPlan` axes). Kernels and
 /// layers must receive these through `ExecPlan::apply_kernel_knobs`,
 /// never read them directly.
 fn plan_knob_pats() -> Vec<String> {
@@ -121,7 +119,6 @@ fn plan_knob_pats() -> Vec<String> {
         "LAYOUT",
         "MICROKERNEL",
         "SIMD",
-        "COL_TILE",
         "PRECISION",
     ]
     .iter()
@@ -683,7 +680,7 @@ mod tests {
         // strings-kept scan sees.
         let src = format!(
             "fn f() {{ let t = std::env::var(\"ATGNN{}{}\").ok(); }}\n",
-            '_', "COL_TILE"
+            '_', "LAYOUT"
         );
         let found = scan("crates/sparse/src/attention.rs", &src);
         assert_eq!(found.len(), 1, "{found:?}");
@@ -691,20 +688,13 @@ mod tests {
         // Layers and the model are in scope too.
         assert_eq!(scan("crates/core/src/layers/gat.rs", &src).len(), 1);
         assert_eq!(scan("crates/core/src/model.rs", &src).len(), 1);
-        // The knob registries and the plan layer own the reads.
-        assert!(scan("crates/tensor/src/knobs.rs", &src).is_empty());
+        // The knob registry and the plan layer own the reads.
         assert!(scan("crates/tensor/src/micro.rs", &src).is_empty());
         assert!(scan("crates/core/src/plan.rs", &src).is_empty());
         // A knob name in a comment does not fire (comments are stripped
         // from the strings-kept text as well).
         let comment = format!("// reads ATGNN{}{} at startup\nfn f() {{}}\n", '_', "SIMD");
         assert!(scan("crates/sparse/src/spmm.rs", &comment).is_empty());
-        // The per-kernel parallelism thresholds are not plan knobs.
-        let tunable = format!(
-            "static P: Tunable = Tunable::new(\"ATGNN{}{}\", 4096);\n",
-            '_', "SPMM_PAR_THRESHOLD"
-        );
-        assert!(scan("crates/sparse/src/spmm.rs", &tunable).is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!                                ├─► p_j = exp(e_j − m) / Σ   (L1-resident row)
 //!                                │
 //!                                └─► z[i, t0..t1] += p_j · h'[j, t0..t1]
-//!                                    (feature tiles of ATGNN_COL_TILE cols)
+//!                                    (L1-sized feature tiles, auto_col_tile)
 //! ```
 //!
 //! No intermediate score `Csr` is allocated on the hot path: the row of
@@ -33,11 +33,12 @@
 //! (max fold, exp + sum, divide) — one exp per stored entry, in the same
 //! floating-point order as the staged [`masked::row_softmax`], and never
 //! a second traversal of the adjacency structure. The aggregation
-//! processes feature columns in tiles so a hot row of `H'` stays in cache
-//! across a neighborhood, while the per-output-element accumulation order
-//! over neighbors stays identical to [`crate::spmm::spmm`] — tile sizes
-//! change only the outer loop, never the neighbor order, so results are
-//! bit-identical across `ATGNN_THREADS` *and* `ATGNN_COL_TILE`.
+//! processes feature columns in tiles ([`auto_col_tile`] wide: whole lanes,
+//! sized from the probed L1d) so a hot row of `H'` stays in cache across a
+//! neighborhood, while the per-output-element accumulation order over
+//! neighbors stays identical to [`crate::spmm::spmm`] — tile sizes change
+//! only the outer loop, never the neighbor order, so results are
+//! bit-identical across `ATGNN_THREADS` *and* tile widths.
 //!
 //! The staged kernels remain available behind [`AttentionExec::Staged`] as
 //! the test oracle; layer code selects a path through an `ExecPlan` (in
@@ -45,13 +46,12 @@
 
 use crate::csr::Csr;
 use crate::{fused, masked, sddmm, spmm};
-use atgnn_tensor::rt::{self, Cost, DisjointSlice, Tunable};
-use atgnn_tensor::{blocks, gemm, knobs, micro, Activation, Dense, Scalar};
+use atgnn_tensor::rt::{self, Cost, DisjointSlice};
+use atgnn_tensor::{blocks, gemm, micro, Activation, Dense, Scalar};
 use std::borrow::Cow;
 
 /// Stored entries below which the fused attention sweeps stay sequential.
-/// Override with `ATGNN_ATTENTION_PAR_THRESHOLD` (`0` forces parallel).
-static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_ATTENTION_PAR_THRESHOLD", 4 * 1024);
+const PAR_THRESHOLD: usize = 4 * 1024;
 
 /// Stored entries per row block of the wide fused sweeps' blocked-flat
 /// softmax schedule: the whole block's scores see one exponentiation
@@ -62,36 +62,19 @@ static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_ATTENTION_PAR_THRESHOLD", 4 
 /// per-element sequence is fixed per row.
 const FLAT_BLOCK_EDGES: usize = 4 * 1024;
 
-// Feature columns per aggregation tile: the process-global, plan-settable
-// `atgnn_tensor::knobs::col_tile` (`ATGNN_COL_TILE`); `0` (the default)
-// derives the width from the feature count, the SIMD lane width and the
-// measured L1d size via [`auto_col_tile`]. Tile width never changes
-// results — the aggregation is elementwise per output element (see
-// [`aggregate_row`]).
-
-/// Derives the aggregation tile width for `k` feature columns of
-/// `bytes`-sized elements: whole [`micro::LANE`] vectors, wide enough to
-/// cover `k` outright when it fits, capped so one source-row slice (plus
-/// the output slice and score row it shares L1 with) uses at most a
-/// quarter of the measured L1d ([`rt::l1d_cache_bytes`]), and never below
-/// one lane.
+/// Derives the aggregation tile width — feature columns per tile — for
+/// `k` feature columns of `bytes`-sized elements: whole [`micro::LANE`]
+/// vectors, wide enough to cover `k` outright when it fits, capped so one
+/// source-row slice (plus the output slice and score row it shares L1
+/// with) uses at most a quarter of the measured L1d
+/// ([`rt::l1d_cache_bytes`]), and never below one lane. Tile width never
+/// changes results — the aggregation is elementwise per output element
+/// (see [`aggregate_row`]).
 pub fn auto_col_tile(k: usize, bytes: usize) -> usize {
     let budget = rt::l1d_cache_bytes() / 4 / bytes.max(1);
     let want = k.max(1).div_ceil(micro::LANE) * micro::LANE;
     let cap = (budget / micro::LANE * micro::LANE).max(micro::LANE);
     want.min(cap)
-}
-
-/// The active tile width for element type `T`: the
-/// [`atgnn_tensor::knobs::col_tile`] override when set, otherwise
-/// [`auto_col_tile`].
-fn col_tile_for<T: Scalar>(k: usize) -> usize {
-    let forced = knobs::col_tile();
-    if forced > 0 {
-        forced
-    } else {
-        auto_col_tile(k, T::BYTES)
-    }
 }
 
 /// How an attentional layer executes its score→softmax→aggregate sandwich.
@@ -261,8 +244,8 @@ fn fused_sweep<T: Scalar>(
     let nnz = a.nnz();
     let indptr = a.indptr();
     let indices = a.indices();
-    let tile = col_tile_for::<T>(k);
-    let parallel = nnz >= PAR_THRESHOLD.get();
+    let tile = auto_col_tile(k, T::BYTES);
+    let parallel = nnz >= PAR_THRESHOLD;
     let mut out = src.zeros_matching(a.rows(), k);
     let out_stride = out.stride();
     let mut psi_values: Vec<T> = if want_cache {
@@ -556,7 +539,7 @@ pub fn attention_backward_gat<T: Scalar>(
     let nnz = a.nnz();
     let mut dc_values = vec![T::zero(); nnz];
     let mut du = vec![T::zero(); a.rows()];
-    let parallel = nnz >= PAR_THRESHOLD.get();
+    let parallel = nnz >= PAR_THRESHOLD;
     {
         let dc_slots = DisjointSlice::new(&mut dc_values);
         let du_slots = DisjointSlice::new(&mut du);
@@ -644,14 +627,14 @@ pub fn attention_backward_agnn<T: Scalar>(
     let cos_v = cos.values();
     let nnz = a.nnz();
     let k = h.cols();
-    let tile = col_tile_for::<T>(k);
+    let tile = auto_col_tile(k, T::BYTES);
     let mut p_values = vec![T::zero(); nnz];
     let mut tc_values = vec![T::zero(); nnz];
     let mut ph = h.zeros_matching(a.rows(), k);
     let ph_stride = ph.stride();
     let mut row_corr = vec![T::zero(); a.rows()];
     let mut dbeta_rows = vec![T::zero(); a.rows()];
-    let parallel = nnz >= PAR_THRESHOLD.get();
+    let parallel = nnz >= PAR_THRESHOLD;
     {
         let p_slots = DisjointSlice::new(&mut p_values);
         let tc_slots = DisjointSlice::new(&mut tc_values);

@@ -14,12 +14,11 @@
 
 use crate::csr::Csr;
 use crate::sddmm::sddmm_pattern;
-use atgnn_tensor::rt::{self, Cost, DisjointSlice, Tunable};
+use atgnn_tensor::rt::{self, Cost, DisjointSlice};
 use atgnn_tensor::{blocks, gemm, ops, Activation, Dense, Scalar};
 
 /// Stored entries below which the fused score kernels stay sequential.
-/// Override with `ATGNN_FUSED_PAR_THRESHOLD` (`0` forces parallel).
-static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_FUSED_PAR_THRESHOLD", 4 * 1024);
+const PAR_THRESHOLD: usize = 4 * 1024;
 
 /// Fused VA scores: `Ψ = A ⊙ (H Hᵀ)` in one pass over `A`'s non-zeros
 /// (the dense `H Hᵀ` is never formed). `A` is assumed binary, so the
@@ -57,7 +56,7 @@ pub fn agnn_scores_block<T: Scalar>(
     let mut cos_values = vec![T::zero(); a.nnz()];
     let indptr = a.indptr();
     let indices = a.indices();
-    let parallel = a.nnz() >= PAR_THRESHOLD.get();
+    let parallel = a.nnz() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(&mut cos_values);
     rt::parallel_for(a.rows(), Cost::Prefix(indptr), parallel, |lo, hi| {
         // SAFETY: row ranges map to disjoint value ranges via indptr.
@@ -98,7 +97,7 @@ pub fn gat_scores<T: Scalar>(a: &Csr<T>, u: &[T], v: &[T], slope: f64) -> (Csr<T
     let mut post = vec![T::zero(); a.nnz()];
     let indptr = a.indptr();
     let indices = a.indices();
-    let parallel = a.nnz() >= PAR_THRESHOLD.get();
+    let parallel = a.nnz() >= PAR_THRESHOLD;
     let pre_slots = DisjointSlice::new(&mut pre);
     let post_slots = DisjointSlice::new(&mut post);
     rt::parallel_for(a.rows(), Cost::Prefix(indptr), parallel, |lo, hi| {
@@ -163,7 +162,7 @@ pub fn mask_dense<T: Scalar>(a: &Csr<T>, dense: &Dense<T>) -> Csr<T> {
     let mut values = vec![T::zero(); a.nnz()];
     let indptr = a.indptr();
     let indices = a.indices();
-    let parallel = a.nnz() >= PAR_THRESHOLD.get();
+    let parallel = a.nnz() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(&mut values);
     rt::parallel_for(a.rows(), Cost::Prefix(indptr), parallel, |lo, hi| {
         // SAFETY: row ranges map to disjoint value ranges via indptr.

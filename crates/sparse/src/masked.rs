@@ -9,12 +9,11 @@
 
 use crate::coo::Coo;
 use crate::csr::Csr;
-use atgnn_tensor::rt::{self, Cost, DisjointSlice, ReductionOrder, Tunable};
+use atgnn_tensor::rt::{self, Cost, DisjointSlice, ReductionOrder};
 use atgnn_tensor::{micro, Scalar};
 
 /// Stored entries below which the masked row loops stay sequential.
-/// Override with `ATGNN_MASKED_PAR_THRESHOLD` (`0` forces parallel).
-static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_MASKED_PAR_THRESHOLD", 16 * 1024);
+const PAR_THRESHOLD: usize = 16 * 1024;
 
 /// Element-wise combination of two same-pattern matrices:
 /// `out_e = f(a_e, b_e)` over the aligned value arrays. The shared body
@@ -29,7 +28,7 @@ pub fn zip_values<T: Scalar>(a: &Csr<T>, b: &Csr<T>, f: impl Fn(T, T) -> T + Syn
     let mut values = vec![T::zero(); a.nnz()];
     let av = a.values();
     let bv = b.values();
-    let parallel = a.nnz() >= PAR_THRESHOLD.get();
+    let parallel = a.nnz() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(&mut values);
     rt::parallel_for(a.nnz(), Cost::Uniform, parallel, |lo, hi| {
         // SAFETY: entry ranges are disjoint across chunk bodies.
@@ -84,7 +83,7 @@ pub fn add_transpose<T: Scalar>(x: &Csr<T>) -> Csr<T> {
 /// `sum(X) = X 1`: the sum of stored values in each row.
 pub fn row_sums<T: Scalar>(x: &Csr<T>) -> Vec<T> {
     let mut out = vec![T::zero(); x.rows()];
-    let parallel = x.nnz() >= PAR_THRESHOLD.get();
+    let parallel = x.nnz() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(&mut out);
     rt::parallel_for(x.rows(), Cost::Prefix(x.indptr()), parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.
@@ -116,7 +115,7 @@ pub fn row_dots<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Vec<T> {
     let bv = b.values();
     let indptr = a.indptr();
     let mut out = vec![T::zero(); a.rows()];
-    let parallel = a.nnz() >= PAR_THRESHOLD.get();
+    let parallel = a.nnz() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(&mut out);
     rt::parallel_for(a.rows(), Cost::Prefix(indptr), parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.
@@ -138,7 +137,7 @@ pub fn scale_rows<T: Scalar>(x: &Csr<T>, s: &[T]) -> Csr<T> {
     assert_eq!(x.rows(), s.len(), "scale_rows: length mismatch");
     let indptr = x.indptr().to_vec();
     let mut out = x.clone();
-    let parallel = out.nnz() >= PAR_THRESHOLD.get();
+    let parallel = out.nnz() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(out.values_mut());
     rt::parallel_for(
         indptr.len() - 1,
@@ -281,7 +280,7 @@ pub fn row_softmax_inplace<T: Scalar>(x: &mut Csr<T>) {
     let indptr = x.indptr().to_vec();
     let nnz = x.nnz();
     let values = x.values_mut();
-    let parallel = nnz >= PAR_THRESHOLD.get();
+    let parallel = nnz >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(values);
     rt::parallel_for(
         indptr.len() - 1,
@@ -318,7 +317,7 @@ pub fn row_softmax_backward_with_dots<T: Scalar>(psi: &Csr<T>, d: &Csr<T>, r: &[
     let indptr = psi.indptr().to_vec();
     let dv = d.values();
     let mut out = psi.clone();
-    let parallel = out.nnz() >= PAR_THRESHOLD.get();
+    let parallel = out.nnz() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(out.values_mut());
     rt::parallel_for(
         indptr.len() - 1,

@@ -15,12 +15,11 @@
 //! choice cannot change a single bit of any score.
 
 use crate::csr::Csr;
-use atgnn_tensor::rt::{self, Cost, DisjointSlice, Tunable};
+use atgnn_tensor::rt::{self, Cost, DisjointSlice};
 use atgnn_tensor::{gemm, Dense, Scalar};
 
-/// Stored entries below which the row loop stays sequential. Override
-/// with `ATGNN_SDDMM_PAR_THRESHOLD` (`0` forces the parallel path).
-static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_SDDMM_PAR_THRESHOLD", 4 * 1024);
+/// Stored entries below which the row loop stays sequential.
+const PAR_THRESHOLD: usize = 4 * 1024;
 
 /// `out = A ⊙ (X Yᵀ)`: for every stored `(i, j)` of `A`,
 /// `out_ij = a_ij · ⟨x_i, y_j⟩`. The result shares `A`'s pattern.
@@ -57,7 +56,7 @@ pub fn sddmm_with<T: Scalar>(
     let indptr = a.indptr();
     let indices = a.indices();
     let avals = a.values();
-    let parallel = a.nnz() >= PAR_THRESHOLD.get();
+    let parallel = a.nnz() >= PAR_THRESHOLD;
     // The output value array is laid out exactly like A's values, so an
     // nnz-balanced row range owns the contiguous value range
     // `indptr[lo]..indptr[hi]` — no per-row slice bookkeeping needed.
@@ -140,7 +139,7 @@ mod tests {
         let mut coo = coo;
         coo.dedup_binary();
         let a: Csr<f64> = Csr::from_coo(&coo);
-        assert!(a.nnz() >= PAR_THRESHOLD.get());
+        assert!(a.nnz() >= PAR_THRESHOLD);
         let x = Dense::from_fn(n as usize, 8, |i, j| ((i * 3 + j) % 7) as f64 - 3.0);
         let y = Dense::from_fn(n as usize, 8, |i, j| ((i + 5 * j) % 11) as f64 - 5.0);
         let got = sddmm(&a, &x, &y);

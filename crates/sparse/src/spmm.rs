@@ -15,12 +15,11 @@
 
 use crate::csr::Csr;
 use crate::semiring::Semiring;
-use atgnn_tensor::rt::{self, Cost, DisjointSlice, Tunable};
+use atgnn_tensor::rt::{self, Cost, DisjointSlice};
 use atgnn_tensor::{gemm, micro, Dense, Scalar};
 
-/// Result elements below which the row loop stays sequential. Override
-/// with `ATGNN_SPMM_PAR_THRESHOLD` (`0` forces the parallel path).
-static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_SPMM_PAR_THRESHOLD", 8 * 1024);
+/// Result elements below which the row loop stays sequential.
+const PAR_THRESHOLD: usize = 8 * 1024;
 
 /// Schedule fact for the gather-style kernels (`spmm`, `spmm_t`, `spmmm`,
 /// `mspmm`): each output row is produced by exactly one chunk and its
@@ -56,7 +55,7 @@ pub fn spmm_semiring<T: Scalar, S: Semiring<T>>(s: &S, a: &Csr<T>, h: &Dense<T>)
     // maps `+∞`), which would break the zero-padding-tail invariant.
     let mut out = Dense::zeros(a.rows(), k);
     let out_stride = out.stride();
-    let parallel = a.rows() * k >= PAR_THRESHOLD.get();
+    let parallel = a.rows() * k >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(out.as_mut_slice());
     rt::parallel_for(a.rows(), Cost::Prefix(a.indptr()), parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.
@@ -129,7 +128,7 @@ pub fn spmm<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
     let k = h.cols();
     let mut out = h.zeros_matching(a.rows(), k);
     let out_stride = out.stride();
-    let parallel = a.rows() * k >= PAR_THRESHOLD.get();
+    let parallel = a.rows() * k >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(out.as_mut_slice());
     rt::parallel_for(a.rows(), Cost::Prefix(a.indptr()), parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.
@@ -161,7 +160,7 @@ pub fn spmm_t<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
     let vals = a.values();
     let mut out = h.zeros_matching(a.cols(), h.cols());
     let out_stride = out.stride();
-    let parallel = a.cols() * h.cols() >= PAR_THRESHOLD.get();
+    let parallel = a.cols() * h.cols() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(out.as_mut_slice());
     rt::parallel_for(a.cols(), Cost::Prefix(&t.indptr), parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.

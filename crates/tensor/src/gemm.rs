@@ -19,13 +19,12 @@
 
 use crate::dense::Dense;
 use crate::micro;
-use crate::rt::{self, Cost, DisjointSlice, ReductionOrder, Tunable};
+use crate::rt::{self, Cost, DisjointSlice, ReductionOrder};
 use crate::scalar::Scalar;
 
 /// Minimum number of result elements before a product is parallelized.
-/// Below this, dispatch overhead outweighs the work. Override with
-/// `ATGNN_GEMM_PAR_THRESHOLD` (`0` forces the parallel path).
-static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_GEMM_PAR_THRESHOLD", 16 * 1024);
+/// Below this, dispatch overhead outweighs the work.
+const PAR_THRESHOLD: usize = 16 * 1024;
 
 /// The accumulation-order fact of [`matmul`] and [`matmul_nt`], for the
 /// plan-time determinism analysis: every output element is one
@@ -148,7 +147,7 @@ fn plain_rows<T: Scalar>(
     let mut out = a.zeros_matching(m, n);
     let out_stride = out.stride();
     let slots = DisjointSlice::new(out.as_mut_slice());
-    let parallel = m * n >= PAR_THRESHOLD.get();
+    let parallel = m * n >= PAR_THRESHOLD;
     rt::parallel_for(m, Cost::Uniform, parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.
         let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
@@ -175,7 +174,7 @@ fn matmul_tiled<T: Scalar>(a: &Dense<T>, p: &Packed<T>) -> Dense<T> {
     let mut out = a.zeros_matching(m, n);
     let out_stride = out.stride();
     let slots = DisjointSlice::new(out.as_mut_slice());
-    let parallel = m * n >= PAR_THRESHOLD.get();
+    let parallel = m * n >= PAR_THRESHOLD;
     rt::parallel_for(m, Cost::Uniform, parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.
         let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
@@ -373,7 +372,7 @@ pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
     let mut partials = Dense::zeros(blocks * k, j);
     let stride = partials.stride();
     let slots = DisjointSlice::new(partials.as_mut_slice());
-    let parallel = n * k * j >= PAR_THRESHOLD.get().saturating_mul(8);
+    let parallel = n * k * j >= PAR_THRESHOLD * 8;
     rt::parallel_for(blocks, Cost::Uniform, parallel, |lo, hi| {
         for c in lo..hi {
             // SAFETY: block row ranges are disjoint across chunk bodies.

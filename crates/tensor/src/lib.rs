@@ -28,7 +28,7 @@
 //! * [`rt`] — the persistent worker-pool runtime every kernel schedules
 //!   onto: nnz-balanced work descriptors, chunked self-scheduling,
 //!   deterministic reductions, per-thread scratch arenas, and the
-//!   `ATGNN_THREADS` / `*_PAR_THRESHOLD` tuning knobs; [`rng`] — the
+//!   `ATGNN_THREADS` pool size; [`rng`] — the
 //!   self-contained ChaCha8 generator behind every seeded random choice
 //!   in the workspace.
 //!
@@ -41,7 +41,6 @@ pub mod convert;
 pub mod dense;
 pub mod gemm;
 pub mod init;
-pub mod knobs;
 pub mod micro;
 pub mod ops;
 pub mod rng;

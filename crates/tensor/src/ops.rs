@@ -4,19 +4,18 @@
 //! formulations, plus the scale/axpy primitives the optimizers use.
 
 use crate::dense::Dense;
-use crate::rt::{self, Cost, DisjointSlice, Tunable};
+use crate::rt::{self, Cost, DisjointSlice};
 use crate::scalar::Scalar;
 
 /// Threshold (in elements) above which element-wise loops run in
-/// parallel. Override with `ATGNN_ELEMWISE_PAR_THRESHOLD` (`0` forces the
-/// parallel path).
-static PAR_THRESHOLD: Tunable = Tunable::new("ATGNN_ELEMWISE_PAR_THRESHOLD", 64 * 1024);
+/// parallel.
+const PAR_THRESHOLD: usize = 64 * 1024;
 
 #[inline]
 fn zip_apply<T: Scalar>(a: &mut Dense<T>, b: &Dense<T>, f: impl Fn(&mut T, T) + Sync + Send) {
     assert_eq!(a.shape(), b.shape(), "element-wise op: shape mismatch");
     let n = a.len();
-    let parallel = n >= PAR_THRESHOLD.get();
+    let parallel = n >= PAR_THRESHOLD;
     if !a.is_padded() && !b.is_padded() {
         let bs = b.as_slice();
         let slots = DisjointSlice::new(a.as_mut_slice());
@@ -50,7 +49,7 @@ fn zip_apply<T: Scalar>(a: &mut Dense<T>, b: &Dense<T>, f: impl Fn(&mut T, T) + 
 #[inline]
 fn map_apply<T: Scalar>(a: &mut Dense<T>, f: impl Fn(&mut T) + Sync + Send) {
     let n = a.len();
-    let parallel = n >= PAR_THRESHOLD.get();
+    let parallel = n >= PAR_THRESHOLD;
     if !a.is_padded() {
         let slots = DisjointSlice::new(a.as_mut_slice());
         rt::parallel_for(n, Cost::Uniform, parallel, |lo, hi| {

@@ -109,46 +109,6 @@ impl ReductionOrder {
 }
 
 // ---------------------------------------------------------------------
-// Tunables
-// ---------------------------------------------------------------------
-
-/// A runtime-tunable integer knob: `env_var` overrides `default`, parsed
-/// once on first use. The kernel `PAR_THRESHOLD`s are instances, so a
-/// bench can force either the parallel or the sequential path (`0` means
-/// "always parallel"; a huge value means "always sequential").
-pub struct Tunable {
-    env_var: &'static str,
-    default: usize,
-    cached: OnceLock<usize>,
-}
-
-impl Tunable {
-    /// A knob named `env_var` defaulting to `default`.
-    pub const fn new(env_var: &'static str, default: usize) -> Self {
-        Self {
-            env_var,
-            default,
-            cached: OnceLock::new(),
-        }
-    }
-
-    /// The effective value (environment override or default).
-    pub fn get(&self) -> usize {
-        *self.cached.get_or_init(|| {
-            std::env::var(self.env_var)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(self.default)
-        })
-    }
-
-    /// The environment variable consulted (for documentation/reporting).
-    pub fn env_var(&self) -> &'static str {
-        self.env_var
-    }
-}
-
-// ---------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------
 
@@ -545,9 +505,10 @@ thread_local! {
 
 /// Bytes of first-level data cache per core, probed once from sysfs
 /// (`/sys/devices/system/cpu/cpu0/cache`) and falling back to 32 KiB when
-/// the probe is unavailable (non-Linux, sandboxes). Kernels use this to
-/// derive cache-resident tile sizes — notably the auto `ATGNN_COL_TILE`
-/// in `atgnn_sparse::attention`.
+/// the probe is unavailable or reports a zero size (non-Linux,
+/// sandboxes). Kernels use this to derive cache-resident tile sizes —
+/// notably the attention sweep's column tile
+/// (`atgnn_sparse::attention::auto_col_tile`).
 pub fn l1d_cache_bytes() -> usize {
     static BYTES: AtomicUsize = AtomicUsize::new(0);
     let cached = BYTES.load(Ordering::Relaxed);
@@ -570,20 +531,29 @@ fn probe_l1d() -> Option<usize> {
         let kind = std::fs::read_to_string(dir.join("type")).unwrap_or_default();
         if level.trim() == "1" && kind.trim() != "Instruction" {
             let size = std::fs::read_to_string(dir.join("size")).ok()?;
-            let size = size.trim();
-            if size.is_empty() {
-                return None;
-            }
-            let (digits, unit) = size.split_at(size.len() - 1);
-            let mult = match unit {
-                "K" => 1024,
-                "M" => 1024 * 1024,
-                _ => return size.parse::<usize>().ok(),
-            };
-            return digits.parse::<usize>().ok().map(|v| v * mult);
+            return parse_cache_size(&size);
         }
     }
     None
+}
+
+/// Parses a sysfs cache `size` (`"48K"`, `"1M"`, `"49152"`) into bytes.
+/// A zero or unparseable size is `None`: `0` is [`l1d_cache_bytes`]'s
+/// "not probed yet" sentinel, so storing it would re-probe on every call.
+fn parse_cache_size(size: &str) -> Option<usize> {
+    let size = size.trim();
+    let (digits, mult) = if let Some(d) = size.strip_suffix('K') {
+        (d, 1024)
+    } else if let Some(d) = size.strip_suffix('M') {
+        (d, 1024 * 1024)
+    } else {
+        (size, 1)
+    };
+    digits
+        .parse::<usize>()
+        .ok()
+        .and_then(|v| v.checked_mul(mult))
+        .filter(|&b| b > 0)
 }
 
 /// Lends this thread's scratch `Vec<T>` to `f`. The vector keeps its
@@ -617,6 +587,17 @@ mod tests {
         let b = l1d_cache_bytes();
         assert!((4 * 1024..=4 * 1024 * 1024).contains(&b), "{b}");
         assert_eq!(b, l1d_cache_bytes(), "probe must be stable");
+    }
+
+    #[test]
+    fn cache_size_parse_treats_zero_and_garbage_as_absent() {
+        assert_eq!(parse_cache_size("48K"), Some(48 * 1024));
+        assert_eq!(parse_cache_size("48K\n"), Some(48 * 1024));
+        assert_eq!(parse_cache_size("1M"), Some(1024 * 1024));
+        assert_eq!(parse_cache_size("49152"), Some(49152));
+        for bad in ["0K", "", "K"] {
+            assert_eq!(parse_cache_size(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -763,17 +744,5 @@ mod tests {
         assert_eq!(set_threads(0), 1);
         assert_eq!(set_threads(usize::MAX), max_threads());
         set_threads(before);
-    }
-
-    #[test]
-    fn tunable_reads_env_once() {
-        static KNOB: Tunable = Tunable::new("ATGNN_TEST_KNOB_RT", 123);
-        std::env::set_var("ATGNN_TEST_KNOB_RT", "77");
-        assert_eq!(KNOB.get(), 77);
-        std::env::set_var("ATGNN_TEST_KNOB_RT", "99");
-        assert_eq!(KNOB.get(), 77, "value is cached after first read");
-        assert_eq!(KNOB.env_var(), "ATGNN_TEST_KNOB_RT");
-        static DEFAULTED: Tunable = Tunable::new("ATGNN_TEST_KNOB_UNSET_RT", 42);
-        assert_eq!(DEFAULTED.get(), 42);
     }
 }

@@ -6,14 +6,16 @@
 //! count, for all three attentional models, forward *and* backward.
 //! Comparisons use the same 1e-9 tolerance discipline as
 //! `tests/runtime_determinism.rs` rather than bitwise equality, so the
-//! one-pass kernels stay free to reassociate row reductions.
+//! one-pass kernels stay free to reassociate row reductions — except the
+//! aggregation, which is elementwise and is pinned bitwise against `spmm`
+//! across column tiles.
 
 use atgnn::loss::Mse;
 use atgnn::optimizer::Sgd;
 use atgnn::plan::ExecPlan;
 use atgnn::{AGnnLayer, GnnModel};
 use atgnn_graphgen::{erdos_renyi, kronecker};
-use atgnn_sparse::{attention, csr, norm, Csr};
+use atgnn_sparse::{attention, csr, norm, spmm, Csr};
 use atgnn_tensor::{init, rt, Activation, Dense};
 
 fn graphs() -> Vec<(&'static str, Csr<f64>)> {
@@ -234,6 +236,49 @@ fn fused_forward_allocates_no_intermediate_score_csrs() {
         staged_allocs > 2,
         "staged GAT should allocate intermediates beyond the caches (got {staged_allocs})"
     );
+}
+
+fn assert_bits_eq(got: &Dense<f64>, want: &Dense<f64>, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    for i in 0..got.rows() {
+        for (j, (x, y)) in got.row(i).iter().zip(want.row(i)).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: ({i},{j}) {x} vs {y}");
+        }
+    }
+}
+
+/// The multi-tile aggregation path. Past the L1-derived tile width the
+/// sweep cuts every output row into several column tiles — a path the
+/// benchmark's `k`s never reach. The tile loop is outer and the neighbor
+/// loop inner, so each forward's `out` must be `spmm` over its own `Ψ`
+/// bit for bit, and the no-cache schedule (blocked-flat softmax in wide
+/// mode) must reproduce the cached one, in both layouts.
+#[test]
+fn multi_tile_aggregation_is_bitwise_spmm_over_its_own_psi() {
+    let t = attention::auto_col_tile(1 << 20, 8);
+    let a = erdos_renyi::adjacency::<f64>(48, 384, 23);
+    let n = a.rows();
+    let u: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.2 - 1.0).collect();
+    let v: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.15 - 0.9).collect();
+    for k in [t + 1, 2 * t + 5] {
+        assert!(attention::auto_col_tile(k, 8) < k, "k={k} fits one tile");
+        for padded in [false, true] {
+            let layout = |m: Dense<f64>| if padded { m.padded() } else { m };
+            let (h, hp) = (layout(feats(n, k, 1)), layout(feats(n, k, 2)));
+            let forward = |model: &str, cache: bool| match model {
+                "va" => attention::attention_forward_va(&a, &h, cache),
+                "agnn" => attention::attention_forward_agnn(&a, &h, &hp, 1.3, cache),
+                _ => attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, cache),
+            };
+            for (model, src) in [("va", &h), ("agnn", &hp), ("gat", &hp)] {
+                let tag = format!("{model}/k={k}/padded={padded}");
+                let cached = forward(model, true);
+                let psi = cached.psi.expect("a cached forward returns Ψ");
+                assert_bits_eq(&cached.out, &spmm::spmm(&psi, src), &tag);
+                assert_bits_eq(&forward(model, false).out, &cached.out, &tag);
+            }
+        }
+    }
 }
 
 /// The fused GAT forward with a dense reference on a graph with self

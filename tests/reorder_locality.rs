@@ -15,7 +15,7 @@ use atgnn_graphgen::{kronecker, reorder};
 use atgnn_sparse::csr::value_allocs;
 use atgnn_sparse::{attention, Coo, Csr};
 use atgnn_tensor::rng::Rng;
-use atgnn_tensor::{init, knobs, micro, Activation, Dense};
+use atgnn_tensor::{init, micro, Activation, Dense};
 
 const CASES: u64 = 48;
 
@@ -163,7 +163,7 @@ fn model(kind: ModelKind) -> GnnModel<f64> {
 /// kernel globals, so reading them before and after is race-free.
 #[test]
 fn plan_resolution_is_pure_and_process_quiet() {
-    let globals = || (micro::mode(), micro::simd_mode(), knobs::col_tile());
+    let globals = || (micro::mode(), micro::simd_mode());
     let before = globals();
     for kind in KINDS {
         let (a, x) = model_inputs(kind);
