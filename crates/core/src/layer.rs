@@ -11,6 +11,7 @@
 //! [`Gradients`] slots a backward pass returns, so optimizers are
 //! oblivious to layer internals.
 
+use atgnn_sparse::attention::RowStats;
 use atgnn_sparse::Csr;
 use atgnn_tensor::{Activation, Dense, Scalar};
 
@@ -22,10 +23,15 @@ use atgnn_tensor::{Activation, Dense, Scalar};
 #[derive(Clone, Debug, Default)]
 pub struct LayerCache<T: Scalar> {
     /// The attention matrix `Ψ(A, H)` after any softmax, on `A`'s pattern.
+    /// Filled by VA and AGNN, and by GAT under the staged plan only: a
+    /// fused GAT forward keeps `Ψ` virtual ([`LayerCache::row_stats`]).
     pub psi: Option<Csr<T>>,
-    /// Pre-activation / pre-softmax edge scores (GAT's `C` values sampled
-    /// on the pattern; AGNN's cosines).
+    /// Pre-activation / pre-softmax edge scores: AGNN's cosines, and GAT's
+    /// `C` values sampled on the pattern under the staged plan only.
     pub scores: Option<Csr<T>>,
+    /// A fused GAT forward's per-row softmax max and normaliser, from
+    /// which backward recomputes `Ψ` and `C` with `u` and `v`.
+    pub row_stats: Option<RowStats<T>>,
     /// The projected features `H' = H W`.
     pub h_proj: Option<Dense<T>>,
     /// The aggregated features `Ψ H` (for aggregate-first orders).
@@ -45,6 +51,7 @@ impl<T: Scalar> LayerCache<T> {
         Self {
             psi: None,
             scores: None,
+            row_stats: None,
             h_proj: None,
             h_agg: None,
             u: None,

@@ -150,26 +150,36 @@ impl<T: Scalar> GatLayer<T> {
         if self.plan.precision().is_narrow() {
             self.plan.precision().round_matrix(feats.to_mut());
         }
-        let fa = attention::forward_gat(
-            self.plan.exec(),
-            a,
-            &u,
-            &v,
-            &feats,
-            self.slope,
-            cache.is_some(),
-        );
+        // Fused training keeps `Ψ` virtual: the inference sweep plus two
+        // floats per row, from which backward recomputes `Ψ` and `C`.
+        let (out, psi, scores, row_stats) = if cache.is_some() && self.plan.is_fused() {
+            let (out, stats) =
+                attention::attention_forward_gat_stats(a, &u, &v, &feats, self.slope);
+            (out, None, None, Some(stats))
+        } else {
+            let fa = attention::forward_gat(
+                self.plan.exec(),
+                a,
+                &u,
+                &v,
+                &feats,
+                self.slope,
+                cache.is_some(),
+            );
+            (fa.out, fa.psi, fa.scores, None)
+        };
         if let Some(c) = cache {
-            c.psi = fa.psi;
-            c.scores = fa.scores;
+            c.psi = psi;
+            c.scores = scores;
+            c.row_stats = row_stats;
             c.h_proj = Some(feats.into_owned());
             c.u = Some(u);
             c.v = Some(v);
         }
         match order {
-            ProductOrder::ProjectFirst => fa.out,
+            ProductOrder::ProjectFirst => out,
             // The `a.rows()` aggregated rows, not the `h.rows()` sources.
-            ProductOrder::AggregateFirst => gemm::matmul(&fa.out, &self.w),
+            ProductOrder::AggregateFirst => gemm::matmul(&out, &self.w),
         }
     }
 
@@ -182,19 +192,32 @@ impl<T: Scalar> GatLayer<T> {
         cache: &LayerCache<T>,
         g: &Dense<T>,
     ) -> (Gradients<T>, Dense<T>) {
-        let psi = cache.psi.as_ref().expect("GAT backward needs cached Ψ");
-        let c_pre = cache.scores.as_ref().expect("GAT backward needs cached C");
         let hp = cache.h_proj.as_ref().expect("GAT backward needs cached H'");
         // Softmax backward, LeakyReLU gradient and ∂u = row sums of ∂C —
-        // one sweep on the fused path.
-        let (dc, du) = attention::backward_gat(self.plan.exec(), a, psi, c_pre, hp, g, self.slope);
+        // one sweep on the fused path — and `Ψᵀ G`, the first term of ∂H'.
+        let (dc, du, mut dhp) = match &cache.row_stats {
+            Some(stats) => {
+                let u = cache.u.as_deref().expect("GAT backward needs cached u");
+                let v = cache.v.as_deref().expect("GAT backward needs cached v");
+                let (dc, du) =
+                    attention::attention_backward_gat_virtual(a, u, v, stats, hp, g, self.slope);
+                let psi_t_g = attention::attention_psi_t_gat_virtual(a, u, v, stats, g, self.slope);
+                (dc, du, psi_t_g)
+            }
+            None => {
+                let psi = cache.psi.as_ref().expect("GAT backward needs cached Ψ");
+                let c_pre = cache.scores.as_ref().expect("GAT backward needs cached C");
+                let (dc, du) =
+                    attention::backward_gat(self.plan.exec(), a, psi, c_pre, hp, g, self.slope);
+                (dc, du, spmm::spmm_t(psi, g))
+            }
+        };
         // ∂v = column sums of ∂C (a scatter, kept on the masked kernel).
         let dv = masked::col_sums(&dc);
         // ∂a₁ = H'ᵀ ∂u, ∂a₂ = H'ᵀ ∂v.
         let da_src = gemm::matvec_t(hp, &du);
         let da_dst = gemm::matvec_t(hp, &dv);
         // ∂H' = Ψᵀ G + ∂u a₁ᵀ + ∂v a₂ᵀ.
-        let mut dhp = spmm::spmm_t(psi, g);
         for i in 0..dhp.rows() {
             let (dui, dvi) = (du[i], dv[i]);
             let row = dhp.row_mut(i);

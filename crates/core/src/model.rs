@@ -410,6 +410,9 @@ impl<T: Scalar> GnnModel<T> {
     /// the loss gradient is permuted back before the backward pass.
     /// Weight gradients are sums over vertices, so they are unaffected by
     /// the ordering up to FP reassociation.
+    ///
+    /// The outputs are dead once the loss gradient exists, and are freed
+    /// before the backward pass, which holds the step's peak working set.
     pub fn train_step(
         &mut self,
         a: &Csr<T>,
@@ -422,11 +425,13 @@ impl<T: Scalar> GnnModel<T> {
                 let (out_p, ctxs) = self
                     .forward_cached_owned(&r.a, Self::ingest(plan, Cow::Owned(r.permute_rows(x))));
                 let out = r.restore_rows(&out_p);
+                drop(out_p);
                 let value = loss.value(&out);
                 // Re-enter the plan layout alongside the permutation: the
                 // loss runs on tight caller-order rows, the backward pass
                 // on the plan's padded rows.
                 let grad_p = Self::ingest(plan, Cow::Owned(r.permute_rows(&loss.gradient(&out))));
+                drop(out);
                 (value, self.backward_owned(&r.a, &ctxs, grad_p, false).0)
             }
             None => {
@@ -435,6 +440,7 @@ impl<T: Scalar> GnnModel<T> {
                 let out = out.into_tight();
                 let value = loss.value(&out);
                 let grad_out = Self::ingest(plan, Cow::Owned(loss.gradient(&out)));
+                drop(out);
                 (value, self.backward_owned(a, &ctxs, grad_out, false).0)
             }
         });

@@ -25,9 +25,15 @@
 //! ```
 //!
 //! No intermediate score `Csr` is allocated on the hot path: the row of
-//! scores lives in per-thread scratch (`rt::with_scratch`) — or directly in
-//! the caller's cache buffer when training needs `Ψ` for the backward pass.
-//! The softmax *streams with the sweep*: because the graph softmax of
+//! scores lives in per-thread scratch (`rt::with_scratch`). GAT training
+//! keeps `Ψ` virtual too: its forward records two floats per row
+//! ([`RowStats`]: the row max and the softmax normaliser), and the
+//! backward sweep and the transposed gather `Ψᵀ G` recompute
+//! `Ψ_ij = finish(LeakyReLU(u_i + v_j) − m_i, norm_i)` bit for bit. Only
+//! the callers that need `Ψ` as a matrix — the staged oracle, the
+//! distributed blocks, and AGNN / VA training, whose scores cost a
+//! `k`-wide dot per edge to recompute — have it written into a returned
+//! cache buffer. The softmax *streams with the sweep*: because the graph softmax of
 //! Section 4.2 reduces over a single CSR row, the whole normalization
 //! finalizes on the L1-resident row buffer as soon as the row is scored
 //! (max fold, exp + sum, divide) — one exp per stored entry, in the same
@@ -125,6 +131,19 @@ pub struct FusedAttention<T: Scalar> {
     /// The model-specific secondary cache (AGNN cosines, GAT
     /// pre-activation scores), only with training caches.
     pub scores: Option<Csr<T>>,
+}
+
+/// Two floats per softmax row of a GAT forward — the row max `m_i` and
+/// the normaliser the row was finished with — recorded by
+/// [`attention_forward_gat_stats`] so that backward recomputes `Ψ` with
+/// `masked::softmax_finish` instead of storing it.
+#[derive(Clone, Debug)]
+pub struct RowStats<T> {
+    /// `[m_i, norm_i]` per row: `norm_i` is `1/Σ_i` on the wide path and
+    /// `Σ_i` otherwise (empty rows hold no meaningful values).
+    rows: Vec<[T; 2]>,
+    /// Whether the rows were finished on the wide path.
+    wide: bool,
 }
 
 /// Aggregates one output row: `out_row[t] += p_j · src[j, t]` for every
@@ -231,21 +250,26 @@ fn aggregate_row_scaled<T: Scalar>(
 /// array and the secondary values in their own array; without it the row
 /// of scores lives in per-thread scratch and **no** `Csr` value array is
 /// ever created (asserted by tests via [`crate::csr::value_allocs`]).
-fn fused_sweep<T: Scalar>(
+/// With `STATS` each softmax row's max and normaliser land in the
+/// returned [`RowStats`]. It is a compile-time switch so that every other
+/// sweep — inference above all — compiles to a body without it.
+fn fused_sweep<T: Scalar, const STATS: bool>(
     a: &Csr<T>,
     src: &Dense<T>,
     softmax: bool,
     want_cache: bool,
     want_secondary: bool,
     score_row: impl Fn(usize, &[u32], &mut [T], Option<&mut [T]>) -> T + Sync,
-) -> FusedAttention<T> {
+) -> (FusedAttention<T>, Option<RowStats<T>>) {
     assert_eq!(a.cols(), src.rows(), "attention: A cols must match H rows");
+    debug_assert!(softmax || !STATS, "row stats of no softmax");
     let k = src.cols();
     let nnz = a.nnz();
     let indptr = a.indptr();
     let indices = a.indices();
     let tile = auto_col_tile(k, T::BYTES);
     let parallel = nnz >= PAR_THRESHOLD;
+    let wide = micro::wide();
     let mut out = src.zeros_matching(a.rows(), k);
     let out_stride = out.stride();
     let mut psi_values: Vec<T> = if want_cache {
@@ -258,10 +282,16 @@ fn fused_sweep<T: Scalar>(
     } else {
         Vec::new()
     };
+    let mut stats: Vec<[T; 2]> = if STATS {
+        vec![[T::zero(); 2]; a.rows()]
+    } else {
+        Vec::new()
+    };
     {
         let out_slots = DisjointSlice::new(out.as_mut_slice());
         let psi_slots = DisjointSlice::new(&mut psi_values);
         let sec_slots = DisjointSlice::new(&mut sec_values);
+        let stat_slots = DisjointSlice::new(&mut stats);
         rt::parallel_for(a.rows(), Cost::Prefix(indptr), parallel, |lo, hi| {
             // SAFETY: row ranges are disjoint across chunk bodies, and
             // indptr is monotone, so the value ranges are disjoint too.
@@ -272,6 +302,12 @@ fn fused_sweep<T: Scalar>(
             // SAFETY: as above.
             let mut sec_part =
                 (want_cache && want_secondary).then(|| unsafe { sec_slots.range_mut(s0, s1) });
+            let stat_part: &mut [[T; 2]] = if STATS {
+                // SAFETY: as above — each chunk owns rows `lo..hi`.
+                unsafe { stat_slots.range_mut(lo, hi) }
+            } else {
+                &mut []
+            };
             rt::with_scratch::<T, _>(|ebuf| {
                 // Wide-mode uncached softmax takes a blocked-flat
                 // schedule: score a block of rows into one flat scratch
@@ -286,7 +322,7 @@ fn fused_sweep<T: Scalar>(
                 // per *row* otherwise dwarfs the polynomial itself
                 // (measured ~3x on the fused GAT sweep's softmax phase at
                 // mean degree 16).
-                if softmax && micro::wide() && !want_cache {
+                if softmax && wide && !want_cache {
                     let mut b0 = lo;
                     while b0 < hi {
                         // Row blocks of ~`FLAT_BLOCK_EDGES` stored entries:
@@ -313,6 +349,9 @@ fn fused_sweep<T: Scalar>(
                             for s in e.iter_mut() {
                                 *s -= m;
                             }
+                            if STATS {
+                                stat_part[r - lo][0] = m;
+                            }
                         }
                         for s in flat.iter_mut() {
                             *s = s.exp_fast();
@@ -325,6 +364,9 @@ fn fused_sweep<T: Scalar>(
                                 continue;
                             }
                             let inv = T::one() / micro::sum_wide(e);
+                            if STATS {
+                                stat_part[r - lo][1] = inv;
+                            }
                             aggregate_row_scaled(out_row, &indices[rlo..rhi], e, inv, src, tile);
                         }
                         b0 = b1;
@@ -356,18 +398,22 @@ fn fused_sweep<T: Scalar>(
                     // normalize with bit-identical arithmetic in every
                     // kernel mode.
                     if softmax {
-                        masked::softmax_slice_with_max(e, m);
+                        let norm = masked::softmax_slice_with_max(e, m);
+                        if STATS {
+                            stat_part[r - lo] = [m, norm];
+                        }
                     }
                     aggregate_row(out_row, cols, e, src, tile);
                 }
             });
         });
     }
-    FusedAttention {
+    let fa = FusedAttention {
         out,
         psi: want_cache.then(|| a.with_values(psi_values)),
         scores: (want_cache && want_secondary).then(|| a.with_values(sec_values)),
-    }
+    };
+    (fa, STATS.then_some(RowStats { rows: stats, wide }))
 }
 
 // ---------------------------------------------------------------------------
@@ -383,13 +429,14 @@ pub fn attention_forward_va<T: Scalar>(
     want_cache: bool,
 ) -> FusedAttention<T> {
     assert!(a.rows() <= h.rows(), "va attention: A has more rows than H");
-    fused_sweep(a, h, false, want_cache, false, |r, cols, e, _| {
+    fused_sweep::<T, false>(a, h, false, want_cache, false, |r, cols, e, _| {
         let hr = h.row(r);
         for (slot, &c) in e.iter_mut().zip(cols) {
             *slot = gemm::dot(hr, h.row(c as usize));
         }
         T::neg_infinity() // no softmax: the row max is never consulted
     })
+    .0
 }
 
 /// Fused AGNN forward: `Z = sm(A ⊙ (β · H Hᵀ ⊘ n nᵀ)) H'` in one sweep
@@ -408,7 +455,7 @@ pub fn attention_forward_agnn<T: Scalar>(
         "agnn attention: A has more rows than H"
     );
     let norms = blocks::row_l2_norms(h);
-    fused_sweep(a, hp, true, want_cache, true, move |r, cols, e, sec| {
+    fused_sweep::<T, false>(a, hp, true, want_cache, true, move |r, cols, e, sec| {
         let hr = h.row(r);
         let nr = norms[r];
         let cos_of = |c: usize| {
@@ -440,10 +487,13 @@ pub fn attention_forward_agnn<T: Scalar>(
         }
         m
     })
+    .0
 }
 
 /// Fused GAT forward: `Z = sm(A ⊙ LeakyReLU(u 𝟙ᵀ + 𝟙 vᵀ)) H'` in one
 /// sweep. `scores` caches the pre-activation values `C_ij = u_i + v_j`.
+/// GAT training takes [`attention_forward_gat_stats`] instead; the
+/// caching form serves the callers that need `Ψ` as a matrix.
 pub fn attention_forward_gat<T: Scalar>(
     a: &Csr<T>,
     u: &[T],
@@ -452,10 +502,39 @@ pub fn attention_forward_gat<T: Scalar>(
     slope: f64,
     want_cache: bool,
 ) -> FusedAttention<T> {
+    gat_sweep::<T, false>(a, u, v, hp, slope, want_cache).0
+}
+
+/// Fused GAT training forward with `Ψ` kept virtual: the inference sweep
+/// (the blocked-flat schedule in wide mode) plus each row's [`RowStats`].
+/// No `Csr` value array is allocated. [`attention_backward_gat_virtual`]
+/// and [`attention_psi_t_gat_virtual`] recompute `C_ij = u_i + v_j` and
+/// `Ψ` from `u`, `v` and the stats, bit-identical to the `Ψ` and `C`
+/// [`attention_forward_gat`] caches.
+pub fn attention_forward_gat_stats<T: Scalar>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    hp: &Dense<T>,
+    slope: f64,
+) -> (Dense<T>, RowStats<T>) {
+    let (fa, stats) = gat_sweep::<T, true>(a, u, v, hp, slope, false);
+    (fa.out, stats.expect("a RowStats sweep returns its stats"))
+}
+
+/// The GAT scoring of both forward entry points.
+fn gat_sweep<T: Scalar, const STATS: bool>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    hp: &Dense<T>,
+    slope: f64,
+    want_cache: bool,
+) -> (FusedAttention<T>, Option<RowStats<T>>) {
     assert_eq!(a.rows(), u.len(), "gat attention: u length mismatch");
     assert_eq!(a.cols(), v.len(), "gat attention: v length mismatch");
     let act = Activation::LeakyRelu(slope);
-    fused_sweep(a, hp, true, want_cache, true, move |r, cols, e, sec| {
+    fused_sweep::<T, STATS>(a, hp, true, want_cache, true, move |r, cols, e, sec| {
         let ur = u[r];
         // The gather-and-activate loop carries no loop dependency once the
         // row max moves out of it into a [`micro::max_wide`] pass over the
@@ -498,7 +577,7 @@ pub fn attention_backward_va<T: Scalar>(
     h: &Dense<T>,
 ) -> (Csr<T>, Dense<T>) {
     assert_eq!(a.rows(), m.rows(), "va backward: A rows must match M rows");
-    let fa = fused_sweep(a, h, false, true, false, |r, cols, e, _| {
+    let (fa, _) = fused_sweep::<T, false>(a, h, false, true, false, |r, cols, e, _| {
         let mr = m.row(r);
         for (slot, &c) in e.iter_mut().zip(cols) {
             *slot = gemm::dot(mr, h.row(c as usize));
@@ -508,13 +587,32 @@ pub fn attention_backward_va<T: Scalar>(
     (fa.psi.expect("va backward: sweep always caches N"), fa.out)
 }
 
-/// Fused GAT backward sweep. Replays the row sweep once: per stored entry
-/// the upstream edge gradient `D_ij = ⟨g_i, h'_j⟩` goes to scratch while
-/// the row dot `Σ_j Ψ_ij D_ij` accumulates, then the softmax backward
-/// `∂E = Ψ ⊙ (D − rep(rowdot))` and the LeakyReLU gradient at the cached
-/// pre-activation fold into `∂C` — whose row sums (`∂u`) fall out of the
-/// same pass. Returns `(∂C, ∂u)`; the column sums `∂v` are a scatter and
-/// stay on the existing sequential kernel.
+/// `d[e] = ⟨g_row, hp[cols[e]]⟩` over one row's stored entries — the
+/// SDDMM inside both softmax backward sweeps — four neighbors per pass
+/// through [`micro::dot4`], each result bit-identical to one
+/// [`micro::dot`].
+#[inline]
+fn edge_dots<T: Scalar>(d: &mut [T], g_row: &[T], cols: &[u32], hp: &Dense<T>) {
+    let mut dq = d.chunks_exact_mut(4);
+    let mut cq = cols.chunks_exact(4);
+    for (d4, c4) in (&mut dq).zip(&mut cq) {
+        let rows = [
+            hp.row(c4[0] as usize),
+            hp.row(c4[1] as usize),
+            hp.row(c4[2] as usize),
+            hp.row(c4[3] as usize),
+        ];
+        d4.copy_from_slice(&micro::dot4(g_row, rows));
+    }
+    for (dv, &c) in dq.into_remainder().iter_mut().zip(cq.remainder()) {
+        *dv = micro::dot(g_row, hp.row(c as usize));
+    }
+}
+
+/// Fused GAT backward sweep over cached `Ψ` and `C` (the staged oracle's
+/// and the distributed blocks' form; see [`gat_backward_sweep`]).
+/// Returns `(∂C, ∂u)`; the column sums `∂v` are a scatter and stay on the
+/// existing sequential kernel.
 pub fn attention_backward_gat<T: Scalar>(
     a: &Csr<T>,
     psi: &Csr<T>,
@@ -531,11 +629,94 @@ pub fn attention_backward_gat<T: Scalar>(
         a.same_pattern(c_pre),
         "gat backward: C must share A's pattern"
     );
+    let (psi_v, pre_v) = (psi.values(), c_pre.values());
+    gat_backward_sweep(a, hp, g, slope, |_| {
+        |idx: usize, _| (psi_v[idx], pre_v[idx])
+    })
+}
+
+/// [`attention_backward_gat`] with `Ψ` and `C` recomputed from the
+/// [`attention_forward_gat_stats`] call that produced `stats` on the same
+/// `a`, `u` and `v`: `C_ij = u_i + v_j` and
+/// `Ψ_ij = softmax_finish(LeakyReLU(C_ij) − m_i, norm_i)` — the forward's
+/// op sequence, so the result is bit-identical to the cached form's.
+pub fn attention_backward_gat_virtual<T: Scalar>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    stats: &RowStats<T>,
+    hp: &Dense<T>,
+    g: &Dense<T>,
+    slope: f64,
+) -> (Csr<T>, Vec<T>) {
+    check_virtual(a, u, v, stats);
+    let act = Activation::LeakyRelu(slope);
+    gat_backward_sweep(a, hp, g, slope, |r| {
+        let (ur, [m, norm]) = (u[r], stats.rows[r]);
+        move |_, c: u32| {
+            let pre = ur + v[c as usize];
+            let psi = masked::softmax_finish(stats.wide, act.eval(pre) - m, norm);
+            (psi, pre)
+        }
+    })
+}
+
+/// `Ψᵀ G` with `Ψ` recomputed as in [`attention_backward_gat_virtual`]:
+/// [`spmm::spmm_t`]'s gather over `a`'s transposed pattern, bit-identical
+/// to `spmm_t(Ψ, G)` on the cached `Ψ`. Each entry gathers three row
+/// scalars of its source row (`u_i`, `m_i`, `norm_i`) where the cached
+/// form reads one stored value.
+pub fn attention_psi_t_gat_virtual<T: Scalar>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    stats: &RowStats<T>,
+    g: &Dense<T>,
+    slope: f64,
+) -> Dense<T> {
+    check_virtual(a, u, v, stats);
+    let act = Activation::LeakyRelu(slope);
+    spmm::gather_t(a, g, |j| {
+        let vj = v[j];
+        move |_, i: u32| {
+            let i = i as usize;
+            let [m, norm] = stats.rows[i];
+            masked::softmax_finish(stats.wide, act.eval(u[i] + vj) - m, norm)
+        }
+    })
+}
+
+/// The shape conditions of the virtual-`Ψ` kernels: `u` and the stats
+/// cover `a`'s rows, `v` its columns.
+fn check_virtual<T: Scalar>(a: &Csr<T>, u: &[T], v: &[T], stats: &RowStats<T>) {
+    assert_eq!(a.rows(), u.len(), "virtual Ψ: u length mismatch");
+    assert_eq!(a.cols(), v.len(), "virtual Ψ: v length mismatch");
+    assert_eq!(a.rows(), stats.rows.len(), "virtual Ψ: row stats mismatch");
+}
+
+/// The GAT backward sweep body, one for both sources of `Ψ` and `C`:
+/// `edges(r)` reads row `r`'s entries, called with each entry's CSR
+/// position and column for `(Ψ_ij, C_ij)`. Per row, `Ψ` and the
+/// LeakyReLU gradient at `C` go to scratch, the upstream edge gradients
+/// `D_ij = ⟨g_i, h'_j⟩` to scratch beside them ([`edge_dots`]), then the
+/// row dot `Σ_j Ψ_ij D_ij` accumulates in entry order and the softmax
+/// backward `∂E = Ψ ⊙ (D − rep(rowdot))` times the gradient folds into
+/// `∂C`, whose row sum is `∂u`. Returns `(∂C, ∂u)`.
+fn gat_backward_sweep<T, R, E>(
+    a: &Csr<T>,
+    hp: &Dense<T>,
+    g: &Dense<T>,
+    slope: f64,
+    edges: R,
+) -> (Csr<T>, Vec<T>)
+where
+    T: Scalar,
+    R: Fn(usize) -> E + Sync,
+    E: Fn(usize, u32) -> (T, T),
+{
     let act = Activation::LeakyRelu(slope);
     let indptr = a.indptr();
     let indices = a.indices();
-    let psi_v = psi.values();
-    let pre_v = c_pre.values();
     let nnz = a.nnz();
     let mut dc_values = vec![T::zero(); nnz];
     let mut du = vec![T::zero(); a.rows()];
@@ -550,23 +731,38 @@ pub fn attention_backward_gat<T: Scalar>(
             // SAFETY: as above.
             let du_part = unsafe { du_slots.range_mut(lo, hi) };
             let base = indptr[lo];
-            rt::with_scratch::<T, _>(|dbuf| {
+            rt::with_scratch::<T, _>(|buf| {
                 for (r, du_r) in (lo..hi).zip(du_part.iter_mut()) {
                     let (rlo, rhi) = (indptr[r], indptr[r + 1]);
-                    dbuf.clear();
-                    dbuf.resize(rhi - rlo, T::zero());
-                    let grow = g.row(r);
+                    let cols = &indices[rlo..rhi];
+                    let deg = cols.len();
+                    // Grow-only: every slot below `3·deg` is written
+                    // before it is read.
+                    if buf.len() < 3 * deg {
+                        buf.resize(3 * deg, T::zero());
+                    }
+                    let (d, rest) = buf[..3 * deg].split_at_mut(deg);
+                    let (psi, grad) = rest.split_at_mut(deg);
+                    let edge = edges(r);
+                    for (((p, gr), &c), idx) in
+                        psi.iter_mut().zip(grad.iter_mut()).zip(cols).zip(rlo..)
+                    {
+                        let (pv, cv) = edge(idx, c);
+                        *p = pv;
+                        *gr = act.grad(cv);
+                    }
+                    edge_dots(d, g.row(r), cols, hp);
                     let mut rdot = T::zero();
-                    for (d, idx) in dbuf.iter_mut().zip(rlo..rhi) {
-                        let dv = gemm::dot(grow, hp.row(indices[idx] as usize));
-                        *d = dv;
-                        rdot += psi_v[idx] * dv;
+                    for (&p, &dv) in psi.iter().zip(d.iter()) {
+                        rdot += p * dv;
                     }
                     let mut du_acc = T::zero();
-                    for (&d, idx) in dbuf.iter().zip(rlo..rhi) {
-                        let de = psi_v[idx] * (d - rdot);
-                        let dc = de * act.grad(pre_v[idx]);
-                        dc_part[idx - base] = dc;
+                    let terms = d.iter().zip(psi.iter()).zip(grad.iter());
+                    for (out, ((&dv, &p), &gr)) in
+                        dc_part[rlo - base..rhi - base].iter_mut().zip(terms)
+                    {
+                        let dc = p * (dv - rdot) * gr;
+                        *out = dc;
                         du_acc += dc;
                     }
                     *du_r = du_acc;
@@ -663,12 +859,10 @@ pub fn attention_backward_agnn<T: Scalar>(
                     let cols = &indices[rlo..rhi];
                     dbuf.clear();
                     dbuf.resize(rhi - rlo, T::zero());
-                    let grow = g.row(r);
+                    edge_dots(dbuf, g.row(r), cols, hp);
                     let mut rdot = T::zero();
-                    for (d, idx) in dbuf.iter_mut().zip(rlo..rhi) {
-                        let dv = gemm::dot(grow, hp.row(indices[idx] as usize));
-                        *d = dv;
-                        rdot += psi_v[idx] * dv;
+                    for (&p, &dv) in psi_v[rlo..rhi].iter().zip(dbuf.iter()) {
+                        rdot += p * dv;
                     }
                     let ir = inv(norms[r]);
                     let mut dbeta_acc = T::zero();

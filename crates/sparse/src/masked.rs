@@ -218,15 +218,20 @@ pub fn softmax_slice<T: Scalar>(row: &mut [T]) {
 /// already in a register when the score is stored); IEEE `max` is exact
 /// in any association, so a sequentially tracked maximum is bit-identical
 /// to the [`micro::max_wide`] / sequential-fold pass it replaces.
-pub fn softmax_slice_with_max<T: Scalar>(row: &mut [T], m: T) {
+///
+/// Returns the normaliser the row was finished with — `1/Σ` in wide mode,
+/// `Σ` otherwise (zero for an empty row): every entry `s` became
+/// `softmax_finish(micro::wide(), s − m, norm)`.
+pub fn softmax_slice_with_max<T: Scalar>(row: &mut [T], m: T) -> T {
     if row.is_empty() {
-        return;
+        return T::zero();
     }
     if micro::wide() {
         let inv = T::one() / exp_sum_wide(row, m);
         for v in row.iter_mut() {
             *v *= inv;
         }
+        inv
     } else {
         let mut total = T::zero();
         for v in row.iter_mut() {
@@ -236,6 +241,22 @@ pub fn softmax_slice_with_max<T: Scalar>(row: &mut [T], m: T) {
         for v in row.iter_mut() {
             *v /= total;
         }
+        total
+    }
+}
+
+/// One softmax entry from its max-shifted score `s − m` and its row's
+/// normaliser: `exp_fast(s − m)·(1/Σ)` on the wide path, `exp(s − m)/Σ`
+/// otherwise — per element the op sequence of [`softmax_slice_with_max`]
+/// and of the fused sweep's blocked-flat schedule. A backward pass that
+/// kept the row max and the normaliser recomputes `Ψ` with it, bit for
+/// bit, instead of storing it.
+#[inline(always)]
+pub(crate) fn softmax_finish<T: Scalar>(wide: bool, shifted: T, norm: T) -> T {
+    if wide {
+        shifted.exp_fast() * norm
+    } else {
+        shifted.exp() / norm
     }
 }
 
@@ -250,18 +271,6 @@ fn exp_sum_wide<T: Scalar>(row: &mut [T], m: T) -> T {
         *v = (*v - m).exp_fast();
     }
     micro::sum_wide(row)
-}
-
-/// Fused-sweep wide fast path: exponentiates the row in place and returns
-/// the *reciprocal* of the lane-tree sum, **without** the normalization
-/// pass — the sweep folds the reciprocal into the aggregation weights
-/// instead. `round(e·inv)` is the same value whether it is stored by a
-/// scale pass or formed at weight load, so the folded aggregation is
-/// bit-identical to [`softmax_slice_with_max`] followed by the unscaled
-/// aggregation; it just never re-traverses the score row.
-pub fn softmax_exp_recip_with_max<T: Scalar>(row: &mut [T], m: T) -> T {
-    debug_assert!(!row.is_empty(), "softmax over an empty row");
-    T::one() / exp_sum_wide(row, m)
 }
 
 /// The graph softmax `sm(X) = exp(X) ⊘ rs_n(exp(X))` of Section 4.2,

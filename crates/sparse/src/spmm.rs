@@ -155,9 +155,25 @@ pub fn spmm<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
 /// sequential row scatter whatever the thread count — which the
 /// distributed tests and the training-determinism guarantee rely on.
 pub fn spmm_t<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
+    let vals = a.values();
+    gather_t(a, h, |_| |e, _| vals[e as usize])
+}
+
+/// [`spmm_t`] with `A`'s values computed rather than read: `weights(j)`
+/// returns the weigher of column `j`, which is called with the CSR
+/// position and the source row of each of the column's entries, in
+/// ascending source row, and returns that entry's value. The gather and
+/// its rounding sequence are [`spmm_t`]'s; only where a weight comes from
+/// differs (the attention backward recomputes `Ψ` here instead of
+/// storing it).
+pub(crate) fn gather_t<T, W, F>(a: &Csr<T>, h: &Dense<T>, weights: W) -> Dense<T>
+where
+    T: Scalar,
+    W: Fn(usize) -> F + Sync,
+    F: Fn(u32, u32) -> T,
+{
     assert_eq!(a.rows(), h.rows(), "spmm_t: dimension mismatch");
     let t = a.transposed();
-    let vals = a.values();
     let mut out = h.zeros_matching(a.cols(), h.cols());
     let out_stride = out.stride();
     let parallel = a.cols() * h.cols() >= PAR_THRESHOLD;
@@ -168,9 +184,11 @@ pub fn spmm_t<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
         rt::with_scratch::<T, _>(|col_vals| {
             for (j, out_row) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
                 let col = t.indptr[j]..t.indptr[j + 1];
+                let (perm, src) = (&t.perm[col.clone()], &t.src[col]);
+                let weight = weights(j);
                 col_vals.clear();
-                col_vals.extend(t.perm[col.clone()].iter().map(|&e| vals[e as usize]));
-                aggregate_rows_into(out_row, h, &t.src[col], col_vals);
+                col_vals.extend(perm.iter().zip(src).map(|(&e, &i)| weight(e, i)));
+                aggregate_rows_into(out_row, h, src, col_vals);
             }
         });
     });

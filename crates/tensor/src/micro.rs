@@ -12,7 +12,8 @@
 //!   equivalence oracle CI pins.
 //! * `ATGNN_SIMD={wide,scalar}` — [`SimdMode`]: `wide` (the default)
 //!   upgrades the blocked kernels to the 8-lane ([`LANE`]) shapes — the
-//!   [`dot_wide`] lane tree, [`axpy_wide`], the multi-source fused updates
+//!   [`dot_wide`] lane tree (four rows per pass in [`dot4`]),
+//!   [`axpy_wide`], the multi-source fused updates
 //!   [`axpy2`]/[`axpy4`], and the lane-structured reductions
 //!   [`sum_wide`]/[`max_wide`]. `ATGNN_SIMD=scalar` keeps the 4-way blocked
 //!   kernels of the previous generation. The SIMD switch is subordinate to
@@ -294,6 +295,42 @@ pub fn dot_wide<T: Scalar>(x: &[T], y: &[T]) -> T {
     let mut s = lane_tree_sum(acc);
     for (&xv, &yv) in xc.remainder().iter().zip(yc.remainder()) {
         s = xv.mul_add(yv, s);
+    }
+    s
+}
+
+/// Four dot products sharing `x`: `[⟨x, y0⟩, ⟨x, y1⟩, ⟨x, y2⟩, ⟨x, y3⟩]`
+/// — the SDDMM edge loop scoring four neighbors per pass over `x`, the
+/// dot-product analogue of [`axpy4`]. Each result is exactly [`dot`]'s
+/// op sequence in the active mode (wide: its own eight lanes, the
+/// [`lane_tree_sum`] merge and the sequential remainder of [`dot_wide`];
+/// otherwise [`dot`] itself), so it is bit-identical to four `dot` calls.
+#[inline]
+pub fn dot4<T: Scalar>(x: &[T], y: [&[T]; 4]) -> [T; 4] {
+    if !wide() {
+        return y.map(|yq| dot(x, yq));
+    }
+    let [y0, y1, y2, y3] = y;
+    debug_assert!(y.iter().all(|yq| yq.len() == x.len()));
+    let mut acc = [[T::zero(); LANE]; 4];
+    let chunks = x
+        .chunks_exact(LANE)
+        .zip(y0.chunks_exact(LANE))
+        .zip(y1.chunks_exact(LANE))
+        .zip(y2.chunks_exact(LANE))
+        .zip(y3.chunks_exact(LANE));
+    for ((((xq, q0), q1), q2), q3) in chunks {
+        acc[0] = fma_lanes(acc[0], xq, q0);
+        acc[1] = fma_lanes(acc[1], xq, q1);
+        acc[2] = fma_lanes(acc[2], xq, q2);
+        acc[3] = fma_lanes(acc[3], xq, q3);
+    }
+    let tail = x.len() / LANE * LANE;
+    let mut s = acc.map(lane_tree_sum);
+    for (sq, yq) in s.iter_mut().zip(y) {
+        for (&xv, &yv) in x[tail..].iter().zip(&yq[tail..]) {
+            *sq = xv.mul_add(yv, *sq);
+        }
     }
     s
 }

@@ -194,8 +194,10 @@ fn layer_training_tracks_staged_oracle() {
 
 /// The acceptance-criterion allocation assertion: the one-pass fused
 /// forward allocates **zero** intermediate score `Csr` value buffers in
-/// inference mode, exactly the cache matrices in training mode, and
-/// strictly fewer than the staged pipeline either way.
+/// inference mode and in GAT's virtual-`Ψ` training form, exactly the
+/// cache matrices when asked for them, and strictly fewer than the staged
+/// pipeline either way. (The caching entry points remain for the staged
+/// and distributed callers, and for AGNN / VA training.)
 #[test]
 fn fused_forward_allocates_no_intermediate_score_csrs() {
     let a = kronecker::adjacency::<f64>(1024, 8192, 9);
@@ -210,10 +212,11 @@ fn fused_forward_allocates_no_intermediate_score_csrs() {
     let _ = attention::attention_forward_va(&a, &h, false);
     let _ = attention::attention_forward_agnn(&a, &h, &hp, 1.0, false);
     let _ = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, false);
+    let _ = attention::attention_forward_gat_stats(&a, &u, &v, &hp, 0.2);
     assert_eq!(
         csr::value_allocs() - before,
         0,
-        "fused inference must allocate zero intermediate score Csrs"
+        "fused inference and GAT training must allocate zero intermediate score Csrs"
     );
 
     // Training (caches requested): exactly the returned cache matrices —

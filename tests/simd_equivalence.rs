@@ -95,16 +95,18 @@ fn rel_err(a: &Dense<f64>, b: &Dense<f64>) -> f64 {
     a.max_abs_diff(b) / a.max_abs().max(1.0)
 }
 
+/// Every (micro, simd) mode combination.
+const MODES: [(MicroKernel, SimdMode); 4] = [
+    (MicroKernel::Blocked, SimdMode::Wide),
+    (MicroKernel::Blocked, SimdMode::Scalar),
+    (MicroKernel::Scalar, SimdMode::Wide), // wide() is false: scalar oracle
+    (MicroKernel::Scalar, SimdMode::Scalar),
+];
+
 /// Runs `f` under every (micro, simd) mode combination, collecting the
 /// outputs tagged with whether that combination is the wide path.
 fn under_all_modes(mut f: impl FnMut() -> Dense<f64>) -> Vec<(bool, Dense<f64>)> {
-    let combos = [
-        (MicroKernel::Blocked, SimdMode::Wide),
-        (MicroKernel::Blocked, SimdMode::Scalar),
-        (MicroKernel::Scalar, SimdMode::Wide), // wide() is false: scalar oracle
-        (MicroKernel::Scalar, SimdMode::Scalar),
-    ];
-    combos
+    MODES
         .iter()
         .map(|&(m, s)| {
             micro::set_mode(m);
@@ -215,6 +217,33 @@ fn single_row_graph_is_handled_in_every_mode() {
             assert!(err < bound, "single-row k={k} wide={wide}: {err:.2e}");
         }
     }
+}
+
+/// `dot4` is four `dot`s sharing `x`, bit for bit, in every mode.
+#[test]
+fn dot4_is_four_dots_bitwise_in_every_mode() {
+    fn check<T: atgnn_tensor::Scalar>(to_bits: fn(T) -> u64) {
+        let of = |n: usize, s: f64| -> Vec<T> {
+            (0..n)
+                .map(|i| T::from_f64((i as f64 * 0.37 + s).sin() * (1.0 + s)))
+                .collect()
+        };
+        for k in [0usize, 1, 3, 7, 8, 9, 31, 33, 64] {
+            let x = of(k, 0.1);
+            let ys: Vec<Vec<T>> = (0..4).map(|q| of(k, 0.7 * q as f64 + 0.3)).collect();
+            let y = [&ys[0][..], &ys[1][..], &ys[2][..], &ys[3][..]];
+            for (m, s) in MODES {
+                micro::set_mode(m);
+                micro::set_simd_mode(s);
+                let got = micro::dot4(&x, y).map(to_bits);
+                let want = y.map(|yq| to_bits(micro::dot(&x, yq)));
+                assert_eq!(got, want, "dot4 k={k} {m:?}/{s:?}");
+            }
+        }
+    }
+    let _m = Modes::lock();
+    check::<f32>(|v| u64::from(v.to_bits()));
+    check::<f64>(f64::to_bits);
 }
 
 #[test]

@@ -6,15 +6,31 @@
 #   tools/ab.sh PARENT_E2E CHANGE_E2E [PAIRS=10] [SECONDS=15] [SEED0=301] [WORKLOAD...]
 #
 # One seed per pair, the side that runs first alternates, ATGNN_* is
-# cleared. Prints one `P|C <workload> <seed> <result object>` line per run
-# (keep them — every run is reported), then tools/ab_summary.awk's table;
-# `awk -f tools/ab_summary.awk saved.log` re-summarises a kept log.
+# cleared. Prints one `P|C <workload> <seed> <result object> <cpu object>`
+# line per run (keep them — every run is reported), then
+# tools/ab_summary.awk's table; `awk -f tools/ab_summary.awk saved.log`
+# re-summarises a kept log. The cpu object is the run's user and sys CPU
+# seconds (setup, window and verification together), from bash's `times`:
+# sys CPU is where page-fault churn shows, which separates allocator
+# effects from kernel time.
 set -u
 parent=$1 change=$2 pairs=${3:-10} seconds=${4:-15} seed0=${5:-301}
 workloads=("${@:6}")
 ((${#workloads[@]})) || workloads=(train_kron infer_er serve_er dist_kron4)
 for v in $(compgen -v ATGNN_ || true); do unset "$v"; done
-run() { echo "$1 $3 $4 $("$2" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)"; }
+tmp=$(mktemp) && trap 'rm -f "$tmp"' EXIT
+run() {
+  local before after out
+  # `times` runs in this shell, not in a command substitution's fork: its
+  # second line is the CPU of this shell's reaped children so far.
+  times >"$tmp" && before=$(tail -n 1 "$tmp")
+  out=$("$2" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)
+  times >"$tmp" && after=$(tail -n 1 "$tmp")
+  echo "$1 $3 $4 $out $(awk -v a="$before" -v b="$after" '
+    function s(t, p) { split(t, p, "m"); return p[1] * 60 + p[2] }
+    BEGIN { split(a, x, " "); split(b, y, " ")
+      printf "{\"cpu_user_s\":%.3f,\"cpu_sys_s\":%.3f}", s(y[1]) - s(x[1]), s(y[2]) - s(x[2]) }')"
+}
 for w in "${workloads[@]}"; do
   for ((i = 0; i < pairs; i++)); do
     sides=(P "$parent" C "$change")
