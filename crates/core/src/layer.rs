@@ -11,6 +11,7 @@
 //! [`Gradients`] slots a backward pass returns, so optimizers are
 //! oblivious to layer internals.
 
+use crate::buffers::StepBuffers;
 use atgnn_sparse::attention::RowStats;
 use atgnn_sparse::Csr;
 use atgnn_tensor::{Activation, Dense, Scalar};
@@ -165,6 +166,49 @@ pub trait AGnnLayer<T: Scalar>: Send + Sync {
         g: &Dense<T>,
     ) -> Gradients<T> {
         self.backward(a, h, cache, g).grads
+    }
+
+    /// The training forward of `GnnModel`:
+    /// [`AGnnLayer::forward`] with a cache, whose outputs and cached
+    /// matrices a layer may take from the model's step buffers instead of
+    /// allocating them ([`StepBuffers`]). Same bits as `forward`. The
+    /// default calls `forward`; a layer that overrides this may implement
+    /// `forward` with a cache through it instead.
+    fn forward_train(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &mut LayerCache<T>,
+        bufs: &mut StepBuffers<T>,
+    ) -> Dense<T> {
+        let _ = bufs;
+        self.forward(a, h, Some(cache))
+    }
+
+    /// The backward pass of `GnnModel`: reads the cache of
+    /// [`AGnnLayer::forward_train`], and may take its scratch and
+    /// `∂L/∂H^l` from the step buffers and give back its scratch (the
+    /// model gives back the cache's `h_proj` when it owns the cache).
+    /// Returns the parameter gradients and, with `want_dx`, `∂L/∂H^l` —
+    /// the bits of [`AGnnLayer::backward`] and
+    /// [`AGnnLayer::backward_params`]. The default calls those; a layer
+    /// that overrides this may implement them through it instead.
+    fn backward_train(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+        want_dx: bool,
+        bufs: &mut StepBuffers<T>,
+    ) -> (Gradients<T>, Option<Dense<T>>) {
+        let _ = bufs;
+        if want_dx {
+            let res = self.backward(a, h, cache, g);
+            (res.grads, Some(res.dh_in))
+        } else {
+            (self.backward_params(a, h, cache, g), None)
+        }
     }
 
     /// Flat mutable views of every parameter tensor, in a stable order

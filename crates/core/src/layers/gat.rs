@@ -23,6 +23,7 @@
 //! ∂W  = Hᵀ ∂H'         ∂L/∂H = ∂H' Wᵀ
 //! ```
 
+use crate::buffers::StepBuffers;
 use crate::layer::{AGnnLayer, BackwardResult, Gradients, LayerCache};
 use crate::plan::ExecPlan;
 use atgnn_sparse::spmm::{self, ProductOrder};
@@ -141,96 +142,43 @@ impl<T: Scalar> GatLayer<T> {
         // keeps softmax inputs at f32); only the aggregated feature
         // buffer is rounded through the plan's precision, exactly once,
         // here.
-        // `u` scores destinations, so a row-prefix block needs it on its
-        // own rows only; `v` and the aggregated buffer cover every source.
-        let u: Vec<T> = (0..a.rows())
-            .map(|i| gemm::dot(feats.row(i), &a_src))
-            .collect();
-        let v = gemm::matvec(&feats, &a_dst);
+        let (u, v) = Self::scores(a, &feats, &a_src, &a_dst);
         if self.plan.precision().is_narrow() {
             self.plan.precision().round_matrix(feats.to_mut());
         }
-        // Fused training keeps `Ψ` virtual: the inference sweep plus two
-        // floats per row, from which backward recomputes `Ψ` and `C`.
-        let (out, psi, scores, row_stats) = if cache.is_some() && self.plan.is_fused() {
-            let (out, stats) =
-                attention::attention_forward_gat_stats(a, &u, &v, &feats, self.slope);
-            (out, None, None, Some(stats))
-        } else {
-            let fa = attention::forward_gat(
-                self.plan.exec(),
-                a,
-                &u,
-                &v,
-                &feats,
-                self.slope,
-                cache.is_some(),
-            );
-            (fa.out, fa.psi, fa.scores, None)
-        };
+        // With a cache this is the staged training forward (the fused one
+        // is `forward_train`), which materializes `Ψ` and `C`.
+        let fa = attention::forward_gat(
+            self.plan.exec(),
+            a,
+            &u,
+            &v,
+            &feats,
+            self.slope,
+            cache.is_some(),
+        );
         if let Some(c) = cache {
-            c.psi = psi;
-            c.scores = scores;
-            c.row_stats = row_stats;
+            c.psi = fa.psi;
+            c.scores = fa.scores;
             c.h_proj = Some(feats.into_owned());
             c.u = Some(u);
             c.v = Some(v);
         }
         match order {
-            ProductOrder::ProjectFirst => out,
+            ProductOrder::ProjectFirst => fa.out,
             // The `a.rows()` aggregated rows, not the `h.rows()` sources.
-            ProductOrder::AggregateFirst => gemm::matmul(&out, &self.w),
+            ProductOrder::AggregateFirst => gemm::matmul(&fa.out, &self.w),
         }
     }
 
-    /// The parameter gradients `[∂W, ∂a₁, ∂a₂]` and `∂H'`, whose product
-    /// with `Wᵀ` is the input gradient.
-    fn backward_through_projection(
-        &self,
-        a: &Csr<T>,
-        h: &Dense<T>,
-        cache: &LayerCache<T>,
-        g: &Dense<T>,
-    ) -> (Gradients<T>, Dense<T>) {
-        let hp = cache.h_proj.as_ref().expect("GAT backward needs cached H'");
-        // Softmax backward, LeakyReLU gradient and ∂u = row sums of ∂C —
-        // one sweep on the fused path — and `Ψᵀ G`, the first term of ∂H'.
-        let (dc, du, mut dhp) = match &cache.row_stats {
-            Some(stats) => {
-                let u = cache.u.as_deref().expect("GAT backward needs cached u");
-                let v = cache.v.as_deref().expect("GAT backward needs cached v");
-                let (dc, du) =
-                    attention::attention_backward_gat_virtual(a, u, v, stats, hp, g, self.slope);
-                let psi_t_g = attention::attention_psi_t_gat_virtual(a, u, v, stats, g, self.slope);
-                (dc, du, psi_t_g)
-            }
-            None => {
-                let psi = cache.psi.as_ref().expect("GAT backward needs cached Ψ");
-                let c_pre = cache.scores.as_ref().expect("GAT backward needs cached C");
-                let (dc, du) =
-                    attention::backward_gat(self.plan.exec(), a, psi, c_pre, hp, g, self.slope);
-                (dc, du, spmm::spmm_t(psi, g))
-            }
-        };
-        // ∂v = column sums of ∂C (a scatter, kept on the masked kernel).
-        let dv = masked::col_sums(&dc);
-        // ∂a₁ = H'ᵀ ∂u, ∂a₂ = H'ᵀ ∂v.
-        let da_src = gemm::matvec_t(hp, &du);
-        let da_dst = gemm::matvec_t(hp, &dv);
-        // ∂H' = Ψᵀ G + ∂u a₁ᵀ + ∂v a₂ᵀ.
-        for i in 0..dhp.rows() {
-            let (dui, dvi) = (du[i], dv[i]);
-            let row = dhp.row_mut(i);
-            for ((o, &a1), &a2) in row.iter_mut().zip(&self.a_src).zip(&self.a_dst) {
-                *o += dui * a1 + dvi * a2;
-            }
-        }
-        // ∂W = Hᵀ ∂H'.
-        let dw = gemm::matmul_tn(h, &dhp);
-        (
-            Gradients::from_slots(vec![dw.into_vec(), da_src, da_dst]),
-            dhp,
-        )
+    /// The per-vertex scores `u = F a₁` and `v = F a₂` of the buffer `F`
+    /// the sweep aggregates. `u` scores destinations, so a row-prefix
+    /// block needs it on its own rows only; `v` covers every source.
+    fn scores(a: &Csr<T>, feats: &Dense<T>, a_src: &[T], a_dst: &[T]) -> (Vec<T>, Vec<T>) {
+        let u = (0..a.rows())
+            .map(|i| gemm::dot(feats.row(i), a_src))
+            .collect();
+        (u, gemm::matvec(feats, a_dst))
     }
 }
 
@@ -244,14 +192,46 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
     }
 
     fn forward(&self, a: &Csr<T>, h: &Dense<T>, cache: Option<&mut LayerCache<T>>) -> Dense<T> {
-        // Backward reads the cached `H'`, so a training forward projects
-        // first; inference takes whichever order the block's shape makes
-        // cheaper.
-        let order = match cache {
-            Some(_) => ProductOrder::ProjectFirst,
-            None => spmm::product_order(a.rows(), a.cols(), a.nnz(), self.in_dim(), self.out_dim()),
-        };
-        self.forward_in_order(a, h, order, cache)
+        match cache {
+            Some(cache) => self.forward_train(a, h, cache, &mut StepBuffers::new()),
+            // Inference takes whichever order the block's shape makes
+            // cheaper.
+            None => {
+                let order =
+                    spmm::product_order(a.rows(), a.cols(), a.nnz(), self.in_dim(), self.out_dim());
+                self.forward_in_order(a, h, order, None)
+            }
+        }
+    }
+
+    /// Backward reads the cached `H'`, so the training forward projects
+    /// first. Fused, it keeps `Ψ` virtual — the inference sweep plus two
+    /// floats per row, from which backward recomputes `Ψ` and `C` — and
+    /// writes `H'` and `Z` into step buffers; the staged oracle allocates.
+    fn forward_train(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &mut LayerCache<T>,
+        bufs: &mut StepBuffers<T>,
+    ) -> Dense<T> {
+        if !self.plan.is_fused() {
+            return self.forward_in_order(a, h, ProductOrder::ProjectFirst, Some(cache));
+        }
+        // `forward_in_order`'s project-first steps, writing.
+        let mut hp = bufs.take_like(h, h.rows(), self.out_dim());
+        gemm::matmul_into(h, &self.w, &mut hp);
+        let (u, v) = Self::scores(a, &hp, &self.a_src, &self.a_dst);
+        if self.plan.precision().is_narrow() {
+            self.plan.precision().round_matrix(&mut hp);
+        }
+        let mut z = bufs.take_like(&hp, a.rows(), hp.cols());
+        let stats = attention::attention_forward_gat_stats_into(a, &u, &v, &hp, self.slope, &mut z);
+        cache.row_stats = Some(stats);
+        cache.h_proj = Some(hp);
+        cache.u = Some(u);
+        cache.v = Some(v);
+        z
     }
 
     fn backward(
@@ -261,10 +241,9 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
         cache: &LayerCache<T>,
         g: &Dense<T>,
     ) -> BackwardResult<T> {
-        let (grads, dhp) = self.backward_through_projection(a, h, cache, g);
-        // ∂L/∂H = ∂H' Wᵀ.
+        let (grads, dh_in) = self.backward_train(a, h, cache, g, true, &mut StepBuffers::new());
         BackwardResult {
-            dh_in: gemm::matmul_nt(&dhp, &self.w),
+            dh_in: dh_in.expect("the input gradient was asked for"),
             grads,
         }
     }
@@ -276,7 +255,81 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
         cache: &LayerCache<T>,
         g: &Dense<T>,
     ) -> Gradients<T> {
-        self.backward_through_projection(a, h, cache, g).0
+        self.backward_train(a, h, cache, g, false, &mut StepBuffers::new())
+            .0
+    }
+
+    /// The parameter gradients `[∂W, ∂a₁, ∂a₂]` and, with `want_dx`,
+    /// `∂L/∂H = ∂H' Wᵀ`. On the fused path `∂H'`, the `∂C` values and
+    /// `∂L/∂H` come from `bufs`, and all but `∂L/∂H` go back before
+    /// returning.
+    fn backward_train(
+        &self,
+        a: &Csr<T>,
+        h: &Dense<T>,
+        cache: &LayerCache<T>,
+        g: &Dense<T>,
+        want_dx: bool,
+        bufs: &mut StepBuffers<T>,
+    ) -> (Gradients<T>, Option<Dense<T>>) {
+        let hp = cache.h_proj.as_ref().expect("GAT backward needs cached H'");
+        // Softmax backward, LeakyReLU gradient and ∂u = row sums of ∂C —
+        // one sweep on the fused path — `Ψᵀ G`, the first term of ∂H', and
+        // ∂v = column sums of ∂C (a scatter, kept on the masked kernel).
+        let (du, dv, mut dhp) = match &cache.row_stats {
+            Some(stats) => {
+                let u = cache.u.as_deref().expect("GAT backward needs cached u");
+                let v = cache.v.as_deref().expect("GAT backward needs cached v");
+                let mut dc = bufs.take_values(a.nnz());
+                let du = attention::attention_backward_gat_virtual_into(
+                    a, u, v, stats, hp, g, self.slope, &mut dc,
+                );
+                let mut psi_t_g = bufs.take_like(g, a.cols(), g.cols());
+                attention::attention_psi_t_gat_virtual_into(
+                    a,
+                    u,
+                    v,
+                    stats,
+                    g,
+                    self.slope,
+                    &mut psi_t_g,
+                );
+                let dv = masked::col_sums_on(a, &dc);
+                bufs.give_values(dc);
+                (du, dv, psi_t_g)
+            }
+            None => {
+                let psi = cache.psi.as_ref().expect("GAT backward needs cached Ψ");
+                let c_pre = cache.scores.as_ref().expect("GAT backward needs cached C");
+                let (dc, du) =
+                    attention::backward_gat(self.plan.exec(), a, psi, c_pre, hp, g, self.slope);
+                (du, masked::col_sums(&dc), spmm::spmm_t(psi, g))
+            }
+        };
+        // ∂a₁ = H'ᵀ ∂u, ∂a₂ = H'ᵀ ∂v.
+        let da_src = gemm::matvec_t(hp, &du);
+        let da_dst = gemm::matvec_t(hp, &dv);
+        // ∂H' = Ψᵀ G + ∂u a₁ᵀ + ∂v a₂ᵀ.
+        for i in 0..dhp.rows() {
+            let (dui, dvi) = (du[i], dv[i]);
+            let row = dhp.row_mut(i);
+            for ((o, &a1), &a2) in row.iter_mut().zip(&self.a_src).zip(&self.a_dst) {
+                *o += dui * a1 + dvi * a2;
+            }
+        }
+        // ∂W = Hᵀ ∂H'.
+        let dw = gemm::matmul_tn(h, &dhp);
+        // ∂L/∂H = ∂H' Wᵀ.
+        let dh = want_dx.then(|| {
+            let mut dh = bufs.take_like(&dhp, dhp.rows(), self.in_dim());
+            gemm::matmul_nt_into(&dhp, &self.w, &mut dh);
+            dh
+        });
+        bufs.give(dhp);
+        (
+            Gradients::from_slots(vec![dw.into_vec(), da_src, da_dst]),
+            dh,
+        )
     }
 
     fn param_slices_mut(&mut self) -> Vec<&mut [T]> {

@@ -41,6 +41,7 @@
 //! finite-difference verification helpers in [`gradcheck`].
 
 pub mod analyze;
+pub mod buffers;
 pub mod checkpoint;
 pub mod dag;
 pub mod generic;
@@ -54,6 +55,7 @@ pub mod plan;
 pub mod train;
 
 pub use analyze::{Diagnostic, Rule, Severity, Span};
+pub use buffers::StepBuffers;
 pub use layer::{AGnnLayer, Gradients, LayerCache};
 pub use model::{GnnModel, ModelKind};
 pub use plan::{AttentionExec, ExecPlan, Layout, ReorderStrategy, Reordering};

@@ -13,6 +13,14 @@ pub trait Loss<T: Scalar>: Send + Sync {
     fn value(&self, output: &Dense<T>) -> T;
     /// `∇_output L` (same shape as `output`).
     fn gradient(&self, output: &Dense<T>) -> Dense<T>;
+
+    /// [`Loss::gradient`] written into `grad`, a matrix of `output`'s
+    /// shape in any layout whose padding tails are left as they are —
+    /// what a training step calls, on a buffer it keeps across steps. Same
+    /// bits as `gradient`. The default computes `gradient` and copies it.
+    fn gradient_into(&self, output: &Dense<T>, grad: &mut Dense<T>) {
+        grad.copy_from(&self.gradient(output));
+    }
 }
 
 /// Mean squared error against a target feature matrix:
@@ -37,10 +45,15 @@ impl<T: Scalar> Loss<T> for Mse<T> {
     }
 
     fn gradient(&self, output: &Dense<T>) -> Dense<T> {
-        let scale = T::from_f64(2.0 / output.len() as f64);
-        let mut grad = output.clone();
-        ops::zip_assign(&mut grad, &self.target, |o, t| (o - t) * scale);
+        let mut grad = output.zeros_matching(output.rows(), output.cols());
+        self.gradient_into(output, &mut grad);
         grad
+    }
+
+    /// `(H − T)·(2/(n·k))` in one pass over the three matrices.
+    fn gradient_into(&self, output: &Dense<T>, grad: &mut Dense<T>) {
+        let scale = T::from_f64(2.0 / output.len() as f64);
+        ops::zip_into(grad, output, &self.target, |o, t| (o - t) * scale);
     }
 }
 
@@ -172,6 +185,26 @@ mod tests {
         let t = Dense::from_fn(3, 2, |i, j| (i * 2 + j) as f64 * 0.1);
         let out = Dense::from_fn(3, 2, |i, j| (j as f64 - i as f64) * 0.4);
         fd_check(&Mse::new(t), &out, 1e-8);
+    }
+
+    #[test]
+    fn gradient_into_is_the_gradient_bitwise_in_any_layout() {
+        let t = Dense::from_fn(5, 3, |i, j| (i * 3 + j) as f64 * 0.17);
+        let out = Dense::from_fn(5, 3, |i, j| (j as f64 - i as f64) * 0.41);
+        let ce = SoftmaxCrossEntropy::new(vec![Some(0), None, Some(2), Some(1), Some(0)]);
+        let losses: [&dyn Loss<f64>; 2] = [&Mse::new(t), &ce];
+        for loss in losses {
+            let want = loss.gradient(&out);
+            for mut grad in [Dense::filled(5, 3, f64::NAN), Dense::zeros_padded(5, 3)] {
+                loss.gradient_into(&out, &mut grad);
+                assert!(grad.padding_is_zero());
+                for r in 0..5 {
+                    for (x, y) in grad.row(r).iter().zip(want.row(r)) {
+                        assert_eq!(x.to_bits(), y.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

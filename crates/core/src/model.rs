@@ -8,6 +8,7 @@
 //! `G^{l-1} = σ'(Z^{l-1}) ⊙ Γ^l` (Eq. 6), bootstrapped with
 //! `G^L = ∇_{H^L} L ⊙ σ'(Z^L)` (Eq. 4).
 
+use crate::buffers::StepBuffers;
 use crate::layer::{AGnnLayer, Gradients, LayerCache};
 use crate::layers::{AgnnLayer, GatLayer, GcnLayer, VaLayer};
 use crate::loss::Loss;
@@ -57,6 +58,11 @@ pub struct TrainContext<T: Scalar> {
     pub cache: LayerCache<T>,
 }
 
+/// A [`TrainContext`]'s `H^l`, `Z^l` and cache as the backward loop
+/// reads them: borrowed from a caller, or owned by `train_step`, which
+/// gives them back to its step buffers.
+type ContextParts<'c, T> = (Cow<'c, Dense<T>>, Cow<'c, Dense<T>>, Cow<'c, LayerCache<T>>);
+
 /// The one part of running a plan that depends on the graph — its
 /// reordering — kept so repeated `inference`/`train_step` calls on the
 /// same adjacency permute it once.
@@ -82,6 +88,10 @@ pub struct GnnModel<T> {
     /// The last adjacency's reordering (a `Mutex` to keep the model
     /// `Sync`; never contended — model methods take `&self`/`&mut self`).
     reorder_cache: Mutex<Option<CachedReordering<T>>>,
+    /// [`GnnModel::train_step`]'s buffers, kept from one step to the next
+    /// (and only by it: inference and the public forward / backward
+    /// pieces allocate).
+    step_buffers: StepBuffers<T>,
 }
 
 impl<T: Scalar> GnnModel<T> {
@@ -96,13 +106,15 @@ impl<T: Scalar> GnnModel<T> {
             layers,
             plan: ExecPlan::from_env(),
             reorder_cache: Mutex::new(None),
+            step_buffers: StepBuffers::new(),
         }
     }
 
     /// This model with a different base plan. The plan's attention
     /// execution is propagated into every layer
-    /// ([`AGnnLayer::set_plan`]), and the cached reordering is dropped
-    /// so the next run reorders under the new plan's strategy.
+    /// ([`AGnnLayer::set_plan`]), and the cached reordering and the
+    /// training step's buffers are dropped, so the next run reorders under
+    /// the new plan's strategy and allocates in its layout.
     pub fn with_plan(mut self, plan: ExecPlan) -> Self {
         self.plan = plan;
         for layer in &mut self.layers {
@@ -112,6 +124,7 @@ impl<T: Scalar> GnnModel<T> {
             .reorder_cache
             .get_mut()
             .unwrap_or_else(|e| e.into_inner()) = None;
+        self.step_buffers = StepBuffers::new();
         self
     }
 
@@ -160,9 +173,10 @@ impl<T: Scalar> GnnModel<T> {
     }
 
     /// Converts caller features into the resolved plan's dense layout —
-    /// the single conversion point, applied at the model boundary right
-    /// after the reorder permute (outputs return to the caller tight via
-    /// `restore_rows`/`into_tight`). The layout choice never changes
+    /// the inference paths' conversion point, applied at the model
+    /// boundary right after the reorder permute (outputs return to the
+    /// caller tight via `restore_rows`/`into_tight`); `train_step` writes
+    /// the same layout into a step buffer. The layout choice never changes
     /// results: kernels read logical rows for every reduction, so padded
     /// and tight pipelines are bit-identical. The result is what the
     /// layer loop owns: borrowed features are copied here exactly once,
@@ -335,25 +349,10 @@ impl<T: Scalar> GnnModel<T> {
     /// Training-mode forward pass: returns the output `H^L` and the
     /// per-layer contexts the backward pass consumes.
     pub fn forward_cached(&self, a: &Csr<T>, x: &Dense<T>) -> (Dense<T>, Vec<TrainContext<T>>) {
-        self.forward_cached_owned(a, x.clone())
-    }
-
-    /// [`GnnModel::forward_cached`] over features the loop may keep (the
-    /// first layer's context stores them as its `h_in`).
-    fn forward_cached_owned(&self, a: &Csr<T>, x: Dense<T>) -> (Dense<T>, Vec<TrainContext<T>>) {
-        let mut h = x;
-        let mut ctxs = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let mut cache = LayerCache::new();
-            let z = layer.forward(a, &h, Some(&mut cache));
-            let h_next = layer.activation().apply(&z);
-            ctxs.push(TrainContext {
-                h_in: std::mem::replace(&mut h, h_next),
-                z,
-                cache,
-            });
-        }
-        (h, ctxs)
+        let (ctxs, h) = self.forward_train(a, x.clone(), &mut StepBuffers::new());
+        // Under `σ = Identity` the output is a copy of the last `Z^L`.
+        let out = h.unwrap_or_else(|| ctxs[ctxs.len() - 1].z.clone());
+        (out, ctxs)
     }
 
     /// Backward pass from `∇_{H^L} L`. Returns per-layer gradients
@@ -365,39 +364,101 @@ impl<T: Scalar> GnnModel<T> {
         ctxs: &[TrainContext<T>],
         grad_output: &Dense<T>,
     ) -> (Vec<Gradients<T>>, Dense<T>) {
-        let (grads, dx) = self.backward_owned(a, ctxs, grad_output.clone(), true);
+        let parts = ctxs
+            .iter()
+            .map(|c| {
+                (
+                    Cow::Borrowed(&c.h_in),
+                    Cow::Borrowed(&c.z),
+                    Cow::Borrowed(&c.cache),
+                )
+            })
+            .collect();
+        let (grads, dx) =
+            self.backward_owned(a, parts, grad_output.clone(), true, &mut StepBuffers::new());
         (grads, dx.expect("the input gradient was asked for"))
     }
 
-    /// The layer loop of [`GnnModel::backward`] over a gradient buffer it
-    /// may overwrite: `σ'` is chained in place into `g` and into every
-    /// layer's returned `∂L/∂H^l`, so the loop allocates nothing of its
-    /// own. Without `want_dx` layer 0 computes its parameter gradients
-    /// only ([`AGnnLayer::backward_params`]) and `None` is returned for
-    /// `∂L/∂X`; the parameter gradients are the same bits either way.
+    /// The layer loop of [`GnnModel::forward_cached`] and
+    /// [`GnnModel::train_step`] from the ingested input `x`, with every
+    /// `n × k` matrix taken from `bufs` ([`AGnnLayer::forward_train`]).
+    /// The output `H^L` is returned only when it is not the last
+    /// context's `Z^L`: under `σ = Identity` it would be a copy.
+    fn forward_train(
+        &self,
+        a: &Csr<T>,
+        x: Dense<T>,
+        bufs: &mut StepBuffers<T>,
+    ) -> (Vec<TrainContext<T>>, Option<Dense<T>>) {
+        let depth = self.layers.len();
+        let mut h = Some(x);
+        let mut ctxs = Vec::with_capacity(depth);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let h_in = h
+                .take()
+                .expect("every layer but the last leaves its output");
+            let mut cache = LayerCache::new();
+            let z = layer.forward_train(a, &h_in, &mut cache, bufs);
+            let act = layer.activation();
+            if l + 1 < depth || act != Activation::Identity {
+                let mut h_next = bufs.take_like(&z, z.rows(), z.cols());
+                act.apply_into(&z, &mut h_next);
+                h = Some(h_next);
+            }
+            ctxs.push(TrainContext { h_in, z, cache });
+        }
+        (ctxs, h)
+    }
+
+    /// The backward layer loop of [`GnnModel::backward`] and
+    /// [`GnnModel::train_step`], from `G = ∂L/∂H^L` in a buffer `g` it
+    /// owns: `σ'` is chained into `g` in place, and every replaced
+    /// gradient goes back to `bufs`. The contexts are borrowed (the public
+    /// `backward`) or owned (`train_step`); an owned layer's `Z^l` goes
+    /// back as soon as `σ'` is chained, its `H^l` and cached `H'` once the
+    /// layer is done — so over a warm step's buffers the loop allocates
+    /// nothing it has not returned. Without `want_dx` layer 0 computes its
+    /// parameter gradients only and `∂L/∂X` is never formed; the parameter
+    /// gradients are the same bits either way.
     fn backward_owned(
         &self,
         a: &Csr<T>,
-        ctxs: &[TrainContext<T>],
+        ctxs: Vec<ContextParts<'_, T>>,
         mut g: Dense<T>,
         want_dx: bool,
+        bufs: &mut StepBuffers<T>,
     ) -> (Vec<Gradients<T>>, Option<Dense<T>>) {
         assert_eq!(ctxs.len(), self.layers.len(), "context count mismatch");
         let mut grads = Vec::with_capacity(self.layers.len());
-        for (l, (layer, ctx)) in self.layers.iter().zip(ctxs).enumerate().rev() {
+        for (l, (layer, (h_in, z, cache))) in self.layers.iter().zip(ctxs).enumerate().rev() {
             // G^L = ∇_{H^L} L ⊙ σ'(Z^L) (Eq. 4), then
             // G^{l-1} = σ'(Z^{l-1}) ⊙ Γ^l (Eq. 6).
-            layer.activation().chain_assign(&mut g, &ctx.z);
-            if l > 0 || want_dx {
-                let res = layer.backward(a, &ctx.h_in, &ctx.cache, &g);
-                grads.push(res.grads);
-                g = res.dh_in;
-            } else {
-                grads.push(layer.backward_params(a, &ctx.h_in, &ctx.cache, &g));
+            layer.activation().chain_assign(&mut g, &z);
+            if let Cow::Owned(z) = z {
+                bufs.give(z);
+            }
+            let (layer_grads, dh) =
+                layer.backward_train(a, &h_in, &cache, &g, l > 0 || want_dx, bufs);
+            if let Cow::Owned(h_in) = h_in {
+                bufs.give(h_in);
+            }
+            if let Cow::Owned(LayerCache {
+                h_proj: Some(hp), ..
+            }) = cache
+            {
+                bufs.give(hp);
+            }
+            grads.push(layer_grads);
+            if let Some(dh) = dh {
+                bufs.give(std::mem::replace(&mut g, dh));
             }
         }
         grads.reverse();
-        (grads, want_dx.then_some(g))
+        if want_dx {
+            return (grads, Some(g));
+        }
+        bufs.give(g);
+        (grads, None)
     }
 
     /// One full-batch training step (forward + backward + update).
@@ -411,8 +472,21 @@ impl<T: Scalar> GnnModel<T> {
     /// Weight gradients are sums over vertices, so they are unaffected by
     /// the ordering up to FP reassociation.
     ///
-    /// The outputs are dead once the loss gradient exists, and are freed
-    /// before the backward pass, which holds the step's peak working set.
+    /// The step keeps its buffers: every `n × k` matrix it forms — the
+    /// ingested input, `H'`, `Z^l` and `H^{l+1}`, the loss's output and
+    /// gradient, `∂H'` and `∂L/∂H` — and the layers' nnz-long `∂C` are
+    /// taken from the model's [`StepBuffers`] and given back where the
+    /// step is done with them (the outputs once the loss gradient exists,
+    /// `Z^l` once `σ'` is chained). A warm step on a graph of the last
+    /// step's shape allocates none of them for the layers that write
+    /// into step buffers (GAT under the fused plan); the model holds no
+    /// more of them between steps than the step held at its peak.
+    ///
+    /// The buffers stay with the model after the last step, until
+    /// [`GnnModel::with_plan`] or the end of [`crate::train::fit`]: a
+    /// caller that calls `train_step` and then only infers keeps the
+    /// step's working set through inference, unless it re-plans
+    /// (`model.with_plan(model.plan())`).
     pub fn train_step(
         &mut self,
         a: &Csr<T>,
@@ -420,32 +494,71 @@ impl<T: Scalar> GnnModel<T> {
         loss: &dyn Loss<T>,
         opt: &mut dyn Optimizer<T>,
     ) -> T {
-        let (value, grads) = self.with_resolution(a, |plan, r| match r {
-            Some(r) => {
-                let (out_p, ctxs) = self
-                    .forward_cached_owned(&r.a, Self::ingest(plan, Cow::Owned(r.permute_rows(x))));
-                let out = r.restore_rows(&out_p);
-                drop(out_p);
-                let value = loss.value(&out);
-                // Re-enter the plan layout alongside the permutation: the
-                // loss runs on tight caller-order rows, the backward pass
-                // on the plan's padded rows.
-                let grad_p = Self::ingest(plan, Cow::Owned(r.permute_rows(&loss.gradient(&out))));
-                drop(out);
-                (value, self.backward_owned(&r.a, &ctxs, grad_p, false).0)
+        let mut bufs = std::mem::take(&mut self.step_buffers);
+        let (value, grads) = self.with_resolution(a, |plan, r| {
+            let a = r.map_or(a, |r| &r.a);
+            let n = a.rows();
+            // `ingest`'s layout: the plan's, or padding the caller's
+            // features already carry (a permuted copy is tight).
+            let padded = plan.layout() == Layout::Padded || (r.is_none() && x.is_padded());
+            bufs.begin(n, a.nnz(), x.cols(), padded);
+            let mut h0 = bufs.take(x.rows(), x.cols(), padded);
+            match r {
+                Some(r) => r.permute_rows_into(x, &mut h0),
+                None => h0.copy_from(x),
             }
-            None => {
-                let (out, ctxs) =
-                    self.forward_cached_owned(a, Self::ingest(plan, Cow::Borrowed(x)));
-                let out = out.into_tight();
-                let value = loss.value(&out);
-                let grad_out = Self::ingest(plan, Cow::Owned(loss.gradient(&out)));
-                drop(out);
-                (value, self.backward_owned(a, &ctxs, grad_out, false).0)
-            }
+            let (ctxs, h_last) = self.forward_train(a, h0, &mut bufs);
+            let out_p = h_last.as_ref().unwrap_or_else(|| &ctxs[ctxs.len() - 1].z);
+            let k = out_p.cols();
+            // The loss reads tight caller-order rows; its gradient is
+            // written in the plan's layout (and order) for backward.
+            let grad_padded = plan.layout() == Layout::Padded;
+            let (value, g) = match r {
+                Some(r) => {
+                    let mut out = bufs.take(n, k, false);
+                    r.restore_rows_into(out_p, &mut out);
+                    if let Some(h) = h_last {
+                        bufs.give(h);
+                    }
+                    let value = loss.value(&out);
+                    let mut grad = bufs.take(n, k, false);
+                    loss.gradient_into(&out, &mut grad);
+                    bufs.give(out);
+                    let mut g = bufs.take(n, k, grad_padded);
+                    r.permute_rows_into(&grad, &mut g);
+                    bufs.give(grad);
+                    (value, g)
+                }
+                None => {
+                    let tight = out_p.is_padded().then(|| {
+                        let mut out = bufs.take(n, k, false);
+                        out.copy_from(out_p);
+                        out
+                    });
+                    let out = tight.as_ref().unwrap_or(out_p);
+                    let value = loss.value(out);
+                    let mut g = bufs.take(n, k, grad_padded);
+                    loss.gradient_into(out, &mut g);
+                    for m in tight.into_iter().chain(h_last) {
+                        bufs.give(m);
+                    }
+                    (value, g)
+                }
+            };
+            let parts = ctxs
+                .into_iter()
+                .map(|c| (Cow::Owned(c.h_in), Cow::Owned(c.z), Cow::Owned(c.cache)))
+                .collect();
+            (value, self.backward_owned(a, parts, g, false, &mut bufs).0)
         });
+        self.step_buffers = bufs;
         self.apply_gradients(&grads, opt);
         value
+    }
+
+    /// Drops [`GnnModel::train_step`]'s buffers: a training run is over.
+    pub(crate) fn release_step_buffers(&mut self) {
+        self.step_buffers = StepBuffers::new();
     }
 
     /// Applies precomputed gradients through an optimizer (exposed so the

@@ -461,6 +461,16 @@ impl<T: Scalar> Reordering<T> {
     pub fn restore_rows(&self, out: &Dense<T>) -> Dense<T> {
         out.gather_rows(&self.inv)
     }
+
+    /// [`Reordering::permute_rows`] into `out`, whose layout is kept.
+    pub fn permute_rows_into(&self, x: &Dense<T>, out: &mut Dense<T>) {
+        x.gather_rows_into(&self.perm, out);
+    }
+
+    /// [`Reordering::restore_rows`] into `out`, whose layout is kept.
+    pub fn restore_rows_into(&self, out_p: &Dense<T>, out: &mut Dense<T>) {
+        out_p.gather_rows_into(&self.inv, out);
+    }
 }
 
 #[cfg(test)]
@@ -623,6 +633,13 @@ mod tests {
         let x = Dense::from_fn(10, 3, |i, j| (i * 3 + j) as f64);
         // permute ∘ restore is the identity on row order.
         assert!(r.restore_rows(&r.permute_rows(&x)).max_abs_diff(&x) == 0.0);
+        // The writing forms gather the same rows into a kept layout.
+        let mut xp = Dense::zeros_padded(10, 3);
+        r.permute_rows_into(&x, &mut xp);
+        assert!(xp.is_padded() && xp == r.permute_rows(&x));
+        let mut back = Dense::filled(10, 3, -1.0);
+        r.restore_rows_into(&xp, &mut back);
+        assert_eq!(back, x);
         // The permuted adjacency relates to the original entrywise.
         let d = a.to_dense();
         let pd = r.a.to_dense();

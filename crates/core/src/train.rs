@@ -54,7 +54,8 @@ impl TrainHistory {
     }
 }
 
-/// Trains `model` full-batch until convergence or the epoch budget.
+/// Trains `model` full-batch until convergence or the epoch budget, then
+/// releases the buffers [`GnnModel::train_step`] keeps between steps.
 pub fn fit<T: Scalar>(
     model: &mut GnnModel<T>,
     a: &Csr<T>,
@@ -88,6 +89,9 @@ pub fn fit<T: Scalar>(
             }
         }
     }
+    // The run is over: what follows (evaluation, inference) should not
+    // sit on top of the step's working set.
+    model.release_step_buffers();
     TrainHistory {
         losses,
         early_stopped,

@@ -253,15 +253,26 @@ fn aggregate_row_scaled<T: Scalar>(
 /// With `STATS` each softmax row's max and normaliser land in the
 /// returned [`RowStats`]. It is a compile-time switch so that every other
 /// sweep — inference above all — compiles to a body without it.
+///
+/// The aggregation goes to `out`, `a.rows() × src.cols()` in `src`'s
+/// layout and **zero on entry** (the sweep accumulates into it): the
+/// allocating entry points pass a fresh `zeros_matching`, the writing
+/// ones zero-fill the caller's buffer first.
 fn fused_sweep<T: Scalar, const STATS: bool>(
     a: &Csr<T>,
     src: &Dense<T>,
+    out: &mut Dense<T>,
     softmax: bool,
     want_cache: bool,
     want_secondary: bool,
     score_row: impl Fn(usize, &[u32], &mut [T], Option<&mut [T]>) -> T + Sync,
-) -> (FusedAttention<T>, Option<RowStats<T>>) {
+) -> SweepCaches<T> {
     assert_eq!(a.cols(), src.rows(), "attention: A cols must match H rows");
+    assert_eq!(
+        (out.shape(), out.stride()),
+        ((a.rows(), src.cols()), src.stride()),
+        "attention: output must be A.rows() x H.cols() in H's layout"
+    );
     debug_assert!(softmax || !STATS, "row stats of no softmax");
     let k = src.cols();
     let nnz = a.nnz();
@@ -270,7 +281,6 @@ fn fused_sweep<T: Scalar, const STATS: bool>(
     let tile = auto_col_tile(k, T::BYTES);
     let parallel = nnz >= PAR_THRESHOLD;
     let wide = micro::wide();
-    let mut out = src.zeros_matching(a.rows(), k);
     let out_stride = out.stride();
     let mut psi_values: Vec<T> = if want_cache {
         vec![T::zero(); nnz]
@@ -408,12 +418,29 @@ fn fused_sweep<T: Scalar, const STATS: bool>(
             });
         });
     }
-    let fa = FusedAttention {
-        out,
+    SweepCaches {
         psi: want_cache.then(|| a.with_values(psi_values)),
         scores: (want_cache && want_secondary).then(|| a.with_values(sec_values)),
-    };
-    (fa, STATS.then_some(RowStats { rows: stats, wide }))
+        stats: STATS.then_some(RowStats { rows: stats, wide }),
+    }
+}
+
+/// What a [`fused_sweep`] leaves besides its aggregation.
+struct SweepCaches<T: Scalar> {
+    psi: Option<Csr<T>>,
+    scores: Option<Csr<T>>,
+    stats: Option<RowStats<T>>,
+}
+
+impl<T: Scalar> SweepCaches<T> {
+    /// The [`FusedAttention`] of the sweep that aggregated into `out`.
+    fn with_out(self, out: Dense<T>) -> FusedAttention<T> {
+        FusedAttention {
+            out,
+            psi: self.psi,
+            scores: self.scores,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -429,14 +456,15 @@ pub fn attention_forward_va<T: Scalar>(
     want_cache: bool,
 ) -> FusedAttention<T> {
     assert!(a.rows() <= h.rows(), "va attention: A has more rows than H");
-    fused_sweep::<T, false>(a, h, false, want_cache, false, |r, cols, e, _| {
+    let mut out = h.zeros_matching(a.rows(), h.cols());
+    fused_sweep::<T, false>(a, h, &mut out, false, want_cache, false, |r, cols, e, _| {
         let hr = h.row(r);
         for (slot, &c) in e.iter_mut().zip(cols) {
             *slot = gemm::dot(hr, h.row(c as usize));
         }
         T::neg_infinity() // no softmax: the row max is never consulted
     })
-    .0
+    .with_out(out)
 }
 
 /// Fused AGNN forward: `Z = sm(A ⊙ (β · H Hᵀ ⊘ n nᵀ)) H'` in one sweep
@@ -455,39 +483,48 @@ pub fn attention_forward_agnn<T: Scalar>(
         "agnn attention: A has more rows than H"
     );
     let norms = blocks::row_l2_norms(h);
-    fused_sweep::<T, false>(a, hp, true, want_cache, true, move |r, cols, e, sec| {
-        let hr = h.row(r);
-        let nr = norms[r];
-        let cos_of = |c: usize| {
-            let denom = nr * norms[c];
-            if denom == T::zero() {
-                T::zero()
-            } else {
-                gemm::dot(hr, h.row(c)) / denom
-            }
-        };
-        let mut m = T::neg_infinity();
-        match sec {
-            Some(sec) => {
-                for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
-                    let cos = cos_of(c as usize);
-                    *cache = cos;
-                    let s = beta * cos;
-                    *slot = s;
-                    m = Scalar::max(m, s);
+    let mut out = hp.zeros_matching(a.rows(), hp.cols());
+    fused_sweep::<T, false>(
+        a,
+        hp,
+        &mut out,
+        true,
+        want_cache,
+        true,
+        move |r, cols, e, sec| {
+            let hr = h.row(r);
+            let nr = norms[r];
+            let cos_of = |c: usize| {
+                let denom = nr * norms[c];
+                if denom == T::zero() {
+                    T::zero()
+                } else {
+                    gemm::dot(hr, h.row(c)) / denom
+                }
+            };
+            let mut m = T::neg_infinity();
+            match sec {
+                Some(sec) => {
+                    for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
+                        let cos = cos_of(c as usize);
+                        *cache = cos;
+                        let s = beta * cos;
+                        *slot = s;
+                        m = Scalar::max(m, s);
+                    }
+                }
+                None => {
+                    for (slot, &c) in e.iter_mut().zip(cols) {
+                        let s = beta * cos_of(c as usize);
+                        *slot = s;
+                        m = Scalar::max(m, s);
+                    }
                 }
             }
-            None => {
-                for (slot, &c) in e.iter_mut().zip(cols) {
-                    let s = beta * cos_of(c as usize);
-                    *slot = s;
-                    m = Scalar::max(m, s);
-                }
-            }
-        }
-        m
-    })
-    .0
+            m
+        },
+    )
+    .with_out(out)
 }
 
 /// Fused GAT forward: `Z = sm(A ⊙ LeakyReLU(u 𝟙ᵀ + 𝟙 vᵀ)) H'` in one
@@ -502,7 +539,8 @@ pub fn attention_forward_gat<T: Scalar>(
     slope: f64,
     want_cache: bool,
 ) -> FusedAttention<T> {
-    gat_sweep::<T, false>(a, u, v, hp, slope, want_cache).0
+    let mut out = hp.zeros_matching(a.rows(), hp.cols());
+    gat_sweep::<T, false>(a, u, v, hp, slope, want_cache, &mut out).with_out(out)
 }
 
 /// Fused GAT training forward with `Ψ` kept virtual: the inference sweep
@@ -518,11 +556,30 @@ pub fn attention_forward_gat_stats<T: Scalar>(
     hp: &Dense<T>,
     slope: f64,
 ) -> (Dense<T>, RowStats<T>) {
-    let (fa, stats) = gat_sweep::<T, true>(a, u, v, hp, slope, false);
-    (fa.out, stats.expect("a RowStats sweep returns its stats"))
+    let mut out = hp.zeros_matching(a.rows(), hp.cols());
+    let stats = gat_sweep::<T, true>(a, u, v, hp, slope, false, &mut out).stats;
+    (out, stats.expect("a RowStats sweep returns its stats"))
 }
 
-/// The GAT scoring of both forward entry points.
+/// [`attention_forward_gat_stats`] into `out`, an `a.rows() × hp.cols()`
+/// matrix in `hp`'s layout whose old contents are overwritten (it is
+/// zero-filled before the sweep accumulates into it). Returns the row
+/// stats.
+pub fn attention_forward_gat_stats_into<T: Scalar>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    hp: &Dense<T>,
+    slope: f64,
+    out: &mut Dense<T>,
+) -> RowStats<T> {
+    out.zero_fill();
+    let stats = gat_sweep::<T, true>(a, u, v, hp, slope, false, out).stats;
+    stats.expect("a RowStats sweep returns its stats")
+}
+
+/// The GAT scoring of every forward entry point, aggregating into `out`
+/// (zero on entry, see [`fused_sweep`]).
 fn gat_sweep<T: Scalar, const STATS: bool>(
     a: &Csr<T>,
     u: &[T],
@@ -530,38 +587,47 @@ fn gat_sweep<T: Scalar, const STATS: bool>(
     hp: &Dense<T>,
     slope: f64,
     want_cache: bool,
-) -> (FusedAttention<T>, Option<RowStats<T>>) {
+    out: &mut Dense<T>,
+) -> SweepCaches<T> {
     assert_eq!(a.rows(), u.len(), "gat attention: u length mismatch");
     assert_eq!(a.cols(), v.len(), "gat attention: v length mismatch");
     let act = Activation::LeakyRelu(slope);
-    fused_sweep::<T, STATS>(a, hp, true, want_cache, true, move |r, cols, e, sec| {
-        let ur = u[r];
-        // The gather-and-activate loop carries no loop dependency once the
-        // row max moves out of it into a [`micro::max_wide`] pass over the
-        // finished score row — IEEE max is exact in any association, so
-        // the lane-tree max matches the sequential fold bit-for-bit while
-        // the gather loop pipelines freely.
-        //
-        // SAFETY (both gathers): `Csr` construction validates every stored
-        // column index against `cols()`, and the entry assert pins
-        // `v.len() == a.cols()`; the per-element bounds check would
-        // otherwise keep the gather loop scalar.
-        match sec {
-            Some(sec) => {
-                for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
-                    let pre = ur + unsafe { *v.get_unchecked(c as usize) };
-                    *cache = pre;
-                    *slot = act.eval(pre);
+    fused_sweep::<T, STATS>(
+        a,
+        hp,
+        out,
+        true,
+        want_cache,
+        true,
+        move |r, cols, e, sec| {
+            let ur = u[r];
+            // The gather-and-activate loop carries no loop dependency once the
+            // row max moves out of it into a [`micro::max_wide`] pass over the
+            // finished score row — IEEE max is exact in any association, so
+            // the lane-tree max matches the sequential fold bit-for-bit while
+            // the gather loop pipelines freely.
+            //
+            // SAFETY (both gathers): `Csr` construction validates every stored
+            // column index against `cols()`, and the entry assert pins
+            // `v.len() == a.cols()`; the per-element bounds check would
+            // otherwise keep the gather loop scalar.
+            match sec {
+                Some(sec) => {
+                    for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
+                        let pre = ur + unsafe { *v.get_unchecked(c as usize) };
+                        *cache = pre;
+                        *slot = act.eval(pre);
+                    }
+                }
+                None => {
+                    for (slot, &c) in e.iter_mut().zip(cols) {
+                        *slot = act.eval(ur + unsafe { *v.get_unchecked(c as usize) });
+                    }
                 }
             }
-            None => {
-                for (slot, &c) in e.iter_mut().zip(cols) {
-                    *slot = act.eval(ur + unsafe { *v.get_unchecked(c as usize) });
-                }
-            }
-        }
-        micro::max_wide(e)
-    })
+            micro::max_wide(e)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -577,14 +643,15 @@ pub fn attention_backward_va<T: Scalar>(
     h: &Dense<T>,
 ) -> (Csr<T>, Dense<T>) {
     assert_eq!(a.rows(), m.rows(), "va backward: A rows must match M rows");
-    let (fa, _) = fused_sweep::<T, false>(a, h, false, true, false, |r, cols, e, _| {
+    let mut out = h.zeros_matching(a.rows(), h.cols());
+    let caches = fused_sweep::<T, false>(a, h, &mut out, false, true, false, |r, cols, e, _| {
         let mr = m.row(r);
         for (slot, &c) in e.iter_mut().zip(cols) {
             *slot = gemm::dot(mr, h.row(c as usize));
         }
         T::neg_infinity() // no softmax: the row max is never consulted
     });
-    (fa.psi.expect("va backward: sweep always caches N"), fa.out)
+    (caches.psi.expect("va backward: sweep always caches N"), out)
 }
 
 /// `d[e] = ⟨g_row, hp[cols[e]]⟩` over one row's stored entries — the
@@ -630,9 +697,11 @@ pub fn attention_backward_gat<T: Scalar>(
         "gat backward: C must share A's pattern"
     );
     let (psi_v, pre_v) = (psi.values(), c_pre.values());
-    gat_backward_sweep(a, hp, g, slope, |_| {
+    let mut dc = vec![T::zero(); a.nnz()];
+    let du = gat_backward_sweep(a, hp, g, slope, &mut dc, |_| {
         |idx: usize, _| (psi_v[idx], pre_v[idx])
-    })
+    });
+    (a.with_values(dc), du)
 }
 
 /// [`attention_backward_gat`] with `Ψ` and `C` recomputed from the
@@ -649,9 +718,28 @@ pub fn attention_backward_gat_virtual<T: Scalar>(
     g: &Dense<T>,
     slope: f64,
 ) -> (Csr<T>, Vec<T>) {
+    let mut dc = vec![T::zero(); a.nnz()];
+    let du = attention_backward_gat_virtual_into(a, u, v, stats, hp, g, slope, &mut dc);
+    (a.with_values(dc), du)
+}
+
+/// [`attention_backward_gat_virtual`] writing `∂C`'s values — every one
+/// of them — into `dc` (`a.nnz()` long, `a`'s storage order) instead of a
+/// new `Csr`. Returns `∂u`.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_backward_gat_virtual_into<T: Scalar>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    stats: &RowStats<T>,
+    hp: &Dense<T>,
+    g: &Dense<T>,
+    slope: f64,
+    dc: &mut [T],
+) -> Vec<T> {
     check_virtual(a, u, v, stats);
     let act = Activation::LeakyRelu(slope);
-    gat_backward_sweep(a, hp, g, slope, |r| {
+    gat_backward_sweep(a, hp, g, slope, dc, |r| {
         let (ur, [m, norm]) = (u[r], stats.rows[r]);
         move |_, c: u32| {
             let pre = ur + v[c as usize];
@@ -674,16 +762,48 @@ pub fn attention_psi_t_gat_virtual<T: Scalar>(
     g: &Dense<T>,
     slope: f64,
 ) -> Dense<T> {
+    let mut out = g.zeros_matching(a.cols(), g.cols());
+    psi_t_gat_virtual(a, u, v, stats, g, slope, &mut out);
+    out
+}
+
+/// [`attention_psi_t_gat_virtual`] into `out`, an `a.cols() × g.cols()`
+/// matrix in `g`'s layout whose old contents are overwritten (it is
+/// zero-filled before the gather accumulates into it).
+pub fn attention_psi_t_gat_virtual_into<T: Scalar>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    stats: &RowStats<T>,
+    g: &Dense<T>,
+    slope: f64,
+    out: &mut Dense<T>,
+) {
+    out.zero_fill();
+    psi_t_gat_virtual(a, u, v, stats, g, slope, out);
+}
+
+/// The gather of both `Ψᵀ G` entry points, into a zeroed `out`.
+fn psi_t_gat_virtual<T: Scalar>(
+    a: &Csr<T>,
+    u: &[T],
+    v: &[T],
+    stats: &RowStats<T>,
+    g: &Dense<T>,
+    slope: f64,
+    out: &mut Dense<T>,
+) {
     check_virtual(a, u, v, stats);
     let act = Activation::LeakyRelu(slope);
-    spmm::gather_t(a, g, |j| {
+    let weights = |j: usize| {
         let vj = v[j];
         move |_, i: u32| {
             let i = i as usize;
             let [m, norm] = stats.rows[i];
             masked::softmax_finish(stats.wide, act.eval(u[i] + vj) - m, norm)
         }
-    })
+    };
+    spmm::gather_t(a, g, weights, out);
 }
 
 /// The shape conditions of the virtual-`Ψ` kernels: `u` and the stats
@@ -701,14 +821,16 @@ fn check_virtual<T: Scalar>(a: &Csr<T>, u: &[T], v: &[T], stats: &RowStats<T>) {
 /// `D_ij = ⟨g_i, h'_j⟩` to scratch beside them ([`edge_dots`]), then the
 /// row dot `Σ_j Ψ_ij D_ij` accumulates in entry order and the softmax
 /// backward `∂E = Ψ ⊙ (D − rep(rowdot))` times the gradient folds into
-/// `∂C`, whose row sum is `∂u`. Returns `(∂C, ∂u)`.
+/// `∂C`, whose row sum is `∂u`. Every value of `∂C` is written into
+/// `dc_values`; returns `∂u`.
 fn gat_backward_sweep<T, R, E>(
     a: &Csr<T>,
     hp: &Dense<T>,
     g: &Dense<T>,
     slope: f64,
+    dc_values: &mut [T],
     edges: R,
-) -> (Csr<T>, Vec<T>)
+) -> Vec<T>
 where
     T: Scalar,
     R: Fn(usize) -> E + Sync,
@@ -718,11 +840,11 @@ where
     let indptr = a.indptr();
     let indices = a.indices();
     let nnz = a.nnz();
-    let mut dc_values = vec![T::zero(); nnz];
+    assert_eq!(dc_values.len(), nnz, "gat backward: ∂C length mismatch");
     let mut du = vec![T::zero(); a.rows()];
     let parallel = nnz >= PAR_THRESHOLD;
     {
-        let dc_slots = DisjointSlice::new(&mut dc_values);
+        let dc_slots = DisjointSlice::new(dc_values);
         let du_slots = DisjointSlice::new(&mut du);
         rt::parallel_for(a.rows(), Cost::Prefix(indptr), parallel, |lo, hi| {
             // SAFETY: row ranges are disjoint across chunk bodies; indptr
@@ -770,7 +892,7 @@ where
             });
         });
     }
-    (a.with_values(dc_values), du)
+    du
 }
 
 /// Everything the AGNN layer tail needs from the fused backward sweep.
@@ -1445,6 +1567,54 @@ mod tests {
         for (x, y) in tp.values().iter().zip(pp.values()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn gat_writing_forms_overwrite_stale_buffers_bitwise() {
+        // A training step hands the writing forms buffers that still hold
+        // the last step's values: the result must not see them.
+        let a = crate::norm::add_self_loops(&graph());
+        let u: Vec<f64> = (0..6).map(|i| (i as f64) * 0.3 - 1.0).collect();
+        let v: Vec<f64> = (0..6).map(|i| 0.7 - (i as f64) * 0.2).collect();
+        let same = |x: &Dense<f64>, y: &Dense<f64>| {
+            (0..x.rows()).all(|r| {
+                x.row(r)
+                    .iter()
+                    .zip(y.row(r))
+                    .all(|(p, q)| p.to_bits() == q.to_bits())
+            })
+        };
+        for hp in [feats(6, 5, 21), feats(6, 5, 21).padded()] {
+            let g = feats(6, 5, 22);
+            let g = if hp.is_padded() { g.padded() } else { g };
+            let (want_z, stats) = attention_forward_gat_stats(&a, &u, &v, &hp, 0.2);
+            let (want_dc, want_du) =
+                attention_backward_gat_virtual(&a, &u, &v, &stats, &hp, &g, 0.2);
+            let want_pt = attention_psi_t_gat_virtual(&a, &u, &v, &stats, &g, 0.2);
+            let mut stale = hp.clone();
+            for r in 0..6 {
+                stale.row_mut(r).fill(f64::NAN);
+            }
+            let mut z = stale.clone();
+            let got_stats = attention_forward_gat_stats_into(&a, &u, &v, &hp, 0.2, &mut z);
+            assert!(same(&z, &want_z) && z.padding_is_zero());
+            assert_eq!(format!("{got_stats:?}"), format!("{stats:?}"));
+            let mut dc = vec![f64::NAN; a.nnz()];
+            let du = attention_backward_gat_virtual_into(&a, &u, &v, &stats, &hp, &g, 0.2, &mut dc);
+            assert_eq!(bits(&dc), bits(want_dc.values()));
+            assert_eq!(bits(&du), bits(&want_du));
+            assert_eq!(
+                bits(&masked::col_sums_on(&a, &dc)),
+                bits(&masked::col_sums(&want_dc))
+            );
+            let mut pt = stale;
+            attention_psi_t_gat_virtual_into(&a, &u, &v, &stats, &g, 0.2, &mut pt);
+            assert!(same(&pt, &want_pt) && pt.padding_is_zero());
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

@@ -97,12 +97,25 @@ pub fn row_sums<T: Scalar>(x: &Csr<T>) -> Vec<T> {
 
 /// `sumᵀ(X) = Xᵀ 1`: the sum of stored values in each column.
 pub fn col_sums<T: Scalar>(x: &Csr<T>) -> Vec<T> {
-    let mut out = vec![T::zero(); x.cols()];
-    for r in 0..x.rows() {
-        let (cols, vals) = x.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            out[c as usize] += v;
-        }
+    col_sums_on(x, x.values())
+}
+
+/// [`col_sums`] of `values` laid on `pattern`'s stored entries (in its
+/// storage order) — for a value array kept outside a `Csr`, such as a
+/// training step's reused `∂C`. Entries are summed in storage order, row
+/// by row, as `col_sums` does.
+///
+/// # Panics
+/// Panics if `values.len() != pattern.nnz()`.
+pub fn col_sums_on<T: Scalar>(pattern: &Csr<T>, values: &[T]) -> Vec<T> {
+    assert_eq!(
+        values.len(),
+        pattern.nnz(),
+        "col_sums: value count mismatch"
+    );
+    let mut out = vec![T::zero(); pattern.cols()];
+    for (&c, &v) in pattern.indices().iter().zip(values) {
+        out[c as usize] += v;
     }
     out
 }

@@ -156,7 +156,9 @@ pub fn spmm<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
 /// distributed tests and the training-determinism guarantee rely on.
 pub fn spmm_t<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
     let vals = a.values();
-    gather_t(a, h, |_| |e, _| vals[e as usize])
+    let mut out = h.zeros_matching(a.cols(), h.cols());
+    gather_t(a, h, |_| |e, _| vals[e as usize], &mut out);
+    out
 }
 
 /// [`spmm_t`] with `A`'s values computed rather than read: `weights(j)`
@@ -166,15 +168,24 @@ pub fn spmm_t<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
 /// its rounding sequence are [`spmm_t`]'s; only where a weight comes from
 /// differs (the attention backward recomputes `Ψ` here instead of
 /// storing it).
-pub(crate) fn gather_t<T, W, F>(a: &Csr<T>, h: &Dense<T>, weights: W) -> Dense<T>
+///
+/// `out` is `A.cols() × H.cols()` with `H`'s stride, and **zero on
+/// entry**: the gather accumulates into it. A writing caller zero-fills
+/// a reused buffer first ([`Dense::zero_fill`]); an allocating one passes
+/// a fresh `zeros_matching`.
+pub(crate) fn gather_t<T, W, F>(a: &Csr<T>, h: &Dense<T>, weights: W, out: &mut Dense<T>)
 where
     T: Scalar,
     W: Fn(usize) -> F + Sync,
     F: Fn(u32, u32) -> T,
 {
     assert_eq!(a.rows(), h.rows(), "spmm_t: dimension mismatch");
+    assert_eq!(
+        (out.shape(), out.stride()),
+        ((a.cols(), h.cols()), h.stride()),
+        "spmm_t: output must be A.cols() x H.cols() in H's layout"
+    );
     let t = a.transposed();
-    let mut out = h.zeros_matching(a.cols(), h.cols());
     let out_stride = out.stride();
     let parallel = a.cols() * h.cols() >= PAR_THRESHOLD;
     let slots = DisjointSlice::new(out.as_mut_slice());
@@ -192,7 +203,6 @@ where
             }
         });
     });
-    out
 }
 
 /// The execution order of a three-factor product.

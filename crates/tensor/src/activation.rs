@@ -99,9 +99,18 @@ impl Activation {
         }
     }
 
-    /// `σ(Z)` applied to a whole matrix.
+    /// `σ(Z)` applied to a whole matrix, in `z`'s layout.
     pub fn apply<T: Scalar>(self, z: &Dense<T>) -> Dense<T> {
-        ops::map(z, |v| self.eval(v))
+        let mut out = z.zeros_matching(z.rows(), z.cols());
+        self.apply_into(z, &mut out);
+        out
+    }
+
+    /// `out = σ(Z)` over the logical elements, into a same-shape matrix of
+    /// any layout (its padding tails are left as they are) — the writing
+    /// form of [`Activation::apply`].
+    pub fn apply_into<T: Scalar>(self, z: &Dense<T>, out: &mut Dense<T>) {
+        ops::map_into(out, z, |v| self.eval(v));
     }
 
     /// `σ'(Z)` applied to a whole matrix.

@@ -271,6 +271,25 @@ impl<T: Scalar> Dense<T> {
         &mut self.data[start..start + self.stride]
     }
 
+    /// Sets every element, padding tails included, to zero — how a writing
+    /// kernel whose body accumulates readies a reused output before its
+    /// loop.
+    pub fn zero_fill(&mut self) {
+        self.data.fill(T::zero());
+    }
+
+    /// Copies the logical elements of a same-shape matrix of any layout
+    /// into `self`; the padding tails are left as they are.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn copy_from(&mut self, src: &Self) {
+        assert_eq!(self.shape(), src.shape(), "copy_from: shape mismatch");
+        for i in 0..self.rows {
+            self.row_mut(i).copy_from_slice(src.row(i));
+        }
+    }
+
     /// Whether every padding tail is exactly zero — the layout invariant
     /// the property tests pin through training steps.
     pub fn padding_is_zero(&self) -> bool {
@@ -323,6 +342,9 @@ impl<T: Scalar> Dense<T> {
     /// # Panics
     /// Panics if any index is out of range.
     pub fn gather_rows(&self, idx: &[u32]) -> Self {
+        // Built by extension rather than over `gather_rows_into`: a fresh
+        // result is written exactly once, with no zero-fill first (the
+        // server gathers every batch's ego features through here).
         let k = self.cols;
         let mut data = Vec::with_capacity(idx.len() * k);
         for &src in idx {
@@ -333,6 +355,24 @@ impl<T: Scalar> Dense<T> {
             cols: k,
             stride: k,
             data,
+        }
+    }
+
+    /// [`Dense::gather_rows`] into `out`, whose layout is kept: logical
+    /// row `i` of `out` becomes row `idx[i]` of `self`, the padding tails
+    /// are left as they are.
+    ///
+    /// # Panics
+    /// Panics if `out` is not `idx.len() × self.cols()` or an index is out
+    /// of range.
+    pub fn gather_rows_into(&self, idx: &[u32], out: &mut Self) {
+        assert_eq!(
+            out.shape(),
+            (idx.len(), self.cols),
+            "gather_rows_into: output shape mismatch"
+        );
+        for (i, &src) in idx.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(self.row(src as usize));
         }
     }
 
@@ -580,6 +620,22 @@ mod tests {
         assert_eq!(t[(1, 0)], 7.0);
         assert_eq!(m.gather_rows(&[5, 0]).row(0), m.row(5));
         assert_eq!(m.clone().into_vec().len(), 18);
+    }
+
+    #[test]
+    fn writing_forms_fill_logical_rows_and_keep_the_layout() {
+        let m = Dense::<f64>::from_fn(4, 5, |i, j| (i * 10 + j) as f64 - 7.5);
+        for mut out in [Dense::filled(3, 5, 9.0), Dense::filled(3, 5, 9.0).padded()] {
+            let padded = out.is_padded();
+            m.gather_rows_into(&[3, 0, 3], &mut out);
+            assert_eq!(out, m.gather_rows(&[3, 0, 3]));
+            assert_eq!(out.is_padded(), padded);
+            assert!(out.padding_is_zero());
+            out.zero_fill();
+            assert!(out.as_slice().iter().all(|v| v.to_bits() == 0));
+            out.copy_from(&m.slice_rows(1, 3).padded());
+            assert_eq!(out, m.slice_rows(1, 3));
+        }
     }
 
     #[test]

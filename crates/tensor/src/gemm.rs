@@ -15,7 +15,10 @@
 //!
 //! [`matmul`] and [`matmul_nt`] share one family of register-tile kernels
 //! over a packed right-hand operand ([`Packed`]); [`matmul_tn`] needs no
-//! packing and runs its own outer-product tile.
+//! packing and runs its own outer-product tile. The two tall-output
+//! products have writing forms, [`matmul_into`] and [`matmul_nt_into`],
+//! which a training step points at buffers it keeps across steps; the
+//! allocating functions are those over a fresh zero matrix.
 
 use crate::dense::Dense;
 use crate::micro;
@@ -107,11 +110,24 @@ impl<T: Scalar> Packed<T> {
     }
 }
 
-/// `C = A · B`.
+/// `C = A · B`, in `A`'s layout.
 ///
 /// # Panics
 /// Panics if `A.cols() != B.rows()`.
 pub fn matmul<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
+    let mut out = a.zeros_matching(a.rows(), b.cols());
+    matmul_into(a, b, &mut out);
+    out
+}
+
+/// [`matmul`] into `out`, an `A.rows() × B.cols()` matrix of any layout
+/// whose padding tails are left as they are. The tile kernels store every
+/// logical element; the plain loop accumulates, so it runs over a
+/// zero-filled `out`.
+///
+/// # Panics
+/// Panics if `A.cols() != B.rows()` or `out` has the wrong shape.
+pub fn matmul_into<T: Scalar>(a: &Dense<T>, b: &Dense<T>, out: &mut Dense<T>) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -122,10 +138,12 @@ pub fn matmul<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
         b.cols()
     );
     let (k, n) = b.shape();
+    assert_eq!(out.shape(), (a.rows(), n), "matmul: output shape mismatch");
     if let Some(lane) = panel_lane(n, k) {
-        return matmul_tiled(a, &Packed::of(b, lane));
+        return matmul_tiled(a, &Packed::of(b, lane), out);
     }
-    plain_rows(a, n, |i, row_out| {
+    out.zero_fill();
+    plain_rows(out, |i, row_out| {
         // i-k-j loop order: the inner j loop streams over a contiguous
         // row of B and of the output, which LLVM auto-vectorizes.
         for (kk, &aik) in a.row(i).iter().enumerate() {
@@ -136,15 +154,10 @@ pub fn matmul<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
     })
 }
 
-/// The driver of the plain loops: an `a.rows() × n` result in `a`'s
-/// layout, `body(i, row)` filling logical row `i` (zero on entry).
-fn plain_rows<T: Scalar>(
-    a: &Dense<T>,
-    n: usize,
-    body: impl Fn(usize, &mut [T]) + Sync,
-) -> Dense<T> {
-    let m = a.rows();
-    let mut out = a.zeros_matching(m, n);
+/// Runs a plain loop over the rows of `out`: `body(i, row)` fills
+/// logical row `i`.
+fn plain_rows<T: Scalar>(out: &mut Dense<T>, body: impl Fn(usize, &mut [T]) + Sync) {
+    let (m, n) = out.shape();
     let out_stride = out.stride();
     let slots = DisjointSlice::new(out.as_mut_slice());
     let parallel = m * n >= PAR_THRESHOLD;
@@ -155,7 +168,6 @@ fn plain_rows<T: Scalar>(
             body(i, &mut row_full[..n]);
         }
     });
-    out
 }
 
 /// `A` times a packed operand, four rows at a time. At [`micro::LANE`]
@@ -168,10 +180,9 @@ fn plain_rows<T: Scalar>(
 /// all use the same kk-ascending `mul_add` order — so the chunk
 /// boundaries handed out by [`rt::parallel_for`] (which depend on the
 /// thread count) never change results.
-fn matmul_tiled<T: Scalar>(a: &Dense<T>, p: &Packed<T>) -> Dense<T> {
+fn matmul_tiled<T: Scalar>(a: &Dense<T>, p: &Packed<T>, out: &mut Dense<T>) {
     let (m, n) = (a.rows(), p.n);
     let wide = p.lane == micro::LANE;
-    let mut out = a.zeros_matching(m, n);
     let out_stride = out.stride();
     let slots = DisjointSlice::new(out.as_mut_slice());
     let parallel = m * n >= PAR_THRESHOLD;
@@ -202,7 +213,6 @@ fn matmul_tiled<T: Scalar>(a: &Dense<T>, p: &Packed<T>) -> Dense<T> {
             i += 1;
         }
     });
-    out
 }
 
 /// 4×[`micro::LANE`] register tile: four lane-array accumulators, one
@@ -457,6 +467,18 @@ fn tn_accumulate<T: Scalar>(a: &Dense<T>, b: &Dense<T>, lo: usize, hi: usize, ou
 /// # Panics
 /// Panics if `A.cols() != B.cols()`.
 pub fn matmul_nt<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
+    let mut out = a.zeros_matching(a.rows(), b.rows());
+    matmul_nt_into(a, b, &mut out);
+    out
+}
+
+/// [`matmul_nt`] into `out`, an `A.rows() × B.rows()` matrix of any
+/// layout whose padding tails are left as they are. Both kernels store
+/// every logical element, so `out` needs no zero-fill.
+///
+/// # Panics
+/// Panics if `A.cols() != B.cols()` or `out` has the wrong shape.
+pub fn matmul_nt_into<T: Scalar>(a: &Dense<T>, b: &Dense<T>, out: &mut Dense<T>) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -465,10 +487,15 @@ pub fn matmul_nt<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
         b.cols()
     );
     let (n, k) = b.shape();
+    assert_eq!(
+        out.shape(),
+        (a.rows(), n),
+        "matmul_nt: output shape mismatch"
+    );
     if let Some(lane) = panel_lane(n, k) {
-        return matmul_tiled(a, &Packed::of_transposed(b, lane));
+        return matmul_tiled(a, &Packed::of_transposed(b, lane), out);
     }
-    plain_rows(a, n, |i, row_out| {
+    plain_rows(out, |i, row_out| {
         // One ascending multiply-then-add fold per element: the
         // sequence of `matmul`'s plain loop.
         for (jj, o) in row_out.iter_mut().enumerate() {
@@ -602,8 +629,10 @@ mod tests {
         for (m, k, n) in [(7, 5, 9), (13, 8, 16), (4, 3, 12), (1, 9, 24)] {
             let a = arb(m, k, 21);
             let b = arb(k, n, 22);
-            let w = matmul_tiled(&a, &Packed::of(&b, micro::LANE));
-            let bl = matmul_tiled(&a, &Packed::of(&b, 4));
+            let mut w = Dense::zeros(m, n);
+            matmul_tiled(&a, &Packed::of(&b, micro::LANE), &mut w);
+            let mut bl = Dense::zeros(m, n);
+            matmul_tiled(&a, &Packed::of(&b, 4), &mut bl);
             assert_eq!(w.max_abs_diff(&bl), 0.0, "{m}x{k}x{n}");
         }
     }
@@ -618,6 +647,26 @@ mod tests {
         assert_eq!(pad.max_abs_diff(&tight), 0.0);
         let nt = matmul_nt(&a.padded(), &b.transpose().padded());
         assert_eq!(nt.max_abs_diff(&matmul_nt(&a, &b.transpose())), 0.0);
+    }
+
+    #[test]
+    fn writing_forms_overwrite_stale_outputs_bitwise() {
+        // Both panel widths, the plain loops (n < 4), tight and padded
+        // outputs holding garbage.
+        for (m, k, n) in [(9, 6, 10), (13, 8, 16), (5, 7, 3), (1, 9, 24)] {
+            let a = arb(m, k, 31);
+            let b = arb(k, n, 32);
+            let bt = b.transpose();
+            for stale in [Dense::filled(m, n, 7.5), Dense::filled(m, n, -3.0).padded()] {
+                let mut out = stale.clone();
+                matmul_into(&a, &b, &mut out);
+                assert_eq!(out.max_abs_diff(&matmul(&a, &b)), 0.0, "{m}x{k}x{n}");
+                let mut out = stale;
+                matmul_nt_into(&a, &bt, &mut out);
+                assert_eq!(out.max_abs_diff(&matmul_nt(&a, &bt)), 0.0, "nt {m}x{k}x{n}");
+                assert!(out.padding_is_zero());
+            }
+        }
     }
 
     #[test]

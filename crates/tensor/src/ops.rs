@@ -140,6 +140,38 @@ pub fn zip_assign<T: Scalar>(a: &mut Dense<T>, b: &Dense<T>, f: impl Fn(T, T) ->
     zip_apply(a, b, |x, y| *x = f(*x, y));
 }
 
+/// `out[i] = f(a[i], b[i])` for every logical element: [`zip_assign`]
+/// with the result written to a third matrix. The three may have any
+/// layouts; `out`'s padding tails are left as they are.
+pub fn zip_into<T: Scalar>(
+    out: &mut Dense<T>,
+    a: &Dense<T>,
+    b: &Dense<T>,
+    f: impl Fn(T, T) -> T + Sync + Send,
+) {
+    assert_eq!(a.shape(), b.shape(), "element-wise op: shape mismatch");
+    assert_eq!(out.shape(), a.shape(), "element-wise op: shape mismatch");
+    let (rows, cols) = out.shape();
+    let stride = out.stride();
+    let parallel = out.len() >= PAR_THRESHOLD;
+    let slots = DisjointSlice::new(out.as_mut_slice());
+    rt::parallel_for(rows, Cost::Uniform, parallel, |lo, hi| {
+        // SAFETY: row ranges are disjoint across chunk bodies.
+        let part = unsafe { slots.range_mut(lo * stride, hi * stride) };
+        for (r, orow) in (lo..hi).zip(part.chunks_mut(stride.max(1))) {
+            for ((o, &x), &y) in orow[..cols].iter_mut().zip(a.row(r)).zip(b.row(r)) {
+                *o = f(x, y);
+            }
+        }
+    });
+}
+
+/// `out[i] = f(a[i])` for every logical element, into a same-shape matrix
+/// of any layout (its padding tails are left as they are).
+pub fn map_into<T: Scalar>(out: &mut Dense<T>, a: &Dense<T>, f: impl Fn(T) -> T + Sync + Send) {
+    zip_apply(out, a, |o, v| *o = f(v));
+}
+
 /// Returns `f` mapped over every element.
 pub fn map<T: Scalar>(a: &Dense<T>, f: impl Fn(T) -> T + Sync + Send) -> Dense<T> {
     let mut out = a.clone();
@@ -247,6 +279,33 @@ mod tests {
         add_assign(&mut m2, &bp);
         assert_eq!(m2, add(&a, &b));
         assert_eq!(total_sum(&ap).to_bits(), total_sum(&a).to_bits());
+    }
+
+    #[test]
+    fn writing_forms_match_the_allocating_ones_in_every_layout() {
+        let a = Dense::<f64>::from_fn(300, 230, |i, j| (i * 7 + j) as f64 * 0.013 - 1.0);
+        let b = Dense::<f64>::from_fn(300, 230, |i, j| (i + 3 * j) as f64 * 0.021);
+        let want = zip_assign_copy(&a, &b);
+        let e = map(&a, |v| v.exp());
+        for (x, y) in [
+            (a.clone(), b.clone()),
+            (a.padded(), b.clone()),
+            (a.clone(), b.padded()),
+        ] {
+            for mut out in [Dense::filled(300, 230, 5.0), Dense::zeros_padded(300, 230)] {
+                zip_into(&mut out, &x, &y, |p, q| (p - q) * 0.5);
+                assert!(out.padding_is_zero());
+                assert_eq!(out, want);
+                map_into(&mut out, &x, |v| v.exp());
+                assert_eq!(out, e);
+            }
+        }
+    }
+
+    fn zip_assign_copy(a: &Dense<f64>, b: &Dense<f64>) -> Dense<f64> {
+        let mut out = a.clone();
+        zip_assign(&mut out, b, |p, q| (p - q) * 0.5);
+        out
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! matrix: two temporaries per chain gone. (`train_step` is counted with
 //! its loss gradient and optimizer, the pieces without.)
 //!
+//! And a warm fused GAT `train_step` allocates nothing of that size at
+//! all, nor a value array on the graph's pattern (`∂C`): the model keeps
+//! the step's buffers.
+//!
 //! Its own test binary: the counting `#[global_allocator]` is
 //! process-wide, and only the thread that asks is counted.
 
@@ -15,10 +19,9 @@ use atgnn::optimizer::Sgd;
 use atgnn::plan::{ExecPlan, ReorderStrategy};
 use atgnn::{GnnModel, ModelKind};
 use atgnn_graphgen::kronecker;
-use atgnn_tensor::{init, ops, Activation};
+use atgnn_tensor::{init, ops, rt, Activation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N: usize = 2048;
 const K: usize = 64;
@@ -26,21 +29,31 @@ const K: usize = 64;
 /// buffers (`Ψ`, scores, the transpose index) stay under it.
 const MATRIX_BYTES: usize = N * K * 4;
 
-static MATRIX_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    /// Const-initialized and destructor-free, so reading it inside the
-    /// allocator never allocates.
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Const-initialized and destructor-free, so touching them inside the
+    /// allocator never allocates. Per thread, so the tests of this binary
+    /// count only their own allocations. `NNZ_BYTES == 0` means "not
+    /// counting".
+    static NNZ_BYTES: Cell<usize> = const { Cell::new(0) };
+    /// (matrices, nnz-sized buffers) allocated while counting.
+    static ALLOCATIONS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
 struct Counting;
 
 impl Counting {
     fn note(bytes: usize) {
-        if bytes >= MATRIX_BYTES && COUNTED.try_with(Cell::get).unwrap_or(false) {
-            MATRIX_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let nnz_bytes = NNZ_BYTES.try_with(Cell::get).unwrap_or(0);
+        if nnz_bytes == 0 {
+            return;
         }
+        let _ = ALLOCATIONS.try_with(|c| {
+            let (mats, nnz) = c.get();
+            c.set((
+                mats + usize::from(bytes >= MATRIX_BYTES),
+                nnz + usize::from(bytes == nnz_bytes),
+            ));
+        });
     }
 }
 
@@ -72,12 +85,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-fn matrix_allocations_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = MATRIX_ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTED.with(|c| c.set(true));
+/// How many `N × K` matrices and buffers of exactly `nnz · 4` bytes (`f32`
+/// values on a pattern of `nnz` entries) `f` allocates on this thread.
+fn allocations_of<R>(nnz: usize, f: impl FnOnce() -> R) -> ((usize, usize), R) {
+    ALLOCATIONS.with(|c| c.set((0, 0)));
+    NNZ_BYTES.with(|c| c.set(nnz * 4));
     let out = f();
-    COUNTED.with(|c| c.set(false));
-    (MATRIX_ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    NNZ_BYTES.with(|c| c.set(0));
+    (ALLOCATIONS.with(Cell::get), out)
 }
 
 #[test]
@@ -100,9 +115,9 @@ fn warm_train_step_drops_the_chain_temporaries() {
     // Warm: plan resolution, the transpose index, the pool's scratch.
     model.train_step(&a, &x, &loss, &mut opt);
 
-    let (pieces, _) = {
+    let ((pieces, _), _) = {
         let grad = loss.gradient(&model.inference(&a, &x));
-        matrix_allocations_of(|| {
+        allocations_of(a.nnz(), || {
             let (_, ctxs) = model.forward_cached(&a, &x);
             let mut g = grad;
             for (layer, ctx) in model.layers().iter().zip(&ctxs).rev() {
@@ -111,9 +126,49 @@ fn warm_train_step_drops_the_chain_temporaries() {
             }
         })
     };
-    let (step, _) = matrix_allocations_of(|| model.train_step(&a, &x, &loss, &mut opt));
+    let ((step, _), _) = allocations_of(a.nnz(), || model.train_step(&a, &x, &loss, &mut opt));
     assert!(
         step + 4 <= pieces,
         "train_step made {step} matrix allocations, the public pieces {pieces}"
     );
+}
+
+/// The step buffers serve every `n × k` matrix and the `∂C` of a warm
+/// step — under both reorderings (a permuted input, restored output and
+/// permuted gradient under `Degree`) and whatever the pool size. `∂C` is
+/// a plain value array, not a `Csr`, so it is counted by its size, as the
+/// cold step (which allocates it) shows.
+#[test]
+fn warm_fused_gat_step_allocates_no_matrix_and_no_value_array() {
+    let a = GnnModel::<f32>::prepare_adjacency(
+        ModelKind::Gat,
+        &kronecker::adjacency::<f32>(N, 8 * N, 3),
+    );
+    assert!(a.nnz() * 4 < MATRIX_BYTES && a.nnz() != N * K);
+    let x = init::features::<f32>(N, K, 5);
+    let loss = Mse::new(init::features::<f32>(N, K, 7));
+    let max = rt::max_threads();
+    for reorder in [ReorderStrategy::Off, ReorderStrategy::Degree] {
+        for threads in [1, max] {
+            rt::set_threads(threads);
+            let mut model =
+                GnnModel::<f32>::uniform(ModelKind::Gat, &[K, K, K], Activation::Relu, 9)
+                    .with_plan(ExecPlan::fused().with_reorder(reorder));
+            let mut opt = Sgd::new(0.01);
+            // Cold: plan resolution, the reordering, the step buffers.
+            let ((_, cold_values), _) =
+                allocations_of(a.nnz(), || model.train_step(&a, &x, &loss, &mut opt));
+            assert!(
+                cold_values >= 1,
+                "{reorder:?}: the counter misses the cold step's nnz-sized buffers"
+            );
+            let (warm, _) = allocations_of(a.nnz(), || model.train_step(&a, &x, &loss, &mut opt));
+            assert_eq!(
+                warm,
+                (0, 0),
+                "{reorder:?}, {threads} threads: matrix and value-array allocations"
+            );
+        }
+    }
+    rt::set_threads(max);
 }

@@ -10,9 +10,10 @@
 # line per run (keep them — every run is reported), then
 # tools/ab_summary.awk's table; `awk -f tools/ab_summary.awk saved.log`
 # re-summarises a kept log. The cpu object is the run's user and sys CPU
-# seconds (setup, window and verification together), from bash's `times`:
-# sys CPU is where page-fault churn shows, which separates allocator
-# effects from kernel time.
+# seconds (setup, window and verification together), from bash's `times`,
+# and its minor page faults, from the `cminflt` field of this shell's
+# /proc stat: sys CPU is where page-fault churn shows, which separates
+# allocator effects from kernel time, and the fault count barely drifts.
 set -u
 parent=$1 change=$2 pairs=${3:-10} seconds=${4:-15} seed0=${5:-301}
 workloads=("${@:6}")
@@ -20,16 +21,20 @@ workloads=("${@:6}")
 for v in $(compgen -v ATGNN_ || true); do unset "$v"; done
 tmp=$(mktemp) && trap 'rm -f "$tmp"' EXIT
 run() {
-  local before after out
-  # `times` runs in this shell, not in a command substitution's fork: its
-  # second line is the CPU of this shell's reaped children so far.
+  local before after out st f0
+  # `times` and `read` run in this shell, not in a command substitution's
+  # fork: `times`' second line is the CPU of this shell's reaped children
+  # so far, and field 11 of its stat (`cminflt`, array index 10) their
+  # minor faults. $BASHPID, not $$: the loop runs in a pipeline subshell.
   times >"$tmp" && before=$(tail -n 1 "$tmp")
+  read -r -a st </proc/$BASHPID/stat && f0=${st[10]}
   out=$("$2" --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)
+  read -r -a st </proc/$BASHPID/stat
   times >"$tmp" && after=$(tail -n 1 "$tmp")
-  echo "$1 $3 $4 $out $(awk -v a="$before" -v b="$after" '
+  echo "$1 $3 $4 $out $(awk -v a="$before" -v b="$after" -v f=$((st[10] - f0)) '
     function s(t, p) { split(t, p, "m"); return p[1] * 60 + p[2] }
     BEGIN { split(a, x, " "); split(b, y, " ")
-      printf "{\"cpu_user_s\":%.3f,\"cpu_sys_s\":%.3f}", s(y[1]) - s(x[1]), s(y[2]) - s(x[2]) }')"
+      printf "{\"cpu_user_s\":%.3f,\"cpu_sys_s\":%.3f,\"minor_faults\":%d}", s(y[1]) - s(x[1]), s(y[2]) - s(x[2]), f }')"
 }
 for w in "${workloads[@]}"; do
   for ((i = 0; i < pairs; i++)); do
