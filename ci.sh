@@ -105,7 +105,8 @@ cargo run --release -q -p atgnn-bench --bin chaos
 
 echo "== ablation_fusion smoke (staged vs one-pass harness) =="
 # Smoke mode: smallest graph only, no timing assertions — verifies the
-# staged/one-pass pipeline harness and the BENCH_fusion.json writer run.
+# staged/one-pass pipeline harness, the GAT backward's virtual-Ψ ≡
+# materialized bit assert, and the BENCH_fusion.json writer run.
 ATGNN_SMOKE=1 cargo run --release -q -p atgnn-bench --bin ablation_fusion
 
 echo "== locality smoke (reorder × microkernel sweep harness) =="

@@ -9,7 +9,10 @@
 //! measures the whole SDDMM→softmax→SpMM sandwich two ways — staged
 //! (three sweeps, two intermediate score Csrs) vs one-pass (a single CSR
 //! traversal with streaming softmax, `atgnn_sparse::attention`) — and
-//! writes the pipeline comparison to `results/BENCH_fusion.json`.
+//! writes the pipeline comparison to `results/BENCH_fusion.json`. Last,
+//! GAT's training backward: the virtual-`Ψ` backward sweep + `Ψᵀ G` a
+//! fused training step runs against the materialized `backward_gat` +
+//! `spmm_t`, asserted bit-identical (`∂C`, `∂u`, `Ψᵀ G`) and timed.
 //!
 //! `ATGNN_SMOKE=1` runs the smallest graph only and skips the strict
 //! speedup assertions — CI uses it to check the harness end to end
@@ -19,7 +22,8 @@ use atgnn_bench::measure::time_median;
 use atgnn_bench::report::{Record, Reporter};
 use atgnn_bench::scale;
 use atgnn_graphgen::kronecker;
-use atgnn_sparse::{attention, fused};
+use atgnn_sparse::attention::{self, AttentionExec};
+use atgnn_sparse::{fused, spmm};
 use atgnn_tensor::init;
 use std::fmt::Write as _;
 
@@ -188,6 +192,70 @@ fn main() {
                 onepass_s,
             });
         }
+
+        // GAT's training backward two ways: the virtual `Ψ` a fused
+        // training step runs (the backward sweep and `Ψᵀ G` recomputing
+        // `Ψ` and `C` from the forward's row stats) against the `Ψ` and
+        // `C` a caching forward materializes (`backward_gat` + `spmm_t`).
+        // Both must give the same bits.
+        let g = init::features::<f32>(a.rows(), k_agg, 9);
+        let (_, stats) = attention::attention_forward_gat_stats(&a, &u, &v, &hp, 0.2);
+        let cached = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
+        let psi = cached.psi.expect("a caching forward returns Ψ");
+        let c_pre = cached.scores.expect("a caching forward returns C");
+        let virtual_bwd = || {
+            let (dc, du) =
+                attention::attention_backward_gat_virtual(&a, &u, &v, &stats, &hp, &g, 0.2);
+            let psi_t_g = attention::attention_psi_t_gat_virtual(&a, &u, &v, &stats, &g, 0.2);
+            (dc, du, psi_t_g)
+        };
+        let materialized_bwd = || {
+            let (dc, du) = attention::backward_gat(
+                AttentionExec::FusedOnePass,
+                &a,
+                &psi,
+                &c_pre,
+                &hp,
+                &g,
+                0.2,
+            );
+            (dc, du, spmm::spmm_t(&psi, &g))
+        };
+        let (want, got) = (materialized_bwd(), virtual_bwd());
+        assert_eq!(bits(want.0.values()), bits(got.0.values()), "n={n}: ∂C");
+        assert_eq!(bits(&want.1), bits(&got.1), "n={n}: ∂u");
+        assert_eq!(
+            bits(want.2.as_slice()),
+            bits(got.2.as_slice()),
+            "n={n}: Ψᵀ G"
+        );
+        let materialized_s = time_median(|| {
+            std::hint::black_box(materialized_bwd());
+        });
+        let virtual_s = time_median(|| {
+            std::hint::black_box(virtual_bwd());
+        });
+        println!(
+            "n={n:<6} GAT   backward k={k_agg:<3} materialized={materialized_s:.5}s virtual={virtual_s:.5}s ratio={:.2}x",
+            materialized_s / virtual_s
+        );
+        for (system, t) in [("materialized", materialized_s), ("virtual", virtual_s)] {
+            rep.push(Record {
+                experiment: format!("fusion_n{n}"),
+                model: "GAT".into(),
+                system: system.into(),
+                task: "backward".into(),
+                n,
+                m: a.nnz(),
+                k: k_agg,
+                layers: 1,
+                p: 1,
+                compute_s: t,
+                comm_bytes: (a.nnz() * 4) as u64,
+                supersteps: 0,
+                modeled_s: t,
+            });
+        }
     }
 
     let mut json = String::from("{\n  \"pipeline\": [\n");
@@ -228,4 +296,8 @@ fn main() {
         );
     }
     rep.write_csv().expect("write results");
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
 }

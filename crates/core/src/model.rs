@@ -329,19 +329,20 @@ impl<T: Scalar> GnnModel<T> {
     /// [`GnnModel::inference_prefix`], in the given vertex order: layer
     /// `l` of `L` maps the first `level(L-l)` nodes' features to the first
     /// `level(L-1-l)` nodes' outputs, `level(i)` being `levels[i]` clamped
-    /// to the last entry.
+    /// to the last entry. `σ` is applied to each layer's `Z` in place, so
+    /// a layer costs one output matrix, not two.
     fn run_layers(&self, a: &Csr<T>, x: Dense<T>, levels: &[usize]) -> Dense<T> {
         let depth = self.layers.len();
         let level = |i: usize| levels[i.min(levels.len() - 1)];
         let mut h = x;
         for (l, layer) in self.layers.iter().enumerate() {
             let (dst, src) = (level(depth - 1 - l), level(depth - l));
-            let z = if (dst, src) == (a.rows(), a.cols()) {
+            h = if (dst, src) == (a.rows(), a.cols()) {
                 layer.forward(a, &h, None)
             } else {
                 layer.forward(&a.row_prefix(dst, src), &h, None)
             };
-            h = layer.activation().apply(&z);
+            layer.activation().apply_assign(&mut h);
         }
         h
     }

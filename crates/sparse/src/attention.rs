@@ -55,6 +55,7 @@ use crate::{fused, masked, sddmm, spmm};
 use atgnn_tensor::rt::{self, Cost, DisjointSlice};
 use atgnn_tensor::{blocks, gemm, micro, Activation, Dense, Scalar};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Stored entries below which the fused attention sweeps stay sequential.
 const PAR_THRESHOLD: usize = 4 * 1024;
@@ -697,9 +698,13 @@ pub fn attention_backward_gat<T: Scalar>(
         "gat backward: C must share A's pattern"
     );
     let (psi_v, pre_v) = (psi.values(), c_pre.values());
+    let act = Activation::LeakyRelu(slope);
     let mut dc = vec![T::zero(); a.nnz()];
-    let du = gat_backward_sweep(a, hp, g, slope, &mut dc, |_| {
-        |idx: usize, _| (psi_v[idx], pre_v[idx])
+    let du = gat_backward_sweep(a, hp, g, &mut dc, |_, entries, psi, grad| {
+        psi.copy_from_slice(&psi_v[entries.clone()]);
+        for (gr, &c) in grad.iter_mut().zip(&pre_v[entries]) {
+            *gr = act.grad(c);
+        }
     });
     (a.with_values(dc), du)
 }
@@ -707,8 +712,9 @@ pub fn attention_backward_gat<T: Scalar>(
 /// [`attention_backward_gat`] with `Ψ` and `C` recomputed from the
 /// [`attention_forward_gat_stats`] call that produced `stats` on the same
 /// `a`, `u` and `v`: `C_ij = u_i + v_j` and
-/// `Ψ_ij = softmax_finish(LeakyReLU(C_ij) − m_i, norm_i)` — the forward's
-/// op sequence, so the result is bit-identical to the cached form's.
+/// `Ψ_ij` is what `masked::softmax_finish` makes of `LeakyReLU(C_ij) − m_i`
+/// and `norm_i` — the forward's op sequence, so the result is
+/// bit-identical to the cached form's.
 pub fn attention_backward_gat_virtual<T: Scalar>(
     a: &Csr<T>,
     u: &[T],
@@ -739,13 +745,17 @@ pub fn attention_backward_gat_virtual_into<T: Scalar>(
 ) -> Vec<T> {
     check_virtual(a, u, v, stats);
     let act = Activation::LeakyRelu(slope);
-    gat_backward_sweep(a, hp, g, slope, dc, |r| {
+    let indices = a.indices();
+    gat_backward_sweep(a, hp, g, dc, |r, entries, psi, grad| {
         let (ur, [m, norm]) = (u[r], stats.rows[r]);
-        move |_, c: u32| {
+        // The gather loop, then the exponentials in a loop of their own
+        // (see `masked::softmax_finish`).
+        for ((p, gr), &c) in psi.iter_mut().zip(grad.iter_mut()).zip(&indices[entries]) {
             let pre = ur + v[c as usize];
-            let psi = masked::softmax_finish(stats.wide, act.eval(pre) - m, norm);
-            (psi, pre)
+            *gr = act.grad(pre);
+            *p = act.eval(pre) - m;
         }
+        masked::softmax_finish(stats.wide, psi, std::iter::repeat(norm));
     })
 }
 
@@ -753,7 +763,8 @@ pub fn attention_backward_gat_virtual_into<T: Scalar>(
 /// [`spmm::spmm_t`]'s gather over `a`'s transposed pattern, bit-identical
 /// to `spmm_t(Ψ, G)` on the cached `Ψ`. Each entry gathers three row
 /// scalars of its source row (`u_i`, `m_i`, `norm_i`) where the cached
-/// form reads one stored value.
+/// form reads one stored value; the exponentials then run in one loop
+/// over the column.
 pub fn attention_psi_t_gat_virtual<T: Scalar>(
     a: &Csr<T>,
     u: &[T],
@@ -795,15 +806,16 @@ fn psi_t_gat_virtual<T: Scalar>(
 ) {
     check_virtual(a, u, v, stats);
     let act = Activation::LeakyRelu(slope);
-    let weights = |j: usize| {
+    spmm::gather_t(a, g, out, |j, _, src, vals, norms| {
         let vj = v[j];
-        move |_, i: u32| {
+        for ((x, n), &i) in vals.iter_mut().zip(norms.iter_mut()).zip(src) {
             let i = i as usize;
             let [m, norm] = stats.rows[i];
-            masked::softmax_finish(stats.wide, act.eval(u[i] + vj) - m, norm)
+            *x = act.eval(u[i] + vj) - m;
+            *n = norm;
         }
-    };
-    spmm::gather_t(a, g, weights, out);
+        masked::softmax_finish(stats.wide, vals, norms.iter().copied());
+    });
 }
 
 /// The shape conditions of the virtual-`Ψ` kernels: `u` and the stats
@@ -815,28 +827,25 @@ fn check_virtual<T: Scalar>(a: &Csr<T>, u: &[T], v: &[T], stats: &RowStats<T>) {
 }
 
 /// The GAT backward sweep body, one for both sources of `Ψ` and `C`:
-/// `edges(r)` reads row `r`'s entries, called with each entry's CSR
-/// position and column for `(Ψ_ij, C_ij)`. Per row, `Ψ` and the
-/// LeakyReLU gradient at `C` go to scratch, the upstream edge gradients
-/// `D_ij = ⟨g_i, h'_j⟩` to scratch beside them ([`edge_dots`]), then the
-/// row dot `Σ_j Ψ_ij D_ij` accumulates in entry order and the softmax
-/// backward `∂E = Ψ ⊙ (D − rep(rowdot))` times the gradient folds into
-/// `∂C`, whose row sum is `∂u`. Every value of `∂C` is written into
-/// `dc_values`; returns `∂u`.
-fn gat_backward_sweep<T, R, E>(
+/// `fill(r, entries, psi, grad)` writes row `r`'s `Ψ_ij` into `psi` and
+/// the LeakyReLU gradient at `C_ij` into `grad`, both row-long scratch,
+/// `entries` being the row's CSR positions. The upstream edge gradients
+/// `D_ij = ⟨g_i, h'_j⟩` go to scratch beside them ([`edge_dots`]), then
+/// the row dot `Σ_j Ψ_ij D_ij` accumulates in entry order and the
+/// softmax backward `∂E = Ψ ⊙ (D − rep(rowdot))` times the gradient
+/// folds into `∂C`, whose row sum is `∂u`. Every value of `∂C` is
+/// written into `dc_values`; returns `∂u`.
+fn gat_backward_sweep<T, F>(
     a: &Csr<T>,
     hp: &Dense<T>,
     g: &Dense<T>,
-    slope: f64,
     dc_values: &mut [T],
-    edges: R,
+    fill: F,
 ) -> Vec<T>
 where
     T: Scalar,
-    R: Fn(usize) -> E + Sync,
-    E: Fn(usize, u32) -> (T, T),
+    F: Fn(usize, Range<usize>, &mut [T], &mut [T]) + Sync,
 {
-    let act = Activation::LeakyRelu(slope);
     let indptr = a.indptr();
     let indices = a.indices();
     let nnz = a.nnz();
@@ -865,14 +874,7 @@ where
                     }
                     let (d, rest) = buf[..3 * deg].split_at_mut(deg);
                     let (psi, grad) = rest.split_at_mut(deg);
-                    let edge = edges(r);
-                    for (((p, gr), &c), idx) in
-                        psi.iter_mut().zip(grad.iter_mut()).zip(cols).zip(rlo..)
-                    {
-                        let (pv, cv) = edge(idx, c);
-                        *p = pv;
-                        *gr = act.grad(cv);
-                    }
+                    fill(r, rlo..rhi, psi, grad);
                     edge_dots(d, g.row(r), cols, hp);
                     let mut rdot = T::zero();
                     for (&p, &dv) in psi.iter().zip(d.iter()) {

@@ -233,8 +233,8 @@ pub fn softmax_slice<T: Scalar>(row: &mut [T]) {
 /// to the [`micro::max_wide`] / sequential-fold pass it replaces.
 ///
 /// Returns the normaliser the row was finished with — `1/Σ` in wide mode,
-/// `Σ` otherwise (zero for an empty row): every entry `s` became
-/// `softmax_finish(micro::wide(), s − m, norm)`.
+/// `Σ` otherwise (zero for an empty row): every entry `s` became what
+/// `softmax_finish` makes of `s − m` and `norm` on this path.
 pub fn softmax_slice_with_max<T: Scalar>(row: &mut [T], m: T) -> T {
     if row.is_empty() {
         return T::zero();
@@ -258,18 +258,31 @@ pub fn softmax_slice_with_max<T: Scalar>(row: &mut [T], m: T) -> T {
     }
 }
 
-/// One softmax entry from its max-shifted score `s − m` and its row's
-/// normaliser: `exp_fast(s − m)·(1/Σ)` on the wide path, `exp(s − m)/Σ`
-/// otherwise — per element the op sequence of [`softmax_slice_with_max`]
-/// and of the fused sweep's blocked-flat schedule. A backward pass that
-/// kept the row max and the normaliser recomputes `Ψ` with it, bit for
-/// bit, instead of storing it.
+/// Softmax entries from their max-shifted scores `s − m` and their rows'
+/// normalisers, in place: `exp_fast(s − m)·(1/Σ)` on the wide path,
+/// `exp(s − m)/Σ` otherwise — per element the op sequence of
+/// [`softmax_slice_with_max`] and of the fused sweep's blocked-flat
+/// schedule. A backward pass that kept the row max and the normaliser
+/// recomputes `Ψ` with it, bit for bit, instead of storing it.
+///
+/// `norms` pairs with `shifted` (a repeated row normaliser, or one
+/// gathered per entry). `wide` is tested once, outside a plain loop the
+/// exponential vectorizes in — the forward's flat `exp` pass argument.
 #[inline(always)]
-pub(crate) fn softmax_finish<T: Scalar>(wide: bool, shifted: T, norm: T) -> T {
+pub(crate) fn softmax_finish<T: Scalar>(
+    wide: bool,
+    shifted: &mut [T],
+    norms: impl IntoIterator<Item = T>,
+) {
+    let entries = shifted.iter_mut().zip(norms);
     if wide {
-        shifted.exp_fast() * norm
+        for (x, n) in entries {
+            *x = x.exp_fast() * n;
+        }
     } else {
-        shifted.exp() / norm
+        for (x, n) in entries {
+            *x = x.exp() / n;
+        }
     }
 }
 

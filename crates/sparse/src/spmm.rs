@@ -155,29 +155,35 @@ pub fn spmm<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
 /// sequential row scatter whatever the thread count — which the
 /// distributed tests and the training-determinism guarantee rely on.
 pub fn spmm_t<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Dense<T> {
-    let vals = a.values();
+    let a_vals = a.values();
     let mut out = h.zeros_matching(a.cols(), h.cols());
-    gather_t(a, h, |_| |e, _| vals[e as usize], &mut out);
+    gather_t(a, h, &mut out, |_, perm, _, vals, _| {
+        for (x, &e) in vals.iter_mut().zip(perm) {
+            *x = a_vals[e as usize];
+        }
+    });
     out
 }
 
-/// [`spmm_t`] with `A`'s values computed rather than read: `weights(j)`
-/// returns the weigher of column `j`, which is called with the CSR
-/// position and the source row of each of the column's entries, in
-/// ascending source row, and returns that entry's value. The gather and
-/// its rounding sequence are [`spmm_t`]'s; only where a weight comes from
-/// differs (the attention backward recomputes `Ψ` here instead of
+/// [`spmm_t`] with `A`'s values computed rather than read:
+/// `fill(j, perm, src, vals, spare)` writes column `j`'s values into
+/// `vals`, one per entry of the column in ascending source row — entry
+/// `e` sits at CSR position `perm[e]` and comes from row `src[e]`.
+/// `spare` is scratch of the same length the fill may use (the virtual
+/// `Ψᵀ G` gathers its rows' normalisers there, which measured faster
+/// than gathering them inside the `exp` loop). The gather
+/// and its rounding sequence are [`spmm_t`]'s; only where a weight comes
+/// from differs (the attention backward recomputes `Ψ` here instead of
 /// storing it).
 ///
 /// `out` is `A.cols() × H.cols()` with `H`'s stride, and **zero on
 /// entry**: the gather accumulates into it. A writing caller zero-fills
 /// a reused buffer first ([`Dense::zero_fill`]); an allocating one passes
 /// a fresh `zeros_matching`.
-pub(crate) fn gather_t<T, W, F>(a: &Csr<T>, h: &Dense<T>, weights: W, out: &mut Dense<T>)
+pub(crate) fn gather_t<T, F>(a: &Csr<T>, h: &Dense<T>, out: &mut Dense<T>, fill: F)
 where
     T: Scalar,
-    W: Fn(usize) -> F + Sync,
-    F: Fn(u32, u32) -> T,
+    F: Fn(usize, &[u32], &[u32], &mut [T], &mut [T]) + Sync,
 {
     assert_eq!(a.rows(), h.rows(), "spmm_t: dimension mismatch");
     assert_eq!(
@@ -192,14 +198,18 @@ where
     rt::parallel_for(a.cols(), Cost::Prefix(&t.indptr), parallel, |lo, hi| {
         // SAFETY: row ranges are disjoint across chunk bodies.
         let rows_out = unsafe { slots.range_mut(lo * out_stride, hi * out_stride) };
-        rt::with_scratch::<T, _>(|col_vals| {
+        rt::with_scratch::<T, _>(|buf| {
             for (j, out_row) in (lo..hi).zip(rows_out.chunks_mut(out_stride.max(1))) {
                 let col = t.indptr[j]..t.indptr[j + 1];
                 let (perm, src) = (&t.perm[col.clone()], &t.src[col]);
-                let weight = weights(j);
-                col_vals.clear();
-                col_vals.extend(perm.iter().zip(src).map(|(&e, &i)| weight(e, i)));
-                aggregate_rows_into(out_row, h, src, col_vals);
+                let deg = perm.len();
+                // Grow-only: the fill writes every slot of `vals`.
+                if buf.len() < 2 * deg {
+                    buf.resize(2 * deg, T::zero());
+                }
+                let (vals, spare) = buf[..2 * deg].split_at_mut(deg);
+                fill(j, perm, src, vals, spare);
+                aggregate_rows_into(out_row, h, src, vals);
             }
         });
     });

@@ -29,6 +29,43 @@ pub enum Activation {
     Sigmoid,
 }
 
+/// Runs `$body` with `$f` bound to the per-element `$method` (`eval` or
+/// `grad`) of `$act`'s variant, matched once: each arm's `$f` is a closure
+/// over a constant variant, so the loop inside `$body` is monomorphic
+/// instead of re-dispatching on every element. Every element is still
+/// the same expression, so the bits are [`Activation::eval`]'s /
+/// [`Activation::grad`]'s.
+macro_rules! per_variant {
+    ($act:expr, $method:ident, |$f:ident| $body:expr) => {
+        match $act {
+            Activation::Identity => {
+                let $f = |x| Activation::Identity.$method(x);
+                $body
+            }
+            Activation::Relu => {
+                let $f = |x| Activation::Relu.$method(x);
+                $body
+            }
+            Activation::LeakyRelu(slope) => {
+                let $f = move |x| Activation::LeakyRelu(slope).$method(x);
+                $body
+            }
+            Activation::Elu => {
+                let $f = |x| Activation::Elu.$method(x);
+                $body
+            }
+            Activation::Tanh => {
+                let $f = |x| Activation::Tanh.$method(x);
+                $body
+            }
+            Activation::Sigmoid => {
+                let $f = |x| Activation::Sigmoid.$method(x);
+                $body
+            }
+        }
+    };
+}
+
 impl Activation {
     /// Evaluates `σ(x)` for a single element.
     #[inline]
@@ -110,12 +147,21 @@ impl Activation {
     /// any layout (its padding tails are left as they are) — the writing
     /// form of [`Activation::apply`].
     pub fn apply_into<T: Scalar>(self, z: &Dense<T>, out: &mut Dense<T>) {
-        ops::map_into(out, z, |v| self.eval(v));
+        per_variant!(self, eval, |f| ops::map_into(out, z, f));
+    }
+
+    /// `Z = σ(Z)` in place over the logical elements (padding tails are
+    /// left as they are) — [`Activation::apply`] without a second matrix.
+    /// [`Activation::Identity`] returns without touching memory.
+    pub fn apply_assign<T: Scalar>(self, z: &mut Dense<T>) {
+        if self != Activation::Identity {
+            per_variant!(self, eval, |f| ops::map_assign(z, f));
+        }
     }
 
     /// `σ'(Z)` applied to a whole matrix.
     pub fn derivative<T: Scalar>(self, z: &Dense<T>) -> Dense<T> {
-        ops::map(z, |v| self.grad(v))
+        per_variant!(self, grad, |f| ops::map(z, f))
     }
 
     /// `g ⊙= σ'(Z)` — the chain step of the backward recursion (Eq. 4 and
@@ -127,7 +173,9 @@ impl Activation {
     pub fn chain_assign<T: Scalar>(self, g: &mut Dense<T>, z: &Dense<T>) {
         assert_eq!(g.shape(), z.shape(), "element-wise op: shape mismatch");
         if self != Activation::Identity {
-            ops::zip_assign(g, z, |x, zv| x * self.grad(zv));
+            per_variant!(self, grad, |f| {
+                ops::zip_assign(g, z, move |x, zv| x * f(zv))
+            });
         }
     }
 }
@@ -180,35 +228,107 @@ mod tests {
         assert_eq!(d.as_slice(), &[0.0, 0.0, 1.0]);
     }
 
+    const SPECIALS: [f32; 7] = [
+        0.0,
+        -0.0,
+        1.5,
+        -2.5,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+
+    /// A matrix past `ops`'s parallel threshold (64 Ki elements), so the
+    /// whole-matrix forms run their parallel chunks: every fourth element
+    /// is one of `SPECIALS`, the rest ordinary values of both signs. The
+    /// `s`-th special slot holds `SPECIALS[(s / stride) % 7]`, so strides
+    /// 1 and 7 put every pair of specials at a shared position.
+    fn hostile(stride: usize) -> Dense<f32> {
+        let (rows, cols) = (300, 230);
+        Dense::from_fn(rows, cols, |r, c| {
+            let i = r * cols + c;
+            if i.is_multiple_of(4) {
+                SPECIALS[(i / 4 / stride) % SPECIALS.len()]
+            } else {
+                ((i * 37) % 401) as f32 / 20.0 - 10.0
+            }
+        })
+    }
+
+    /// Bit equality, any NaN standing for any NaN (which NaN is the
+    /// hardware's choice).
+    fn same(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// Every logical element of `got` is `f` of the same element of `z`.
+    fn is_elementwise(got: &Dense<f32>, z: &Dense<f32>, f: impl Fn(f32) -> f32) -> bool {
+        got.shape() == z.shape()
+            && (0..z.rows()).all(|r| {
+                got.row(r)
+                    .iter()
+                    .zip(z.row(r))
+                    .all(|(&x, &v)| same(x, f(v)))
+            })
+    }
+
+    #[test]
+    fn whole_matrix_forms_are_the_per_element_functions() {
+        for act in ACTS {
+            for z in [hostile(1), hostile(1).padded()] {
+                let tag = format!("{act:?} padded={}", z.is_padded());
+                let applied = act.apply(&z);
+                assert!(
+                    is_elementwise(&applied, &z, |v| act.eval(v)),
+                    "{tag}: apply"
+                );
+                assert!(applied.padding_is_zero(), "{tag}: apply tails");
+                let mut into = Dense::filled(z.rows(), z.cols(), 7.0);
+                act.apply_into(&z, &mut into);
+                assert!(
+                    is_elementwise(&into, &z, |v| act.eval(v)),
+                    "{tag}: apply_into"
+                );
+                let mut assigned = z.clone();
+                act.apply_assign(&mut assigned);
+                assert!(
+                    is_elementwise(&assigned, &z, |v| act.eval(v)),
+                    "{tag}: apply_assign"
+                );
+                assert!(assigned.padding_is_zero(), "{tag}: apply_assign tails");
+                let derived = act.derivative(&z);
+                assert!(
+                    is_elementwise(&derived, &z, |v| act.grad(v)),
+                    "{tag}: derivative"
+                );
+                assert!(derived.padding_is_zero(), "{tag}: derivative tails");
+            }
+        }
+    }
+
     #[test]
     fn chain_assign_is_the_allocating_pair_bit_for_bit() {
-        // ±0, negatives, ∞ and NaN on both sides: the product must carry
-        // the same sign of zero as the two-pass form and be NaN exactly
-        // where it is (which NaN is the hardware's choice).
-        let specials = [
-            0.0f32,
-            -0.0,
-            1.5,
-            -2.5,
-            f32::INFINITY,
-            -f32::INFINITY,
-            f32::NAN,
-        ];
-        let (rows, cols) = (specials.len(), 2 * specials.len() + 1);
-        let g = Dense::from_fn(rows, cols, |r, c| specials[(r + c) % specials.len()]);
-        let z = Dense::from_fn(rows, cols, |r, c| {
-            specials[(3 * r + 2 * c) % specials.len()]
-        });
+        // ±0, negatives, ∞ and NaN on both sides, every special of `g`
+        // against every special of `z`: the product must carry the same
+        // sign of zero as the two-pass form and be NaN exactly where it is.
+        let (g, z) = (hostile(1), hostile(SPECIALS.len()));
+        let pairs: std::collections::HashSet<(u32, u32)> = g
+            .as_slice()
+            .iter()
+            .zip(z.as_slice())
+            .step_by(4)
+            .map(|(x, y)| (x.to_bits(), y.to_bits()))
+            .collect();
+        assert_eq!(pairs.len(), SPECIALS.len() * SPECIALS.len());
         for act in ACTS {
             for (g, z) in [(g.clone(), z.clone()), (g.padded(), z.padded())] {
                 let want = ops::hadamard(&g, &act.derivative(&z));
                 let mut got = g.clone();
                 act.chain_assign(&mut got, &z);
                 assert!(got.padding_is_zero(), "{act:?}");
-                for r in 0..rows {
-                    for (x, y) in got.row(r).iter().zip(want.row(r)) {
-                        let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
-                        assert!(same, "{act:?} row {r}: {x} vs {y}");
+                for r in 0..z.rows() {
+                    for (&x, &y) in got.row(r).iter().zip(want.row(r)) {
+                        assert!(same(x, y), "{act:?} row {r}: {x} vs {y}");
                     }
                 }
             }

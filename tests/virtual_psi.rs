@@ -108,6 +108,33 @@ fn graphs<T: Scalar>() -> Vec<(&'static str, Csr<T>)> {
         6,
         vec![(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (2, 2), (4, 5)],
     );
+    // Row `r` holds `r` entries, 0 ..= 17: every remainder of the
+    // four-neighbour dots, the 8-lane loops and the `finish` loop, on
+    // both sides of the transposed gather.
+    let lengths = Coo::from_edges(
+        18,
+        18,
+        (0..18u32)
+            .flat_map(|r| (0..r).map(move |e| (r, (5 * e + r) % 18)))
+            .collect(),
+    );
+    // One hub row of 5 000 entries halfway down: the row scratch grows
+    // past every earlier row, and every later row reads a longer one.
+    let (n, hub_row) = (5_001u32, 2_500u32);
+    let hub = Coo::from_edges(
+        n as usize,
+        n as usize,
+        (0..n)
+            .flat_map(|r| {
+                let cols: Vec<u32> = if r == hub_row {
+                    (0..n).filter(|&c| c != r).collect()
+                } else {
+                    vec![r, (r * 7 + 1) % n]
+                };
+                cols.into_iter().map(move |c| (r, c))
+            })
+            .collect(),
+    );
     vec![
         (
             "erdos-renyi",
@@ -120,6 +147,8 @@ fn graphs<T: Scalar>() -> Vec<(&'static str, Csr<T>)> {
         ("self-loop-only", Csr::identity(50)),
         ("n=1", Csr::identity(1)),
         ("empty rows", Csr::from_coo(&gaps)),
+        ("row lengths 0..=17", Csr::from_coo(&lengths)),
+        ("5000-entry hub", Csr::from_coo(&hub)),
     ]
 }
 
