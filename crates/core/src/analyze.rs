@@ -139,11 +139,6 @@ pub enum Rule {
     /// scattered env reads would let a model's plan and the kernels
     /// disagree about the active configuration.
     PlanKnobEnv,
-    /// Source lint: raw f32↔bf16/f16 bit manipulation (`to_bits` /
-    /// `from_bits` on the half types) outside `atgnn_tensor::convert` —
-    /// rounding must be defined in exactly one place, or two kernels can
-    /// disagree about what a narrowed value is.
-    RawHalfBits,
     /// Source lint: serve-path code blocking without a deadline — a bare
     /// `.recv()`, Condvar `.wait(...)`, or thread `.join()` where the
     /// serving runtime's liveness contract demands `recv_timeout` /
@@ -180,7 +175,6 @@ impl Rule {
             Rule::UnboundedRecv => "unbounded-recv",
             Rule::DenseRawIndex => "dense-raw-index",
             Rule::PlanKnobEnv => "plan-knob-env",
-            Rule::RawHalfBits => "raw-half-bits",
             Rule::UnfencedWait => "unfenced-wait",
             Rule::HashInKernels => "hash-in-kernels",
         }
@@ -189,7 +183,7 @@ impl Rule {
     /// Parses a kebab-case rule name (the inverse of [`Rule::name`]);
     /// used by `atgnn-lint`'s `allow(...)` annotations.
     pub fn from_name(name: &str) -> Option<Rule> {
-        const ALL: [Rule; 22] = [
+        const ALL: [Rule; 21] = [
             Rule::ShapeMismatch,
             Rule::UnfusedVirtual,
             Rule::IllegalFusion,
@@ -209,7 +203,6 @@ impl Rule {
             Rule::UnboundedRecv,
             Rule::DenseRawIndex,
             Rule::PlanKnobEnv,
-            Rule::RawHalfBits,
             Rule::UnfencedWait,
             Rule::HashInKernels,
         ];

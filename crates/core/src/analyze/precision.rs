@@ -22,13 +22,10 @@
 //! storage on a keep-f32 node as [`Rule::UnsafeNarrowing`]. Narrow
 //! storage on an accumulate-f32 node is legal — narrow the buffer, widen
 //! the accumulator — which is the mixed-precision recipe the verdict
-//! names. The plan's precision axis executes its *numerics*, not its
-//! bytes: the buffer is rounded through the format
-//! (`Precision::round_matrix`) and streamed as f32 by the ordinary
-//! kernels. [`auto_precision`] is the consumer of these verdicts: it
-//! resolves `ATGNN_PRECISION=auto` by narrowing a model's plan only when
-//! no buffer the axis touches (the dense operands of the aggregations)
-//! carries a keep-f32 verdict.
+//! names. The verdicts are analysis only: no plan narrows a buffer
+//! (layers store the model's scalar type), so they constrain planners
+//! that annotate a DAG, and `atgnn-lint --dag` / `ATGNN_ANALYZE=report`
+//! print them.
 //! [`report_json`] renders the verdicts for a whole model as a
 //! machine-readable report (hand-rolled JSON: the workspace is
 //! dependency-free by design).
@@ -137,56 +134,6 @@ pub fn check(dag: &Dag, diags: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
-    }
-}
-
-/// The node ids the plan's precision axis would narrow for this DAG: the
-/// dense operands streamed by the aggregations (every node with a
-/// semiring). These are the feature buffers whose bytes dominate the
-/// sweep's memory traffic; score math, softmax, and the accumulators are
-/// never candidates.
-pub fn narrowable_buffers(dag: &Dag) -> Vec<usize> {
-    let mut ids: Vec<usize> = dag
-        .nodes()
-        .iter()
-        .filter(|n| n.semiring.is_some())
-        .flat_map(|agg| agg.inputs.iter().copied())
-        .filter(|&i| {
-            use crate::dag::TensorClass;
-            matches!(
-                dag.nodes()[i].output,
-                TensorClass::DenseNk | TensorClass::DenseKk
-            )
-        })
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
-/// Resolves `ATGNN_PRECISION=auto` for a model by consuming the
-/// per-node verdicts: the plan narrows to bf16 exactly when every
-/// buffer the axis would touch ([`narrowable_buffers`] across all the
-/// model's DAGs) carries a non-keep-f32 verdict and at least one such
-/// buffer exists; otherwise it stays at the f32 oracle. By
-/// construction a keep-f32 node (softmax score math, stability-flagged
-/// ops) is never narrowed — the acceptance gate the `precision` bench
-/// asserts against [`verdicts`].
-pub fn auto_precision(kind: ModelKind) -> crate::plan::Precision {
-    let mut candidates = 0usize;
-    for dag in super::model_dags(kind) {
-        let v = verdicts(&dag);
-        for id in narrowable_buffers(&dag) {
-            if v[id] == Narrowing::KeepF32 {
-                return crate::plan::Precision::F32;
-            }
-            candidates += 1;
-        }
-    }
-    if candidates > 0 {
-        crate::plan::Precision::Bf16
-    } else {
-        crate::plan::Precision::F32
     }
 }
 
@@ -318,33 +265,6 @@ mod tests {
         let mut diags = Vec::new();
         check(&d, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn auto_precision_narrows_only_verdict_safe_buffers() {
-        for kind in [
-            ModelKind::Va,
-            ModelKind::Agnn,
-            ModelKind::Gat,
-            ModelKind::Gcn,
-        ] {
-            // The buffers the plan axis would narrow must all be
-            // non-keep-f32 — that is what auto resolution consumes.
-            let mut any = false;
-            for dag in super::super::model_dags(kind) {
-                let v = verdicts(&dag);
-                for id in narrowable_buffers(&dag) {
-                    assert_ne!(
-                        v[id],
-                        Narrowing::KeepF32,
-                        "{kind:?}: narrowable buffer {id} is keep-f32"
-                    );
-                    any = true;
-                }
-            }
-            assert!(any, "{kind:?}: no narrowable buffers found");
-            assert_eq!(auto_precision(kind), crate::plan::Precision::Bf16);
-        }
     }
 
     #[test]

@@ -126,13 +126,7 @@ impl<T: Scalar> AGnnLayer<T> for AgnnLayer<T> {
     }
 
     fn forward(&self, a: &Csr<T>, h: &Dense<T>, cache: Option<&mut LayerCache<T>>) -> Dense<T> {
-        let mut hp = gemm::matmul(h, &self.w);
-        // The cosine scores read `h` at full precision (keep-f32 by the
-        // analyzer's verdict); only the aggregated projection `HW` is
-        // rounded through the plan's precision — exactly once, here.
-        if self.plan.precision().is_narrow() {
-            self.plan.precision().round_matrix(&mut hp);
-        }
+        let hp = gemm::matmul(h, &self.w);
         let fa =
             attention::forward_agnn(self.plan.exec(), a, h, &hp, self.beta[0], cache.is_some());
         if let Some(c) = cache {

@@ -126,7 +126,7 @@ impl<T: Scalar> GatLayer<T> {
         // The buffer the sweep aggregates and the vectors that score its
         // rows: `H'` with `a₁, a₂`, or — `(H W) a = H (W a)` — raw `H` with
         // the attention vectors folded through `W`.
-        let (mut feats, a_src, a_dst) = match order {
+        let (feats, a_src, a_dst) = match order {
             ProductOrder::ProjectFirst => (
                 Cow::Owned(gemm::matmul(h, &self.w)),
                 Cow::Borrowed(&self.a_src),
@@ -138,14 +138,7 @@ impl<T: Scalar> GatLayer<T> {
                 Cow::Owned(gemm::matvec(&self.w, &self.a_dst)),
             ),
         };
-        // Scores come from the full-precision features (the analyzer
-        // keeps softmax inputs at f32); only the aggregated feature
-        // buffer is rounded through the plan's precision, exactly once,
-        // here.
         let (u, v) = Self::scores(a, &feats, &a_src, &a_dst);
-        if self.plan.precision().is_narrow() {
-            self.plan.precision().round_matrix(feats.to_mut());
-        }
         // With a cache this is the staged training forward (the fused one
         // is `forward_train`), which materializes `Ψ` and `C`.
         let fa = attention::forward_gat(
@@ -222,9 +215,6 @@ impl<T: Scalar> AGnnLayer<T> for GatLayer<T> {
         let mut hp = bufs.take_like(h, h.rows(), self.out_dim());
         gemm::matmul_into(h, &self.w, &mut hp);
         let (u, v) = Self::scores(a, &hp, &self.a_src, &self.a_dst);
-        if self.plan.precision().is_narrow() {
-            self.plan.precision().round_matrix(&mut hp);
-        }
         let mut z = bufs.take_like(&hp, a.rows(), hp.cols());
         let stats = attention::attention_forward_gat_stats_into(a, &u, &v, &hp, self.slope, &mut z);
         cache.row_stats = Some(stats);

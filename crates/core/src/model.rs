@@ -214,22 +214,7 @@ impl<T: Scalar> GnnModel<T> {
                 ModelKind::Gcn => Box::new(GcnLayer::new(w[0], w[1], act, s)),
             });
         }
-        let model = Self::new(layers);
-        // An `auto` precision request (`ATGNN_PRECISION=auto`) needs the
-        // analyzer's per-node verdicts, which are keyed by model kind —
-        // this is the one place both are known. Resolution is
-        // conservative: any keep-f32 verdict on a buffer the axis would
-        // narrow keeps the whole model at f32
-        // ([`crate::analyze::precision::auto_precision`]). Models built
-        // from explicit layers keep `auto` unresolved, which every layer
-        // treats as f32.
-        if model.plan.precision() == crate::plan::Precision::Auto {
-            let resolved = model
-                .plan
-                .with_precision(crate::analyze::precision::auto_precision(kind));
-            return model.with_plan(resolved);
-        }
-        model
+        Self::new(layers)
     }
 
     /// Prepares the adjacency matrix the way each model expects: GCN gets

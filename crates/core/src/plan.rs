@@ -22,21 +22,16 @@
 //! Three more axes are pure performance knobs: the dense [`Layout`], the
 //! [`MicroKernel`] family and the [`SimdMode`] width. (The attention
 //! column tile is not an axis: the sweep derives it from `k` and the
-//! probed L1d, `atgnn_sparse::attention::auto_col_tile`.) A sixth axis,
-//! the storage [`Precision`]
-//! (`ATGNN_PRECISION`), *does* change numerics: it selects the scalar
-//! format layers round their hot feature buffers through (f32 stays the
-//! bit-exactness oracle; bf16/f16 round features through
-//! `atgnn_tensor::convert`, after which the buffer is streamed as f32 by
-//! the ordinary kernels — half-precision values, full-precision bytes).
+//! probed L1d, `atgnn_sparse::attention::auto_col_tile`.) Storage is not
+//! an axis either: layers hold and stream their buffers in the model's
+//! scalar type `T`.
 //!
 //! There is no resolver. The environment is read by
 //! [`ExecPlan::from_env`]; the `with_*` builders override it;
 //! [`ExecPlan::defaulted_for_width`] — a pure function of the plan and
 //! the model's hot width — picks the layout when nobody chose one; and
-//! the two choices that need more than the plan are made where that
-//! knowledge lives: `reorder::permutation` resolves `auto` per graph,
-//! `GnnModel::uniform` resolves [`Precision::Auto`] per model kind.
+//! the one choice that needs more than the plan is made where that
+//! knowledge lives: `reorder::permutation` resolves `auto` per graph.
 //!
 //! Microkernel family and SIMD width are still process-global atomics
 //! in `atgnn_tensor::micro`; a plan carries a snapshot of them, and
@@ -45,8 +40,6 @@
 //! The product never calls it on its own: the atomics exist for the
 //! bench sweeps and for callers that apply a plan explicitly, and
 //! passing the plan to the kernels by value is what will remove them.
-//! Precision is *not* a process global: layers read it straight off
-//! their plan, so differently-configured models coexist in one process.
 
 use crate::analyze::{self, Diagnostic};
 use crate::model::ModelKind;
@@ -118,99 +111,28 @@ impl Layout {
     }
 }
 
-/// The scalar format a plan's layers round their hot feature buffers
-/// through (the projected features streamed by the aggregation). Score
-/// math, softmax normalization, and every accumulator stay f32
-/// regardless, and all rounding goes through `atgnn_tensor::convert`
-/// (the one-rounding-site invariant). The axis is an *emulation*: the
-/// rounded buffer is still a `Dense<T>` and the sweep streams `T`-sized
-/// elements, so a narrow plan adds one rounding pass and sheds no bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// Compatibility shim for the frozen benchmark, which still names a
+/// storage precision in two places: `benchmark/src/inputs.rs`'s oracle
+/// plan calls `.with_precision(Precision::F32)`, and the `e2e_trace`
+/// shadow layer asks `plan.precision().is_narrow()` before a
+/// `round_matrix` span. Storage is always the model's `T`, so the one
+/// variant is the identity and every method is a no-op. No product code
+/// calls it; the next `[benchmark]` change (ROADMAP item 3) deletes it
+/// together with those two call sites.
+#[derive(Clone, Copy, Debug)]
 pub enum Precision {
-    /// Full-precision storage — the default and the bit-exactness oracle
-    /// every narrow mode is gated against.
-    #[default]
+    /// Storage in the model's own scalar type.
     F32,
-    /// bfloat16 storage: f32's exponent range at half the bytes. The
-    /// workhorse narrow mode (safe wherever the precision analyzer says
-    /// `safe-bf16` / `accumulate-f32`).
-    Bf16,
-    /// IEEE binary16 storage: more mantissa, narrower range — the
-    /// stability analyzer's loss-scale rule exists because of it.
-    F16,
-    /// Resolve against the precision analyzer's per-node verdicts when
-    /// the model kind is known (`GnnModel::uniform`): narrow only buffers
-    /// whose verdict is not keep-f32 (see
-    /// `crate::analyze::precision::auto_precision`).
-    Auto,
 }
 
 impl Precision {
-    /// Reads `ATGNN_PRECISION` (`f32`/`bf16`/`f16`/`auto`); any other
-    /// value — including unset — is `F32`.
-    pub fn from_env() -> Self {
-        std::env::var("ATGNN_PRECISION")
-            .ok()
-            .as_deref()
-            .and_then(Self::parse)
-            .unwrap_or(Precision::F32)
-    }
-
-    /// Human-readable name used in diagnostics and bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Bf16 => "bf16",
-            Precision::F16 => "f16",
-            Precision::Auto => "auto",
-        }
-    }
-
-    /// The inverse of [`Precision::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "f32" => Some(Precision::F32),
-            "bf16" => Some(Precision::Bf16),
-            "f16" => Some(Precision::F16),
-            "auto" => Some(Precision::Auto),
-            _ => None,
-        }
-    }
-
-    /// Bytes per element of the *format* — not of the buffer a layer
-    /// holds, which stays `T`-sized (`Auto` reports the f32 size —
-    /// `GnnModel::uniform` replaces it with a concrete format, and every
-    /// layer treats an unresolved `Auto` as f32).
-    pub fn bytes(self) -> usize {
-        match self {
-            Precision::Bf16 | Precision::F16 => 2,
-            Precision::F32 | Precision::Auto => 4,
-        }
-    }
-
-    /// Whether this is a concrete narrow storage format.
+    /// Always `false`: there is no narrow format.
     pub fn is_narrow(self) -> bool {
-        matches!(self, Precision::Bf16 | Precision::F16)
+        false
     }
 
-    /// Applies this precision's storage rounding to a feature matrix in
-    /// place — the type-uniform layer integration: the matrix stays
-    /// `T`-typed, so every downstream kernel is the ordinary `Scalar`
-    /// kernel on the rounded values (one extra pass over the buffer, the
-    /// same bytes streamed afterwards). `F32` is a no-op; `Auto` must be
-    /// resolved to a concrete format before layers run (debug-asserted).
-    pub fn round_matrix<T: Scalar>(self, m: &mut Dense<T>) {
-        use atgnn_tensor::convert;
-        debug_assert!(
-            self != Precision::Auto,
-            "Precision::Auto must be resolved before rounding"
-        );
-        match self {
-            Precision::F32 | Precision::Auto => {}
-            Precision::Bf16 => convert::round_matrix::<convert::Bf16, T>(m),
-            Precision::F16 => convert::round_matrix::<convert::F16, T>(m),
-        }
-    }
+    /// The identity.
+    pub fn round_matrix<T: Scalar>(self, _m: &mut Dense<T>) {}
 }
 
 /// How a model's attentional layers execute their sandwiches, and which
@@ -227,8 +149,6 @@ pub struct ExecPlan {
     // Always 0: only here so `Debug` still prints the key the frozen
     // benchmark/tests/smoke.rs:108 matches — drop it with that assertion.
     spmmt_chunks: usize,
-    /// Scalar storage precision for the layers' hot feature buffers.
-    precision: Precision,
 }
 
 impl Default for ExecPlan {
@@ -249,7 +169,6 @@ impl ExecPlan {
             micro: micro::mode(),
             simd: micro::simd_mode(),
             spmmt_chunks: 0,
-            precision: Precision::from_env(),
         }
     }
 
@@ -266,9 +185,8 @@ impl ExecPlan {
     /// (`"staged"` selects the oracle path; anything else — including
     /// unset — selects the fused path), `ATGNN_REORDER`
     /// (`auto`/`degree`/`rcm`/`off`), on top of what every plan starts
-    /// from: `ATGNN_LAYOUT` (see [`Layout::from_env`]), `ATGNN_PRECISION`
-    /// (see [`Precision::from_env`]) and the process's kernel
-    /// configuration (`ATGNN_MICROKERNEL`, `ATGNN_SIMD`).
+    /// from: `ATGNN_LAYOUT` (see [`Layout::from_env`]) and the process's
+    /// kernel configuration (`ATGNN_MICROKERNEL`, `ATGNN_SIMD`).
     pub fn from_env() -> Self {
         let mut plan = match std::env::var("ATGNN_EXEC").as_deref() {
             Ok("staged") => Self::staged(),
@@ -315,9 +233,8 @@ impl ExecPlan {
         self
     }
 
-    /// This plan with a different storage precision.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
+    /// This plan, unchanged — part of the [`Precision`] shim.
+    pub fn with_precision(self, _precision: Precision) -> Self {
         self
     }
 
@@ -377,13 +294,9 @@ impl ExecPlan {
         self.simd
     }
 
-    /// The scalar storage precision this plan's layers hold their hot
-    /// feature buffers in. Layers read this directly off their plan (no
-    /// process-global mirror — two models with different precisions
-    /// coexist in one process); `Auto` is resolved to a concrete format
-    /// by `GnnModel::uniform`, and layers treat an unresolved one as f32.
+    /// Always [`Precision::F32`] — part of the [`Precision`] shim.
     pub fn precision(&self) -> Precision {
-        self.precision
+        Precision::F32
     }
 
     /// Writes this plan's kernel configuration into the process-global
@@ -397,8 +310,6 @@ impl ExecPlan {
     /// nobody else has written them, because construction snapshots the
     /// same globals. The model never calls this; callers that want a
     /// plan's kernel configuration to take effect do.
-    /// The precision axis has **no** global to write: layers read it
-    /// straight off their plan ([`ExecPlan::precision`]).
     pub fn apply_kernel_knobs(&self) {
         micro::set_mode(self.micro);
         micro::set_simd_mode(self.simd);
@@ -541,14 +452,12 @@ mod tests {
             .with_reorder(ReorderStrategy::Off)
             .with_layout(Layout::Tight)
             .with_micro(MicroKernel::Scalar)
-            .with_simd(SimdMode::Scalar)
-            .with_precision(Precision::Bf16);
+            .with_simd(SimdMode::Scalar);
         assert_eq!(p.exec(), AttentionExec::Staged);
         assert_eq!(p.reorder(), ReorderStrategy::Off);
         assert_eq!(p.layout(), Layout::Tight);
         assert_eq!(p.micro_kernel(), MicroKernel::Scalar);
         assert_eq!(p.simd(), SimdMode::Scalar);
-        assert_eq!(p.precision(), Precision::Bf16);
     }
 
     #[test]
@@ -557,41 +466,6 @@ mod tests {
         ExecPlan::fused().apply_kernel_knobs();
         let after = (micro::mode(), micro::simd_mode());
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn precision_axis_defaults_parse_and_round() {
-        // Default is the f32 oracle (only assertable when the env does
-        // not pin a different choice).
-        if std::env::var("ATGNN_PRECISION").is_err() {
-            assert_eq!(ExecPlan::default().precision(), Precision::F32);
-        }
-        for p in [
-            Precision::F32,
-            Precision::Bf16,
-            Precision::F16,
-            Precision::Auto,
-        ] {
-            assert_eq!(Precision::parse(p.name()), Some(p));
-        }
-        assert_eq!(Precision::parse("int8"), None);
-        assert_eq!(Precision::Bf16.bytes(), 2);
-        assert_eq!(Precision::F32.bytes(), 4);
-        assert!(Precision::F16.is_narrow() && !Precision::Auto.is_narrow());
-        let plan = ExecPlan::fused().with_precision(Precision::Bf16);
-        assert_eq!(plan.precision(), Precision::Bf16);
-        // round_matrix applies the convert-module rounding in place; f32
-        // is the identity.
-        let src = Dense::<f32>::from_fn(3, 5, |i, j| (i * 5 + j) as f32 * 0.123 - 0.7);
-        let mut rounded = src.clone();
-        Precision::Bf16.round_matrix(&mut rounded);
-        let mut want = src.clone();
-        atgnn_tensor::convert::round_matrix::<atgnn_tensor::Bf16, f32>(&mut want);
-        assert_eq!(rounded.max_abs_diff(&want), 0.0);
-        assert!(rounded.max_abs_diff(&src) > 0.0);
-        let mut id = src.clone();
-        Precision::F32.round_matrix(&mut id);
-        assert_eq!(id.max_abs_diff(&src), 0.0);
     }
 
     #[test]

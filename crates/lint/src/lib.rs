@@ -109,33 +109,17 @@ fn slice_index_mut_pat() -> String {
 fn range_mut_pat() -> String {
     format!(".range_{}", "mut(")
 }
-/// The plan-owned knob env vars (the six `ExecPlan` axes). Kernels and
+/// The plan-owned knob env vars (the five `ExecPlan` axes). Kernels and
 /// layers must receive these through `ExecPlan::apply_kernel_knobs`,
 /// never read them directly.
 fn plan_knob_pats() -> Vec<String> {
-    [
-        "EXEC",
-        "REORDER",
-        "LAYOUT",
-        "MICROKERNEL",
-        "SIMD",
-        "PRECISION",
-    ]
-    .iter()
-    .map(|axis| format!("ATGNN{}{axis}", '_'))
-    .collect()
+    ["EXEC", "REORDER", "LAYOUT", "MICROKERNEL", "SIMD"]
+        .iter()
+        .map(|axis| format!("ATGNN{}{axis}", '_'))
+        .collect()
 }
 fn hash_container_pats() -> [String; 2] {
     [format!("Hash{}", "Map"), format!("Hash{}", "Set")]
-}
-/// The half-precision storage types and the float bit-access methods.
-/// Assembled from pieces like every other pattern so this file's own
-/// literals stay inert.
-fn half_type_pats() -> [String; 2] {
-    [format!("Bf{}", "16"), format!("F{}", "16")]
-}
-fn float_bits_pats() -> [String; 2] {
-    [format!("to_b{}", "its("), format!("from_b{}", "its(")]
 }
 
 /// The workspace's source-hygiene rules.
@@ -228,20 +212,6 @@ pub fn rules() -> Vec<SourceRule> {
                   use recv_timeout/wait_timeout, and retire worker \
                   threads by polling is_finished() under a bound instead \
                   of join()",
-        },
-        SourceRule {
-            rule: Rule::RawHalfBits,
-            in_scope: |p| in_kernel_crates(p) && !p.ends_with("/convert.rs"),
-            matches: |line| {
-                half_type_pats().iter().any(|t| line.contains(t.as_str()))
-                    && float_bits_pats().iter().any(|b| line.contains(b.as_str()))
-            },
-            skip_tests: true,
-            keep_strings: false,
-            why: "f32\u{2194}bf16/f16 conversion is defined once, in \
-                  atgnn_tensor::convert (the Store trait); ad-hoc \
-                  to_bits/from_bits twiddling on the half types lets two \
-                  kernels disagree about rounding",
         },
         SourceRule {
             rule: Rule::PlanKnobEnv,
@@ -695,27 +665,6 @@ mod tests {
         // from the strings-kept text as well).
         let comment = format!("// reads ATGNN{}{} at startup\nfn f() {{}}\n", '_', "SIMD");
         assert!(scan("crates/sparse/src/spmm.rs", &comment).is_empty());
-    }
-
-    #[test]
-    fn raw_half_bit_twiddling_stays_in_convert() {
-        let ty = &half_type_pats()[0];
-        let bits = &float_bits_pats()[0];
-        let src = format!("fn f(x: {ty}) -> u16 {{ x.{bits}) }}\n");
-        let found = scan("crates/tensor/src/micro.rs", &src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].rule, Rule::RawHalfBits);
-        assert_eq!(scan("crates/sparse/src/spmm.rs", &src).len(), 1);
-        // The convert module owns rounding and is exempt; so is
-        // everything outside the kernel crates.
-        assert!(scan("crates/tensor/src/convert.rs", &src).is_empty());
-        assert!(scan("crates/core/src/plan.rs", &src).is_empty());
-        // A half type alone (a format parameter) does not fire...
-        let plumbing = format!("fn g(x: {ty}) {{}}\n");
-        assert!(scan("crates/tensor/src/micro.rs", &plumbing).is_empty());
-        // ...nor does bit access on full-precision floats.
-        let f32_bits = format!("fn h(x: f32) -> u32 {{ x.{bits}) }}\n");
-        assert!(scan("crates/tensor/src/micro.rs", &f32_bits).is_empty());
     }
 
     #[test]

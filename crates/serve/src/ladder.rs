@@ -4,41 +4,33 @@
 //! execution down one rung at a time toward cheaper service, and steps
 //! back up one rung at a time when pressure clears:
 //!
-//! | rung | name            | effect                                      |
-//! |------|-----------------|---------------------------------------------|
-//! | 0    | full            | configured window, no rounding, full fanout |
-//! | 1    | narrow window   | batch window ÷ 4 (less batching latency)    |
-//! | 2    | bf16 rounding   | + `ExecPlan` precision axis → bf16          |
-//! | 3    | reduced fanout  | + ego sampling fanout → `degraded_fanout`   |
+//! | rung | name            | effect                                    |
+//! |------|-----------------|-------------------------------------------|
+//! | 0    | full            | configured window, full fanout            |
+//! | 1    | narrow window   | batch window ÷ 4 (less batching latency)  |
+//! | 2    | reduced fanout  | + ego sampling fanout → `degraded_fanout` |
 //!
-//! Rungs are cumulative: rung 3 also narrows the window and rounds
-//! through bf16. Rung 2 is the precision axis as the product implements
-//! it: projected features are rounded through bf16 and then streamed as
-//! f32 by the ordinary sweep, so it adds a pass and sheds no bytes — it
-//! changes answers (within the bf16 gate) without making a batch
-//! cheaper. Whether it belongs on the ladder is unmeasured; it waits on
-//! a benchmark workload that runs bf16.
+//! Rungs are cumulative: rung 2 also narrows the window. No rung changes
+//! the numeric format — a reduced fanout changes *which* neighbours are
+//! aggregated, and a configured `degraded_fanout` at or above every
+//! degree leaves the answers equal to full service.
 //!
 //! Movement is *monotone* (one rung per decision) and *hysteretic*:
 //! occupancy must sit at/above the high watermark for `patience`
 //! consecutive batch boundaries to step down, and at/below the low
 //! watermark for `patience` boundaries to step up — a single burst
-//! neither thrashes the plan nor strands the server degraded.
+//! neither thrashes the service level nor strands the server degraded.
 
-use atgnn::plan::Precision;
 use std::time::Duration;
 
 /// Full service.
 pub const RUNG_FULL: usize = 0;
 /// Narrowed batch window.
 pub const RUNG_NARROW_WINDOW: usize = 1;
-/// Features rounded through bf16 (the `ExecPlan` precision axis); the
-/// sweep still streams f32.
-pub const RUNG_BF16: usize = 2;
 /// Reduced ego-sampling fanout.
-pub const RUNG_REDUCED_FANOUT: usize = 3;
+pub const RUNG_REDUCED_FANOUT: usize = 2;
 /// Number of rungs.
-pub const RUNG_COUNT: usize = 4;
+pub const RUNG_COUNT: usize = 3;
 
 /// Hysteretic, monotone rung controller. Decisions happen at batch
 /// boundaries via [`Ladder::observe`].
@@ -116,15 +108,6 @@ impl Ladder {
         }
     }
 
-    /// The plan precision at the current rung.
-    pub fn precision(&self) -> Precision {
-        if self.rung >= RUNG_BF16 {
-            Precision::Bf16
-        } else {
-            Precision::F32
-        }
-    }
-
     /// The ego-sampling fanout at the current rung.
     pub fn fanout(&self, full: usize, degraded: usize) -> usize {
         if self.rung >= RUNG_REDUCED_FANOUT {
@@ -146,15 +129,13 @@ mod tests {
         assert_eq!(ladder.observe(0.9), Some((0, 1)), "patience reached");
         assert_eq!(ladder.observe(0.9), None, "counter reset after a move");
         assert_eq!(ladder.observe(0.9), Some((1, 2)));
-        assert_eq!(ladder.observe(0.9), None);
-        assert_eq!(ladder.observe(0.9), Some((2, 3)));
         // Saturates at the bottom rung.
         assert_eq!(ladder.observe(0.9), None);
         assert_eq!(ladder.observe(0.9), None);
+        assert_eq!(ladder.observe(0.9), None);
         assert_eq!(ladder.rung(), RUNG_REDUCED_FANOUT);
+        assert_eq!(RUNG_REDUCED_FANOUT, RUNG_COUNT - 1);
         // Recovery is equally patient and single-stepped.
-        assert_eq!(ladder.observe(0.0), None);
-        assert_eq!(ladder.observe(0.0), Some((3, 2)));
         assert_eq!(ladder.observe(0.0), None);
         assert_eq!(ladder.observe(0.0), Some((2, 1)));
         assert_eq!(ladder.observe(0.0), None);
@@ -177,17 +158,15 @@ mod tests {
         let full = Duration::from_micros(2000);
         let l0 = Ladder::new(0.8, 0.2, 1);
         assert_eq!(l0.window(full), full);
-        assert_eq!(l0.precision(), Precision::F32);
         assert_eq!(l0.fanout(usize::MAX, 4), usize::MAX);
         let l1 = l0.clone().at_rung(RUNG_NARROW_WINDOW);
         assert_eq!(l1.window(full), full / 4);
-        assert_eq!(l1.precision(), Precision::F32);
-        let l2 = l0.clone().at_rung(RUNG_BF16);
+        assert_eq!(l1.fanout(usize::MAX, 4), usize::MAX);
+        let l2 = l0.clone().at_rung(RUNG_REDUCED_FANOUT);
         assert_eq!(l2.window(full), full / 4, "rung 2 keeps the narrow window");
-        assert_eq!(l2.precision(), Precision::Bf16);
-        assert_eq!(l2.fanout(usize::MAX, 4), usize::MAX);
-        let l3 = l0.at_rung(RUNG_REDUCED_FANOUT);
-        assert_eq!(l3.precision(), Precision::Bf16, "rung 3 keeps bf16");
-        assert_eq!(l3.fanout(usize::MAX, 4), 4);
+        assert_eq!(l2.fanout(usize::MAX, 4), 4);
+        assert_eq!(l2.fanout(3, 4), 3, "never above the configured fanout");
+        // A resumed ladder clamps to the bottom rung.
+        assert_eq!(l0.at_rung(RUNG_COUNT + 5).rung(), RUNG_REDUCED_FANOUT);
     }
 }

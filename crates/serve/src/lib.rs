@@ -18,8 +18,8 @@
 //!   [`ServeError::DeadlineExceeded`];
 //! * **graceful degradation** — under sustained queue pressure a
 //!   hysteretic [`Ladder`] steps service down one rung at a time
-//!   (narrower batch window → bf16 rounding via the `ExecPlan` precision
-//!   axis → reduced sampling fanout) and back up when pressure clears,
+//!   (narrower batch window → reduced sampling fanout) and back up when
+//!   pressure clears,
 //!   every move counted in [`ServeStats`];
 //! * **warm restart** — a write-ahead intent log plus a
 //!   `core::checkpoint` image let [`Server::recover`] rebuild a dead
@@ -41,8 +41,6 @@ pub mod stats;
 pub mod wal;
 
 pub use config::ServeConfig;
-pub use ladder::{
-    Ladder, RUNG_BF16, RUNG_COUNT, RUNG_FULL, RUNG_NARROW_WINDOW, RUNG_REDUCED_FANOUT,
-};
+pub use ladder::{Ladder, RUNG_COUNT, RUNG_FULL, RUNG_NARROW_WINDOW, RUNG_REDUCED_FANOUT};
 pub use server::{InferResponse, ServeError, Server, Ticket};
 pub use stats::ServeStats;

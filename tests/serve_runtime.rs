@@ -1,13 +1,13 @@
 //! Serving-runtime integration suite: ego-subgraph extraction
 //! properties, the bounded retransmit store, admission control and
-//! deadlines, the graceful-degradation ladder (with the bf16 tolerance
-//! gate), crash/hang healing, and warm restart from the write-ahead
-//! intent log.
+//! deadlines, the graceful-degradation ladder (its degraded answers
+//! gated against full service), crash/hang healing, and warm restart
+//! from the write-ahead intent log.
 
 use atgnn::{GnnModel, ModelKind};
 use atgnn_graphgen::erdos_renyi;
 use atgnn_net::{Cluster, FaultPlan};
-use atgnn_serve::{ServeConfig, ServeError, Server, RUNG_BF16, RUNG_FULL};
+use atgnn_serve::{ServeConfig, ServeError, Server, RUNG_FULL, RUNG_REDUCED_FANOUT};
 use atgnn_sparse::Csr;
 use atgnn_tensor::{init, Activation};
 use std::collections::HashSet;
@@ -463,11 +463,11 @@ fn invalid_nodes_are_refused_typed() {
 }
 
 // ---------------------------------------------------------------------
-// Degradation ladder (satellite: overload script + bf16 gate)
+// Degradation ladder (overload script + full-service gate)
 // ---------------------------------------------------------------------
 
 #[test]
-fn ladder_degrades_under_pressure_then_recovers_and_bf16_stays_in_tolerance() {
+fn ladder_degrades_under_pressure_then_recovers_and_degraded_answers_match_full_service() {
     let g = served_graph(64, 400, 9);
     let x = init::features::<f32>(g.rows(), DIMS[0], 21);
     let full = gat(42).inference(&g, &x);
@@ -533,32 +533,42 @@ fn ladder_degrades_under_pressure_then_recovers_and_bf16_stays_in_tolerance() {
         stats.step_up, stats.step_down,
         "every step down was undone by exactly one step up"
     );
-    assert!(stats.step_down >= 2, "the script reached a deep rung");
+    assert!(
+        stats.step_down >= 2,
+        "the script reached the reduced-fanout rung"
+    );
     assert_eq!(
         stats.accepted,
         stats.settled(),
         "zero lost under the script"
     );
 
-    // bf16 gate: every answer computed on a bf16 rung stays within the
-    // precision suite's tolerance of the f32 oracle.
+    // No rung changes numerics: every answer, degraded or not, meets the
+    // tolerance full service meets.
     let mut degraded = 0;
     for ticket in &tickets {
         let response = ticket.wait().expect("settled ok");
-        if response.rung >= RUNG_BF16 {
+        if response.rung >= RUNG_REDUCED_FANOUT {
             degraded += 1;
-            let want = full.row(ticket.node());
-            for (a, b) in response.values.iter().zip(want.iter()) {
-                let rel = (a - b).abs() / b.abs().max(1e-3);
-                assert!(
-                    rel < 5e-2,
-                    "bf16-rung answer off by rel {rel} (node {})",
-                    ticket.node()
-                );
-            }
         }
+        let want = full.row(ticket.node());
+        let diff = response
+            .values
+            .iter()
+            .zip(want.iter())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(
+            diff < 1e-3,
+            "rung-{} answer off by {diff} (node {})",
+            response.rung,
+            ticket.node()
+        );
     }
-    assert!(degraded > 0, "the script must produce bf16-rung answers");
+    assert!(
+        degraded > 0,
+        "the script must produce reduced-fanout-rung answers"
+    );
     server.shutdown();
 }
 

@@ -8,9 +8,12 @@
 //! a freshly built model with the same weights taking the same step —
 //! both through `train_step` (whose first step on new buffers still
 //! reuses them within the step) and assembled from the public pieces,
-//! which allocate every intermediate.
+//! which allocate every intermediate. Every padded step also holds the
+//! padded layout's own obligation: each tail slot the layer stack
+//! leaves in an output or a cached intermediate stays `+0.0`.
 
 use atgnn::loss::{Loss, Mse};
+use atgnn::model::TrainContext;
 use atgnn::optimizer::Sgd;
 use atgnn::plan::{ExecPlan, Layout, ReorderStrategy};
 use atgnn::{GnnModel, ModelKind};
@@ -49,6 +52,20 @@ fn param_bits(model: &GnnModel<f32>) -> Vec<u32> {
         .collect()
 }
 
+/// Every padded tail slot in a forward's output and its cached
+/// intermediates (`h_in`, `z`, `h_proj`) is `+0.0`; both widths in
+/// `DIMS` are ragged, so every layer has a real tail.
+fn assert_tails_zero(out: &Dense<f32>, ctxs: &[TrainContext<f32>]) {
+    assert!(out.padding_is_zero(), "output tail");
+    for (l, ctx) in ctxs.iter().enumerate() {
+        assert!(ctx.h_in.padding_is_zero(), "layer {l} input tail");
+        assert!(ctx.z.padding_is_zero(), "layer {l} pre-activation tail");
+        if let Some(hp) = &ctx.cache.h_proj {
+            assert!(hp.padding_is_zero(), "layer {l} projection tail");
+        }
+    }
+}
+
 /// One training step from the public pieces — `forward_cached`, the
 /// loss, the public `backward`, `apply_gradients` — in the resolved
 /// plan's vertex order and layout, as `train_step` runs it. Returns the
@@ -62,12 +79,14 @@ fn assembled_step(model: &mut GnnModel<f32>, a: &Csr<f32>, x: &Dense<f32>, loss:
     let (value, grads) = match plan.reorder_graph(a) {
         Some(r) => {
             let (out, ctxs) = model.forward_cached(&r.a, &ingest(r.permute_rows(x)));
+            assert_tails_zero(&out, &ctxs);
             let out = r.restore_rows(&out);
             let g = ingest(r.permute_rows(&loss.gradient(&out)));
             (loss.value(&out), model.backward(&r.a, &ctxs, &g).0)
         }
         None => {
             let (out, ctxs) = model.forward_cached(a, &ingest(x.clone()));
+            assert_tails_zero(&out, &ctxs);
             let out = out.into_tight();
             let g = ingest(loss.gradient(&out));
             (loss.value(&out), model.backward(a, &ctxs, &g).0)
@@ -135,4 +154,28 @@ fn reused_buffers_never_change_a_step() {
             assert!(param_bits(&model) == want, "{case}: parameters");
         }
     }
+}
+
+#[test]
+fn padded_tails_stay_zero_through_training() {
+    let Graph { a, x, loss } = graph(ModelKind::Gat, 256, 31);
+    let mut model = GnnModel::<f32>::uniform(ModelKind::Gat, &DIMS, Activation::Relu, 3)
+        .with_plan(plan(ReorderStrategy::Off, Layout::Padded));
+    let check = |model: &GnnModel<f32>, when: &str| {
+        let (out, ctxs) = model.forward_cached(&a, &x.padded());
+        assert!(out.is_padded(), "{when}: output layout");
+        assert!(ctxs.iter().all(|c| c.cache.h_proj.is_some()), "{when}: gat caches H'");
+        assert_tails_zero(&out, &ctxs);
+    };
+    check(&model, "before training");
+    // Training on the padded layout still makes progress, and the
+    // weights it leaves keep every tail at +0.0.
+    let mut opt = Sgd::new(0.01);
+    let first = model.train_step(&a, &x, &loss, &mut opt);
+    let mut last = first;
+    for _ in 0..30 {
+        last = model.train_step(&a, &x, &loss, &mut opt);
+    }
+    assert!(last.is_finite() && last < first, "training stalled: {first} -> {last}");
+    check(&model, "after training");
 }
