@@ -2,9 +2,9 @@
 //!
 //! `ATGNN_ANALYZE=deny` runs the full abstract interpreter — shapes,
 //! virtual safety, fusion legality, semirings, determinism proofs,
-//! FP-stability intervals, alias legality, precision verdicts — over
-//! every canned DAG at model construction. This bench prices that check:
-//! it times one *complete* analyzer sweep (all four models × forward +
+//! FP-stability intervals, alias legality — over every canned DAG at
+//! model construction. This bench prices that check: it times one
+//! *complete* analyzer sweep (all four models × forward +
 //! backward DAGs × both execution plans, strictly more work than any
 //! single model pays) against one full-batch GAT training step on an
 //! Erdős–Rényi graph, and writes the ratio to

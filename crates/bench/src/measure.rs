@@ -2,7 +2,7 @@
 //! distributed runtime — for the global formulation, the local
 //! (halo) formulation, and the mini-batch (DistDGL stand-in) baseline.
 
-use crate::{imbalance_1d, imbalance_2d, repeats};
+use crate::{imbalance_2d, repeats};
 use atgnn::loss::Mse;
 use atgnn::optimizer::Sgd;
 use atgnn::{GnnModel, ModelKind};
@@ -224,33 +224,6 @@ pub fn global_time(
     let t1 = compute_global(kind, a, k, layers, task);
     let stats = comm_global(kind, a, k, layers, p, task);
     let imb = imbalance_2d(a, p);
-    (modeled_time(machine, t1, p, imb, &stats), stats)
-}
-
-/// The full modeled runtime of the local formulation on `p` ranks.
-pub fn local_time(
-    machine: &MachineModel,
-    kind: ModelKind,
-    a: &Csr<f32>,
-    k: usize,
-    layers: usize,
-    p: usize,
-    task: Task,
-) -> (f64, CommStats) {
-    // The local formulation's compute is the same math; its single-node
-    // time is measured on the message-passing loops (inference) scaled by
-    // the training multiplier observed on the global path.
-    let t1_inf = compute_local(kind, a, k, layers);
-    let t1 = match task {
-        Task::Inference => t1_inf,
-        Task::Training => {
-            let g_inf = compute_global(kind, a, k, layers, Task::Inference);
-            let g_tr = compute_global(kind, a, k, layers, Task::Training);
-            t1_inf * (g_tr / g_inf.max(1e-12))
-        }
-    };
-    let stats = comm_local(kind, a, k, layers, p, task);
-    let imb = imbalance_1d(a, p);
     (modeled_time(machine, t1, p, imb, &stats), stats)
 }
 

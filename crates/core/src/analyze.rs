@@ -33,21 +33,15 @@
 //!    ([`Rule::NondetReduction`]).
 //! 7. **FP-stability** — [`stability`] runs an interval + error-magnitude
 //!    abstract domain over the DAG and flags overflow-prone `exp` chains
-//!    missing the max-subtraction ([`Rule::SoftmaxOverflow`]),
-//!    catastrophic-cancellation sites ([`Rule::Cancellation`]) and
-//!    half-precision loss-scale hazards on backward DAGs
-//!    ([`Rule::LossScale`]).
+//!    missing the max-subtraction ([`Rule::SoftmaxOverflow`]) and
+//!    catastrophic-cancellation sites ([`Rule::Cancellation`]).
 //! 8. **Alias / in-place legality** — [`alias`] extends the escape
 //!    analysis with consumer counts, proving which buffers may be reused
 //!    in place and which sandwiches run allocation-free; declared
 //!    in-place ops that violate the proof are errors
 //!    ([`Rule::AliasUnsafe`]).
-//! 9. **Precision safety** — [`precision`] derives a per-node narrowing
-//!    verdict (safe-bf16 / accumulate-f32 / keep-f32) from semiring and
-//!    stability facts and rejects storage annotations that contradict it
-//!    ([`Rule::UnsafeNarrowing`]).
 //!
-//! A tenth family of rules lints *source code* rather than DAGs: the
+//! A ninth family of rules lints *source code* rather than DAGs: the
 //! `atgnn-lint` binary (crates/lint) scans the workspace for hygiene
 //! violations (unwrap-in-kernels, raw-threads, staged-bypass,
 //! permute-layering, unbounded-recv) and reports them through the same
@@ -67,7 +61,6 @@ use crate::model::ModelKind;
 
 pub mod alias;
 pub mod determinism;
-pub mod precision;
 pub mod stability;
 
 /// How severe a diagnostic is.
@@ -109,15 +102,9 @@ pub enum Rule {
     /// catastrophic cancellation can leave the result with no correct
     /// digits.
     Cancellation,
-    /// Rule 10: a backward-DAG value's magnitude bound exceeds the f16
-    /// range — half-precision training would need loss scaling.
-    LossScale,
-    /// Rule 11: an op declared in-place (`*_inplace`) mutates a buffer
+    /// Rule 10: an op declared in-place (`*_inplace`) mutates a buffer
     /// the alias analysis cannot prove dead.
     AliasUnsafe,
-    /// Rule 12: a storage annotation narrows a node the precision
-    /// analysis says must stay at full precision.
-    UnsafeNarrowing,
     /// Source lint: `.unwrap()` in kernel-crate non-test code.
     UnwrapInKernels,
     /// Source lint: raw `thread::spawn`/`scope` outside the rt pool.
@@ -165,9 +152,7 @@ impl Rule {
             Rule::NondetReduction => "nondet-reduction",
             Rule::SoftmaxOverflow => "softmax-overflow",
             Rule::Cancellation => "cancellation",
-            Rule::LossScale => "loss-scale",
             Rule::AliasUnsafe => "alias-unsafe",
-            Rule::UnsafeNarrowing => "unsafe-narrowing",
             Rule::UnwrapInKernels => "unwrap-in-kernels",
             Rule::RawThreads => "raw-threads",
             Rule::StagedBypass => "staged-bypass",
@@ -183,7 +168,7 @@ impl Rule {
     /// Parses a kebab-case rule name (the inverse of [`Rule::name`]);
     /// used by `atgnn-lint`'s `allow(...)` annotations.
     pub fn from_name(name: &str) -> Option<Rule> {
-        const ALL: [Rule; 21] = [
+        const ALL: [Rule; 19] = [
             Rule::ShapeMismatch,
             Rule::UnfusedVirtual,
             Rule::IllegalFusion,
@@ -193,9 +178,7 @@ impl Rule {
             Rule::NondetReduction,
             Rule::SoftmaxOverflow,
             Rule::Cancellation,
-            Rule::LossScale,
             Rule::AliasUnsafe,
-            Rule::UnsafeNarrowing,
             Rule::UnwrapInKernels,
             Rule::RawThreads,
             Rule::StagedBypass,
@@ -287,9 +270,9 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Runs every DAG rule (shape, virtual safety, fusion legality,
-/// semirings, determinism, FP-stability, alias legality, precision
-/// safety) over one DAG and returns every finding (errors first is *not*
-/// guaranteed; filter on [`Diagnostic::severity`]).
+/// semirings, determinism, FP-stability, alias legality) over one DAG
+/// and returns every finding (errors first is *not* guaranteed; filter
+/// on [`Diagnostic::severity`]).
 pub fn validate(dag: &Dag) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     check_shapes(dag, &mut diags);
@@ -299,7 +282,6 @@ pub fn validate(dag: &Dag) -> Vec<Diagnostic> {
     determinism::check(dag, &mut diags);
     stability::check(dag, &mut diags);
     alias::check(dag, &mut diags);
-    precision::check(dag, &mut diags);
     diags
 }
 

@@ -6,7 +6,7 @@
 //! worst-case bound — reductions over `m` terms gain `√m` (the
 //! random-sign model) rather than `m`, because the worst case over a
 //! dense `n×n` product would flag every model while the √-model tracks
-//! what training actually sees. Three hazards are reported:
+//! what training actually sees. Two hazards are reported:
 //!
 //! * [`Rule::SoftmaxOverflow`] (error) — a raw `exp` applied to values
 //!   whose upper bound exceeds [`EXP_OVERFLOW`]: a softmax missing the
@@ -17,13 +17,6 @@
 //! * [`Rule::Cancellation`] (warning) — a subtraction of two large
 //!   overlapping operands: the result can retain no correct digits, so
 //!   its ulp error goes to `∞`.
-//! * [`Rule::LossScale`] (warning) — a backward-DAG value whose magnitude
-//!   bound exceeds the f16 range [`F16_MAX`]: half-precision training of
-//!   this plan would need loss scaling.
-//!
-//! The magnitude intervals also feed the precision analysis
-//! ([`super::precision`]): a node this pass flags is never allowed to
-//! narrow below f32.
 
 use atgnn_sparse::masked::ROW_SOFTMAX_MAX_SHIFTED;
 
@@ -32,9 +25,6 @@ use crate::dag::{Dag, Dim, TensorClass};
 
 /// `exp` overflows f64 above this argument (`ln(f64::MAX) ≈ 709.78`).
 pub const EXP_OVERFLOW: f64 = 709.0;
-/// Largest finite f16 value; magnitudes beyond it are a loss-scale
-/// hazard for half-precision training.
-pub const F16_MAX: f64 = 65504.0;
 /// Operand-magnitude threshold for the cancellation rule: subtracting
 /// two overlapping values of magnitude `≥ CANCEL_MAG` can erase every
 /// correct digit relative to the unit-magnitude leaves.
@@ -58,8 +48,7 @@ impl Default for StabilityConfig {
     fn default() -> Self {
         // Representative mid-size layer; large enough that genuine
         // blow-ups (exp chains, repeated unnormalized products) trip the
-        // thresholds, small enough that the canned model DAGs — whose
-        // worst bound is ≈8k — stay clear of F16_MAX.
+        // thresholds.
         Self {
             n: 256.0,
             k: 16.0,
@@ -174,36 +163,12 @@ pub fn check_with(dag: &Dag, cfg: &StabilityConfig, diags: &mut Vec<Diagnostic>)
     eval(dag, cfg, diags);
 }
 
-/// Node ids the stability rules flagged (any severity) — the set the
-/// precision analysis pins at full precision.
-pub fn flagged(dag: &Dag) -> Vec<usize> {
-    let mut sink = Vec::new();
-    eval(dag, &StabilityConfig::default(), &mut sink);
-    let mut ids: Vec<usize> = sink.iter().filter_map(|d| d.node).collect();
-    ids.dedup();
-    ids
-}
-
 fn eval(dag: &Dag, cfg: &StabilityConfig, diags: &mut Vec<Diagnostic>) -> Vec<Value> {
     let nodes = dag.nodes();
     let mut vals: Vec<Value> = Vec::with_capacity(nodes.len());
     for (id, node) in nodes.iter().enumerate() {
         let ins: Vec<Value> = node.inputs.iter().map(|&i| vals[i]).collect();
-        let v = transfer(dag, cfg, id, &ins, diags);
-        if dag.is_backward() && !node.inputs.is_empty() && v.range.mag() > F16_MAX {
-            diags.push(Diagnostic::warning(
-                Rule::LossScale,
-                Some(id),
-                format!(
-                    "'{}' can reach magnitude {:.3e}, beyond the f16 range \
-                     ({F16_MAX:.0}) — half-precision training of this backward \
-                     plan needs loss scaling",
-                    node.op,
-                    v.range.mag()
-                ),
-            ));
-        }
-        vals.push(v);
+        vals.push(transfer(dag, cfg, id, &ins, diags));
     }
     vals
 }
@@ -460,14 +425,6 @@ mod tests {
             let mut diags = Vec::new();
             check(&dag, &mut diags);
             assert!(diags.is_empty(), "{diags:?}");
-            // Every canned magnitude stays inside the f16-safe envelope.
-            for (id, v) in analyze(&dag).iter().enumerate() {
-                assert!(
-                    v.range.mag() <= F16_MAX,
-                    "node {id} bound {:.1} escapes f16",
-                    v.range.mag()
-                );
-            }
         }
     }
 
@@ -526,24 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn huge_backward_magnitudes_need_loss_scaling() {
+    fn exp_of_moderate_magnitudes_is_fine() {
+        // exp(16) ≈ 8.9e6 is large but far below the overflow threshold.
         let mut d = Dag::new();
-        d.mark_backward();
         let m2 = chain_of_matmuls(&mut d, 2); // magnitude 16
-        let e = d.add("exp", TensorClass::DenseNk, &[m2]); // e^16 ≈ 8.9e6
-        let _p = d.add("hadamard", TensorClass::DenseNk, &[e, e]);
-        let mut diags = Vec::new();
-        check(&d, &mut diags);
-        // No overflow (16 < 709) but both exp and its square blow past
-        // the f16 range on a backward DAG.
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(diags.iter().all(|x| x.rule == Rule::LossScale));
-    }
-
-    #[test]
-    fn forward_magnitudes_do_not_warn_loss_scale() {
-        let mut d = Dag::new();
-        let m2 = chain_of_matmuls(&mut d, 2);
         let _e = d.add("exp", TensorClass::DenseNk, &[m2]);
         let mut diags = Vec::new();
         check(&d, &mut diags);

@@ -67,43 +67,6 @@ impl TensorClass {
     }
 }
 
-/// Element-storage width a planner may annotate a node's output with.
-///
-/// The annotation is a *request*, not a fact: the precision-safety
-/// analysis ([`crate::analyze::precision`]) compares it against the
-/// per-node narrowing verdict derived from semiring and stability facts
-/// and rejects plans that store a keep-f32 node in bf16. Unannotated
-/// nodes (the default) are stored at the working precision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Storage {
-    /// bfloat16 storage (8-bit mantissa, f32 exponent range).
-    Bf16,
-    /// IEEE binary16 storage (11-bit mantissa, [2⁻²⁴, 65504] range).
-    F16,
-    /// Single precision.
-    F32,
-    /// Double precision.
-    F64,
-}
-
-impl Storage {
-    /// Kebab-case name used in diagnostics and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Storage::Bf16 => "bf16",
-            Storage::F16 => "f16",
-            Storage::F32 => "f32",
-            Storage::F64 => "f64",
-        }
-    }
-
-    /// Whether this annotation stores fewer bits than the working
-    /// precision — the cases the narrowing verdicts constrain.
-    pub fn is_narrow(self) -> bool {
-        matches!(self, Storage::Bf16 | Storage::F16)
-    }
-}
-
 /// A symbolic dimension of a DAG tensor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dim {
@@ -163,9 +126,6 @@ pub struct Node {
     pub shape: Shape,
     /// The aggregation semiring, for SpMM-like nodes.
     pub semiring: Option<SemiringKind>,
-    /// Requested element storage, when a planner wants to narrow this
-    /// node's output below the working precision.
-    pub storage: Option<Storage>,
 }
 
 /// A tensor-expression DAG.
@@ -284,17 +244,8 @@ impl Dag {
             inputs: inputs.to_vec(),
             shape,
             semiring,
-            storage: None,
         });
         self.nodes.len() - 1
-    }
-
-    /// Annotates a node with a requested element storage; the
-    /// precision-safety analysis validates the request against the
-    /// node's narrowing verdict.
-    pub fn set_storage(&mut self, id: usize, storage: Storage) {
-        assert!(id < self.nodes.len(), "node {id} does not exist");
-        self.nodes[id].storage = Some(storage);
     }
 
     /// The nodes.

@@ -173,14 +173,6 @@ impl<'a, T: Scalar> DistContext<'a, T> {
         }
     }
 
-    /// Plan-time estimate of the words per rank one `k_in → k_out` layer
-    /// moves on this context's grid (the static analyzer's
-    /// communication model, paper §7).
-    pub fn estimated_layer_volume_words(&self, k_in: usize, k_out: usize) -> f64 {
-        let spec = atgnn::analyze::comm::GridSpec::new(self.grid.q, self.grid.q);
-        atgnn::analyze::comm::layer_volume_words(self.n, k_in, k_out, spec)
-    }
-
     /// Lints this context's plan against the paper's `O(nk/√p + k·k')`
     /// global communication bound; `None` means the plan is within the
     /// bound. The `√p×√p` grid always passes — the check guards against

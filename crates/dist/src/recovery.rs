@@ -30,29 +30,12 @@ use std::path::PathBuf;
 /// Knobs for a recovered training run.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
-    /// Checkpoint cadence in training steps (`ATGNN_CKPT_EVERY`).
+    /// Checkpoint cadence in training steps.
     pub ckpt_every: u64,
     /// Where the checkpoint lives (one file, overwritten in place).
     pub ckpt_path: PathBuf,
     /// Maximum cluster launches (1 = no retry budget).
     pub max_attempts: u32,
-}
-
-impl RecoveryConfig {
-    /// Builds a config with the cadence taken from `ATGNN_CKPT_EVERY`
-    /// (default 5) and a bounded retry budget.
-    pub fn from_env(ckpt_path: PathBuf) -> Self {
-        let ckpt_every = std::env::var("ATGNN_CKPT_EVERY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(5);
-        Self {
-            ckpt_every,
-            ckpt_path,
-            max_attempts: 4,
-        }
-    }
 }
 
 /// What a recovered training run did.

@@ -10,8 +10,8 @@
 //! finding is an error, so this mostly hardens the `--dag` pass).
 //! `--dag` additionally runs the full DAG analyzer — shapes, virtual
 //! safety, fusion legality, semirings, determinism, FP-stability,
-//! aliasing, precision — over every canned model and both execution
-//! plans, and prints the determinism-proof count per model.
+//! aliasing — over every canned model and both execution plans, and
+//! prints the determinism-proof count per model.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -21,7 +21,7 @@
 //! sender's retained in-flight copy (NACK + retransmission, with the
 //! resend's bytes charged to the sender), and dropped frames are
 //! recovered the same way after a bounded exponential-backoff schedule.
-//! Every `recv` is deadline-bounded (`ATGNN_COMM_TIMEOUT_MS`): a frame
+//! Every `recv` is deadline-bounded (the plan's `timeout_ms`): a frame
 //! that never materializes — a crashed or hung peer — surfaces as a
 //! rank failure instead of a deadlock. Healing restores the *exact*
 //! payload the sender produced and never changes the order in which a
@@ -49,12 +49,10 @@ const POLL_SLICE: Duration = Duration::from_millis(2);
 /// starts waiting; subsequent consultations back off exponentially.
 const RESEND_BASE: Duration = Duration::from_millis(4);
 
-/// Default `recv` deadline when neither the plan nor
-/// `ATGNN_COMM_TIMEOUT_MS` overrides it.
+/// Default `recv` deadline when the plan sets no `timeout_ms`.
 const DEFAULT_TIMEOUT_MS: u64 = 30_000;
 
-/// Default bounded retransmit attempts when neither the plan nor
-/// `ATGNN_COMM_RETRIES` overrides it.
+/// Default bounded retransmit attempts when the plan sets no `retries`.
 const DEFAULT_RETRIES: u32 = 6;
 
 /// One frame on a simulated channel. `seq` and `checksum` exist for the
@@ -73,8 +71,8 @@ pub(crate) struct Frame {
 
 /// State shared by every rank of one cluster run: the abort flag the
 /// supervisor raises when a rank fails, the fault-injection state
-/// (plan + retransmit store) when a plan is active, and the resolved
-/// communication deadline knobs.
+/// (plan + retransmit store) when a plan is active, and the plan's
+/// resolved communication deadline.
 pub(crate) struct RunShared {
     pub abort: AtomicBool,
     pub fault: Option<FaultState>,
@@ -86,19 +84,11 @@ pub(crate) struct RunShared {
 
 impl RunShared {
     pub fn new(plan: &crate::fault::FaultPlan) -> Self {
-        let timeout_ms = plan
-            .timeout_ms
-            .or_else(|| env_u64("ATGNN_COMM_TIMEOUT_MS"))
-            .unwrap_or(DEFAULT_TIMEOUT_MS);
-        let retries = plan
-            .retries
-            .or_else(|| env_u64("ATGNN_COMM_RETRIES").map(|v| v as u32))
-            .unwrap_or(DEFAULT_RETRIES);
         Self {
             abort: AtomicBool::new(false),
             fault: plan.is_active().then(|| FaultState::new(plan.clone())),
-            timeout: Duration::from_millis(timeout_ms),
-            retries,
+            timeout: Duration::from_millis(plan.timeout_ms.unwrap_or(DEFAULT_TIMEOUT_MS)),
+            retries: plan.retries.unwrap_or(DEFAULT_RETRIES),
         }
     }
 }
@@ -174,10 +164,6 @@ pub struct Comm {
 
 fn ceil_log2(g: usize) -> u64 {
     (usize::BITS - g.saturating_sub(1).leading_zeros()) as u64
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 impl Comm {
@@ -914,7 +900,20 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use super::ceil_log2;
+    use super::{ceil_log2, RunShared};
+    use crate::fault::FaultPlan;
+    use std::time::Duration;
+
+    #[test]
+    fn the_plan_is_the_only_deadline_route() {
+        let none = RunShared::new(&FaultPlan::none());
+        assert_eq!(none.timeout, Duration::from_secs(30));
+        assert_eq!(none.retries, 6);
+        let plan = FaultPlan::none().with_timeout_ms(1234).with_retries(3);
+        let set = RunShared::new(&plan);
+        assert_eq!(set.timeout, Duration::from_millis(1234));
+        assert_eq!(set.retries, 3);
+    }
 
     #[test]
     fn ceil_log2_values() {

@@ -73,9 +73,11 @@ pub struct FaultPlan {
     /// Hang one rank at a superstep (it stops making progress until the
     /// run is aborted).
     pub hang: Option<RankFault>,
-    /// Overrides `ATGNN_COMM_TIMEOUT_MS` for this run.
+    /// Deadline of one blocked `recv` or barrier for this run, in
+    /// milliseconds (`None` → 30 000).
     pub timeout_ms: Option<u64>,
-    /// Overrides `ATGNN_COMM_RETRIES` for this run.
+    /// Bounded retransmit consultations per `recv` for this run
+    /// (`None` → 6).
     pub retries: Option<u32>,
     /// Caps the resident unacked bytes of the retransmit store for this
     /// run (`None` → [`DEFAULT_STORE_CAP_BYTES`]).

@@ -1,27 +1,13 @@
-//! Serving configuration: the `ATGNN_SERVE_*` knobs plus programmatic
-//! builders for tests and benches.
+//! Serving configuration: defaults plus programmatic builders.
 
 use atgnn_net::FaultPlan;
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    let raw = std::env::var(key).ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match trimmed.parse() {
-        Ok(v) => Some(v),
-        Err(_) => panic!("{key}: cannot parse {trimmed:?}"),
-    }
-}
-
 /// Configuration of one serving runtime instance.
 ///
-/// Defaults come from [`ServeConfig::default`]; [`ServeConfig::from_env`]
-/// overlays the `ATGNN_SERVE_*` environment knobs (documented in the
-/// README) plus `ATGNN_FAULTS` for chaos runs.
+/// Defaults come from [`ServeConfig::default`]; the `with_*` builders
+/// override single fields.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// A batch closes when it holds this many requests…
@@ -96,35 +82,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults overlaid with the `ATGNN_SERVE_*` environment knobs and
-    /// `ATGNN_FAULTS`.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(v) = env_parse::<usize>("ATGNN_SERVE_BATCH_MAX") {
-            cfg.batch_max = v.max(1);
-        }
-        if let Some(v) = env_parse::<u64>("ATGNN_SERVE_BATCH_WINDOW_US") {
-            cfg.batch_window = Duration::from_micros(v);
-        }
-        if let Some(v) = env_parse::<u64>("ATGNN_SERVE_DEADLINE_MS") {
-            cfg.deadline = Duration::from_millis(v);
-        }
-        if let Some(v) = env_parse::<usize>("ATGNN_SERVE_QUEUE_CAP") {
-            cfg.queue_cap = v.max(1);
-        }
-        if let Some(v) = env_parse::<usize>("ATGNN_SERVE_HOPS") {
-            cfg.hops = v;
-        }
-        if let Some(v) = env_parse::<usize>("ATGNN_SERVE_FANOUT") {
-            cfg.fanout = v.max(1);
-        }
-        if let Some(v) = env_parse::<u64>("ATGNN_SERVE_WATCHDOG_MS") {
-            cfg.watchdog = Duration::from_millis(v.max(1));
-        }
-        cfg.faults = FaultPlan::from_env();
-        cfg
-    }
-
     pub fn with_batch_max(mut self, n: usize) -> Self {
         self.batch_max = n.max(1);
         self

@@ -97,14 +97,6 @@ pub enum AttentionExec {
 }
 
 impl AttentionExec {
-    /// Whether this execution path materializes the n×n score/attention
-    /// matrices as real `Csr` allocations. The fused one-pass sweep keeps
-    /// score rows in per-thread scratch, so the alias analysis treats its
-    /// in-sandwich virtual tensors as buffer-free.
-    pub fn materializes_scores(self) -> bool {
-        matches!(self, AttentionExec::Staged)
-    }
-
     /// Human-readable name used in diagnostics and reports.
     pub fn name(self) -> &'static str {
         match self {

@@ -79,17 +79,6 @@ impl SemiringKind {
             SemiringKind::Real | SemiringKind::Average => false,
         }
     }
-
-    /// Whether narrowing element storage requires a widened accumulator:
-    /// `Real`/`Average` sum many rounded products (error grows with
-    /// degree), while `min`/`max` select a stored value exactly. Drives
-    /// the precision-safety verdicts in `atgnn::analyze::precision`.
-    pub fn needs_wide_accumulator(self) -> bool {
-        match self {
-            SemiringKind::Real | SemiringKind::Average => true,
-            SemiringKind::MinPlus | SemiringKind::MaxPlus => false,
-        }
-    }
 }
 
 impl core::fmt::Display for SemiringKind {

@@ -164,7 +164,10 @@ fn padded_tails_stay_zero_through_training() {
     let check = |model: &GnnModel<f32>, when: &str| {
         let (out, ctxs) = model.forward_cached(&a, &x.padded());
         assert!(out.is_padded(), "{when}: output layout");
-        assert!(ctxs.iter().all(|c| c.cache.h_proj.is_some()), "{when}: gat caches H'");
+        assert!(
+            ctxs.iter().all(|c| c.cache.h_proj.is_some()),
+            "{when}: gat caches H'"
+        );
         assert_tails_zero(&out, &ctxs);
     };
     check(&model, "before training");
@@ -176,6 +179,9 @@ fn padded_tails_stay_zero_through_training() {
     for _ in 0..30 {
         last = model.train_step(&a, &x, &loss, &mut opt);
     }
-    assert!(last.is_finite() && last < first, "training stalled: {first} -> {last}");
+    assert!(
+        last.is_finite() && last < first,
+        "training stalled: {first} -> {last}"
+    );
     check(&model, "after training");
 }
