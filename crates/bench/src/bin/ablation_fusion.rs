@@ -274,9 +274,9 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_fusion.json", &json).expect("write BENCH_fusion.json");
-    println!("wrote results/BENCH_fusion.json");
+    let path = atgnn_bench::result_path("BENCH_fusion.json").expect("create results dir");
+    std::fs::write(&path, &json).expect("write BENCH_fusion.json");
+    println!("wrote {}", path.display());
 
     // The acceptance anchor: one-pass must beat staged for GAT at k=64 on
     // the Kronecker graphs (the paper's headline fusion win). Checked on

@@ -98,9 +98,9 @@ fn main() {
     let _ = writeln!(json, "  \"diagnostics\": {diag_count},");
     let _ = writeln!(json, "  \"smoke\": {smoke}");
     json.push_str("}\n");
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_analysis.json", &json).expect("write BENCH_analysis.json");
-    println!("wrote results/BENCH_analysis.json");
+    let path = atgnn_bench::result_path("BENCH_analysis.json").expect("create results dir");
+    std::fs::write(&path, &json).expect("write BENCH_analysis.json");
+    println!("wrote {}", path.display());
 
     if !smoke {
         assert!(

@@ -261,9 +261,9 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_locality.json", &json).expect("write BENCH_locality.json");
-    println!("wrote results/BENCH_locality.json");
+    let path = atgnn_bench::result_path("BENCH_locality.json").expect("create results dir");
+    std::fs::write(&path, &json).expect("write BENCH_locality.json");
+    println!("wrote {}", path.display());
 
     // Acceptance anchor: the full locality layer (auto reorder + blocked
     // microkernels) must beat the untouched path by ≥ 1.15x for fused GAT

@@ -343,7 +343,7 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"chaos\": {\"shed\": true, \"degrade\": true, \"crash_heal\": true, \"hang_fence\": true, \"warm_restart\": true, \"lost_requests\": 0}\n");
     json.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote results/BENCH_serve.json");
+    let path = atgnn_bench::result_path("BENCH_serve.json").expect("create results dir");
+    std::fs::write(&path, &json).expect("write BENCH_serve.json");
+    println!("wrote {}", path.display());
 }

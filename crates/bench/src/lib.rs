@@ -19,7 +19,7 @@
 //!    machine model ([`atgnn_net::MachineModel::aries`]).
 //!
 //! Every harness binary prints paper-style series and writes
-//! `results/<name>.csv`.
+//! `results/<name>.csv` ([`result_path`]: `results/smoke/` in smoke runs).
 
 pub mod cli;
 pub mod measure;
@@ -51,6 +51,18 @@ pub fn scale() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
+}
+
+/// Where a harness writes its output file `name`: `results/<name>`, or
+/// `results/smoke/<name>` under `ATGNN_SMOKE`, so smoke runs (CI) never
+/// overwrite the recorded full-size results. Creates the directory.
+pub fn result_path(name: &str) -> std::io::Result<std::path::PathBuf> {
+    let mut dir = std::path::PathBuf::from("results");
+    if std::env::var("ATGNN_SMOKE").is_ok() {
+        dir.push("smoke");
+    }
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir.join(name))
 }
 
 /// The per-rank load-imbalance factor of the 2D partition: the dominant

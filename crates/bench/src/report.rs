@@ -79,11 +79,10 @@ impl Reporter {
     }
 
     /// Writes `results/<name>.csv` (relative to the workspace root when
-    /// run via `cargo run`, else the current directory).
+    /// run via `cargo run`, else the current directory; under
+    /// `results/smoke/` in smoke runs — see [`crate::result_path`]).
     pub fn write_csv(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.csv", self.name));
+        let path = crate::result_path(&format!("{}.csv", self.name))?;
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
         writeln!(
             f,

@@ -15,10 +15,10 @@
 //!   `kk`-ascending inside one chunk ([`atgnn_tensor::gemm::FOLD_ORDER`]),
 //!   and `matmul_tn` folds `r`-ascending inside size-derived row blocks
 //!   merged in ascending order ([`atgnn_tensor::gemm::TN_ORDER`]);
-//! * dense dot products (`matvec`, `matvec_t`, SDDMM scoring) group into
-//!   fixed lanes that depend only on the row
+//! * dense dot products (`matvec`, `matvec_t`, SDDMM scoring) reduce in
+//!   an order that depends only on the row
 //!   ([`atgnn_tensor::micro::accumulation_order`] — the eight-lane tree
-//!   under `ATGNN_SIMD=wide`, four fixed lanes otherwise);
+//!   of the wide kernels, one ascending fold under the scalar oracle);
 //! * the softmax's exponential sum follows the active softmax kernel
 //!   ([`atgnn_sparse::masked::softmax_accumulation_order`]: the wide
 //!   lane tree, or one ascending fold);

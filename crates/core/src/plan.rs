@@ -19,8 +19,8 @@
 //!   the **only** place that applies `Csr::permute` — kernels and layers
 //!   stay permutation-agnostic, which ci.sh lints.
 //!
-//! Three more axes are pure performance knobs: the dense [`Layout`], the
-//! [`MicroKernel`] family and the [`SimdMode`] width. (The attention
+//! Two more axes are pure performance knobs: the dense [`Layout`] and the
+//! [`MicroKernel`] family. (The attention
 //! column tile is not an axis: the sweep derives it from `k` and the
 //! probed L1d, `atgnn_sparse::attention::auto_col_tile`.) Storage is not
 //! an axis either: layers hold and stream their buffers in the model's
@@ -33,13 +33,13 @@
 //! the one choice that needs more than the plan is made where that
 //! knowledge lives: `reorder::permutation` resolves `auto` per graph.
 //!
-//! Microkernel family and SIMD width are still process-global atomics
-//! in `atgnn_tensor::micro`; a plan carries a snapshot of them, and
+//! The microkernel family is still a process-global atomic in
+//! `atgnn_tensor::micro`; a plan carries a snapshot of it, and
 //! [`ExecPlan::apply_kernel_knobs`] is the single point where a plan
-//! writes them back — which the `plan-knob-env` source lint enforces.
-//! The product never calls it on its own: the atomics exist for the
+//! writes it back — which the `plan-knob-env` source lint enforces.
+//! The product never calls it on its own: the atomic exists for the
 //! bench sweeps and for callers that apply a plan explicitly, and
-//! passing the plan to the kernels by value is what will remove them.
+//! passing the plan to the kernels by value is what will remove it.
 
 use crate::analyze::{self, Diagnostic};
 use crate::model::ModelKind;
@@ -49,7 +49,7 @@ use atgnn_tensor::{micro, Dense, Scalar};
 
 pub use atgnn_graphgen::reorder::Strategy as ReorderStrategy;
 pub use atgnn_sparse::attention::AttentionExec;
-pub use atgnn_tensor::micro::{MicroKernel, SimdMode};
+pub use atgnn_tensor::micro::MicroKernel;
 
 /// The dense-feature memory layout a plan's kernels run in. Conversion
 /// happens exactly once, at the model boundary (`GnnModel::inference` /
@@ -145,7 +145,6 @@ pub struct ExecPlan {
     /// [`ExecPlan::defaulted_for_width`] fills in the width-aware default.
     layout: Option<Layout>,
     micro: MicroKernel,
-    simd: SimdMode,
     // Always 0: only here so `Debug` still prints the key the frozen
     // benchmark/tests/smoke.rs:108 matches — drop it with that assertion.
     spmmt_chunks: usize,
@@ -167,7 +166,6 @@ impl ExecPlan {
             reorder: ReorderStrategy::Auto,
             layout: Layout::from_env(),
             micro: micro::mode(),
-            simd: micro::simd_mode(),
             spmmt_chunks: 0,
         }
     }
@@ -186,7 +184,7 @@ impl ExecPlan {
     /// unset — selects the fused path), `ATGNN_REORDER`
     /// (`auto`/`degree`/`rcm`/`off`), on top of what every plan starts
     /// from: `ATGNN_LAYOUT` (see [`Layout::from_env`]) and the process's
-    /// kernel configuration (`ATGNN_MICROKERNEL`, `ATGNN_SIMD`).
+    /// kernel configuration (`ATGNN_MICROKERNEL`).
     pub fn from_env() -> Self {
         let mut plan = match std::env::var("ATGNN_EXEC").as_deref() {
             Ok("staged") => Self::staged(),
@@ -227,12 +225,6 @@ impl ExecPlan {
         self
     }
 
-    /// This plan with a different SIMD width mode.
-    pub fn with_simd(mut self, simd: SimdMode) -> Self {
-        self.simd = simd;
-        self
-    }
-
     /// This plan, unchanged — part of the [`Precision`] shim.
     pub fn with_precision(self, _precision: Precision) -> Self {
         self
@@ -241,7 +233,7 @@ impl ExecPlan {
     /// Whether this plan's kernel configuration selects the 8-lane wide
     /// kernels — `micro::wide` asked of the plan, not of the process.
     fn wide(&self) -> bool {
-        self.micro == MicroKernel::Blocked && self.simd == SimdMode::Wide
+        self.micro == MicroKernel::Blocked
     }
 
     /// This plan with the width-aware layout default
@@ -289,19 +281,13 @@ impl ExecPlan {
         self.micro
     }
 
-    /// The SIMD width mode this plan runs under.
-    pub fn simd(&self) -> SimdMode {
-        self.simd
-    }
-
     /// Always [`Precision::F32`] — part of the [`Precision`] shim.
     pub fn precision(&self) -> Precision {
         Precision::F32
     }
 
     /// Writes this plan's kernel configuration into the process-global
-    /// switches the kernels read ([`micro::set_mode`],
-    /// [`micro::set_simd_mode`]).
+    /// switch the kernels read ([`micro::set_mode`]).
     ///
     /// This is the **single sanctioned bridge** from plan to kernel
     /// globals — kernels and layers never read plan-knob env vars
@@ -312,7 +298,6 @@ impl ExecPlan {
     /// plan's kernel configuration to take effect do.
     pub fn apply_kernel_knobs(&self) {
         micro::set_mode(self.micro);
-        micro::set_simd_mode(self.simd);
     }
 
     /// Computes and applies this plan's locality reordering to an
@@ -435,12 +420,10 @@ mod tests {
         // …and otherwise decides from the plan's own kernel fields, not
         // from the process's.
         if std::env::var("ATGNN_LAYOUT").is_err() {
-            let wide = ExecPlan::fused()
-                .with_micro(MicroKernel::Blocked)
-                .with_simd(SimdMode::Wide);
+            let wide = ExecPlan::fused().with_micro(MicroKernel::Blocked);
             assert_eq!(wide.defaulted_for_width(64).layout(), Layout::Tight);
             assert_eq!(wide.defaulted_for_width(60).layout(), Layout::Padded);
-            let scalar = wide.with_simd(SimdMode::Scalar);
+            let scalar = wide.with_micro(MicroKernel::Scalar);
             assert_eq!(scalar.defaulted_for_width(60).layout(), Layout::Tight);
         }
     }
@@ -451,20 +434,18 @@ mod tests {
             .with_exec(AttentionExec::Staged)
             .with_reorder(ReorderStrategy::Off)
             .with_layout(Layout::Tight)
-            .with_micro(MicroKernel::Scalar)
-            .with_simd(SimdMode::Scalar);
+            .with_micro(MicroKernel::Scalar);
         assert_eq!(p.exec(), AttentionExec::Staged);
         assert_eq!(p.reorder(), ReorderStrategy::Off);
         assert_eq!(p.layout(), Layout::Tight);
         assert_eq!(p.micro_kernel(), MicroKernel::Scalar);
-        assert_eq!(p.simd(), SimdMode::Scalar);
     }
 
     #[test]
     fn applying_an_untouched_plan_is_a_no_op() {
-        let before = (micro::mode(), micro::simd_mode());
+        let before = micro::mode();
         ExecPlan::fused().apply_kernel_knobs();
-        let after = (micro::mode(), micro::simd_mode());
+        let after = micro::mode();
         assert_eq!(before, after);
     }
 

@@ -109,11 +109,11 @@ fn slice_index_mut_pat() -> String {
 fn range_mut_pat() -> String {
     format!(".range_{}", "mut(")
 }
-/// The plan-owned knob env vars (the five `ExecPlan` axes). Kernels and
+/// The plan-owned knob env vars (the four `ExecPlan` axes). Kernels and
 /// layers must receive these through `ExecPlan::apply_kernel_knobs`,
 /// never read them directly.
 fn plan_knob_pats() -> Vec<String> {
-    ["EXEC", "REORDER", "LAYOUT", "MICROKERNEL", "SIMD"]
+    ["EXEC", "REORDER", "LAYOUT", "MICROKERNEL"]
         .iter()
         .map(|axis| format!("ATGNN{}{axis}", '_'))
         .collect()
@@ -663,7 +663,10 @@ mod tests {
         assert!(scan("crates/core/src/plan.rs", &src).is_empty());
         // A knob name in a comment does not fire (comments are stripped
         // from the strings-kept text as well).
-        let comment = format!("// reads ATGNN{}{} at startup\nfn f() {{}}\n", '_', "SIMD");
+        let comment = format!(
+            "// reads ATGNN{}{} at startup\nfn f() {{}}\n",
+            '_', "LAYOUT"
+        );
         assert!(scan("crates/sparse/src/spmm.rs", &comment).is_empty());
     }
 

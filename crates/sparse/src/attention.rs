@@ -150,8 +150,8 @@ pub struct RowStats<T> {
 /// through [`micro::axpy4`] — per element the exact rounding sequence of
 /// sequential [`micro::axpy`] calls, and the neighbor order (CSR storage
 /// order per output element) matches [`crate::spmm::spmm`] exactly, so
-/// the floating-point result depends on neither the tile size, the SIMD
-/// width, nor the layout.
+/// the floating-point result depends on neither the tile size nor the
+/// layout.
 #[inline]
 fn aggregate_row<T: Scalar>(out_row: &mut [T], cols: &[u32], p: &[T], src: &Dense<T>, tile: usize) {
     let w = out_row.len();
@@ -175,7 +175,7 @@ fn aggregate_row<T: Scalar>(out_row: &mut [T], cols: &[u32], p: &[T], src: &Dens
                 );
             }
             for (&c, &pv) in cq.remainder().iter().zip(pq.remainder()) {
-                micro::axpy(out_t, pv, &src.row_padded(c as usize)[t0..t1]);
+                micro::axpy_wide(out_t, pv, &src.row_padded(c as usize)[t0..t1]);
             }
         } else {
             for (&c, &pv) in cols.iter().zip(p) {
@@ -220,7 +220,7 @@ fn aggregate_row_scaled<T: Scalar>(
                 );
             }
             for (&c, &pv) in cq.remainder().iter().zip(pq.remainder()) {
-                micro::axpy(out_t, pv * inv, &src.row_padded(c as usize)[t0..t1]);
+                micro::axpy_wide(out_t, pv * inv, &src.row_padded(c as usize)[t0..t1]);
             }
         } else {
             for (&c, &pv) in cols.iter().zip(p) {

@@ -7,10 +7,9 @@
 //! `A`'s pattern.
 //!
 //! The sampled dot products go through [`gemm::dot`], which dispatches on
-//! the kernel switches (`atgnn_tensor::micro`): the 8-lane lane-tree dot
-//! under `ATGNN_SIMD=wide`, the 4-way unrolled `mul_add` kernel under
-//! `ATGNN_SIMD=scalar`, and the original scalar loop when
-//! `ATGNN_MICROKERNEL=scalar` pins the oracle. The dots always read
+//! the kernel switch (`atgnn_tensor::micro`): the 8-lane lane-tree dot by
+//! default, and the original scalar loop when `ATGNN_MICROKERNEL=scalar`
+//! pins the oracle. The dots always read
 //! *logical* rows (never the padded stride), so the `ATGNN_LAYOUT`
 //! choice cannot change a single bit of any score.
 

@@ -89,8 +89,8 @@ pub fn spmm_semiring<T: Scalar, S: Semiring<T>>(s: &S, a: &Csr<T>, h: &Dense<T>)
 /// no tail loop. Tails stay `+0.0`: `fma(a, 0, ±0)` is `+0.0` for finite
 /// `a`. In wide mode neighbors are processed four per pass ([`micro::axpy4`]
 /// — one load/store of `out_row` per quad); per element that is the exact
-/// rounding sequence of the sequential [`micro::axpy`] loop, so the wide,
-/// blocked, and layout variants of this gather are all bit-identical.
+/// rounding sequence of the sequential [`micro::axpy`] loop, so the wide
+/// gather is bit-identical to one axpy per neighbor, in either layout.
 #[inline]
 fn aggregate_rows_into<T: Scalar>(out_row: &mut [T], h: &Dense<T>, cols: &[u32], vals: &[T]) {
     let w = out_row.len();
@@ -110,7 +110,7 @@ fn aggregate_rows_into<T: Scalar>(out_row: &mut [T], h: &Dense<T>, cols: &[u32],
             );
         }
         for (&j, &av) in cq.remainder().iter().zip(vq.remainder()) {
-            micro::axpy(out_row, av, &h.row_padded(j as usize)[..w]);
+            micro::axpy_wide(out_row, av, &h.row_padded(j as usize)[..w]);
         }
     } else {
         for (&j, &av) in cols.iter().zip(vals) {
@@ -366,7 +366,7 @@ mod tests {
         // layout and thread count, the gather is the sequential scatter
         // and the public SpMM of the materialized transpose, bit for bit.
         // (The microkernel modes are swept by tests/simd_equivalence.rs
-        // and ci.sh's scalar passes — flipping them here would race the
+        // and ci.sh's scalar pass — flipping them here would race the
         // other unit tests.)
         let graphs = [
             ("erdos-renyi", seeded(1200, 1200, 9600, 0, 1)),

@@ -47,7 +47,7 @@ pub const TN_ORDER: ReductionOrder = ReductionOrder::FixedBlocks;
 fn panel_lane(n: usize, k: usize) -> Option<usize> {
     if k > 0 && micro::wide() && n >= micro::LANE {
         Some(micro::LANE)
-    } else if k > 0 && micro::blocked() && n >= 4 {
+    } else if k > 0 && micro::wide() && n >= 4 {
         Some(4)
     } else {
         None
@@ -404,7 +404,7 @@ pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
 }
 
 /// `out += A[lo..hi]ᵀ · B[lo..hi]` on a tight `k × j` slice. Under the
-/// blocked microkernels the 4-row × 16-column tiles run on eight
+/// wide microkernels the 4-row × 16-column tiles run on eight
 /// [`micro::LANE`]-wide register accumulators (two loads and four
 /// broadcasts per eight [`micro::fma_splat`]s) and [`micro::axpy`] covers
 /// the ragged `k % 4` / `j % 16` edges; the scalar oracle runs every
@@ -413,7 +413,7 @@ pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
 fn tn_accumulate<T: Scalar>(a: &Dense<T>, b: &Dense<T>, lo: usize, hi: usize, out: &mut [T]) {
     const LANE: usize = micro::LANE;
     let (k, j) = (a.cols(), b.cols());
-    let (k4, j16) = if micro::blocked() {
+    let (k4, j16) = if micro::wide() {
         (k - k % 4, j - j % (2 * LANE))
     } else {
         (0, 0)

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd-nightly", feature(portable_simd))]
 //! Dense tensor substrate for the attentional-GNN workspace.
 //!
 //! This crate provides the dense half of the tensor-algebra building blocks
@@ -19,7 +18,7 @@
 //!   derivatives `σ'`, applied between GNN layers.
 //! * [`init`] — deterministic, seedable random initializers (Glorot/Xavier
 //!   and friends) mirroring the artifact's `--seed` flag.
-//! * [`micro`] — register-blocked `mul_add` inner kernels (dot/axpy) and
+//! * [`micro`] — 8-lane `mul_add` inner kernels (dot/axpy) and
 //!   the `ATGNN_MICROKERNEL` mode switch; the scalar loops remain available
 //!   as the bit-exact equivalence oracle.
 //! * [`rt`] — the persistent worker-pool runtime every kernel schedules

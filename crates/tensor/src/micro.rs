@@ -1,46 +1,38 @@
-//! Register-blocked / SIMD-width microkernel primitives and the kernel-mode
-//! switches.
+//! SIMD-width microkernel primitives and the kernel-mode switch.
 //!
 //! The attention hot path spends its cycles in three inner-loop shapes: dot
 //! products (SDDMM scoring, `matvec`), axpy updates (SpMM / attention
 //! aggregation), and the broadcast-fma register tiles of the dense
 //! products in [`crate::gemm`]. This module provides those inner loops at
-//! three width tiers, selected by two process-wide switches:
+//! two tiers, selected by one process-wide switch,
+//! `ATGNN_MICROKERNEL={blocked,scalar}` ([`MicroKernel`]):
 //!
-//! * `ATGNN_MICROKERNEL={blocked,scalar}` — [`MicroKernel`]: `scalar`
-//!   reproduces the pre-microkernel loops bit-for-bit and remains the
-//!   equivalence oracle CI pins.
-//! * `ATGNN_SIMD={wide,scalar}` — [`SimdMode`]: `wide` (the default)
-//!   upgrades the blocked kernels to the 8-lane ([`LANE`]) shapes — the
+//! * `blocked` (the default) runs the 8-lane ([`LANE`]) wide kernels — the
 //!   [`dot_wide`] lane tree (four rows per pass in [`dot4`]),
-//!   [`axpy_wide`], the multi-source fused updates
-//!   [`axpy2`]/[`axpy4`], and the lane-structured reductions
-//!   [`sum_wide`]/[`max_wide`]. `ATGNN_SIMD=scalar` keeps the 4-way blocked
-//!   kernels of the previous generation. The SIMD switch is subordinate to
-//!   the microkernel switch: under `ATGNN_MICROKERNEL=scalar` the wide
-//!   paths are never taken.
+//!   [`axpy_wide`], the multi-source fused updates [`axpy2`]/[`axpy4`],
+//!   and the lane-structured reductions [`sum_wide`]/[`max_wide`];
+//! * `scalar` reproduces the pre-microkernel loops bit-for-bit and remains
+//!   the equivalence oracle CI pins.
 //!
 //! The wide loops are written as safe `chunks_exact` loops over
 //! [`Scalar::mul_add`] that the autovectorizer lifts to FMA vector code on
-//! stable Rust; with the `simd-nightly` feature the same lane arithmetic is
-//! expressed through `std::simd` (bit-identical lane-for-lane, since both
-//! perform the same fused multiply-adds in the same order).
+//! stable Rust.
 //!
 //! Equivalence policy per kernel family (pinned by tests and by the `simd`
 //! bench's in-run gates):
 //!
-//! * **Lane-oblivious (bit-exact).** [`axpy`], [`axpy_wide`], [`axpy2`],
-//!   [`axpy4`] apply `alpha.mul_add(x, out)` strictly elementwise: every
-//!   output element sees the identical rounding sequence no matter the
-//!   grouping, so wide vs blocked — and padded vs tight layouts — are
-//!   bit-identical. The nested fma in `axpy4` is exactly the composition
-//!   of four sequential axpys per element.
-//! * **Re-associated (documented ≤1e-6 relative tolerance vs the other
-//!   modes, deterministic within a mode).** [`dot_wide`] (8-lane tree) vs
-//!   [`dot_blocked`] (4 lanes) vs [`dot_scalar`]; the [`sum_wide`] softmax
-//!   accumulation. Their lane-reduction order is fixed
-//!   ([`crate::rt::ReductionOrder::LaneTree`]) so results stay bit-stable
-//!   across thread counts and tile sizes within one mode.
+//! * **Lane-oblivious (bit-exact).** [`axpy_wide`], [`axpy2`], [`axpy4`]
+//!   apply `alpha.mul_add(x, out)` strictly elementwise: every output
+//!   element sees the identical rounding sequence no matter the grouping,
+//!   so padded vs tight layouts — and any tiling — are bit-identical. The
+//!   nested fma in `axpy4` is exactly the composition of four sequential
+//!   axpys per element.
+//! * **Re-associated (documented ≤1e-6 relative tolerance vs the oracle,
+//!   deterministic within a mode).** [`dot_wide`] (8-lane tree) vs
+//!   [`dot_scalar`]; the [`sum_wide`] softmax accumulation. Their
+//!   lane-reduction order is fixed ([`crate::rt::ReductionOrder::LaneTree`])
+//!   so results stay bit-stable across thread counts and tile sizes within
+//!   one mode.
 
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -54,24 +46,11 @@ pub const LANE: usize = 8;
 /// Which inner-kernel family the process uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MicroKernel {
-    /// Register-blocked `mul_add` kernels (the default).
+    /// The 8-lane wide `mul_add` kernels (the default).
     #[default]
     Blocked,
     /// The original scalar `out += a * b` loops, kept as the bit-exact
     /// equivalence oracle (`ATGNN_MICROKERNEL=scalar`).
-    Scalar,
-}
-
-/// Whether the blocked kernels run at SIMD width ([`LANE`] lanes) or at
-/// the 4-way shapes of the previous generation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SimdMode {
-    /// 8-lane kernels: lane-tree dot, wide axpy, multi-neighbor fused
-    /// aggregation updates, lane-structured softmax (the default).
-    #[default]
-    Wide,
-    /// The 4-way blocked kernels (`ATGNN_SIMD=scalar`), bit-identical to
-    /// the repo's pre-SIMD blocked behavior.
     Scalar,
 }
 
@@ -83,16 +62,8 @@ const MODE_SCALAR: u8 = 2;
 /// `OnceLock`) so benches can sweep modes in one process via [`set_mode`].
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
-const SIMD_UNSET: u8 = 0;
-const SIMD_WIDE: u8 = 1;
-const SIMD_SCALAR: u8 = 2;
-
-/// Lazily initialized from `ATGNN_SIMD`; same sweepable-atomic pattern as
-/// [`MODE`].
-static SIMD: AtomicU8 = AtomicU8::new(SIMD_UNSET);
-
 /// The active kernel mode, reading `ATGNN_MICROKERNEL` on first use.
-/// Any value other than `scalar` selects the blocked kernels.
+/// Any value other than `scalar` selects the wide kernels.
 pub fn mode() -> MicroKernel {
     match MODE.load(Ordering::Relaxed) {
         MODE_BLOCKED => MicroKernel::Blocked,
@@ -117,66 +88,32 @@ pub fn set_mode(m: MicroKernel) {
     MODE.store(v, Ordering::Relaxed);
 }
 
-/// The active SIMD width mode, reading `ATGNN_SIMD` on first use. Any
-/// value other than `scalar` selects the wide kernels.
-pub fn simd_mode() -> SimdMode {
-    match SIMD.load(Ordering::Relaxed) {
-        SIMD_WIDE => SimdMode::Wide,
-        SIMD_SCALAR => SimdMode::Scalar,
-        _ => {
-            let m = match std::env::var("ATGNN_SIMD").as_deref() {
-                Ok("scalar") => SimdMode::Scalar,
-                _ => SimdMode::Wide,
-            };
-            set_simd_mode(m);
-            m
-        }
-    }
-}
-
-/// Overrides the SIMD mode for the rest of the process (bench sweeps).
-pub fn set_simd_mode(m: SimdMode) {
-    let v = match m {
-        SimdMode::Wide => SIMD_WIDE,
-        SimdMode::Scalar => SIMD_SCALAR,
-    };
-    SIMD.store(v, Ordering::Relaxed);
-}
-
-/// Whether the blocked kernels are active.
-#[inline]
-pub fn blocked() -> bool {
-    mode() == MicroKernel::Blocked
-}
-
-/// Whether the 8-lane wide kernels are active: `ATGNN_SIMD=wide` *and*
-/// the blocked kernels (the scalar-oracle microkernel mode always wins).
+/// Whether the 8-lane wide kernels are active (everything but the
+/// scalar oracle).
 #[inline]
 pub fn wide() -> bool {
-    blocked() && simd_mode() == SimdMode::Wide
+    mode() == MicroKernel::Blocked
 }
 
 /// The accumulation-order fact of the active dot-product kernel, for the
 /// plan-time determinism analysis: the wide kernel reduces eight lanes in
-/// a fixed binary tree, the blocked kernel groups into four fixed lanes
-/// (both a function of the operand slice alone), the scalar kernel runs
-/// one ascending sum. All are invariant of thread count and tile size —
-/// [`axpy`] and its wide variants are strictly elementwise in every mode,
-/// so aggregation tiling never changes an element's rounding sequence.
+/// a fixed binary tree (a function of the operand slice alone), the
+/// scalar kernel runs one ascending sum. Both are invariant of thread
+/// count and tile size — [`axpy`] and its wide variants are strictly
+/// elementwise in every mode, so aggregation tiling never changes an
+/// element's rounding sequence.
 pub fn accumulation_order() -> crate::rt::ReductionOrder {
     match mode() {
-        MicroKernel::Blocked if wide() => crate::rt::ReductionOrder::LaneTree,
-        MicroKernel::Blocked => crate::rt::ReductionOrder::FixedLanes,
+        MicroKernel::Blocked => crate::rt::ReductionOrder::LaneTree,
         MicroKernel::Scalar => crate::rt::ReductionOrder::RowSequential,
     }
 }
 
 // ---------------------------------------------------------------------
-// Lane primitives (portable / std::simd pair — identical bits)
+// Lane primitives
 // ---------------------------------------------------------------------
 
 /// `acc[i] + x[i]·y[i]` over one [`LANE`]-wide chunk.
-#[cfg(not(feature = "simd-nightly"))]
 #[inline(always)]
 fn fma_lanes<T: Scalar>(mut acc: [T; LANE], x: &[T], y: &[T]) -> [T; LANE] {
     for ((a, &xv), &yv) in acc.iter_mut().zip(x).zip(y) {
@@ -185,42 +122,14 @@ fn fma_lanes<T: Scalar>(mut acc: [T; LANE], x: &[T], y: &[T]) -> [T; LANE] {
     acc
 }
 
-#[cfg(feature = "simd-nightly")]
-#[inline(always)]
-fn fma_lanes<T: Scalar>(acc: [T; LANE], x: &[T], y: &[T]) -> [T; LANE] {
-    T::fma8(x, y, acc)
-}
-
-/// `out[i] = alpha·x[i] + out[i]` over one [`LANE`]-wide chunk.
-#[cfg(not(feature = "simd-nightly"))]
-#[inline(always)]
-fn axpy_lanes<T: Scalar>(out: &mut [T], alpha: T, x: &[T]) {
-    for (o, &xv) in out.iter_mut().zip(x) {
-        *o = alpha.mul_add(xv, *o);
-    }
-}
-
-#[cfg(feature = "simd-nightly")]
-#[inline(always)]
-fn axpy_lanes<T: Scalar>(out: &mut [T], alpha: T, x: &[T]) {
-    T::axpy8(out, alpha, x);
-}
-
 /// `acc[i] + a·b[i]` (scalar broadcast) over one [`LANE`]-wide chunk — the
 /// gemm outer-product update.
-#[cfg(not(feature = "simd-nightly"))]
 #[inline(always)]
 pub fn fma_splat<T: Scalar>(mut acc: [T; LANE], a: T, b: &[T]) -> [T; LANE] {
     for (l, &bv) in acc.iter_mut().zip(b) {
         *l = a.mul_add(bv, *l);
     }
     acc
-}
-
-#[cfg(feature = "simd-nightly")]
-#[inline(always)]
-pub fn fma_splat<T: Scalar>(acc: [T; LANE], a: T, b: &[T]) -> [T; LANE] {
-    T::fma_splat8(acc, a, b)
 }
 
 /// The fixed lane-reduction tree of the wide kernels:
@@ -234,13 +143,11 @@ pub fn lane_tree_sum<T: Scalar>(l: [T; LANE]) -> T {
 // Dot products
 // ---------------------------------------------------------------------
 
-/// Dot product `Σ x[i]·y[i]`, dispatching on the kernel modes.
+/// Dot product `Σ x[i]·y[i]`, dispatching on the kernel mode.
 #[inline]
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     if wide() {
         dot_wide(x, y)
-    } else if blocked() {
-        dot_blocked(x, y)
     } else {
         dot_scalar(x, y)
     }
@@ -254,29 +161,6 @@ pub fn dot_scalar<T: Scalar>(x: &[T], y: &[T]) -> T {
         .zip(y.iter())
         .map(|(&a, &b)| a * b)
         .fold(T::zero(), |acc, v| acc + v)
-}
-
-/// 4-accumulator unrolled dot product over `mul_add`.
-///
-/// The lane grouping — and therefore the FP rounding — depends only on the
-/// slice contents and length, so results are reproducible for a given row
-/// no matter which thread evaluates it.
-#[inline]
-pub fn dot_blocked<T: Scalar>(x: &[T], y: &[T]) -> T {
-    debug_assert_eq!(x.len(), y.len());
-    let mut acc = [T::zero(); 4];
-    let mut xc = x.chunks_exact(4);
-    let mut yc = y.chunks_exact(4);
-    for (xq, yq) in (&mut xc).zip(&mut yc) {
-        for ((a, &xv), &yv) in acc.iter_mut().zip(xq).zip(yq) {
-            *a = xv.mul_add(yv, *a);
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (&xv, &yv) in xc.remainder().iter().zip(yc.remainder()) {
-        s = xv.mul_add(yv, s);
-    }
-    s
 }
 
 /// 8-lane dot product: one fma vector op per [`LANE`] elements, reduced by
@@ -304,7 +188,7 @@ pub fn dot_wide<T: Scalar>(x: &[T], y: &[T]) -> T {
 /// dot-product analogue of [`axpy4`]. Each result is exactly [`dot`]'s
 /// op sequence in the active mode (wide: its own eight lanes, the
 /// [`lane_tree_sum`] merge and the sequential remainder of [`dot_wide`];
-/// otherwise [`dot`] itself), so it is bit-identical to four `dot` calls.
+/// otherwise [`dot_scalar`]), so it is bit-identical to four `dot` calls.
 #[inline]
 pub fn dot4<T: Scalar>(x: &[T], y: [&[T]; 4]) -> [T; 4] {
     if !wide() {
@@ -339,44 +223,41 @@ pub fn dot4<T: Scalar>(x: &[T], y: [&[T]; 4]) -> [T; 4] {
 // Axpy family (lane-oblivious: bit-exact across widths and layouts)
 // ---------------------------------------------------------------------
 
-/// `out[i] += alpha · x[i]`, dispatching on the kernel modes.
+/// `out[i] += alpha · x[i]`, dispatching on the kernel mode.
 ///
-/// All modes except the scalar oracle are strictly elementwise over
-/// `mul_add`, so callers may slice the operands into arbitrary tiles
-/// (attention's column tiling, rt chunking, padded full-stride rows)
-/// without changing any element's rounding sequence.
+/// Both modes are strictly elementwise, so callers may slice the operands
+/// into arbitrary tiles (attention's column tiling, rt chunking, padded
+/// full-stride rows) without changing any element's rounding sequence.
 #[inline]
 pub fn axpy<T: Scalar>(out: &mut [T], alpha: T, x: &[T]) {
-    debug_assert_eq!(out.len(), x.len());
     if wide() {
         axpy_wide(out, alpha, x);
-    } else if blocked() {
-        let mut oc = out.chunks_exact_mut(4);
-        let mut xc = x.chunks_exact(4);
-        for (oq, xq) in (&mut oc).zip(&mut xc) {
-            for (o, &xv) in oq.iter_mut().zip(xq) {
-                *o = alpha.mul_add(xv, *o);
-            }
-        }
-        for (o, &xv) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *o = alpha.mul_add(xv, *o);
-        }
     } else {
-        for (o, &xv) in out.iter_mut().zip(x.iter()) {
-            *o += alpha * xv;
-        }
+        axpy_scalar(out, alpha, x);
+    }
+}
+
+/// The pre-microkernel axpy: `out[i] += alpha * x[i]`, multiply and add
+/// rounded separately — the oracle counterpart of [`axpy_wide`].
+#[inline]
+fn axpy_scalar<T: Scalar>(out: &mut [T], alpha: T, x: &[T]) {
+    debug_assert_eq!(out.len(), x.len());
+    for (o, &xv) in out.iter_mut().zip(x) {
+        *o += alpha * xv;
     }
 }
 
 /// 8-lane `out[i] = alpha·x[i] + out[i]`. Elementwise `mul_add`, so
-/// bit-identical to the 4-way blocked [`axpy`].
+/// bit-identical to the same `mul_add` loop at any grouping.
 #[inline]
 pub fn axpy_wide<T: Scalar>(out: &mut [T], alpha: T, x: &[T]) {
     debug_assert_eq!(out.len(), x.len());
     let mut oc = out.chunks_exact_mut(LANE);
     let mut xc = x.chunks_exact(LANE);
     for (oq, xq) in (&mut oc).zip(&mut xc) {
-        axpy_lanes(oq, alpha, xq);
+        for (o, &xv) in oq.iter_mut().zip(xq) {
+            *o = alpha.mul_add(xv, *o);
+        }
     }
     for (o, &xv) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
         *o = alpha.mul_add(xv, *o);
@@ -462,20 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_blocked_matches_scalar_within_tolerance() {
-        for n in [0, 1, 3, 4, 7, 16, 33, 129] {
-            let x = seq(n, 1.3);
-            let y = seq(n, -0.7);
-            let a = dot_blocked(&x, &y);
-            let b = dot_scalar(&x, &y);
-            assert!(
-                (a - b).abs() <= 1e-12 * (1.0 + b.abs()),
-                "n={n}: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
     fn dot_wide_matches_scalar_within_tolerance() {
         for n in [0, 1, 3, 7, 8, 9, 16, 31, 33, 129] {
             let x = seq(n, 1.3);
@@ -504,13 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_blocked_is_deterministic() {
-        let x = seq(37, 0.9);
-        let y = seq(37, 1.1);
-        assert_eq!(dot_blocked(&x, &y).to_bits(), dot_blocked(&x, &y).to_bits());
-    }
-
-    #[test]
     fn axpy_blocked_is_slice_invariant() {
         // Elementwise blocking: running axpy on the whole row must be
         // bit-identical to running it tile-by-tile at any split point.
@@ -530,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_wide_matches_blocked_bits() {
+    fn axpy_wide_matches_elementwise_fma_bits() {
         for n in [0, 1, 3, 7, 8, 9, 21, 33] {
             let x = seq(n, 0.8);
             let mut wide_out = seq(n, 2.0);
@@ -597,18 +457,27 @@ mod tests {
 
     #[test]
     fn scalar_mode_axpy_matches_plain_loop_bits() {
+        // Calls the oracle branch directly: mode() is process-global.
         let x = seq(13, 1.7);
         let mut got = seq(13, -0.4);
-        let mut want = got.clone();
+        axpy_scalar(&mut got, 0.25, &x);
+        let mut want = seq(13, -0.4);
         for (o, &xv) in want.iter_mut().zip(x.iter()) {
-            *o += 0.25 * xv;
-        }
-        // Call the scalar path directly (mode() is process-global).
-        for (o, &xv) in got.iter_mut().zip(x.iter()) {
             *o += 0.25 * xv;
         }
         for (g, w) in got.iter().zip(want.iter()) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
+        // (1 + ε)(1 − ε) = 1 − ε² rounds to 1 as a separate product, so
+        // the oracle's −1 + a·x is 0; inside the fma it is exact, so the
+        // wide kernel yields −ε² — a distinct rounding sequence.
+        let (alpha, x) = (1.0 + f64::EPSILON, [1.0 - f64::EPSILON]);
+        let mut scalar_out = [-1.0];
+        let mut wide_out = [-1.0];
+        axpy_scalar(&mut scalar_out, alpha, &x);
+        axpy_wide(&mut wide_out, alpha, &x);
+        assert_eq!(scalar_out[0], 0.0);
+        assert_eq!(wide_out[0], -f64::EPSILON * f64::EPSILON);
+        assert_ne!(scalar_out[0].to_bits(), wide_out[0].to_bits());
     }
 }

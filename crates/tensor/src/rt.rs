@@ -10,8 +10,9 @@
 //!   first parallel dispatch and live for the process lifetime (the
 //!   scoped-thread fan-out this replaces paid a spawn/join per kernel
 //!   call). The pool size comes from `ATGNN_THREADS`, falling back to the
-//!   hardware parallelism; [`set_threads`] rescales the *active* count at
-//!   runtime (used by the scaling benches and the determinism tests).
+//!   hardware parallelism, at most 256 threads; [`set_threads`] rescales
+//!   the *active* count at runtime (used by the scaling benches and the
+//!   determinism tests).
 //! * **Work descriptors, not thread partitions.** A job is an index range
 //!   `0..n` plus a cost shape ([`Cost`]): uniform items split evenly, CSR
 //!   rows split by *stored entries* via their `indptr` prefix sums, so one
@@ -64,18 +65,13 @@ pub enum ReductionOrder {
     /// elements, so the rounding sequence of each element is a function
     /// of the data alone.
     RowSequential,
-    /// A fixed small-lane accumulator grouping (e.g. the 4-lane blocked
-    /// dot product) that is a function of the operand slice alone —
-    /// independent of which thread evaluates it.
-    FixedLanes,
     /// The SIMD-width schedule: eight lane accumulators filled in stored
     /// order and merged by the fixed binary tree
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, remainder folded
-    /// sequentially after the tree. Like [`Self::FixedLanes`] this is a
-    /// function of the operand slice alone; it is a distinct fact because
-    /// the wide kernels (`ATGNN_SIMD=wide`) re-associate relative to the
-    /// 4-lane blocked kernels and carry a documented tolerance instead of
-    /// bit-identity against the scalar oracle.
+    /// sequentially after the tree. A function of the operand slice alone
+    /// — independent of which thread evaluates it; the wide kernels
+    /// re-associate relative to the scalar oracle and carry a documented
+    /// tolerance instead of bit-identity against it.
     LaneTree,
     /// The reduction range is cut into blocks at boundaries derived from
     /// the problem size alone, each block folds its inputs in ascending
@@ -100,7 +96,6 @@ impl ReductionOrder {
     pub fn name(self) -> &'static str {
         match self {
             ReductionOrder::RowSequential => "row-sequential",
-            ReductionOrder::FixedLanes => "fixed-lanes",
             ReductionOrder::LaneTree => "lane-tree",
             ReductionOrder::FixedBlocks => "fixed-blocks",
             ReductionOrder::Unspecified => "unspecified",
@@ -196,15 +191,10 @@ fn worker_loop(shared: Arc<Shared>) {
 
 impl Pool {
     fn new() -> Self {
-        let max_threads = std::env::var("ATGNN_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
+        let hardware = thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1);
+        let max_threads = pool_size(std::env::var("ATGNN_THREADS").ok().as_deref(), hardware);
         let shared = Arc::new(Shared {
             state: Mutex::new(JobState {
                 epoch: 0,
@@ -280,6 +270,22 @@ impl Pool {
     }
 }
 
+/// The most threads a pool ever has: a positive `ATGNN_THREADS` above
+/// this is clamped to it, so a typo cannot ask the OS for millions of
+/// workers. Oversubscription below it (say 8 threads on 2 cores) is kept.
+const MAX_POOL_THREADS: usize = 256;
+
+/// Pool size from the `ATGNN_THREADS` value (`None` when unset) and the
+/// hardware thread count: a positive integer (surrounding whitespace
+/// allowed) is taken as is, anything else falls back to `hardware`; the
+/// result is clamped to `1..=MAX_POOL_THREADS`.
+fn pool_size(env: Option<&str>, hardware: usize) -> usize {
+    env.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(hardware)
+        .clamp(1, MAX_POOL_THREADS)
+}
+
 static POOL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide pool (spawned on first use).
@@ -288,7 +294,7 @@ pub fn pool() -> &'static Pool {
 }
 
 /// Pool capacity: the value of `ATGNN_THREADS` (or the hardware thread
-/// count), fixed at pool creation.
+/// count), at most 256, fixed at pool creation.
 pub fn max_threads() -> usize {
     pool().max_threads
 }
@@ -598,6 +604,18 @@ mod tests {
         for bad in ["0K", "", "K"] {
             assert_eq!(parse_cache_size(bad), None, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn pool_size_falls_back_on_garbage_and_clamps_huge_values() {
+        assert_eq!(pool_size(None, 2), 2);
+        assert_eq!(pool_size(Some("0"), 2), 2);
+        assert_eq!(pool_size(Some("abc"), 2), 2);
+        assert_eq!(pool_size(Some(" 4 "), 2), 4);
+        assert_eq!(pool_size(Some("8"), 2), 8);
+        assert_eq!(pool_size(Some("1000000"), 2), MAX_POOL_THREADS);
+        assert_eq!(pool_size(Some("18446744073709551615"), 2), MAX_POOL_THREADS);
+        assert_eq!(pool_size(None, 0), 1);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub trait Scalar:
     fn tanh(self) -> Self;
     /// Fused multiply-add `self · a + b` with a single rounding.
     ///
-    /// The register-blocked microkernels ([`crate::micro`]) build on this;
+    /// The wide microkernels ([`crate::micro`]) build on this;
     /// the workspace is compiled with `target-cpu=native` (see
     /// `.cargo/config.toml`) so it lowers to a hardware FMA instruction
     /// rather than a libm call.
@@ -81,18 +81,6 @@ pub trait Scalar:
     fn is_finite(self) -> bool;
     /// Number of bytes one element occupies on the (simulated) wire.
     const BYTES: usize;
-
-    /// Eight-lane fused multiply-add `acc[i] + x[i]·y[i]` over `std::simd`
-    /// (nightly only; the stable build reaches the same bits through the
-    /// portable `mul_add` loops in [`crate::micro`]).
-    #[cfg(feature = "simd-nightly")]
-    fn fma8(x: &[Self], y: &[Self], acc: [Self; 8]) -> [Self; 8];
-    /// Eight-lane `out[i] = alpha·x[i] + out[i]` over `std::simd`.
-    #[cfg(feature = "simd-nightly")]
-    fn axpy8(out: &mut [Self], alpha: Self, x: &[Self]);
-    /// Eight-lane `acc[i] + a·b[i]` (scalar broadcast) over `std::simd`.
-    #[cfg(feature = "simd-nightly")]
-    fn fma_splat8(acc: [Self; 8], a: Self, b: &[Self]) -> [Self; 8];
 }
 
 /// Branch-free `expf`: range reduction `x = n·ln2 + r` with a split-constant
@@ -193,32 +181,6 @@ macro_rules! impl_scalar {
                 <$t>::is_finite(self)
             }
             const BYTES: usize = std::mem::size_of::<$t>();
-
-            #[cfg(feature = "simd-nightly")]
-            #[inline(always)]
-            fn fma8(x: &[Self], y: &[Self], acc: [Self; 8]) -> [Self; 8] {
-                use std::simd::{Simd, StdFloat};
-                let xv = Simd::<$t, 8>::from_slice(x);
-                let yv = Simd::<$t, 8>::from_slice(y);
-                xv.mul_add(yv, Simd::from_array(acc)).to_array()
-            }
-            #[cfg(feature = "simd-nightly")]
-            #[inline(always)]
-            fn axpy8(out: &mut [Self], alpha: Self, x: &[Self]) {
-                use std::simd::{Simd, StdFloat};
-                let av = Simd::<$t, 8>::splat(alpha);
-                let xv = Simd::<$t, 8>::from_slice(x);
-                let ov = Simd::<$t, 8>::from_slice(out);
-                out.copy_from_slice(&av.mul_add(xv, ov).to_array());
-            }
-            #[cfg(feature = "simd-nightly")]
-            #[inline(always)]
-            fn fma_splat8(acc: [Self; 8], a: Self, b: &[Self]) -> [Self; 8] {
-                use std::simd::{Simd, StdFloat};
-                let av = Simd::<$t, 8>::splat(a);
-                let bv = Simd::<$t, 8>::from_slice(b);
-                av.mul_add(bv, Simd::from_array(acc)).to_array()
-            }
         }
     };
 }

@@ -1,15 +1,15 @@
-//! Wide-vs-scalar SIMD equivalence on awkward shapes, and the padded
-//! layout's invariants end to end.
+//! Wide-kernel vs scalar-oracle equivalence on awkward shapes, and the
+//! padded layout's invariants end to end.
 //!
 //! The kernel contract (DESIGN.md §6) splits into two families:
 //!
 //! * **lane-oblivious** kernels (`axpy`/`axpy4` aggregation — `spmm`,
 //!   the fused sweep's gather, `spmm_t`) are strictly elementwise
-//!   `mul_add`, so wide vs blocked vs tight vs padded are **bit
-//!   identical**;
+//!   `mul_add`, so the wide kernels are **bit identical** across tight
+//!   and padded layouts;
 //! * **re-associated** kernels (dot products, the softmax's exponential
 //!   sum) run a fixed 8-lane tree under wide mode and are gated at a
-//!   documented tolerance against the sequential baseline.
+//!   documented tolerance against the scalar oracle.
 //!
 //! These tests pin both, on the shapes where lane logic goes wrong:
 //! feature widths `k ∈ {1, 3, 7, 8, 9, 31, 33}` (remainders shorter,
@@ -17,10 +17,10 @@
 //! single-row graphs — plus the padded layout's zero-tail invariant
 //! through a whole training step.
 //!
-//! The kernel-mode switches are process-global, so every test that flips
-//! them runs under one shared [`Mutex`] (this file is its own
-//! integration binary precisely so the flips cannot race the rest of the
-//! suite), and restores the entry modes afterwards.
+//! The kernel-mode switch is process-global, so every test that flips it
+//! runs under one shared [`Mutex`] (this file is its own integration
+//! binary precisely so the flips cannot race the rest of the suite), and
+//! restores the entry mode afterwards.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -30,17 +30,16 @@ use atgnn::plan::{ExecPlan, Layout};
 use atgnn::{GnnModel, ModelKind};
 use atgnn_graphgen::kronecker;
 use atgnn_sparse::{attention, masked, spmm, Coo, Csr};
-use atgnn_tensor::micro::{self, MicroKernel, SimdMode};
+use atgnn_tensor::micro::{self, MicroKernel};
 use atgnn_tensor::{init, ops, Activation, Dense};
 
-/// Serializes every test that flips the process-global kernel modes.
+/// Serializes every test that flips the process-global kernel mode.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
-/// RAII guard: takes the lock, restores the entry modes on drop.
+/// RAII guard: takes the lock, restores the entry mode on drop.
 struct Modes {
     _lock: MutexGuard<'static, ()>,
     micro: MicroKernel,
-    simd: SimdMode,
 }
 
 impl Modes {
@@ -48,7 +47,6 @@ impl Modes {
         Self {
             _lock: MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner()),
             micro: micro::mode(),
-            simd: micro::simd_mode(),
         }
     }
 }
@@ -56,7 +54,6 @@ impl Modes {
 impl Drop for Modes {
     fn drop(&mut self) {
         micro::set_mode(self.micro);
-        micro::set_simd_mode(self.simd);
     }
 }
 
@@ -95,29 +92,23 @@ fn rel_err(a: &Dense<f64>, b: &Dense<f64>) -> f64 {
     a.max_abs_diff(b) / a.max_abs().max(1.0)
 }
 
-/// Every (micro, simd) mode combination.
-const MODES: [(MicroKernel, SimdMode); 4] = [
-    (MicroKernel::Blocked, SimdMode::Wide),
-    (MicroKernel::Blocked, SimdMode::Scalar),
-    (MicroKernel::Scalar, SimdMode::Wide), // wide() is false: scalar oracle
-    (MicroKernel::Scalar, SimdMode::Scalar),
-];
+/// Every kernel mode: the wide kernels, then the scalar oracle.
+const MODES: [MicroKernel; 2] = [MicroKernel::Blocked, MicroKernel::Scalar];
 
-/// Runs `f` under every (micro, simd) mode combination, collecting the
-/// outputs tagged with whether that combination is the wide path.
+/// Runs `f` under every kernel mode, collecting the outputs tagged with
+/// whether that mode is the wide path.
 fn under_all_modes(mut f: impl FnMut() -> Dense<f64>) -> Vec<(bool, Dense<f64>)> {
     MODES
         .iter()
-        .map(|&(m, s)| {
+        .map(|&m| {
             micro::set_mode(m);
-            micro::set_simd_mode(s);
             (micro::wide(), f())
         })
         .collect()
 }
 
 #[test]
-fn spmm_is_bit_identical_across_simd_modes_and_layouts_on_awkward_k() {
+fn spmm_is_bit_identical_across_layouts_and_near_the_oracle_on_awkward_k() {
     let _m = Modes::lock();
     let a = awkward_graph();
     for k in AWKWARD_K {
@@ -125,13 +116,13 @@ fn spmm_is_bit_identical_across_simd_modes_and_layouts_on_awkward_k() {
         let hp = h.padded();
         let outs = under_all_modes(|| spmm::spmm(&a, &h));
         let padded_outs = under_all_modes(|| spmm::spmm(&a, &hp));
-        // The aggregation is elementwise mul_add under Blocked (any SIMD
-        // mode, any layout): bit-identical. The Scalar oracle rounds
+        // The aggregation is elementwise mul_add under the wide kernels
+        // (any layout): bit-identical. The Scalar oracle rounds
         // `a*b + c` separately — tolerance only.
-        let (_, baseline) = &outs[1]; // Blocked + SimdMode::Scalar
+        let (_, baseline) = &outs[0]; // wide + tight
         for (outs, label) in [(&outs, "tight"), (&padded_outs, "padded")] {
             for (i, (_, out)) in outs.iter().enumerate() {
-                if i < 2 {
+                if i == 0 {
                     assert!(
                         bit_identical(out, baseline),
                         "spmm k={k} {label} combo {i}: expected bit-identity"
@@ -167,7 +158,7 @@ fn gat_sweep_matches_across_modes_on_awkward_k_with_empty_rows() {
             |src: &Dense<f64>| attention::attention_forward_gat(&a, &u, &v, src, 0.2, false).out;
         let outs = under_all_modes(|| run(&h));
         let padded_outs = under_all_modes(|| run(&hp));
-        let (_, baseline) = &outs[1];
+        let (_, baseline) = &outs[1]; // scalar oracle + tight
         for (outs, label) in [(&outs, "tight"), (&padded_outs, "padded")] {
             for (wide, out) in outs.iter() {
                 if *wide {
@@ -232,12 +223,11 @@ fn dot4_is_four_dots_bitwise_in_every_mode() {
             let x = of(k, 0.1);
             let ys: Vec<Vec<T>> = (0..4).map(|q| of(k, 0.7 * q as f64 + 0.3)).collect();
             let y = [&ys[0][..], &ys[1][..], &ys[2][..], &ys[3][..]];
-            for (m, s) in MODES {
+            for m in MODES {
                 micro::set_mode(m);
-                micro::set_simd_mode(s);
                 let got = micro::dot4(&x, y).map(to_bits);
                 let want = y.map(|yq| to_bits(micro::dot(&x, yq)));
-                assert_eq!(got, want, "dot4 k={k} {m:?}/{s:?}");
+                assert_eq!(got, want, "dot4 k={k} {m:?}");
             }
         }
     }
@@ -249,13 +239,8 @@ fn dot4_is_four_dots_bitwise_in_every_mode() {
 #[test]
 fn softmax_slice_normalizes_empty_and_single_rows_in_every_mode() {
     let _m = Modes::lock();
-    for (m, s) in [
-        (MicroKernel::Blocked, SimdMode::Wide),
-        (MicroKernel::Blocked, SimdMode::Scalar),
-        (MicroKernel::Scalar, SimdMode::Scalar),
-    ] {
+    for m in MODES {
         micro::set_mode(m);
-        micro::set_simd_mode(s);
         let mut empty: [f64; 0] = [];
         masked::softmax_slice(&mut empty); // must not panic
         let mut one = [3.7];
@@ -275,7 +260,6 @@ fn softmax_slice_normalizes_empty_and_single_rows_in_every_mode() {
 fn padding_stays_zero_through_a_training_step() {
     let _m = Modes::lock();
     micro::set_mode(MicroKernel::Blocked);
-    micro::set_simd_mode(SimdMode::Wide);
     let a = kronecker::adjacency::<f64>(32, 160, 3);
     for k in [7usize, 9, 31] {
         // Padded intermediates: the zero tails must survive the kernels

@@ -5,10 +5,10 @@
 //! backward recomputes both. This pins the recomputing kernels against
 //! the materialized public ones — `forward_gat(FusedOnePass, .., true)`,
 //! then `backward_gat`, `spmm_t(Ψ, G)` and `col_sums` — `to_bits`-equal
-//! across the microkernel × SIMD modes, tight and padded layouts,
-//! `ATGNN_THREADS` ∈ {1, 2, 8}, f32 and f64, awkward widths and hostile
-//! graph shapes; and a 3-step `train_step` trajectory against a reference
-//! step assembled from those materialized kernels.
+//! across the wide and scalar-oracle microkernels, tight and padded
+//! layouts, `ATGNN_THREADS` ∈ {1, 2, 8}, f32 and f64, awkward widths and
+//! hostile graph shapes; and a 3-step `train_step` trajectory against a
+//! reference step assembled from those materialized kernels.
 //!
 //! The kernel-mode and thread-count switches are process-global, so both
 //! tests hold one lock, in a test binary of their own.
@@ -23,18 +23,13 @@ use atgnn::{GnnModel, Gradients, ModelKind};
 use atgnn_graphgen::{erdos_renyi, kronecker};
 use atgnn_sparse::attention::{self, AttentionExec};
 use atgnn_sparse::{masked, norm, spmm, Coo, Csr};
-use atgnn_tensor::micro::{self, MicroKernel, SimdMode};
+use atgnn_tensor::micro::{self, MicroKernel};
 use atgnn_tensor::{gemm, init, rt, Activation, Dense, Scalar};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// The three distinct kernel families: wide, 4-way blocked, scalar
-/// oracle (`Scalar` microkernels ignore the SIMD mode).
-const MODES: [(MicroKernel, SimdMode); 3] = [
-    (MicroKernel::Blocked, SimdMode::Wide),
-    (MicroKernel::Blocked, SimdMode::Scalar),
-    (MicroKernel::Scalar, SimdMode::Scalar),
-];
+/// The two kernel families: wide, scalar oracle.
+const MODES: [MicroKernel; 2] = [MicroKernel::Blocked, MicroKernel::Scalar];
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -42,7 +37,6 @@ const THREADS: [usize; 3] = [1, 2, 8];
 struct Switches {
     _lock: MutexGuard<'static, ()>,
     micro: MicroKernel,
-    simd: SimdMode,
     threads: usize,
 }
 
@@ -51,14 +45,12 @@ impl Switches {
         Self {
             _lock: LOCK.lock().unwrap_or_else(|e| e.into_inner()),
             micro: micro::mode(),
-            simd: micro::simd_mode(),
             threads: rt::max_threads(),
         }
     }
 
-    fn set(&self, (m, s): (MicroKernel, SimdMode), threads: usize) {
+    fn set(&self, m: MicroKernel, threads: usize) {
         micro::set_mode(m);
-        micro::set_simd_mode(s);
         rt::set_threads(threads);
     }
 }
@@ -66,7 +58,6 @@ impl Switches {
 impl Drop for Switches {
     fn drop(&mut self) {
         micro::set_mode(self.micro);
-        micro::set_simd_mode(self.simd);
         rt::set_threads(self.threads);
     }
 }
@@ -161,12 +152,7 @@ fn scores<T: Scalar>(n: usize, mul: usize, shift: f64) -> Vec<T> {
 
 /// One case: the virtual kernels against the materialized ones, at every
 /// thread count, in the active kernel mode.
-fn check_case<T: Bits>(
-    sw: &Switches,
-    mode: (MicroKernel, SimdMode),
-    case: &str,
-    kernels: Kernels<T>,
-) {
+fn check_case<T: Bits>(sw: &Switches, mode: MicroKernel, case: &str, kernels: Kernels<T>) {
     let Kernels { a, u, v, hp, g } = kernels;
     sw.set(mode, rt::max_threads());
     let cached = attention::forward_gat(AttentionExec::FusedOnePass, a, u, v, hp, GAT_SLOPE, true);
@@ -343,7 +329,7 @@ fn trajectory<T: Bits>(sw: &Switches, ty: &str) {
                 .with_layout(layout),
         )
     };
-    for mode in [MODES[0], MODES[2]] {
+    for mode in MODES {
         for layout in [Layout::Padded, Layout::Tight] {
             let tag = format!("{ty} {mode:?} {layout:?}");
             sw.set(mode, rt::max_threads());
