@@ -5,16 +5,28 @@
 //! `Ω(nkd/p + k²)`, i.e. `O(n²kq/p)` on Erdős–Rényi graphs; the global
 //! formulation wins when `d ∈ ω(√p)` (ER crossover at `q ≈ √p/n`).
 //! This harness measures the actual per-rank volumes of both engines on
-//! the simulated cluster and reports measured/predicted ratios — the
-//! constants are implementation-specific, the *scaling* must match.
+//! the simulated cluster. The global engine's bytes and supersteps must
+//! equal the exact communication model (`atgnn_dist::comm_model`); the
+//! ratio to the closed-form bound shows the engine's constant, and the
+//! *scaling* must match the law.
 
-use atgnn::analyze::comm::{check_grid, layer_volume_words, GridSpec};
 use atgnn::ModelKind;
 use atgnn_bench::measure::{comm_global, comm_global_supervised, comm_local, Task};
 use atgnn_bench::report::{Record, Reporter};
 use atgnn_bench::scale;
+use atgnn_dist::{comm_model, Grid};
 use atgnn_graphgen::{erdos_renyi, stats::DegreeStats};
-use atgnn_net::model::predict;
+
+/// Local formulation on Erdős–Rényi graphs: `O(n²kq/p)` words w.h.p.
+fn local_volume_er_words(n: usize, k: usize, q: f64, p: usize) -> f64 {
+    (n as f64) * (n as f64) * k as f64 * q / p as f64
+}
+
+/// The density above which the global formulation is predicted to win
+/// on ER graphs: `q > √p / n` (Section 7.3).
+fn er_crossover_density(n: usize, p: usize) -> f64 {
+    (p as f64).sqrt() / n as f64
+}
 
 fn main() {
     let layers = 1; // per-layer volumes, directly comparable to §7
@@ -27,28 +39,25 @@ fn main() {
     let stats = DegreeStats::of(&a);
     println!("graph: {stats}");
     let mut prev_ratio = None;
+    let dims = vec![k; layers + 1];
+    let schedule = comm_model::schedule(ModelKind::Va, comm_model::Task::Inference, &dims);
     for p in [4usize, 16, 64, 256] {
         let g = comm_global(ModelKind::Va, &a, k, layers, p, Task::Inference);
-        let predicted = predict::global_volume_words(n, k, p) * 4.0; // f32 words → bytes
-        let ratio = g.max_rank_bytes() as f64 / predicted;
-        // The plan-time analyzer's per-layer estimate must agree with the
-        // asymptotic prediction up to the broadcast+reduce constant.
-        let grid = GridSpec::square(p);
-        let analyzed = layer_volume_words(n, k, k, grid) * 4.0;
-        let vs_law = analyzed / predicted;
+        let grid = Grid::from_ranks(p).expect("square rank count");
+        let exact = comm_model::max_rank_volume(&schedule, grid, n, 4); // f32
+        let bound = comm_model::bound_words(n, k, k, grid.q) * 4.0; // f32 words → bytes
+        let ratio = g.max_rank_bytes() as f64 / bound;
         println!(
-            "p={p:<4} measured={:<10} predicted={:<12.0} measured/predicted={ratio:.2} \
-             analyzer={analyzed:<12.0} analyzer/predicted={vs_law:.2}",
+            "p={p:<4} measured={:<10} exact={:<10} measured/exact={:.3} \
+             bound={bound:<12.0} measured/bound={ratio:.2}",
             g.max_rank_bytes(),
-            predicted
+            exact.bytes,
+            g.max_rank_bytes() as f64 / exact.bytes as f64,
         );
-        assert!(
-            (1.0..2.0).contains(&vs_law),
-            "analyzer estimate must sit within the broadcast+reduce constant of the law"
-        );
-        assert!(
-            check_grid(n, k, k, grid).is_none(),
-            "the square grid must pass the analyzer's comm-volume lint"
+        assert_eq!(
+            (g.max_rank_bytes(), g.max_supersteps()),
+            (exact.bytes, exact.supersteps),
+            "the global engine must move exactly the modeled bytes in the modeled supersteps"
         );
         rep.push(Record {
             experiment: "vol_global".into(),
@@ -63,10 +72,8 @@ fn main() {
             compute_s: 0.0,
             comm_bytes: g.max_rank_bytes(),
             supersteps: g.max_supersteps(),
-            modeled_s: predicted / 1e9,
+            modeled_s: bound / 1e9,
         });
-        // The measured/predicted ratio must stay bounded (same scaling law).
-        assert!(ratio > 0.2 && ratio < 20.0, "global volume off the law");
         if let Some(pr) = prev_ratio {
             let drift: f64 = ratio / pr;
             assert!(
@@ -77,13 +84,6 @@ fn main() {
         prev_ratio = Some(ratio);
     }
 
-    println!("-- analyzer lint: degenerate 1D grids leave the O(nk/sqrt(p)) regime --");
-    for p in [4usize, 16, 64] {
-        let diag = check_grid(n, k, k, GridSpec::new(p, 1))
-            .expect("a 1D partition must trip the comm-volume lint");
-        println!("p={p:<4} {diag}");
-    }
-
     println!("-- local volume vs n^2 k q / p (ER) --");
     for (tag, q) in [("0.2pct", 0.002), ("0.05pct", 0.0005)] {
         let m = ((n as f64) * (n as f64) * q) as usize;
@@ -92,7 +92,7 @@ fn main() {
             let l = comm_local(ModelKind::Va, &a, k, layers, p, Task::Inference);
             // The prediction counts per-edge words; halo deduplication can
             // only lower it, so measured/predicted must be ≤ O(1).
-            let predicted = predict::local_volume_er_words(n, k, 2.0 * q, p) * 4.0;
+            let predicted = local_volume_er_words(n, k, 2.0 * q, p) * 4.0;
             println!(
                 "q={tag} p={p:<4} measured={:<10} predicted(no-dedup)={:<12.0} ratio={:.2}",
                 l.max_rank_bytes(),
@@ -155,7 +155,7 @@ fn main() {
 
     println!("-- ER crossover: global wins iff q > sqrt(p)/n --");
     let p = 64;
-    let qc = predict::er_crossover_density(n, p);
+    let qc = er_crossover_density(n, p);
     println!("n={n} p={p}: predicted crossover density = {qc:.6}");
     for mult in [16.0, 0.5] {
         let q = qc * mult;

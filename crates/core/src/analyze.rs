@@ -21,11 +21,11 @@
 //!    *backward* DAG are flagged: the global backward formulation
 //!    differentiates through the aggregation as a linear map, which
 //!    requires an additive inverse ([`Rule::SemiringBackward`]).
-//! 5. **Communication volume** — [`comm`] estimates the per-layer,
-//!    per-rank words a `Px×Py` processor grid moves and lints plans
-//!    whose estimate exceeds the paper's `O(nk/√p + k²)` global bound
-//!    ([`Rule::CommVolume`]); [`comm::best_grid`] is the one cost
-//!    function the distributed planner's grid choice also reads.
+//! 5. **Communication volume** — the distributed crate's exact
+//!    communication model (`atgnn_dist::comm_model`) lints a layer whose
+//!    busiest rank sends more than its schedule's leading coefficient
+//!    times the paper's `O(nk/√p + k²)` global bound, and reports it as
+//!    [`Rule::CommVolume`].
 //! 6. **Determinism** — [`determinism`] proves bit-identity of the
 //!    parallel schedule by checking a reduction-order invariance fact
 //!    (exported by the kernels themselves) for every reducing node, and
@@ -84,7 +84,8 @@ pub enum Rule {
     IllegalFusion,
     /// Rule 4: a non-invertible (tropical) aggregation on a backward DAG.
     SemiringBackward,
-    /// Rule 5: estimated communication volume exceeds the global bound.
+    /// Rule 5: a layer's exact communication volume exceeds the global
+    /// bound (reported by `atgnn_dist::comm_model`).
     CommVolume,
     /// Rule 6: a staged execution plan materializes a softmax sandwich
     /// (sampler → softmax → aggregation) that the one-pass fused sweep
@@ -981,122 +982,8 @@ fn check_semirings(dag: &Dag, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Rule 5: communication-volume estimation.
-// ---------------------------------------------------------------------
-
-/// Per-layer communication-volume estimation for a 2D processor grid
-/// (paper §7).
-pub mod comm {
-    use super::{Diagnostic, Rule};
-
-    /// A `Px×Py` processor grid.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct GridSpec {
-        /// Grid rows (blocks of adjacency rows).
-        pub px: usize,
-        /// Grid columns (blocks of adjacency columns).
-        pub py: usize,
-    }
-
-    impl GridSpec {
-        /// A `Px×Py` grid; both extents must be positive.
-        pub fn new(px: usize, py: usize) -> Self {
-            assert!(px > 0 && py > 0, "grid extents must be positive");
-            Self { px, py }
-        }
-
-        /// The `√p×√p` grid the paper's global formulation uses.
-        /// `p` must be a perfect square.
-        pub fn square(p: usize) -> Self {
-            let q = (p as f64).sqrt().round() as usize;
-            assert_eq!(q * q, p, "square grid needs a perfect-square rank count");
-            Self::new(q, q)
-        }
-
-        /// Total rank count `p = Px·Py`.
-        pub fn ranks(self) -> usize {
-            self.px * self.py
-        }
-    }
-
-    /// Estimated per-rank words one layer of the global formulation
-    /// moves on the given grid:
-    ///
-    /// * broadcasting the feature blocks along grid rows
-    ///   (`n·k / Px` words received per rank),
-    /// * reducing/redistributing partial aggregation results along grid
-    ///   columns (`n·k / Py` words),
-    /// * all-reducing the `k×k'` parameter gradient (`k·k'` words).
-    pub fn layer_volume_words(n: usize, k_in: usize, k_out: usize, grid: GridSpec) -> f64 {
-        let nk = (n * k_in) as f64;
-        nk / grid.px as f64 + nk / grid.py as f64 + (k_in * k_out) as f64
-    }
-
-    /// The paper's per-layer global bound `O(nk/√p + k²)`, with the
-    /// parameter term generalized to `k·k'`. Mirrors
-    /// `atgnn_net::model::predict::global_volume_words` (the analyzer
-    /// cannot depend on the net crate; the bench harness cross-checks
-    /// the two).
-    pub fn global_bound_words(n: usize, k_in: usize, k_out: usize, p: usize) -> f64 {
-        (n * k_in) as f64 / (p as f64).sqrt() + (k_in * k_out) as f64
-    }
-
-    /// Slack factor applied to the bound before linting: a square grid
-    /// sits at `< 2×` the bound (broadcast + reduce), so only plans that
-    /// leave the `O(nk/√p)` regime — e.g. degenerate 1D grids — fire.
-    pub const BOUND_SLACK: f64 = 2.0;
-
-    /// The grid shape minimizing [`layer_volume_words`] for `p` ranks.
-    ///
-    /// The volume's grid-dependent part is `nk·(1/Px + 1/Py)`, so the
-    /// minimizer is the most-square factorization of `p` independent of
-    /// `n` and `k`. This is THE cost function for grid-shape decisions:
-    /// the distributed planner's `Grid::from_ranks` consults it rather
-    /// than carrying its own square-root heuristic, and a regression
-    /// test pins the two against the net-simulator volume predictor.
-    pub fn best_grid(p: usize) -> GridSpec {
-        assert!(p > 0, "a grid needs at least one rank");
-        let mut best = GridSpec::new(1, p);
-        let mut best_cost = 1.0 + 1.0 / p as f64;
-        for px in 2..=p {
-            if !p.is_multiple_of(px) {
-                continue;
-            }
-            let py = p / px;
-            let cost = 1.0 / px as f64 + 1.0 / py as f64;
-            if cost < best_cost {
-                best = GridSpec::new(px, py);
-                best_cost = cost;
-            }
-        }
-        best
-    }
-
-    /// Lints a per-layer plan: returns a diagnostic when the estimated
-    /// volume exceeds [`BOUND_SLACK`]× the paper's global bound.
-    pub fn check_grid(n: usize, k_in: usize, k_out: usize, grid: GridSpec) -> Option<Diagnostic> {
-        let estimate = layer_volume_words(n, k_in, k_out, grid);
-        let bound = global_bound_words(n, k_in, k_out, grid.ranks());
-        (estimate > BOUND_SLACK * bound).then(|| {
-            Diagnostic::warning(
-                Rule::CommVolume,
-                None,
-                format!(
-                    "a {}×{} grid over n={n}, k={k_in}→{k_out} moves an estimated \
-                     {estimate:.0} words/rank/layer, exceeding {BOUND_SLACK}× the \
-                     O(nk/√p + k·k') global bound ({bound:.0} words) — rebalance \
-                     toward a square grid",
-                    grid.px, grid.py
-                ),
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::comm::GridSpec;
     use super::*;
     use crate::dag::SemiringKind;
 
@@ -1395,38 +1282,6 @@ mod tests {
             );
             assert!(validate(&d).is_empty(), "{sk} must be backward-safe");
         }
-    }
-
-    // Rule 5 ----------------------------------------------------------
-
-    #[test]
-    fn square_grid_meets_the_global_bound() {
-        for p in [4usize, 16, 64, 256] {
-            assert!(
-                comm::check_grid(1 << 14, 64, 64, GridSpec::square(p)).is_none(),
-                "square grid p={p} must not lint"
-            );
-        }
-    }
-
-    #[test]
-    fn degenerate_1d_grid_exceeds_the_bound() {
-        let diag = comm::check_grid(1 << 14, 64, 64, GridSpec::new(16, 1))
-            .expect("1D partition must exceed the O(nk/sqrt(p)) bound");
-        assert_eq!(diag.rule, Rule::CommVolume);
-        assert_eq!(diag.severity, Severity::Warning);
-        assert!(diag.explanation.contains("rebalance"), "{diag}");
-    }
-
-    #[test]
-    fn estimator_scales_like_the_paper_bound() {
-        // Quadrupling p on a square grid halves the nk term.
-        let n = 1 << 14;
-        let v4 = comm::layer_volume_words(n, 64, 64, GridSpec::square(4));
-        let v16 = comm::layer_volume_words(n, 64, 64, GridSpec::square(16));
-        let nk_4 = v4 - 64.0 * 64.0;
-        let nk_16 = v16 - 64.0 * 64.0;
-        assert!((nk_4 / nk_16 - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! against central finite differences in `gradcheck` tests.
 
 mod agnn;
-mod dropout;
 mod gat;
 mod gcn;
 mod gin;
@@ -14,7 +13,6 @@ mod multihead;
 mod va;
 
 pub use agnn::AgnnLayer;
-pub use dropout::DropoutLayer;
 pub use gat::{GatLayer, GAT_SLOPE};
 pub use gcn::GcnLayer;
 pub use gin::GinLayer;

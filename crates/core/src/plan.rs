@@ -117,7 +117,7 @@ impl Layout {
 /// shadow layer asks `plan.precision().is_narrow()` before a
 /// `round_matrix` span. Storage is always the model's `T`, so the one
 /// variant is the identity and every method is a no-op. No product code
-/// calls it; the next `[benchmark]` change (ROADMAP item 3) deletes it
+/// calls it; the next `[benchmark]` change (ROADMAP item 4) deletes it
 /// together with those two call sites.
 #[derive(Clone, Copy, Debug)]
 pub enum Precision {

@@ -18,6 +18,7 @@
 //! * [`DistContext::allreduce_params`] — global gradient all-reduce for
 //!   the replicated parameters.
 
+use crate::comm_model;
 use crate::grid::{Grid, GridError};
 use atgnn::plan::ExecPlan;
 use atgnn_net::Comm;
@@ -173,17 +174,16 @@ impl<'a, T: Scalar> DistContext<'a, T> {
         }
     }
 
-    /// Lints this context's plan against the paper's `O(nk/√p + k·k')`
-    /// global communication bound; `None` means the plan is within the
-    /// bound. The `√p×√p` grid always passes — the check guards against
-    /// future plan shapes degenerating toward 1D partitions.
+    /// Lints a `k_in → k_out` layer on this context's grid against the
+    /// paper's `O(nk/√p + k·k')` global bound: `None` means every model's
+    /// layer, forward and backward, sends at most its schedule's leading
+    /// coefficient times the bound, counted exactly by [`comm_model`].
     pub fn check_comm_volume(
         &self,
         k_in: usize,
         k_out: usize,
     ) -> Option<atgnn::analyze::Diagnostic> {
-        let spec = atgnn::analyze::comm::GridSpec::new(self.grid.q, self.grid.q);
-        atgnn::analyze::comm::check_grid(self.n, k_in, k_out, spec)
+        comm_model::check_layer(self.grid, self.n, k_in, k_out, T::BYTES)
     }
 
     /// A fresh collective tag; SPMD determinism keeps the per-rank

@@ -2,10 +2,12 @@
 //!
 //! The paper's theory (Section 7.1) slices `A` into `p` blocks of size
 //! `n/√p × n/√p`; the strong/weak-scaling experiments use node counts
-//! that are perfect squares (1, 4, 16, 64, 256, 1024). Row and column
-//! blockings share one set of boundaries, so the diagonal rank `(b, b)`
-//! always owns the feature block matching row range `b` — the root of the
-//! row-side broadcasts.
+//! that are perfect squares (1, 4, 16, 64, 256, 1024), and the runtime
+//! builds only square grids. Row and column blockings share one set of
+//! boundaries, so the diagonal rank `(b, b)` always owns the feature
+//! block matching row range `b` — the root of the row-side broadcasts.
+//! [`Grid::block_bounds`] is also what the exact communication model
+//! ([`crate::comm_model`]) sizes every collective from.
 
 /// Why a rank count cannot form a square grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,25 +41,17 @@ pub struct Grid {
 
 impl Grid {
     /// Builds the grid for `p` ranks, or a typed [`GridError`] when `p`
-    /// is zero or not a perfect square.
-    ///
-    /// The shape comes from the analyzer's communication cost function
-    /// ([`atgnn::analyze::comm::best_grid`]) — one estimator shared with
-    /// the plan-time comm-volume lint — rather than a local square-root
-    /// heuristic. The volume-minimizing factorization of a perfect
-    /// square is always the square grid, so accepted rank counts behave
-    /// exactly as before; a rank count whose best factorization is
-    /// rectangular is rejected, because the runtime's broadcast/reduce
-    /// teams assume `Px = Py`.
+    /// is zero or not a perfect square (the runtime's broadcast and
+    /// reduce teams assume a square grid). Constant time for any `p`.
     pub fn from_ranks(p: usize) -> Result<Self, GridError> {
         if p == 0 {
             return Err(GridError::ZeroRanks);
         }
-        let best = atgnn::analyze::comm::best_grid(p);
-        if best.px != best.py {
+        let q = p.isqrt();
+        if q * q != p {
             return Err(GridError::NotSquare(p));
         }
-        Ok(Self { q: best.px })
+        Ok(Self { q })
     }
 
     /// Total rank count `p = q²`.
@@ -143,6 +137,20 @@ mod tests {
         assert_eq!(Grid::from_ranks(0), Err(GridError::ZeroRanks));
         let msg = GridError::NotSquare(6).to_string();
         assert!(msg.contains("not a perfect square"), "{msg}");
+    }
+
+    #[test]
+    fn any_rank_count_resolves_at_once() {
+        assert_eq!(
+            Grid::from_ranks(usize::MAX),
+            Err(GridError::NotSquare(usize::MAX))
+        );
+        assert_eq!(Grid::from_ranks(1 << 62), Ok(Grid { q: 1 << 31 }));
+        assert_eq!(Grid::from_ranks(0), Err(GridError::ZeroRanks));
+        assert_eq!(Grid::from_ranks(1), Ok(Grid { q: 1 }));
+        assert_eq!(Grid::from_ranks(2), Err(GridError::NotSquare(2)));
+        assert_eq!(Grid::from_ranks(4), Ok(Grid { q: 2 }));
+        assert_eq!(Grid::from_ranks(8), Err(GridError::NotSquare(8)));
     }
 
     #[test]

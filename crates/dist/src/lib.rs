@@ -21,14 +21,15 @@
 //!   are all-reduced along grid rows (`O(n/√p)` volume).
 //!
 //! All communication goes through [`atgnn_net`], so the per-layer volume
-//! the theory predicts (`O(nk/√p + k²)`) is *measured*, not assumed —
-//! the §8.4 harness asserts the match.
+//! is *measured*, not assumed; [`comm_model`] predicts it exactly, byte
+//! for byte and superstep for superstep, with the paper's
+//! `O(nk/√p + k²)` as its leading term.
 
+pub mod comm_model;
 pub mod context;
 pub mod grid;
 pub mod layers;
 pub mod model;
-pub mod predictor;
 pub mod recovery;
 
 pub use context::{DistContext, DistError};

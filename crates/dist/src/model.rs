@@ -827,44 +827,4 @@ mod tests {
             assert!(g < 1e-9, "grads {g}");
         }
     }
-
-    #[test]
-    fn communication_volume_scales_as_theory_predicts() {
-        // The per-rank volume must track the paper's O(nk/√p) law: within
-        // a constant factor of the prediction at every p, and strictly
-        // decreasing in p (small grids keep (g-1)/g factors that damp the
-        // ideal 1/√p ratio, so we do not assert exact halving).
-        let n = 256;
-        let k = 16;
-        let a = graph(n);
-        let x = init::features(n, k, 3);
-        let vol = |p: usize| {
-            let a = a.clone();
-            let x = x.clone();
-            let (_, stats) = Cluster::run(p, move |comm| {
-                let ctx = DistContext::new(&comm, &a).expect("square grid and adjacency");
-                let model =
-                    DistGnnModel::<f64>::uniform(ModelKind::Va, &[k, k, k], Activation::Relu, 5);
-                let (c0, c1) = ctx.col_range();
-                model.inference(&ctx, &x.slice_rows(c0, c1 - c0));
-            });
-            stats.max_rank_bytes() as f64
-        };
-        let mut prev = f64::INFINITY;
-        for p in [4usize, 16, 64] {
-            let v = vol(p);
-            let predicted_bytes = atgnn_net::model::predict::global_volume_words(n, k, p) * 8.0;
-            let per_layer = v / 2.0; // 2 layers
-            let ratio = per_layer / predicted_bytes;
-            assert!(
-                ratio > 0.3 && ratio < 10.0,
-                "p={p}: measured/predicted = {ratio} ({per_layer} vs {predicted_bytes})"
-            );
-            assert!(
-                v < prev,
-                "volume must shrink with p: v({p}) = {v} >= {prev}"
-            );
-            prev = v;
-        }
-    }
 }

@@ -717,15 +717,16 @@ impl Comm {
     // regardless of role. These vector variants implement them.
     // -----------------------------------------------------------------
 
-    /// Chunk `m` of `g` balanced chunks of `[0, len)`.
-    fn chunk_bounds(len: usize, g: usize, m: usize) -> (usize, usize) {
+    /// Chunk `m` of `g` balanced chunks of `[0, len)`: the split every
+    /// vector collective below uses.
+    pub fn chunk_bounds(len: usize, g: usize, m: usize) -> (usize, usize) {
         (m * len / g, (m + 1) * len / g)
     }
 
     /// Large-message broadcast: the root scatters balanced chunks, then a
     /// direct allgather reassembles the vector everywhere. Per-rank volume
-    /// ≤ 2·bytes; 2 supersteps. `len` must be the (globally known) vector
-    /// length.
+    /// ≤ 2·bytes; 3 supersteps (two for the scatter, one for the
+    /// allgather). `len` must be the (globally known) vector length.
     pub fn bcast_vec_group<T: Clone + Send + 'static>(
         &self,
         members: &[usize],

@@ -63,34 +63,6 @@ impl MachineModel {
     }
 }
 
-/// Closed-form per-layer communication-volume predictions from the
-/// paper's Section 7, in *words* (multiply by the scalar width for
-/// bytes). Used by the §8.4 verification harness to compare measured
-/// against predicted volumes.
-pub mod predict {
-    /// Global formulation: `O(nk/√p + k²)` words per layer.
-    pub fn global_volume_words(n: usize, k: usize, p: usize) -> f64 {
-        n as f64 * k as f64 / (p as f64).sqrt() + (k * k) as f64
-    }
-
-    /// Local formulation: `Ω(nkd/p + k²)` words per layer (worst case for
-    /// max degree `d`).
-    pub fn local_volume_words(n: usize, k: usize, d: usize, p: usize) -> f64 {
-        n as f64 * k as f64 * d as f64 / p as f64 + (k * k) as f64
-    }
-
-    /// Local formulation on Erdős–Rényi graphs: `O(n²kq/p)` words w.h.p.
-    pub fn local_volume_er_words(n: usize, k: usize, q: f64, p: usize) -> f64 {
-        (n as f64) * (n as f64) * k as f64 * q / p as f64
-    }
-
-    /// The density above which the global formulation is predicted to win
-    /// on ER graphs: `q > √p / n` (Section 7.3).
-    pub fn er_crossover_density(n: usize, p: usize) -> f64 {
-        (p as f64).sqrt() / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,31 +85,5 @@ mod tests {
         let c = MachineModel::commodity();
         assert!(a.bandwidth > c.bandwidth);
         assert!(a.latency < c.latency);
-    }
-
-    #[test]
-    fn global_beats_local_when_degree_exceeds_sqrt_p() {
-        // d ∈ ω(√p) is the paper's winning regime.
-        let (n, k, p) = (1 << 17, 16, 64);
-        let d_small = 4; // < √64
-        let d_large = 64; // > √64
-        assert!(
-            predict::global_volume_words(n, k, p) > predict::local_volume_words(n, k, d_small, p)
-        );
-        assert!(
-            predict::global_volume_words(n, k, p) < predict::local_volume_words(n, k, d_large, p)
-        );
-    }
-
-    #[test]
-    fn er_crossover_matches_formula() {
-        let n = 100_000;
-        let p = 16;
-        let q = predict::er_crossover_density(n, p);
-        // At the crossover the two ER predictions are within a factor of
-        // about n·k/√p vs n²kq/p = n·k/√p — equal up to the k² term.
-        let g = predict::global_volume_words(n, 16, p) - (16 * 16) as f64;
-        let l = predict::local_volume_er_words(n, 16, q, p);
-        assert!((g - l).abs() / g < 1e-9);
     }
 }
