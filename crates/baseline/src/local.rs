@@ -101,8 +101,7 @@ pub fn layer_forward<T: Scalar>(p: &LocalLayerParams<'_, T>, a: &Csr<T>, h: &Den
         ModelKind::Gat => {
             // ψ = softmax_j(LeakyReLU(a₁·Wh_i + a₂·Wh_j)); h_i' = Σ ψ Wh_j.
             let hp = gemm::matmul(h, p.w);
-            let u = gemm::matvec(&hp, p.a_src);
-            let v = gemm::matvec(&hp, p.a_dst);
+            let (u, v) = gemm::matvec_pair(&hp, hp.rows(), p.a_src, p.a_dst);
             let lrelu = Activation::LeakyRelu(atgnn::layers::GAT_SLOPE);
             let mut z = Dense::zeros(n, k_out);
             for (i, &ui) in u.iter().enumerate() {

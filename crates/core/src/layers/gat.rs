@@ -101,8 +101,7 @@ impl<T: Scalar> GatLayer<T> {
     /// the distributed engine and for DGL-style g-SDDMM integration).
     pub fn psi(&self, a: &Csr<T>, h: &Dense<T>) -> Csr<T> {
         let hp = gemm::matmul(h, &self.w);
-        let u = gemm::matvec(&hp, &self.a_src);
-        let v = gemm::matvec(&hp, &self.a_dst);
+        let (u, v) = gemm::matvec_pair(&hp, hp.rows(), &self.a_src, &self.a_dst);
         attention::gat_psi(a, &u, &v, self.slope)
     }
 
@@ -165,13 +164,11 @@ impl<T: Scalar> GatLayer<T> {
     }
 
     /// The per-vertex scores `u = F a₁` and `v = F a₂` of the buffer `F`
-    /// the sweep aggregates. `u` scores destinations, so a row-prefix
-    /// block needs it on its own rows only; `v` covers every source.
+    /// the sweep aggregates, in one pass over `F`. `u` scores
+    /// destinations, so a row-prefix block needs it on its own rows only;
+    /// `v` covers every source.
     fn scores(a: &Csr<T>, feats: &Dense<T>, a_src: &[T], a_dst: &[T]) -> (Vec<T>, Vec<T>) {
-        let u = (0..a.rows())
-            .map(|i| gemm::dot(feats.row(i), a_src))
-            .collect();
-        (u, gemm::matvec(feats, a_dst))
+        gemm::matvec_pair(feats, a.rows(), a_src, a_dst)
     }
 }
 

@@ -373,8 +373,7 @@ pub fn forward_gat<T: Scalar>(
     h_j: &Dense<T>,
 ) -> DistCache<T> {
     let hp_j = gemm::matmul(h_j, w);
-    let u_j = gemm::matvec(&hp_j, a_src);
-    let v_j = gemm::matvec(&hp_j, a_dst);
+    let (u_j, v_j) = gemm::matvec_pair(&hp_j, hp_j.rows(), a_src, a_dst);
     // Row side only needs u_i — a length-n/√p *vector*, an O(n/√p)
     // broadcast instead of the O(nk/√p) feature block: the split
     // concatenation of Figure 2 is what makes this possible.

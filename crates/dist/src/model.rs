@@ -107,11 +107,14 @@ impl<T: Scalar> DistLayer<T> {
         h_j: &Dense<T>,
     ) -> DistCache<T> {
         // Rule 5 of the plan-time analyzer: the grid must keep this layer
-        // within the paper's global communication bound.
+        // within the paper's global communication bound. Only an error
+        // stops the run; exceeding the bound is a warning (a graph with
+        // very few vertices per rank does), which a release build never
+        // sees either.
         #[cfg(debug_assertions)]
         if let Some((k_in, k_out)) = self.k_dims() {
             if let Some(d) = ctx.check_comm_volume(k_in, k_out) {
-                panic!("{d}");
+                assert!(d.severity != atgnn::Severity::Error, "{d}");
             }
         }
         match self {
@@ -677,6 +680,33 @@ mod tests {
                     assert!(e < 1e-9, "{kind:?} p={p}: grad error {e}");
                 }
             }
+        }
+    }
+
+    /// Four vertices on sixteen ranks send more than the bound's
+    /// coefficient allows — a `Rule::CommVolume` warning, which must not
+    /// abort the debug-build forward.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn tiny_graph_on_a_large_grid_runs_in_debug_builds() {
+        let (n, dims) = (4, [1, 1]);
+        let a = GnnModel::<f64>::prepare_adjacency(ModelKind::Gat, &graph(n));
+        let x = init::features(n, 1, 3);
+        let run = |p: usize| {
+            let (a, x) = (a.clone(), x.clone());
+            let (blocks, _) = Cluster::run(p, move |comm| {
+                let ctx = DistContext::new(&comm, &a).expect("square grid and adjacency");
+                assert!(ctx.check_comm_volume(1, 1).is_some() == (p == 16));
+                let model =
+                    DistGnnModel::<f64>::uniform(ModelKind::Gat, &dims, Activation::Relu, 5);
+                let (c0, c1) = ctx.col_range();
+                (c0, model.inference(&ctx, &x.slice_rows(c0, c1 - c0)))
+            });
+            blocks
+        };
+        let single = run(1).remove(0).1;
+        for (c0, block) in run(16) {
+            assert!(block.max_abs_diff(&single.slice_rows(c0, block.rows())) < 1e-12);
         }
     }
 

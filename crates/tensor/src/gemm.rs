@@ -11,7 +11,8 @@
 //! * [`matmul_tn`]     — `C = Aᵀ · B` (e.g. `Y = Hᵀ (...) G` weight gradients)
 //! * [`matmul_nt`]     — `C = A · Bᵀ` (e.g. `M = G Wᵀ`)
 //! * [`matvec`] / [`matvec_t`] — matrix-vector products for the GAT
-//!   attention vectors `u = H'a₁`.
+//!   attention vectors `u = H'a₁`, and [`matvec_pair`] for `u` and `v`
+//!   in one pass.
 //!
 //! [`matmul`] and [`matmul_nt`] share one family of register-tile kernels
 //! over a packed right-hand operand ([`Packed`]); [`matmul_tn`] needs no
@@ -19,9 +20,19 @@
 //! products have writing forms, [`matmul_into`] and [`matmul_nt_into`],
 //! which a training step points at buffers it keeps across steps; the
 //! allocating functions are those over a fresh zero matrix.
+//!
+//! The wide tiles run the generic `[T; LANE]` lane body, not
+//! [`Scalar::Lanes`] as the dots do. Their accumulators are independent
+//! full vectors, which the autovectorizer lifts well on its own: on
+//! AVX-512 hosts (`target-cpu=native` with `-prefer-256-bit`) it fuses a
+//! 16-column panel pair into one 512-bit FMA per row, which the 8-lane
+//! explicit body cannot beat. In the `simd` bench (`n = 2¹⁵`, `k = 64`,
+//! 1 and 2 threads) the explicit body ran at 0.85–1.1× the generic one
+//! on `matmul_into` and `matmul_tn`, so the products keep the generic
+//! body; `*_lanes` entries run either.
 
 use crate::dense::Dense;
-use crate::micro;
+use crate::micro::{self, Lanes, LANE};
 use crate::rt::{self, Cost, DisjointSlice, ReductionOrder};
 use crate::scalar::Scalar;
 
@@ -45,8 +56,8 @@ pub const TN_ORDER: ReductionOrder = ReductionOrder::FixedBlocks;
 /// The two widths share the kk-ascending per-element `mul_add` sequence,
 /// so they are bit-identical; only the scalar oracle rounds differently.
 fn panel_lane(n: usize, k: usize) -> Option<usize> {
-    if k > 0 && micro::wide() && n >= micro::LANE {
-        Some(micro::LANE)
+    if k > 0 && micro::wide() && n >= LANE {
+        Some(LANE)
     } else if k > 0 && micro::wide() && n >= 4 {
         Some(4)
     } else {
@@ -128,6 +139,14 @@ pub fn matmul<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
 /// # Panics
 /// Panics if `A.cols() != B.rows()` or `out` has the wrong shape.
 pub fn matmul_into<T: Scalar>(a: &Dense<T>, b: &Dense<T>, out: &mut Dense<T>) {
+    matmul_into_lanes::<T, [T; LANE]>(a, b, out);
+}
+
+/// [`matmul_into`] with the wide tiles on the lane body `L` — the same
+/// bits for every `L` ([`micro::Lanes`]). The products run the generic
+/// `[T; LANE]` body (see the module docs); tests and the `simd` bench
+/// run the explicit one here.
+pub fn matmul_into_lanes<T: Scalar, L: Lanes<T>>(a: &Dense<T>, b: &Dense<T>, out: &mut Dense<T>) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -140,7 +159,7 @@ pub fn matmul_into<T: Scalar>(a: &Dense<T>, b: &Dense<T>, out: &mut Dense<T>) {
     let (k, n) = b.shape();
     assert_eq!(out.shape(), (a.rows(), n), "matmul: output shape mismatch");
     if let Some(lane) = panel_lane(n, k) {
-        return matmul_tiled(a, &Packed::of(b, lane), out);
+        return matmul_tiled::<T, L>(a, &Packed::of(b, lane), out);
     }
     out.zero_fill();
     plain_rows(out, |i, row_out| {
@@ -170,19 +189,18 @@ fn plain_rows<T: Scalar>(out: &mut Dense<T>, body: impl Fn(usize, &mut [T]) + Sy
     });
 }
 
-/// `A` times a packed operand, four rows at a time. At [`micro::LANE`]
-/// width a 4×8 register tile accumulates with one [`micro::fma_splat`]
-/// vector op per `(row, kk)` pair; at width 4 a 4×4 tile does the same in
-/// scalars.
+/// `A` times a packed operand, four rows at a time. At [`LANE`] width
+/// the register tiles of [`rows_wide`] accumulate on the lane body `L`;
+/// at width 4 a 4×4 tile runs in scalars.
 ///
 /// The FP sequence of each output element is a function of its row and
-/// column alone — the quad/single and panel/tail kernels of both widths
-/// all use the same kk-ascending `mul_add` order — so the chunk
-/// boundaries handed out by [`rt::parallel_for`] (which depend on the
-/// thread count) never change results.
-fn matmul_tiled<T: Scalar>(a: &Dense<T>, p: &Packed<T>, out: &mut Dense<T>) {
+/// column alone — every tile and the leftover columns use the same
+/// kk-ascending `mul_add` order from zero — so the chunk boundaries
+/// handed out by [`rt::parallel_for`] (which depend on the thread count)
+/// never change results.
+fn matmul_tiled<T: Scalar, L: Lanes<T>>(a: &Dense<T>, p: &Packed<T>, out: &mut Dense<T>) {
     let (m, n) = (a.rows(), p.n);
-    let wide = p.lane == micro::LANE;
+    let wide = p.lane == LANE;
     let out_stride = out.stride();
     let slots = DisjointSlice::new(out.as_mut_slice());
     let parallel = m * n >= PAR_THRESHOLD;
@@ -196,56 +214,81 @@ fn matmul_tiled<T: Scalar>(a: &Dense<T>, p: &Packed<T>, out: &mut Dense<T>) {
             let (r1, rest) = rest.split_at_mut(out_stride);
             let (r2, r3) = rest.split_at_mut(out_stride);
             let ar = [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)];
-            let or = [&mut r0[..n], &mut r1[..n], &mut r2[..n], &mut r3[..n]];
+            let mut or = [&mut r0[..n], &mut r1[..n], &mut r2[..n], &mut r3[..n]];
             if wide {
-                row_quad_wide(ar, or, p);
+                rows_wide::<T, L, 4>(ar, &mut or, p);
             } else {
-                row_quad(ar, or, p);
+                row_quad(ar, &mut or, p);
             }
+            tile_tail(ar, &mut or, p);
             i += 4;
         }
         for row_full in quads.into_remainder().chunks_mut(out_stride) {
+            let ar = [a.row(i)];
+            let mut or = [&mut row_full[..n]];
             if wide {
-                row_single_wide(a.row(i), &mut row_full[..n], p);
+                rows_wide::<T, L, 1>(ar, &mut or, p);
             } else {
-                row_single(a.row(i), &mut row_full[..n], p);
+                row_single(a.row(i), or[0], p);
             }
+            tile_tail(ar, &mut or, p);
             i += 1;
         }
     });
 }
 
-/// 4×[`micro::LANE`] register tile: four lane-array accumulators, one
-/// broadcast-fma per `(row, kk)`, kk-ascending.
-fn row_quad_wide<T: Scalar>(ar: [&[T]; 4], out: [&mut [T]; 4], p: &Packed<T>) {
-    const LANE: usize = micro::LANE;
-    let [o0, o1, o2, o3] = out;
-    for (jt, panel) in p.panels.chunks_exact(LANE * p.k).enumerate() {
-        let j = LANE * jt;
-        let mut acc = [[T::zero(); LANE]; 4];
-        for ((((q, &a0), &a1), &a2), &a3) in panel
-            .chunks_exact(LANE)
-            .zip(ar[0])
-            .zip(ar[1])
-            .zip(ar[2])
-            .zip(ar[3])
-        {
-            acc[0] = micro::fma_splat(acc[0], a0, q);
-            acc[1] = micro::fma_splat(acc[1], a1, q);
-            acc[2] = micro::fma_splat(acc[2], a2, q);
-            acc[3] = micro::fma_splat(acc[3], a3, q);
-        }
-        o0[j..j + LANE].copy_from_slice(&acc[0]);
-        o1[j..j + LANE].copy_from_slice(&acc[1]);
-        o2[j..j + LANE].copy_from_slice(&acc[2]);
-        o3[j..j + LANE].copy_from_slice(&acc[3]);
+/// The full [`LANE`]-wide panels of `R` rows: `R` × 2·[`LANE`] tiles
+/// over pairs of adjacent panels (at `R = 4`, eight lane accumulators,
+/// which keep both FMA ports busy), then an `R` × [`LANE`] tile over an
+/// odd last panel.
+fn rows_wide<T: Scalar, L: Lanes<T>, const R: usize>(
+    ar: [&[T]; R],
+    out: &mut [&mut [T]; R],
+    p: &Packed<T>,
+) {
+    let w = LANE * p.k;
+    let mut pairs = p.panels.chunks_exact(2 * w);
+    for (jt, pair) in (&mut pairs).enumerate() {
+        let (p0, p1) = pair.split_at(w);
+        tile::<T, L, R, 2>(ar, out, [p0, p1], 2 * LANE * jt);
     }
-    quad_tail(ar, [o0, o1, o2, o3], p);
+    let last = pairs.remainder();
+    if !last.is_empty() {
+        tile::<T, L, R, 1>(ar, out, [last], p.panels.len() / p.k - LANE);
+    }
+}
+
+/// One `R` × `W`·[`LANE`] register tile over `W` adjacent packed panels,
+/// storing columns `j..j + W·LANE`: `R·W` lane accumulators, one
+/// broadcast per `(row, kk)` feeding `W` fmas, kk-ascending from zero.
+#[inline(always)]
+fn tile<T: Scalar, L: Lanes<T>, const R: usize, const W: usize>(
+    ar: [&[T]; R],
+    out: &mut [&mut [T]; R],
+    panels: [&[T]; W],
+    j: usize,
+) {
+    let k = panels[0].len() / LANE;
+    let ar = ar.map(|r| &r[..k]);
+    let q = panels.map(|pn| &pn.as_chunks::<LANE>().0[..k]);
+    let mut acc = [[L::zero(); W]; R];
+    for kk in 0..k {
+        for (t, r) in acc.iter_mut().zip(ar) {
+            for (l, qw) in t.iter_mut().zip(q) {
+                *l = l.fma_splat(r[kk], &qw[kk]);
+            }
+        }
+    }
+    for (o, t) in out.iter_mut().zip(acc) {
+        let (cols, _) = o[j..j + W * LANE].as_chunks_mut::<LANE>();
+        for (c, l) in cols.iter_mut().zip(t) {
+            l.store(c);
+        }
+    }
 }
 
 /// 4×4 register tile: 16 accumulators, kk-ascending `mul_add`.
-fn row_quad<T: Scalar>(ar: [&[T]; 4], out: [&mut [T]; 4], p: &Packed<T>) {
-    let [o0, o1, o2, o3] = out;
+fn row_quad<T: Scalar>(ar: [&[T]; 4], out: &mut [&mut [T]; 4], p: &Packed<T>) {
     for (jt, panel) in p.panels.chunks_exact(4 * p.k).enumerate() {
         let j = 4 * jt;
         let mut acc = [T::zero(); 16];
@@ -263,52 +306,10 @@ fn row_quad<T: Scalar>(ar: [&[T]; 4], out: [&mut [T]; 4], p: &Packed<T>) {
                 acc[12 + c] = a3.mul_add(bv, acc[12 + c]);
             }
         }
-        o0[j..j + 4].copy_from_slice(&acc[0..4]);
-        o1[j..j + 4].copy_from_slice(&acc[4..8]);
-        o2[j..j + 4].copy_from_slice(&acc[8..12]);
-        o3[j..j + 4].copy_from_slice(&acc[12..16]);
-    }
-    quad_tail(ar, [o0, o1, o2, o3], p);
-}
-
-/// The leftover columns of a row quad: down the packed tail, still
-/// kk-ascending per element.
-fn quad_tail<T: Scalar>(ar: [&[T]; 4], out: [&mut [T]; 4], p: &Packed<T>) {
-    let rem = p.n % p.lane;
-    let [o0, o1, o2, o3] = out;
-    for (c, j) in (p.n - rem..p.n).enumerate() {
-        let mut acc = [T::zero(); 4];
-        for ((((&bv, &a0), &a1), &a2), &a3) in p.tail[c..]
-            .iter()
-            .step_by(rem)
-            .zip(ar[0])
-            .zip(ar[1])
-            .zip(ar[2])
-            .zip(ar[3])
-        {
-            acc[0] = a0.mul_add(bv, acc[0]);
-            acc[1] = a1.mul_add(bv, acc[1]);
-            acc[2] = a2.mul_add(bv, acc[2]);
-            acc[3] = a3.mul_add(bv, acc[3]);
+        for (o, t) in out.iter_mut().zip(acc.chunks_exact(4)) {
+            o[j..j + 4].copy_from_slice(t);
         }
-        o0[j] = acc[0];
-        o1[j] = acc[1];
-        o2[j] = acc[2];
-        o3[j] = acc[3];
     }
-}
-
-/// 1×[`micro::LANE`] tile for leftover rows — same kk-ascending FP order.
-fn row_single_wide<T: Scalar>(arow: &[T], out: &mut [T], p: &Packed<T>) {
-    const LANE: usize = micro::LANE;
-    for (jt, panel) in p.panels.chunks_exact(LANE * p.k).enumerate() {
-        let mut acc = [T::zero(); LANE];
-        for (q, &av) in panel.chunks_exact(LANE).zip(arow) {
-            acc = micro::fma_splat(acc, av, q);
-        }
-        out[LANE * jt..LANE * jt + LANE].copy_from_slice(&acc);
-    }
-    single_tail(arow, out, p);
 }
 
 /// 1×4 tile for leftover rows — same kk-ascending FP order as [`row_quad`].
@@ -322,18 +323,22 @@ fn row_single<T: Scalar>(arow: &[T], out: &mut [T], p: &Packed<T>) {
         }
         out[4 * jt..4 * jt + 4].copy_from_slice(&acc);
     }
-    single_tail(arow, out, p);
 }
 
-/// The leftover columns of a leftover row.
-fn single_tail<T: Scalar>(arow: &[T], out: &mut [T], p: &Packed<T>) {
+/// The `n % lane` leftover columns of `R` rows: down the packed tail,
+/// still kk-ascending per element.
+fn tile_tail<T: Scalar, const R: usize>(ar: [&[T]; R], out: &mut [&mut [T]; R], p: &Packed<T>) {
     let rem = p.n % p.lane;
-    for (c, o) in out[p.n - rem..].iter_mut().enumerate() {
-        let mut acc = T::zero();
-        for (&bv, &av) in p.tail[c..].iter().step_by(rem).zip(arow) {
-            acc = av.mul_add(bv, acc);
+    for (c, j) in (p.n - rem..p.n).enumerate() {
+        let mut acc = [T::zero(); R];
+        for (&bv, kk) in p.tail[c..].iter().step_by(rem).zip(0..p.k) {
+            for (s, r) in acc.iter_mut().zip(ar) {
+                *s = r[kk].mul_add(bv, *s);
+            }
         }
-        *o = acc;
+        for (o, s) in out.iter_mut().zip(acc) {
+            o[j] = s;
+        }
     }
 }
 
@@ -364,6 +369,12 @@ pub fn tn_blocks(n: usize) -> Vec<usize> {
 /// # Panics
 /// Panics if `A.rows() != B.rows()`.
 pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
+    matmul_tn_lanes::<T, [T; LANE]>(a, b)
+}
+
+/// [`matmul_tn`] with the wide tiles on the lane body `L` — the same bits
+/// for every `L` ([`micro::Lanes`]); see [`matmul_into_lanes`].
+pub fn matmul_tn_lanes<T: Scalar, L: Lanes<T>>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -388,7 +399,7 @@ pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
             // SAFETY: block row ranges are disjoint across chunk bodies.
             let part = unsafe { slots.range_mut(c * k * stride, (c + 1) * k * stride) };
             for r0 in (bounds[c]..bounds[c + 1]).step_by(TN_BLOCK_ROWS) {
-                tn_accumulate(a, b, r0, bounds[c + 1].min(r0 + TN_BLOCK_ROWS), part);
+                tn_accumulate::<T, L>(a, b, r0, bounds[c + 1].min(r0 + TN_BLOCK_ROWS), part);
             }
         }
     });
@@ -404,14 +415,18 @@ pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
 }
 
 /// `out += A[lo..hi]ᵀ · B[lo..hi]` on a tight `k × j` slice. Under the
-/// wide microkernels the 4-row × 16-column tiles run on eight
-/// [`micro::LANE`]-wide register accumulators (two loads and four
-/// broadcasts per eight [`micro::fma_splat`]s) and [`micro::axpy`] covers
-/// the ragged `k % 4` / `j % 16` edges; the scalar oracle runs every
-/// element through its plain `axpy`. Both orders are `r`-ascending per
-/// element.
-fn tn_accumulate<T: Scalar>(a: &Dense<T>, b: &Dense<T>, lo: usize, hi: usize, out: &mut [T]) {
-    const LANE: usize = micro::LANE;
+/// wide microkernels the 4-row × 16-column tiles run on eight lane
+/// accumulators of `L` (two loads and four broadcasts per eight
+/// [`Lanes::fma_splat`]s) and [`micro::axpy`] covers the ragged
+/// `k % 4` / `j % 16` edges; the scalar oracle runs every element through
+/// its plain `axpy`. Both orders are `r`-ascending per element.
+fn tn_accumulate<T: Scalar, L: Lanes<T>>(
+    a: &Dense<T>,
+    b: &Dense<T>,
+    lo: usize,
+    hi: usize,
+    out: &mut [T],
+) {
     let (k, j) = (a.cols(), b.cols());
     let (k4, j16) = if micro::wide() {
         (k - k % 4, j - j % (2 * LANE))
@@ -424,23 +439,24 @@ fn tn_accumulate<T: Scalar>(a: &Dense<T>, b: &Dense<T>, lo: usize, hi: usize, ou
         let (q2, q3) = rest.split_at_mut(j);
         let mut rows = [q0, q1, q2, q3];
         for jt in (0..j16).step_by(2 * LANE) {
-            let (mid, end) = (jt + LANE, jt + 2 * LANE);
-            let mut acc = [[[T::zero(); LANE]; 2]; 4];
+            let cols = jt..jt + 2 * LANE;
+            let mut acc = [[L::zero(); 2]; 4];
             for (t, row) in acc.iter_mut().zip(&rows) {
-                t[0].copy_from_slice(&row[jt..mid]);
-                t[1].copy_from_slice(&row[mid..end]);
+                let (c, _) = row[cols.clone()].as_chunks::<LANE>();
+                *t = [L::load(&c[0]), L::load(&c[1])];
             }
             for r in lo..hi {
                 let av = &a.row(r)[4 * kt..4 * kt + 4];
-                let (b0, b1) = b.row(r)[jt..end].split_at(LANE);
+                let (bc, _) = b.row(r)[cols.clone()].as_chunks::<LANE>();
                 for (t, &x) in acc.iter_mut().zip(av) {
-                    t[0] = micro::fma_splat(t[0], x, b0);
-                    t[1] = micro::fma_splat(t[1], x, b1);
+                    t[0] = t[0].fma_splat(x, &bc[0]);
+                    t[1] = t[1].fma_splat(x, &bc[1]);
                 }
             }
-            for (row, t) in rows.iter_mut().zip(&acc) {
-                row[jt..mid].copy_from_slice(&t[0]);
-                row[mid..end].copy_from_slice(&t[1]);
+            for (row, t) in rows.iter_mut().zip(acc) {
+                let (c, _) = row[cols.clone()].as_chunks_mut::<LANE>();
+                t[0].store(&mut c[0]);
+                t[1].store(&mut c[1]);
             }
         }
     }
@@ -493,7 +509,7 @@ pub fn matmul_nt_into<T: Scalar>(a: &Dense<T>, b: &Dense<T>, out: &mut Dense<T>)
         "matmul_nt: output shape mismatch"
     );
     if let Some(lane) = panel_lane(n, k) {
-        return matmul_tiled(a, &Packed::of_transposed(b, lane), out);
+        return matmul_tiled::<T, [T; LANE]>(a, &Packed::of_transposed(b, lane), out);
     }
     plain_rows(out, |i, row_out| {
         // One ascending multiply-then-add fold per element: the
@@ -504,13 +520,70 @@ pub fn matmul_nt_into<T: Scalar>(a: &Dense<T>, b: &Dense<T>, out: &mut Dense<T>)
     })
 }
 
-/// `y = A · x` (matrix-vector product).
+/// `y = A · x` (matrix-vector product), parallel over row ranges. Each
+/// `y[i]` is one [`dot`] of row `i` with `x`, whatever the chunking.
 ///
 /// # Panics
 /// Panics if `A.cols() != x.len()`.
 pub fn matvec<T: Scalar>(a: &Dense<T>, x: &[T]) -> Vec<T> {
     assert_eq!(a.cols(), x.len(), "matvec: dimension mismatch");
-    (0..a.rows()).map(|i| dot(a.row(i), x)).collect()
+    matvec_pair(a, 0, x, x).1
+}
+
+/// Rows per block of [`matvec_pair`]: 16 KB of `f32` rows at `k = 64`,
+/// so the second dot of a row reads it from L1.
+const MATVEC_BLOCK_ROWS: usize = 64;
+
+/// `(A[..m] · x0, A · x1)` in one pass over `A`: row blocks small enough
+/// for L1 take both dots of a row before the next block is read — the
+/// GAT scores `u = H'a₁` of a row-prefix block's own rows and `v = H'a₂`
+/// of all its sources. Each element is one [`dot`], four rows per
+/// [`micro::dot4`] pass (`⟨x, r⟩` and `⟨r, x⟩` round alike), so the
+/// results are those of two [`matvec`]s bit for bit.
+///
+/// # Panics
+/// Panics if `m > A.rows()` or `x0`, `x1` are not `A.cols()` long.
+pub fn matvec_pair<T: Scalar>(a: &Dense<T>, m: usize, x0: &[T], x1: &[T]) -> (Vec<T>, Vec<T>) {
+    assert!(
+        m <= a.rows() && x0.len() == a.cols() && x1.len() == a.cols(),
+        "matvec_pair: dimension mismatch"
+    );
+    let mut y0 = vec![T::zero(); m];
+    let mut y1 = vec![T::zero(); a.rows()];
+    let (s0, s1) = (DisjointSlice::new(&mut y0), DisjointSlice::new(&mut y1));
+    // Each dot is one result element, as each output element of the
+    // GEMMs is: below the threshold the pool's dispatch costs more than
+    // the dots (the served ego subgraphs).
+    let parallel = m + a.rows() >= PAR_THRESHOLD;
+    rt::parallel_for(a.rows(), Cost::Uniform, parallel, |lo, hi| {
+        for b in (lo..hi).step_by(MATVEC_BLOCK_ROWS) {
+            let e = hi.min(b + MATVEC_BLOCK_ROWS);
+            // SAFETY: `[b, e)` lies in this chunk's row range, and the
+            // chunks' row ranges are disjoint.
+            row_dots(a, b, x1, unsafe { s1.range_mut(b, e) });
+            if b < m {
+                // SAFETY: as above, clipped to `y0`'s `m` rows.
+                row_dots(a, b, x0, unsafe { s0.range_mut(b, e.min(m)) });
+            }
+        }
+    });
+    (y0, y1)
+}
+
+/// `y[r] = ⟨x, A[lo + r]⟩`, four rows per [`micro::dot4`].
+fn row_dots<T: Scalar>(a: &Dense<T>, lo: usize, x: &[T], y: &mut [T]) {
+    let mut quads = y.chunks_exact_mut(4);
+    let mut i = lo;
+    for q in &mut quads {
+        q.copy_from_slice(&micro::dot4(
+            x,
+            [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)],
+        ));
+        i += 4;
+    }
+    for (o, r) in quads.into_remainder().iter_mut().zip(i..) {
+        *o = dot(x, a.row(r));
+    }
 }
 
 /// `y = Aᵀ · x` without materializing `Aᵀ`.
@@ -630,9 +703,9 @@ mod tests {
             let a = arb(m, k, 21);
             let b = arb(k, n, 22);
             let mut w = Dense::zeros(m, n);
-            matmul_tiled(&a, &Packed::of(&b, micro::LANE), &mut w);
+            matmul_tiled::<f64, [f64; LANE]>(&a, &Packed::of(&b, LANE), &mut w);
             let mut bl = Dense::zeros(m, n);
-            matmul_tiled(&a, &Packed::of(&b, 4), &mut bl);
+            matmul_tiled::<f64, [f64; LANE]>(&a, &Packed::of(&b, 4), &mut bl);
             assert_eq!(w.max_abs_diff(&bl), 0.0, "{m}x{k}x{n}");
         }
     }

@@ -14,9 +14,11 @@
 //! * `scalar` reproduces the pre-microkernel loops bit-for-bit and remains
 //!   the equivalence oracle CI pins.
 //!
-//! The wide loops are written as safe `chunks_exact` loops over
-//! [`Scalar::mul_add`] that the autovectorizer lifts to FMA vector code on
-//! stable Rust.
+//! The wide loops are written over one [`LANE`]-wide accumulator type,
+//! [`Lanes`]: safe array loops over [`Scalar::mul_add`] that the
+//! autovectorizer lifts to FMA vector code, except where it does not — the
+//! dots, whose `f32` body is explicit AVX2 ([`F32x8`]). Both bodies give
+//! the same bits.
 //!
 //! Equivalence policy per kernel family (pinned by tests and by the `simd`
 //! bench's in-run gates):
@@ -113,30 +115,198 @@ pub fn accumulation_order() -> crate::rt::ReductionOrder {
 // Lane primitives
 // ---------------------------------------------------------------------
 
-/// `acc[i] + x[i]·y[i]` over one [`LANE`]-wide chunk.
-#[inline(always)]
-fn fma_lanes<T: Scalar>(mut acc: [T; LANE], x: &[T], y: &[T]) -> [T; LANE] {
-    for ((a, &xv), &yv) in acc.iter_mut().zip(x).zip(y) {
-        *a = xv.mul_add(yv, *a);
+/// One [`LANE`]-wide accumulator vector: the register every wide dot and
+/// GEMM tile folds into. Element `i` of a kernel's operand always lands
+/// in lane `i % LANE`, and each method fixes its rounding sequence per
+/// lane, so every implementation is bit-identical to the generic
+/// `[T; LANE]` body — an implementation changes the instructions, never
+/// the bits.
+///
+/// [`Scalar::Lanes`] names the implementation the dot kernels run: the
+/// explicit AVX2 [`F32x8`] for `f32` when the build targets AVX2 + FMA
+/// (`.cargo/config.toml`'s `target-cpu=native`), the generic `[T; LANE]`
+/// body otherwise. The GEMM tiles keep the generic body, which the
+/// autovectorizer already lifts well ([`crate::gemm`]). The `*_lanes`
+/// kernel entries take the implementation as a type parameter so tests
+/// and the `simd` bench can run either body.
+pub trait Lanes<T>: Copy {
+    /// All lanes `+0`.
+    fn zero() -> Self;
+    /// The lanes `x[0..LANE]`.
+    fn load(x: &[T; LANE]) -> Self;
+    /// Writes the lanes to `out`.
+    fn store(self, out: &mut [T; LANE]);
+    /// `self[i] + x[i]·y[i]`, one rounding per lane.
+    fn fma(self, x: &[T; LANE], y: &[T; LANE]) -> Self;
+    /// `self[i] + a·b[i]` (scalar broadcast), one rounding per lane — the
+    /// gemm outer-product update.
+    fn fma_splat(self, a: T, b: &[T; LANE]) -> Self;
+    /// The fixed lane-reduction tree of the wide kernels:
+    /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
+    fn tree_sum(self) -> T;
+    /// [`Lanes::tree_sum`] of four accumulators.
+    #[inline(always)]
+    fn tree_sum4(acc: [Self; 4]) -> [T; 4] {
+        acc.map(Self::tree_sum)
     }
-    acc
 }
 
-/// `acc[i] + a·b[i]` (scalar broadcast) over one [`LANE`]-wide chunk — the
-/// gemm outer-product update.
-#[inline(always)]
-pub fn fma_splat<T: Scalar>(mut acc: [T; LANE], a: T, b: &[T]) -> [T; LANE] {
-    for (l, &bv) in acc.iter_mut().zip(b) {
-        *l = a.mul_add(bv, *l);
+/// The generic lane body: safe array loops over [`Scalar::mul_add`]. It
+/// is what `f64` runs, what `f32` runs on targets without AVX2 + FMA, and
+/// the reference the explicit bodies are tested against.
+impl<T: Scalar> Lanes<T> for [T; LANE] {
+    #[inline(always)]
+    fn zero() -> Self {
+        [T::zero(); LANE]
     }
-    acc
+
+    #[inline(always)]
+    fn load(x: &[T; LANE]) -> Self {
+        *x
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [T; LANE]) {
+        *out = self;
+    }
+
+    #[inline(always)]
+    fn fma(mut self, x: &[T; LANE], y: &[T; LANE]) -> Self {
+        for ((a, &xv), &yv) in self.iter_mut().zip(x).zip(y) {
+            *a = xv.mul_add(yv, *a);
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn fma_splat(mut self, a: T, b: &[T; LANE]) -> Self {
+        for (l, &bv) in self.iter_mut().zip(b) {
+            *l = a.mul_add(bv, *l);
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn tree_sum(self) -> T {
+        let l = self;
+        ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+    }
 }
 
-/// The fixed lane-reduction tree of the wide kernels:
-/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
-#[inline(always)]
-pub fn lane_tree_sum<T: Scalar>(l: [T; LANE]) -> T {
-    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+pub use avx2::F32x8;
+
+/// The lane vector `f32` kernels run on this target ([`Scalar::Lanes`]).
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+pub type F32Lanes = F32x8;
+
+/// The lane vector `f32` kernels run on this target ([`Scalar::Lanes`]).
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+)))]
+pub type F32Lanes = [f32; LANE];
+
+/// The explicit 8-lane `f32` body. Left to the autovectorizer, the
+/// generic `[f32; 8]` body does not compile to one 8-wide register per
+/// accumulator: the SLP vectorizer turns [`dot4`]'s four lane arrays
+/// sideways (4-wide FMAs across the four dots, fed by broadcasts and
+/// inserts) and [`dot_wide`]'s loop stays scalar `vfmadd231ss`. Here each
+/// accumulator is one `__m256` and each update one `vfmadd231ps`.
+///
+/// Every intrinsic here needs AVX or FMA (SSE3 for the horizontal adds,
+/// which AVX implies). The `cfg` compiles this module only when the build
+/// enables AVX2 and FMA, which is the safety argument of each `unsafe`
+/// block below; the pointer intrinsics additionally name their bounds.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+mod avx2 {
+    use super::{Lanes, LANE};
+    use std::arch::x86_64::*;
+
+    /// Eight `f32` lanes in one AVX register.
+    #[derive(Clone, Copy, Debug)]
+    pub struct F32x8(__m256);
+
+    impl Lanes<f32> for F32x8 {
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: AVX is enabled at build time (module cfg).
+            Self(unsafe { _mm256_setzero_ps() })
+        }
+
+        #[inline(always)]
+        fn load(x: &[f32; LANE]) -> Self {
+            // SAFETY: AVX is enabled at build time (module cfg); `x` is
+            // eight initialized `f32`s and `loadu` needs no alignment.
+            Self(unsafe { _mm256_loadu_ps(x.as_ptr()) })
+        }
+
+        #[inline(always)]
+        fn store(self, out: &mut [f32; LANE]) {
+            // SAFETY: AVX is enabled at build time (module cfg); `out` is
+            // eight writable `f32`s and `storeu` needs no alignment.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), self.0) }
+        }
+
+        #[inline(always)]
+        fn fma(self, x: &[f32; LANE], y: &[f32; LANE]) -> Self {
+            let (x, y) = (Self::load(x), Self::load(y));
+            // SAFETY: FMA is enabled at build time (module cfg).
+            Self(unsafe { _mm256_fmadd_ps(x.0, y.0, self.0) })
+        }
+
+        #[inline(always)]
+        fn fma_splat(self, a: f32, b: &[f32; LANE]) -> Self {
+            let b = Self::load(b);
+            // SAFETY: AVX and FMA are enabled at build time (module cfg).
+            Self(unsafe { _mm256_fmadd_ps(_mm256_set1_ps(a), b.0, self.0) })
+        }
+
+        #[inline(always)]
+        fn tree_sum(self) -> f32 {
+            // [l0+l1, l2+l3, l4+l5, l6+l7], then
+            // [(l0+l1)+(l2+l3), (l4+l5)+(l6+l7), ..], then their sum.
+            // SAFETY: AVX (and so SSE3) is enabled at build time (module cfg).
+            unsafe {
+                let lo = _mm256_castps256_ps128(self.0);
+                let hi = _mm256_extractf128_ps::<1>(self.0);
+                let pairs = _mm_hadd_ps(lo, hi);
+                let quads = _mm_hadd_ps(pairs, pairs);
+                _mm_cvtss_f32(_mm_add_ss(quads, _mm_movehdup_ps(quads)))
+            }
+        }
+
+        #[inline(always)]
+        fn tree_sum4(acc: [Self; 4]) -> [f32; 4] {
+            // Per 128-bit half: the pair sums of a0, a1 and of a2, a3,
+            // then the four quad sums, then low half + high half — the
+            // tree of `tree_sum`, four accumulators at once.
+            let mut out = [0.0; 4];
+            // SAFETY: AVX is enabled at build time (module cfg); `out` is
+            // four writable `f32`s and `storeu` needs no alignment.
+            unsafe {
+                let p01 = _mm256_hadd_ps(acc[0].0, acc[1].0);
+                let p23 = _mm256_hadd_ps(acc[2].0, acc[3].0);
+                let q = _mm256_hadd_ps(p01, p23);
+                let sum = _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q));
+                _mm_storeu_ps(out.as_mut_ptr(), sum);
+            }
+            out
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -164,20 +334,27 @@ pub fn dot_scalar<T: Scalar>(x: &[T], y: &[T]) -> T {
 }
 
 /// 8-lane dot product: one fma vector op per [`LANE`] elements, reduced by
-/// the fixed [`lane_tree_sum`] tree, remainder folded sequentially. The
+/// the fixed [`Lanes::tree_sum`] tree, remainder folded sequentially. The
 /// reduction order is [`crate::rt::ReductionOrder::LaneTree`] — a function
-/// of the slice alone.
+/// of the slice alone. Every product and fma is symmetric in its two
+/// factors, so `dot_wide(x, y)` and `dot_wide(y, x)` are bit-identical.
 #[inline]
 pub fn dot_wide<T: Scalar>(x: &[T], y: &[T]) -> T {
+    dot_lanes::<T, T::Lanes>(x, y)
+}
+
+/// [`dot_wide`] on the lane body `L`.
+#[inline]
+pub fn dot_lanes<T: Scalar, L: Lanes<T>>(x: &[T], y: &[T]) -> T {
     debug_assert_eq!(x.len(), y.len());
-    let mut acc = [T::zero(); LANE];
-    let mut xc = x.chunks_exact(LANE);
-    let mut yc = y.chunks_exact(LANE);
-    for (xq, yq) in (&mut xc).zip(&mut yc) {
-        acc = fma_lanes(acc, xq, yq);
+    let (xc, xr) = x.as_chunks::<LANE>();
+    let (yc, yr) = y.as_chunks::<LANE>();
+    let mut acc = L::zero();
+    for (xq, yq) in xc.iter().zip(yc) {
+        acc = acc.fma(xq, yq);
     }
-    let mut s = lane_tree_sum(acc);
-    for (&xv, &yv) in xc.remainder().iter().zip(yc.remainder()) {
+    let mut s = acc.tree_sum();
+    for (&xv, &yv) in xr.iter().zip(yr) {
         s = xv.mul_add(yv, s);
     }
     s
@@ -187,30 +364,32 @@ pub fn dot_wide<T: Scalar>(x: &[T], y: &[T]) -> T {
 /// — the SDDMM edge loop scoring four neighbors per pass over `x`, the
 /// dot-product analogue of [`axpy4`]. Each result is exactly [`dot`]'s
 /// op sequence in the active mode (wide: its own eight lanes, the
-/// [`lane_tree_sum`] merge and the sequential remainder of [`dot_wide`];
-/// otherwise [`dot_scalar`]), so it is bit-identical to four `dot` calls.
+/// [`Lanes::tree_sum`] merge and the sequential remainder of
+/// [`dot_wide`]; otherwise [`dot_scalar`]), so it is bit-identical to
+/// four `dot` calls.
 #[inline]
 pub fn dot4<T: Scalar>(x: &[T], y: [&[T]; 4]) -> [T; 4] {
     if !wide() {
-        return y.map(|yq| dot(x, yq));
+        return y.map(|yq| dot_scalar(x, yq));
     }
-    let [y0, y1, y2, y3] = y;
+    dot4_lanes::<T, T::Lanes>(x, y)
+}
+
+/// The wide [`dot4`] on the lane body `L`.
+#[inline]
+pub fn dot4_lanes<T: Scalar, L: Lanes<T>>(x: &[T], y: [&[T]; 4]) -> [T; 4] {
     debug_assert!(y.iter().all(|yq| yq.len() == x.len()));
-    let mut acc = [[T::zero(); LANE]; 4];
-    let chunks = x
-        .chunks_exact(LANE)
-        .zip(y0.chunks_exact(LANE))
-        .zip(y1.chunks_exact(LANE))
-        .zip(y2.chunks_exact(LANE))
-        .zip(y3.chunks_exact(LANE));
-    for ((((xq, q0), q1), q2), q3) in chunks {
-        acc[0] = fma_lanes(acc[0], xq, q0);
-        acc[1] = fma_lanes(acc[1], xq, q1);
-        acc[2] = fma_lanes(acc[2], xq, q2);
-        acc[3] = fma_lanes(acc[3], xq, q3);
+    let [y0, y1, y2, y3] = y.map(|yq| yq.as_chunks::<LANE>().0);
+    let (xc, _) = x.as_chunks::<LANE>();
+    let mut acc = [L::zero(); 4];
+    for ((((xq, q0), q1), q2), q3) in xc.iter().zip(y0).zip(y1).zip(y2).zip(y3) {
+        acc[0] = acc[0].fma(xq, q0);
+        acc[1] = acc[1].fma(xq, q1);
+        acc[2] = acc[2].fma(xq, q2);
+        acc[3] = acc[3].fma(xq, q3);
     }
-    let tail = x.len() / LANE * LANE;
-    let mut s = acc.map(lane_tree_sum);
+    let tail = xc.len() * LANE;
+    let mut s = L::tree_sum4(acc);
     for (sq, yq) in s.iter_mut().zip(y) {
         for (&xv, &yv) in x[tail..].iter().zip(&yq[tail..]) {
             *sq = xv.mul_add(yv, *sq);
@@ -295,7 +474,7 @@ pub fn axpy4<T: Scalar>(out: &mut [T], alpha: [T; 4], x: [&[T]; 4]) {
 // ---------------------------------------------------------------------
 
 /// Sum of a slice with the wide lane schedule: eight accumulators filled
-/// in stored order, [`lane_tree_sum`] merge, sequential remainder — the
+/// in stored order, [`Lanes::tree_sum`] merge, sequential remainder — the
 /// softmax-accumulation counterpart of [`dot_wide`].
 #[inline]
 pub fn sum_wide<T: Scalar>(x: &[T]) -> T {
@@ -306,7 +485,7 @@ pub fn sum_wide<T: Scalar>(x: &[T]) -> T {
             *a += v;
         }
     }
-    let mut s = lane_tree_sum(acc);
+    let mut s = acc.tree_sum();
     for &v in xc.remainder() {
         s += v;
     }

@@ -81,6 +81,11 @@ pub trait Scalar:
     fn is_finite(self) -> bool;
     /// Number of bytes one element occupies on the (simulated) wire.
     const BYTES: usize;
+    /// The [`crate::micro::LANE`]-wide accumulator vector the wide dot
+    /// kernels run on: the explicit AVX2 body for `f32` where the build
+    /// targets it, the generic `[Self; LANE]` body otherwise. Every choice
+    /// is bit-identical ([`crate::micro::Lanes`]).
+    type Lanes: crate::micro::Lanes<Self>;
 }
 
 /// Branch-free `expf`: range reduction `x = n·ln2 + r` with a split-constant
@@ -110,7 +115,7 @@ pub fn exp_poly_f32(x: f32) -> f32 {
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $exp_fast:path) => {
+    ($t:ty, $exp_fast:path, $lanes:ty) => {
         impl Scalar for $t {
             #[inline(always)]
             fn zero() -> Self {
@@ -181,12 +186,13 @@ macro_rules! impl_scalar {
                 <$t>::is_finite(self)
             }
             const BYTES: usize = std::mem::size_of::<$t>();
+            type Lanes = $lanes;
         }
     };
 }
 
-impl_scalar!(f32, crate::scalar::exp_poly_f32);
-impl_scalar!(f64, f64::exp);
+impl_scalar!(f32, crate::scalar::exp_poly_f32, crate::micro::F32Lanes);
+impl_scalar!(f64, f64::exp, [f64; crate::micro::LANE]);
 
 #[cfg(test)]
 mod tests {

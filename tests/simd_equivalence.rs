@@ -15,7 +15,9 @@
 //! feature widths `k ∈ {1, 3, 7, 8, 9, 31, 33}` (remainders shorter,
 //! equal to, and longer than a lane; lane multiples), empty rows,
 //! single-row graphs — plus the padded layout's zero-tail invariant
-//! through a whole training step.
+//! through a whole training step. A third contract sits under both: the
+//! explicit lane body `f32` runs (`micro::F32Lanes`) is bit-identical to
+//! the generic `[f32; LANE]` body for the dots and the GEMM tiles.
 //!
 //! The kernel-mode switch is process-global, so every test that flips it
 //! runs under one shared [`Mutex`] (this file is its own integration
@@ -30,8 +32,8 @@ use atgnn::plan::{ExecPlan, Layout};
 use atgnn::{GnnModel, ModelKind};
 use atgnn_graphgen::kronecker;
 use atgnn_sparse::{attention, masked, spmm, Coo, Csr};
-use atgnn_tensor::micro::{self, MicroKernel};
-use atgnn_tensor::{init, ops, Activation, Dense};
+use atgnn_tensor::micro::{self, MicroKernel, LANE};
+use atgnn_tensor::{gemm, init, ops, Activation, Dense};
 
 /// Serializes every test that flips the process-global kernel mode.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -234,6 +236,153 @@ fn dot4_is_four_dots_bitwise_in_every_mode() {
     let _m = Modes::lock();
     check::<f32>(|v| u64::from(v.to_bits()));
     check::<f64>(f64::to_bits);
+}
+
+/// The explicit lane body `f32` runs.
+type Explicit = micro::F32Lanes;
+/// The generic lane body, the reference.
+type Generic = [f32; LANE];
+
+/// Lengths around every lane boundary, up to two-and-a-bit 64-wide rows.
+const LANE_LENGTHS: [usize; 14] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 129];
+
+/// `len` pseudo-random values from `buf`'s element `off` on, so slices
+/// start 0–7 elements past an aligned allocation.
+fn misaligned(buf: &[f32], off: usize, len: usize) -> &[f32] {
+    &buf[off..off + len]
+}
+
+fn f32_buf(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 20_001) as f32 / 10_000.0 - 1.0
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn explicit_dots_match_the_generic_lane_body_bitwise() {
+    let bufs: Vec<Vec<f32>> = (0..5).map(|s| f32_buf(129 + 8, 60 + s)).collect();
+    for len in LANE_LENGTHS {
+        for off in 0..LANE {
+            let x = misaligned(&bufs[0], off, len);
+            let ys: Vec<&[f32]> = (1..5)
+                .map(|q| misaligned(&bufs[q], (off + q) % LANE, len))
+                .collect();
+            let y = [ys[0], ys[1], ys[2], ys[3]];
+            let want = micro::dot_lanes::<f32, Generic>(x, y[0]);
+            let got = micro::dot_lanes::<f32, Explicit>(x, y[0]);
+            assert_eq!(got.to_bits(), want.to_bits(), "dot len={len} off={off}");
+            assert_eq!(
+                micro::dot_wide(x, y[0]).to_bits(),
+                want.to_bits(),
+                "dot_wide len={len} off={off}"
+            );
+            let want4 = micro::dot4_lanes::<f32, Generic>(x, y);
+            let got4 = micro::dot4_lanes::<f32, Explicit>(x, y);
+            assert_eq!(bits(&got4), bits(&want4), "dot4 len={len} off={off}");
+            // dot4 is four dots in the lane body too.
+            assert_eq!(
+                bits(&want4),
+                bits(&y.map(|yq| micro::dot_lanes::<f32, Generic>(x, yq))),
+                "dot4 ≠ four dots, len={len} off={off}"
+            );
+        }
+    }
+}
+
+/// Shapes covering the 4-row quads and the `m % 4` leftover rows, the
+/// 16-column panel pairs, an odd last 8-column panel, the `n % 8` tail
+/// columns, and reductions shorter than, equal to and longer than a lane.
+const GEMM_M: [usize; 6] = [1, 3, 4, 5, 7, 13];
+const GEMM_K: [usize; 5] = [1, 7, 8, 9, 65];
+const GEMM_N: [usize; 9] = [8, 9, 15, 16, 17, 24, 31, 33, 64];
+
+fn f32_matrix(rows: usize, cols: usize, seed: u64) -> Dense<f32> {
+    Dense::from_vec(rows, cols, f32_buf(rows * cols, seed))
+}
+
+fn f32_bit_identical(a: &Dense<f32>, b: &Dense<f32>) -> bool {
+    a.shape() == b.shape() && (0..a.rows()).all(|r| bits(a.row(r)) == bits(b.row(r)))
+}
+
+#[test]
+fn explicit_gemm_tiles_match_the_generic_lane_body_bitwise() {
+    let _m = Modes::lock();
+    micro::set_mode(MicroKernel::Blocked);
+    for m in GEMM_M {
+        for k in GEMM_K {
+            for n in GEMM_N {
+                let a = f32_matrix(m, k, 70);
+                let b = f32_matrix(k, n, 71);
+                for (a, padded) in [(a.clone(), false), (a.padded(), true)] {
+                    let mut want = a.zeros_matching(m, n);
+                    gemm::matmul_into_lanes::<f32, Generic>(&a, &b, &mut want);
+                    let mut got = Dense::filled(m, n, 7.5);
+                    if padded {
+                        got = got.padded();
+                    }
+                    gemm::matmul_into_lanes::<f32, Explicit>(&a, &b, &mut got);
+                    assert!(
+                        f32_bit_identical(&got, &want),
+                        "matmul {m}x{k}x{n} padded={padded}"
+                    );
+                    // The product entry runs the explicit body.
+                    assert!(f32_bit_identical(&gemm::matmul(&a, &b), &want));
+                }
+            }
+        }
+    }
+    // `matmul_tn`'s 4 × 16 outer-product tiles, their `k % 4` / `j % 16`
+    // edges, and more rows than one cache block.
+    for rows in [1, 5, 1030] {
+        for k in [1, 3, 4, 5, 8, 9] {
+            for j in [1, 15, 16, 17, 33] {
+                let a = f32_matrix(rows, k, 72);
+                let b = f32_matrix(rows, j, 73);
+                for (a, b) in [(a.clone(), b.clone()), (a.padded(), b.padded())] {
+                    let want = gemm::matmul_tn_lanes::<f32, Generic>(&a, &b);
+                    let got = gemm::matmul_tn_lanes::<f32, Explicit>(&a, &b);
+                    assert!(f32_bit_identical(&got, &want), "tn {rows}x{k}x{j}");
+                    assert!(f32_bit_identical(&gemm::matmul_tn(&a, &b), &want));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn matvec_pair_is_two_matvecs_bitwise_in_every_mode() {
+    let _m = Modes::lock();
+    // 16 389 rows: above the pool threshold, so chunked across threads.
+    for rows in [0, 1, 3, 4, 5, 63, 64, 65, 130, 16_389] {
+        for k in [1, 8, 9, 64] {
+            let a = f32_matrix(rows, k, 74);
+            let (x0, x1) = (f32_buf(k, 75), f32_buf(k, 76));
+            for mode in MODES {
+                micro::set_mode(mode);
+                let dots = |x: &[f32], upto: usize| -> Vec<u32> {
+                    (0..upto)
+                        .map(|r| micro::dot(a.row(r), x).to_bits())
+                        .collect()
+                };
+                for m in [0, rows / 2, rows] {
+                    let (u, v) = gemm::matvec_pair(&a, m, &x0, &x1);
+                    assert_eq!(bits(&u), dots(&x0, m), "u {rows}x{k} m={m} {mode:?}");
+                    assert_eq!(bits(&v), dots(&x1, rows), "v {rows}x{k} m={m} {mode:?}");
+                }
+                assert_eq!(bits(&gemm::matvec(&a, &x1)), dots(&x1, rows));
+            }
+        }
+    }
 }
 
 #[test]
