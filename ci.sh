@@ -132,6 +132,17 @@ echo "== benchmark smoke (the frozen end-to-end benchmark still builds and gates
 # and that all four workloads pass their correctness gates at smoke size.
 bash benchmark/run.sh --smoke
 
+echo "== benchmark tests (the traced twin builds; its shadow replay is bit-identical) =="
+# The traced binary's shadow layer calls kernels by name, so a kernel
+# signature change breaks its build, and a changed bit breaks
+# every_depth_is_bit_identical_to_the_real_path — both show here, not
+# first in a benchmark run.
+(cd benchmark && cargo test -q)
+
+echo "== benchmark trace smoke (the traced workloads still gate) =="
+# Writes under benchmark/results/{smoke,trace}/, which .gitignore lists.
+bash benchmark/run.sh --smoke --trace
+
 echo "== tracked results untouched =="
 # Smoke runs write under results/smoke/ (untracked, atgnn_bench::result_path),
 # so CI must leave every recorded result as committed.

@@ -15,6 +15,7 @@
 
 use atgnn::ModelKind;
 use atgnn_net::Comm;
+use atgnn_sparse::attention::{self, Agnn, Gat};
 use atgnn_sparse::{masked, sddmm, spmm, Csr};
 use atgnn_tensor::{blocks, gemm, ops, Activation, Dense, Scalar};
 
@@ -315,20 +316,20 @@ impl<T: Scalar> LocalLayer<T> {
                 let gathered = plan.gather(comm, h_own);
                 let n_own = blocks::row_l2_norms(h_own);
                 let n_g = blocks::row_l2_norms(&gathered);
-                let (scores, cos) = atgnn_sparse::fused::agnn_scores_block(
-                    &plan.a_local,
-                    h_own,
-                    &gathered,
-                    &n_own,
-                    &n_g,
-                    self.beta,
-                );
+                let agnn = Agnn {
+                    dst: h_own,
+                    src: &gathered,
+                    n_dst: &n_own,
+                    n_src: &n_g,
+                    beta: self.beta,
+                };
+                let (scores, cos) = attention::scores(&plan.a_local, &agnn);
                 // 1D row ownership makes the softmax fully local.
                 let psi = masked::row_softmax(&scores);
                 let hp_g = gemm::matmul(&gathered, &self.w);
                 cache.z = spmm::spmm(&psi, &hp_g);
                 cache.psi = Some(psi);
-                cache.scores = Some(cos);
+                cache.scores = cos;
                 cache.gathered_h = Some(gathered);
                 cache.gathered_hp = Some(hp_g);
             }
@@ -337,16 +338,16 @@ impl<T: Scalar> LocalLayer<T> {
                 let gathered_hp = plan.gather(comm, &hp_own);
                 let u_own = gemm::matvec(&hp_own, &self.a_src);
                 let v_g = gemm::matvec(&gathered_hp, &self.a_dst);
-                let (e, c_pre) = atgnn_sparse::fused::gat_scores(
-                    &plan.a_local,
-                    &u_own,
-                    &v_g,
-                    atgnn::layers::GAT_SLOPE,
-                );
+                let gat = Gat {
+                    u: &u_own,
+                    v: &v_g,
+                    slope: atgnn::layers::GAT_SLOPE,
+                };
+                let (e, c_pre) = attention::scores(&plan.a_local, &gat);
                 let psi = masked::row_softmax(&e);
                 cache.z = spmm::spmm(&psi, &gathered_hp);
                 cache.psi = Some(psi);
-                cache.scores = Some(c_pre);
+                cache.scores = c_pre;
                 cache.gathered_hp = Some(gathered_hp);
                 cache.u_own = Some(u_own);
             }

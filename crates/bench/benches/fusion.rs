@@ -1,15 +1,32 @@
 //! The kernel-fusion ablation (Figure 5): the fused virtual-tensor score
-//! kernels against their materializing counterparts, per model, plus the
-//! full attention sandwich (SDDMM→softmax→SpMM) staged vs one-pass.
+//! pass against its materializing counterparts, per model, plus the full
+//! attention sandwich (SDDMM→softmax→SpMM) staged vs one-pass.
 //! Plain timing harness; prints median seconds per variant.
 
 use atgnn_bench::measure::time_median;
 use atgnn_graphgen::kronecker;
-use atgnn_sparse::{attention, fused};
-use atgnn_tensor::init;
+use atgnn_sparse::attention::{self, Agnn, AttentionExec, Gat, Va};
+use atgnn_sparse::fused;
+use atgnn_tensor::{blocks, init};
 
 fn report(name: &str, id: &str, secs: f64) {
     println!("fusion/{name}/{id}: {:.3} ms", secs * 1e3);
+}
+
+/// The full attention sandwich `run` performs, staged (score Csr +
+/// softmax Csr + SpMM, three sweeps) vs one-pass (single CSR traversal,
+/// no intermediate Csr).
+fn sandwich(name: &str, suffix: &str, id: &str, run: impl Fn(AttentionExec)) {
+    for (exec, path) in [
+        (AttentionExec::Staged, "staged"),
+        (AttentionExec::FusedOnePass, "onepass"),
+    ] {
+        report(
+            &format!("pipeline_{name}_{path}{suffix}"),
+            id,
+            time_median(|| run(exec)),
+        );
+    }
 }
 
 fn main() {
@@ -20,11 +37,17 @@ fn main() {
         let u = init::glorot_vec::<f32>(a.rows(), 1);
         let v = init::glorot_vec::<f32>(a.rows(), 2);
         let id = format!("n{n}");
+        let va = Va { dst: &h, src: &h };
+        let gat = Gat {
+            u: &u,
+            v: &v,
+            slope: 0.2,
+        };
         report(
             "va_fused",
             &id,
             time_median(|| {
-                std::hint::black_box(fused::va_scores(&a, &h));
+                std::hint::black_box(attention::scores(&a, &va));
             }),
         );
         report(
@@ -38,7 +61,7 @@ fn main() {
             "gat_fused",
             &id,
             time_median(|| {
-                std::hint::black_box(fused::gat_scores(&a, &u, &v, 0.2));
+                std::hint::black_box(attention::scores(&a, &gat));
             }),
         );
         report(
@@ -52,7 +75,16 @@ fn main() {
             "agnn_fused",
             &id,
             time_median(|| {
-                std::hint::black_box(fused::agnn_scores(&a, &h, 1.0f32));
+                // The norms count, as they do in the unfused reference.
+                let norms = blocks::row_l2_norms(&h);
+                let agnn = Agnn {
+                    dst: &h,
+                    src: &h,
+                    n_dst: &norms,
+                    n_src: &norms,
+                    beta: 1.0f32,
+                };
+                std::hint::black_box(attention::scores(&a, &agnn));
             }),
         );
         report(
@@ -62,56 +94,25 @@ fn main() {
                 std::hint::black_box(fused::unfused_agnn_scores(&a, &h, 1.0f32));
             }),
         );
-        // The full attention sandwich, staged (score Csr + softmax Csr +
-        // SpMM, three sweeps) vs one-pass (single CSR traversal, no
-        // intermediate Csr). k=64 aggregation features is the headline
-        // configuration from the acceptance criteria.
+        // k=64 aggregation features is the headline configuration from the
+        // acceptance criteria.
         let hp = init::features::<f32>(a.rows(), 64, 8);
-        report(
-            "pipeline_va_staged",
-            &id,
-            time_median(|| {
-                std::hint::black_box(attention::staged_forward_va(&a, &h, false));
-            }),
-        );
-        report(
-            "pipeline_va_onepass",
-            &id,
-            time_median(|| {
-                std::hint::black_box(attention::attention_forward_va(&a, &h, false));
-            }),
-        );
-        report(
-            "pipeline_agnn_staged",
-            &id,
-            time_median(|| {
-                std::hint::black_box(attention::staged_forward_agnn(&a, &h, &hp, 1.0f32, false));
-            }),
-        );
-        report(
-            "pipeline_agnn_onepass",
-            &id,
-            time_median(|| {
-                std::hint::black_box(attention::attention_forward_agnn(
-                    &a, &h, &hp, 1.0f32, false,
-                ));
-            }),
-        );
-        report(
-            "pipeline_gat_staged_k64",
-            &id,
-            time_median(|| {
-                std::hint::black_box(attention::staged_forward_gat(&a, &u, &v, &hp, 0.2, false));
-            }),
-        );
-        report(
-            "pipeline_gat_onepass_k64",
-            &id,
-            time_median(|| {
-                std::hint::black_box(attention::attention_forward_gat(
-                    &a, &u, &v, &hp, 0.2, false,
-                ));
-            }),
-        );
+        sandwich("va", "", &id, |exec| {
+            std::hint::black_box(attention::forward(exec, &a, &va, &h, false));
+        });
+        sandwich("agnn", "", &id, |exec| {
+            let norms = blocks::row_l2_norms(&h);
+            let agnn = Agnn {
+                dst: &h,
+                src: &h,
+                n_dst: &norms,
+                n_src: &norms,
+                beta: 1.0f32,
+            };
+            std::hint::black_box(attention::forward(exec, &a, &agnn, &hp, false));
+        });
+        sandwich("gat", "_k64", &id, |exec| {
+            std::hint::black_box(attention::forward(exec, &a, &gat, &hp, false));
+        });
     }
 }

@@ -22,10 +22,15 @@ use atgnn_bench::measure::time_median;
 use atgnn_bench::report::{Record, Reporter};
 use atgnn_bench::scale;
 use atgnn_graphgen::kronecker;
-use atgnn_sparse::attention::{self, AttentionExec};
-use atgnn_sparse::{fused, spmm};
-use atgnn_tensor::init;
+use atgnn_sparse::attention::{self, Agnn, AttentionExec, Gat, Score, Va};
+use atgnn_sparse::{fused, spmm, Csr};
+use atgnn_tensor::{blocks, init, Dense};
 use std::fmt::Write as _;
+
+/// One inference forward of the score `s` on the `exec` path.
+fn run<S: Score<f32>>(exec: AttentionExec, a: &Csr<f32>, s: &S, src: &Dense<f32>) {
+    std::hint::black_box(attention::forward(exec, a, s, src, false));
+}
 
 struct PipelineEntry {
     model: &'static str,
@@ -49,11 +54,29 @@ fn main() {
         let h = init::features::<f32>(a.rows(), k, 7);
         let u = init::glorot_vec::<f32>(a.rows(), 1);
         let v = init::glorot_vec::<f32>(a.rows(), 2);
+        let va = Va { dst: &h, src: &h };
+        let gat = Gat {
+            u: &u,
+            v: &v,
+            slope: 0.2,
+        };
+        // AGNN's row norms are part of its score's cost, as they are of
+        // the unfused reference's: every AGNN timing computes them.
+        let with_agnn = |f: &dyn Fn(&Agnn<f32>)| {
+            let norms = blocks::row_l2_norms(&h);
+            f(&Agnn {
+                dst: &h,
+                src: &h,
+                n_dst: &norms,
+                n_src: &norms,
+                beta: 1.0f32,
+            })
+        };
         let cases: Vec<(&str, f64, f64)> = vec![
             (
                 "VA",
                 time_median(|| {
-                    std::hint::black_box(fused::va_scores(&a, &h));
+                    std::hint::black_box(attention::scores(&a, &va));
                 }),
                 time_median(|| {
                     std::hint::black_box(fused::unfused_va_scores(&a, &h));
@@ -62,7 +85,7 @@ fn main() {
             (
                 "GAT",
                 time_median(|| {
-                    std::hint::black_box(fused::gat_scores(&a, &u, &v, 0.2));
+                    std::hint::black_box(attention::scores(&a, &gat));
                 }),
                 time_median(|| {
                     std::hint::black_box(fused::unfused_gat_scores(&a, &u, &v, 0.2));
@@ -71,7 +94,9 @@ fn main() {
             (
                 "AGNN",
                 time_median(|| {
-                    std::hint::black_box(fused::agnn_scores(&a, &h, 1.0f32));
+                    with_agnn(&|agnn| {
+                        std::hint::black_box(attention::scores(&a, agnn));
+                    })
                 }),
                 time_median(|| {
                     std::hint::black_box(fused::unfused_agnn_scores(&a, &h, 1.0f32));
@@ -125,40 +150,20 @@ fn main() {
             (
                 "VA",
                 k,
-                time_median(|| {
-                    std::hint::black_box(attention::staged_forward_va(&a, &h, false));
-                }),
-                time_median(|| {
-                    std::hint::black_box(attention::attention_forward_va(&a, &h, false));
-                }),
+                time_median(|| run(AttentionExec::Staged, &a, &va, &h)),
+                time_median(|| run(AttentionExec::FusedOnePass, &a, &va, &h)),
             ),
             (
                 "AGNN",
                 k_agg,
-                time_median(|| {
-                    std::hint::black_box(attention::staged_forward_agnn(
-                        &a, &h, &hp, 1.0f32, false,
-                    ));
-                }),
-                time_median(|| {
-                    std::hint::black_box(attention::attention_forward_agnn(
-                        &a, &h, &hp, 1.0f32, false,
-                    ));
-                }),
+                time_median(|| with_agnn(&|agnn| run(AttentionExec::Staged, &a, agnn, &hp))),
+                time_median(|| with_agnn(&|agnn| run(AttentionExec::FusedOnePass, &a, agnn, &hp))),
             ),
             (
                 "GAT",
                 k_agg,
-                time_median(|| {
-                    std::hint::black_box(attention::staged_forward_gat(
-                        &a, &u, &v, &hp, 0.2, false,
-                    ));
-                }),
-                time_median(|| {
-                    std::hint::black_box(attention::attention_forward_gat(
-                        &a, &u, &v, &hp, 0.2, false,
-                    ));
-                }),
+                time_median(|| run(AttentionExec::Staged, &a, &gat, &hp)),
+                time_median(|| run(AttentionExec::FusedOnePass, &a, &gat, &hp)),
             ),
         ];
         for (model, kk, staged_s, onepass_s) in sandwiches {
@@ -199,15 +204,19 @@ fn main() {
         // `C` a caching forward materializes (`backward_gat` + `spmm_t`).
         // Both must give the same bits.
         let g = init::features::<f32>(a.rows(), k_agg, 9);
-        let (_, stats) = attention::attention_forward_gat_stats(&a, &u, &v, &hp, 0.2);
-        let cached = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
+        let mut z = hp.zeros_matching(a.rows(), k_agg);
+        let stats = attention::attention_forward_gat_stats_into(&a, &u, &v, &hp, 0.2, &mut z);
+        let cached = attention::forward(AttentionExec::FusedOnePass, &a, &gat, &hp, true);
         let psi = cached.psi.expect("a caching forward returns Ψ");
         let c_pre = cached.scores.expect("a caching forward returns C");
         let virtual_bwd = || {
-            let (dc, du) =
-                attention::attention_backward_gat_virtual(&a, &u, &v, &stats, &hp, &g, 0.2);
-            let psi_t_g = attention::attention_psi_t_gat_virtual(&a, &u, &v, &stats, &g, 0.2);
-            (dc, du, psi_t_g)
+            let mut dc = vec![0.0f32; a.nnz()];
+            let du = attention::attention_backward_gat_virtual_into(
+                &a, &u, &v, &stats, &hp, &g, 0.2, &mut dc,
+            );
+            let mut psi_t_g = g.zeros_matching(a.cols(), g.cols());
+            attention::attention_psi_t_gat_virtual_into(&a, &u, &v, &stats, &g, 0.2, &mut psi_t_g);
+            (a.with_values(dc), du, psi_t_g)
         };
         let materialized_bwd = || {
             let (dc, du) = attention::backward_gat(

@@ -28,7 +28,8 @@ use atgnn_bench::report::{Record, Reporter};
 use atgnn_bench::scale;
 use atgnn_graphgen::reorder::{self, Locality};
 use atgnn_graphgen::{erdos_renyi, kronecker};
-use atgnn_sparse::{attention, Csr};
+use atgnn_sparse::attention::{self, AttentionExec};
+use atgnn_sparse::Csr;
 use atgnn_tensor::micro::{self, MicroKernel};
 use atgnn_tensor::{gemm, init, Dense};
 use std::fmt::Write as _;
@@ -100,7 +101,16 @@ fn main() {
 
             let run = |p: &Prepared| {
                 let hp = gemm::matmul(&p.h, &w);
-                attention::attention_forward_gat(&p.a, &p.u, &p.v, &hp, SLOPE, false).out
+                attention::forward_gat(
+                    AttentionExec::FusedOnePass,
+                    &p.a,
+                    &p.u,
+                    &p.v,
+                    &hp,
+                    SLOPE,
+                    false,
+                )
+                .out
             };
 
             let prepared: Vec<Prepared> = strategies

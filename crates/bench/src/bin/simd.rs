@@ -48,7 +48,8 @@
 
 use atgnn_bench::scale;
 use atgnn_graphgen::kronecker;
-use atgnn_sparse::{attention, spmm, Csr};
+use atgnn_sparse::attention::{self, AttentionExec};
+use atgnn_sparse::{spmm, Csr};
 use atgnn_tensor::micro::{self, MicroKernel, LANE};
 use atgnn_tensor::{gemm, init, Dense};
 use std::cell::RefCell;
@@ -255,7 +256,16 @@ fn main() {
                 "gat_sweep",
                 sweep_flops,
                 Box::new(|cfg: &Config| {
-                    attention::attention_forward_gat(&a, &u, &v, h_for(cfg), SLOPE, false).out
+                    attention::forward_gat(
+                        AttentionExec::FusedOnePass,
+                        &a,
+                        &u,
+                        &v,
+                        h_for(cfg),
+                        SLOPE,
+                        false,
+                    )
+                    .out
                 }),
             ),
         ];

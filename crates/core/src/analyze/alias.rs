@@ -22,7 +22,7 @@
 //! fused sweep's zero-allocation invariant: when the sampler's scores
 //! are consumed only inside the sandwich (and the softmax only by its
 //! aggregation), the one-pass sweep never has to materialize them —
-//! the claim `fused::attention_forward` makes for the canned forward
+//! the claim `attention::forward`'s fused path makes for the canned forward
 //! models.
 //!
 //! Declared in-place ops (`*_inplace` labels) that violate

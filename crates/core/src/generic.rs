@@ -13,8 +13,9 @@
 //! model zoo in [`crate::layers`], whose backward passes are derived
 //! analytically.
 
-use atgnn_sparse::{fused, masked, spmm, Csr, Semiring};
-use atgnn_tensor::{gemm, Activation, Dense, Scalar};
+use atgnn_sparse::attention::{self, Agnn, Va};
+use atgnn_sparse::{spmm, Csr, Semiring};
+use atgnn_tensor::{blocks, gemm, Activation, Dense, Scalar};
 
 /// A user-supplied score closure: `(A, H) ↦` values on `A`'s pattern.
 pub type ScoreFn<T> = Box<dyn Fn(&Csr<T>, &Dense<T>) -> Csr<T> + Send + Sync>;
@@ -40,10 +41,17 @@ impl<T: Scalar> Psi<T> {
     pub fn eval(&self, a: &Csr<T>, h: &Dense<T>) -> Csr<T> {
         match self {
             Psi::Adjacency => a.clone(),
-            Psi::DotProduct => fused::va_scores(a, h),
+            Psi::DotProduct => attention::psi(a, &Va { dst: h, src: h }),
             Psi::Cosine { beta } => {
-                let (s, _) = fused::agnn_scores(a, h, *beta);
-                masked::row_softmax(&s)
+                let norms = blocks::row_l2_norms(h);
+                let agnn = Agnn {
+                    dst: h,
+                    src: h,
+                    n_dst: &norms,
+                    n_src: &norms,
+                    beta: *beta,
+                };
+                attention::psi(a, &agnn)
             }
             Psi::Custom(f) => f(a, h),
         }

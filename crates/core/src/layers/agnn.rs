@@ -29,7 +29,8 @@
 
 use crate::layer::{AGnnLayer, BackwardResult, Gradients, LayerCache};
 use crate::plan::ExecPlan;
-use atgnn_sparse::{attention, masked, spmm, Csr};
+use atgnn_sparse::attention::{self, Agnn};
+use atgnn_sparse::{masked, spmm, Csr};
 use atgnn_tensor::{blocks, gemm, init, ops, Activation, Dense, Scalar};
 
 /// An AGNN layer with parameters `W ∈ R^{k_in × k_out}` and the learnable
@@ -83,7 +84,20 @@ impl<T: Scalar> AgnnLayer<T> {
 
     /// Computes the attention matrix `Ψ` (softmax of the scaled cosines).
     pub fn psi(&self, a: &Csr<T>, h: &Dense<T>) -> Csr<T> {
-        attention::agnn_psi(a, h, self.beta[0])
+        let norms = blocks::row_l2_norms(h);
+        attention::psi(a, &self.score(h, &norms))
+    }
+
+    /// The layer's score: cosines of `h` against itself, `norms` its row
+    /// norms.
+    fn score<'a>(&self, h: &'a Dense<T>, norms: &'a [T]) -> Agnn<'a, T> {
+        Agnn {
+            dst: h,
+            src: h,
+            n_dst: norms,
+            n_src: norms,
+            beta: self.beta[0],
+        }
     }
 
     /// The parameter gradients `[∂W, ∂β]`, plus the sweep results and
@@ -127,8 +141,14 @@ impl<T: Scalar> AGnnLayer<T> for AgnnLayer<T> {
 
     fn forward(&self, a: &Csr<T>, h: &Dense<T>, cache: Option<&mut LayerCache<T>>) -> Dense<T> {
         let hp = gemm::matmul(h, &self.w);
-        let fa =
-            attention::forward_agnn(self.plan.exec(), a, h, &hp, self.beta[0], cache.is_some());
+        let norms = blocks::row_l2_norms(h);
+        let fa = attention::forward(
+            self.plan.exec(),
+            a,
+            &self.score(h, &norms),
+            &hp,
+            cache.is_some(),
+        );
         if let Some(c) = cache {
             c.psi = fa.psi;
             c.scores = fa.scores;

@@ -102,7 +102,12 @@ impl<T: Scalar> GatLayer<T> {
     pub fn psi(&self, a: &Csr<T>, h: &Dense<T>) -> Csr<T> {
         let hp = gemm::matmul(h, &self.w);
         let (u, v) = gemm::matvec_pair(&hp, hp.rows(), &self.a_src, &self.a_dst);
-        attention::gat_psi(a, &u, &v, self.slope)
+        let gat = attention::Gat {
+            u: &u,
+            v: &v,
+            slope: self.slope,
+        };
+        attention::psi(a, &gat)
     }
 
     /// The inference forward `Ψ H W` in the given product order (the

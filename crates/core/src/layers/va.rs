@@ -22,7 +22,8 @@
 
 use crate::layer::{AGnnLayer, BackwardResult, Gradients, LayerCache};
 use crate::plan::ExecPlan;
-use atgnn_sparse::{attention, spmm, Csr};
+use atgnn_sparse::attention::{self, Va};
+use atgnn_sparse::{spmm, Csr};
 use atgnn_tensor::{gemm, init, ops, Activation, Dense, Scalar};
 
 /// A vanilla-attention layer with parameters `W ∈ R^{k_in × k_out}`.
@@ -66,7 +67,7 @@ impl<T: Scalar> VaLayer<T> {
 
     /// Computes the attention matrix `Ψ = A ⊙ (H Hᵀ)`.
     pub fn psi(a: &Csr<T>, h: &Dense<T>) -> Csr<T> {
-        attention::va_psi(a, h)
+        attention::psi(a, &Va { dst: h, src: h })
     }
 }
 
@@ -84,7 +85,8 @@ impl<T: Scalar> AGnnLayer<T> for VaLayer<T> {
         // `Ψ H` term the weight gradient reuses; the one-pass path scores
         // and aggregates in the same sweep, materializing Ψ only when the
         // backward pass needs it.
-        let fa = attention::forward_va(self.plan.exec(), a, h, cache.is_some());
+        let va = Va { dst: h, src: h };
+        let fa = attention::forward(self.plan.exec(), a, &va, h, cache.is_some());
         let z = gemm::matmul(&fa.out, &self.w);
         if let Some(c) = cache {
             c.psi = fa.psi;
@@ -103,9 +105,11 @@ impl<T: Scalar> AGnnLayer<T> for VaLayer<T> {
         let psi = cache.psi.as_ref().expect("VA backward needs cached Ψ");
         // M = G Wᵀ.
         let m = gemm::matmul_nt(g, &self.w);
-        // N = A ⊙ (M Hᵀ) and N H in one sweep on the fused path.
-        // ∂L/∂H = N H + Nᵀ H + Ψᵀ M.
-        let (n, mut dh) = attention::backward_va(self.plan.exec(), a, &m, h);
+        // N = A ⊙ (M Hᵀ) and N H — the VA forward scoring M against H, in
+        // one sweep on the fused path. ∂L/∂H = N H + Nᵀ H + Ψᵀ M.
+        let nh = attention::forward(self.plan.exec(), a, &Va { dst: &m, src: h }, h, true);
+        let n = nh.psi.expect("a caching forward returns N");
+        let mut dh = nh.out;
         ops::add_assign(&mut dh, &spmm::spmm_t(&n, h));
         ops::add_assign(&mut dh, &spmm::spmm_t(psi, &m));
         BackwardResult {

@@ -442,10 +442,9 @@ mod tests {
     fn distributed_softmax_matches_sequential() {
         let n = 12;
         let a = full_graph(n);
-        let scores = atgnn_sparse::fused::va_scores(
-            &a,
-            &Dense::from_fn(n, 3, |r, c| ((r * 3 + c) % 7) as f64 * 0.3),
-        );
+        let h = Dense::from_fn(n, 3, |r, c| ((r * 3 + c) % 7) as f64 * 0.3);
+        let (scores, _) =
+            atgnn_sparse::attention::scores(&a, &atgnn_sparse::attention::Va { dst: &h, src: &h });
         let want = masked::row_softmax(&scores).to_dense();
         for p in [1usize, 4, 9] {
             let want = want.clone();

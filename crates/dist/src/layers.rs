@@ -17,7 +17,7 @@
 //! (`O(nk/√p)`).
 
 use crate::context::DistContext;
-use atgnn_sparse::attention::{self, AttentionExec};
+use atgnn_sparse::attention::{self, Agnn, AttentionExec, Gat, Score, Va};
 use atgnn_sparse::{masked, sddmm, spmm, Csr};
 use atgnn_tensor::rt::{self, Cost, DisjointSlice};
 use atgnn_tensor::{blocks, gemm, ops, Activation, Dense, Scalar};
@@ -40,8 +40,6 @@ pub struct DistCache<T: Scalar> {
     pub h_agg: Option<Dense<T>>,
     /// GAT per-vertex scores: row-side `u_i`.
     pub u_row: Option<Vec<T>>,
-    /// Per-head sub-caches (multi-head attention).
-    pub sub: Vec<DistCache<T>>,
 }
 
 impl<T: Scalar> DistCache<T> {
@@ -56,7 +54,6 @@ impl<T: Scalar> DistCache<T> {
             h_row: None,
             h_agg: None,
             u_row: None,
-            sub: Vec::new(),
         }
     }
 }
@@ -83,16 +80,20 @@ pub fn forward_va<T: Scalar>(
 ) -> DistCache<T> {
     // Row-side H_i: one broadcast along the grid row.
     let h_i = ctx.bcast_row_side(h_j);
-    let (psi, partial) = if exec == AttentionExec::FusedOnePass && ctx.grid.q == 1 {
-        let fa = attention::attention_forward_va(&ctx.a_block, h_j, true);
-        (fa.psi.expect("va fused sweep caches Ψ"), fa.out)
+    // Larger grids take the staged block pipeline: SDDMM on the
+    // stationary block, then the local partial SpMM.
+    let exec = if ctx.grid.q == 1 {
+        exec
     } else {
-        // SDDMM on the stationary block, then the local partial SpMM.
-        let psi = attention::staged_va_block_scores(&ctx.a_block, &h_i, h_j);
-        let partial = spmm::spmm(&psi, h_j);
-        (psi, partial)
+        AttentionExec::Staged
     };
-    let h_agg = ctx.reduce_rows_redistribute(partial);
+    let va = Va {
+        dst: &h_i,
+        src: h_j,
+    };
+    let fa = attention::forward(exec, &ctx.a_block, &va, h_j, true);
+    let psi = fa.psi.expect("a caching forward returns Ψ");
+    let h_agg = ctx.reduce_rows_redistribute(fa.out);
     let z = gemm::matmul(&h_agg, w);
     let mut cache = DistCache::new(h_j.clone());
     cache.z = z;
@@ -175,71 +176,39 @@ pub fn backward_gcn<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------
-// GIN
-// ---------------------------------------------------------------------
-
-/// Distributed GIN forward: `S = A H + (1+ε) H`, `Z = ReLU(S W₁) W₂`.
-/// One reduce+redistribute for the aggregation; the MLP is local.
-pub fn forward_gin<T: Scalar>(
-    ctx: &DistContext<'_, T>,
-    w1: &Dense<T>,
-    w2: &Dense<T>,
-    eps: T,
-    h_j: &Dense<T>,
-) -> DistCache<T> {
-    // A[i][j]'s column range matches the locally replicated block H_j —
-    // no row-side broadcast is needed (GIN has no SDDMM).
-    let mut s = ctx.reduce_rows_redistribute(spmm::spmm(&ctx.a_block, h_j));
-    ops::axpy(&mut s, T::one() + eps, h_j);
-    let z1 = gemm::matmul(&s, w1);
-    let z = gemm::matmul(&Activation::Relu.apply(&z1), w2);
-    let mut cache = DistCache::new(h_j.clone());
-    cache.z = z;
-    cache.h_agg = Some(s);
-    cache.h_proj = Some(z1);
-    cache
-}
-
-/// Distributed GIN backward.
-pub fn backward_gin<T: Scalar>(
-    ctx: &DistContext<'_, T>,
-    w1: &Dense<T>,
-    w2: &Dense<T>,
-    eps: T,
-    cache: &DistCache<T>,
-    g_j: &Dense<T>,
-) -> (Dense<T>, DistGrads<T>) {
-    let s = cache.h_agg.as_ref().expect("GIN dist cache S");
-    let z1 = cache.h_proj.as_ref().expect("GIN dist cache Z1");
-    let h_j = &cache.h_in;
-    let r = Activation::Relu.apply(z1);
-    let mut dz1 = gemm::matmul_nt(g_j, w2);
-    Activation::Relu.chain_assign(&mut dz1, z1);
-    let ds_j = gemm::matmul_nt(&dz1, w1);
-    // dH = Aᵀ dS + (1+ε) dS: transpose product over the grid columns.
-    let ds_i = ctx.bcast_row_side(&ds_j);
-    let mut dh = ctx.allreduce_col(spmm::spmm_t(&ctx.a_block, &ds_i));
-    ops::axpy(&mut dh, T::one() + eps, &ds_j);
-    // Parameter gradients from the diagonal representatives.
-    let (dw1, dw2, deps) = if ctx.i == ctx.j {
-        (
-            gemm::matmul_tn(s, &dz1),
-            gemm::matmul_tn(&r, g_j),
-            ops::total_sum(&ops::hadamard(&ds_j, h_j)),
-        )
-    } else {
-        (
-            Dense::zeros(w1.rows(), w1.cols()),
-            Dense::zeros(w2.rows(), w2.cols()),
-            T::zero(),
-        )
-    };
-    (dh, vec![dw1.into_vec(), dw2.into_vec(), vec![deps]])
-}
-
-// ---------------------------------------------------------------------
 // AGNN
 // ---------------------------------------------------------------------
+
+/// The softmaxed attention sandwich on this rank's block: `(Ψ, secondary
+/// cache, Ψ H'_j)`, the last still to be reduced along the grid row. On a
+/// 1×1 grid the softmax row reduction is local, so the fused plan runs the
+/// one-pass sweep; on larger grids the row reduction spans the grid row
+/// and the scores are materialized for `dist_row_softmax`.
+fn attention_block<T: Scalar, S: Score<T>>(
+    ctx: &DistContext<'_, T>,
+    exec: AttentionExec,
+    score: &S,
+    hp_j: &Dense<T>,
+) -> (Csr<T>, Csr<T>, Dense<T>) {
+    if exec == AttentionExec::FusedOnePass && ctx.grid.q == 1 {
+        let fa = attention::forward(exec, &ctx.a_block, score, hp_j, true);
+        (
+            fa.psi.expect("a caching forward returns Ψ"),
+            fa.scores
+                .expect("a caching forward returns its secondary cache"),
+            fa.out,
+        )
+    } else {
+        let (e, secondary) = attention::scores(&ctx.a_block, score);
+        let psi = ctx.dist_row_softmax(&e);
+        let partial = spmm::spmm(&psi, hp_j);
+        (
+            psi,
+            secondary.expect("a softmaxed score has a secondary cache"),
+            partial,
+        )
+    }
+}
 
 /// Distributed AGNN forward:
 /// `Ψ = sm(A ⊙ (β · H Hᵀ ⊘ n nᵀ))`, `Z = Ψ H W`.
@@ -255,23 +224,17 @@ pub fn forward_agnn<T: Scalar>(
 ) -> DistCache<T> {
     let h_i = ctx.bcast_row_side(h_j);
     let hp_j = gemm::matmul(h_j, w);
-    let (psi, cos, partial) = if exec == AttentionExec::FusedOnePass && ctx.grid.q == 1 {
-        let fa = attention::attention_forward_agnn(&ctx.a_block, h_j, &hp_j, beta, true);
-        (
-            fa.psi.expect("agnn fused sweep caches Ψ"),
-            fa.scores.expect("agnn fused sweep caches cosines"),
-            fa.out,
-        )
-    } else {
-        // Norms are local to each side (recomputed, cheaper than a message).
-        let n_i = blocks::row_l2_norms(&h_i);
-        let n_j = blocks::row_l2_norms(h_j);
-        let (scores, cos) =
-            attention::staged_agnn_block_scores(&ctx.a_block, &h_i, h_j, &n_i, &n_j, beta);
-        let psi = ctx.dist_row_softmax(&scores);
-        let partial = spmm::spmm(&psi, &hp_j);
-        (psi, cos, partial)
+    // Norms are local to each side (recomputed, cheaper than a message).
+    let n_i = blocks::row_l2_norms(&h_i);
+    let n_j = blocks::row_l2_norms(h_j);
+    let score = Agnn {
+        dst: &h_i,
+        src: h_j,
+        n_dst: &n_i,
+        n_src: &n_j,
+        beta,
     };
+    let (psi, cos, partial) = attention_block(ctx, exec, &score, &hp_j);
     let z = ctx.reduce_rows_redistribute(partial);
     let mut cache = DistCache::new(h_j.clone());
     cache.z = z;
@@ -378,19 +341,12 @@ pub fn forward_gat<T: Scalar>(
     // broadcast instead of the O(nk/√p) feature block: the split
     // concatenation of Figure 2 is what makes this possible.
     let u_i = ctx.bcast_row_side_vec(&u_j);
-    let (psi, c_pre, partial) = if exec == AttentionExec::FusedOnePass && ctx.grid.q == 1 {
-        let fa = attention::attention_forward_gat(&ctx.a_block, &u_i, &v_j, &hp_j, slope, true);
-        (
-            fa.psi.expect("gat fused sweep caches Ψ"),
-            fa.scores.expect("gat fused sweep caches C"),
-            fa.out,
-        )
-    } else {
-        let (e, c_pre) = attention::staged_gat_block_scores(&ctx.a_block, &u_i, &v_j, slope);
-        let psi = ctx.dist_row_softmax(&e);
-        let partial = spmm::spmm(&psi, &hp_j);
-        (psi, c_pre, partial)
+    let score = Gat {
+        u: &u_i,
+        v: &v_j,
+        slope,
     };
+    let (psi, c_pre, partial) = attention_block(ctx, exec, &score, &hp_j);
     let z = ctx.reduce_rows_redistribute(partial);
     let mut cache = DistCache::new(h_j.clone());
     cache.z = z;

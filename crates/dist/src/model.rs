@@ -10,8 +10,8 @@
 
 use crate::context::DistContext;
 use crate::layers::{
-    backward_agnn, backward_gat, backward_gcn, backward_gin, backward_va, forward_agnn,
-    forward_gat, forward_gcn, forward_gin, forward_va, DistCache, DistGrads,
+    backward_agnn, backward_gat, backward_gcn, backward_va, forward_agnn, forward_gat, forward_gcn,
+    forward_va, DistCache, DistGrads,
 };
 use atgnn::checkpoint::{self, CheckpointError};
 use atgnn::layers::{AgnnLayer, GatLayer, GcnLayer, VaLayer};
@@ -49,54 +49,28 @@ pub enum DistLayer<T: Scalar> {
         /// `W`.
         w: Dense<T>,
     },
-    /// GIN, with a two-stage MLP update and learnable `ε`.
-    Gin {
-        /// First MLP stage.
-        w1: Dense<T>,
-        /// Second MLP stage.
-        w2: Dense<T>,
-        /// Self-loop weight `ε`.
-        eps: T,
-    },
-    /// Multi-head GAT: each head is a full single-head GAT; outputs are
-    /// concatenated along the feature axis.
-    GatMultiHead {
-        /// Per-head parameters `(W, a₁, a₂)`.
-        heads: Vec<(Dense<T>, Vec<T>, Vec<T>)>,
-        /// LeakyReLU slope.
-        slope: f64,
-    },
 }
 
 impl<T: Scalar> DistLayer<T> {
-    /// The canned tensor DAG this layer executes, when one exists.
-    ///
-    /// Multi-head GAT runs the single-head GAT DAG once per head, so it
-    /// maps to [`ModelKind::Gat`]; GIN has no canned attentional DAG
-    /// (it is a plain message-passing MLP) and returns `None`.
-    pub fn kind(&self) -> Option<ModelKind> {
+    /// The canned tensor DAG this layer executes.
+    pub fn kind(&self) -> ModelKind {
         match self {
-            DistLayer::Va { .. } => Some(ModelKind::Va),
-            DistLayer::Agnn { .. } => Some(ModelKind::Agnn),
-            DistLayer::Gat { .. } | DistLayer::GatMultiHead { .. } => Some(ModelKind::Gat),
-            DistLayer::Gcn { .. } => Some(ModelKind::Gcn),
-            DistLayer::Gin { .. } => None,
+            DistLayer::Va { .. } => ModelKind::Va,
+            DistLayer::Agnn { .. } => ModelKind::Agnn,
+            DistLayer::Gat { .. } => ModelKind::Gat,
+            DistLayer::Gcn { .. } => ModelKind::Gcn,
         }
     }
 
-    /// `(k_in, k_out)` of this layer's projection, when it has one.
-    /// Only the debug-build comm-volume check needs it.
+    /// `(k_in, k_out)` of this layer's projection `W`. Only the
+    /// debug-build comm-volume check needs it.
     #[cfg(debug_assertions)]
-    fn k_dims(&self) -> Option<(usize, usize)> {
+    fn k_dims(&self) -> (usize, usize) {
         match self {
             DistLayer::Va { w }
             | DistLayer::Agnn { w, .. }
             | DistLayer::Gat { w, .. }
-            | DistLayer::Gcn { w } => Some((w.rows(), w.cols())),
-            DistLayer::Gin { w1, w2, .. } => Some((w1.rows(), w2.cols())),
-            DistLayer::GatMultiHead { heads, .. } => heads
-                .first()
-                .map(|(w, _, _)| (w.rows(), heads.iter().map(|(w, _, _)| w.cols()).sum())),
+            | DistLayer::Gcn { w } => (w.rows(), w.cols()),
         }
     }
 
@@ -112,7 +86,8 @@ impl<T: Scalar> DistLayer<T> {
         // very few vertices per rank does), which a release build never
         // sees either.
         #[cfg(debug_assertions)]
-        if let Some((k_in, k_out)) = self.k_dims() {
+        {
+            let (k_in, k_out) = self.k_dims();
             if let Some(d) = ctx.check_comm_volume(k_in, k_out) {
                 assert!(d.severity != atgnn::Severity::Error, "{d}");
             }
@@ -127,26 +102,6 @@ impl<T: Scalar> DistLayer<T> {
                 slope,
             } => forward_gat(ctx, exec, w, a_src, a_dst, *slope, h_j),
             DistLayer::Gcn { w } => forward_gcn(ctx, w, h_j),
-            DistLayer::Gin { w1, w2, eps } => forward_gin(ctx, w1, w2, *eps, h_j),
-            DistLayer::GatMultiHead { heads, slope } => {
-                // Run every head and concatenate the output blocks; the
-                // per-head caches ride in `sub`.
-                let mut cache = DistCache::new(h_j.clone());
-                let rows = ctx.grid.block_len(ctx.n, ctx.j);
-                let k_out: usize = heads.iter().map(|(w, _, _)| w.cols()).sum();
-                let mut z = Dense::zeros(rows, k_out);
-                let mut col = 0;
-                for (w, a_src, a_dst) in heads {
-                    let head_cache = forward_gat(ctx, exec, w, a_src, a_dst, *slope, h_j);
-                    for r in 0..rows {
-                        z.row_mut(r)[col..col + w.cols()].copy_from_slice(head_cache.z.row(r));
-                    }
-                    col += w.cols();
-                    cache.sub.push(head_cache);
-                }
-                cache.z = z;
-                cache
-            }
         }
     }
 
@@ -166,23 +121,6 @@ impl<T: Scalar> DistLayer<T> {
                 slope,
             } => backward_gat(ctx, w, a_src, a_dst, *slope, cache, g_j),
             DistLayer::Gcn { w } => backward_gcn(ctx, w, cache, g_j),
-            DistLayer::Gin { w1, w2, eps } => backward_gin(ctx, w1, w2, *eps, cache, g_j),
-            DistLayer::GatMultiHead { heads, slope } => {
-                let k_in = heads[0].0.rows();
-                let mut dh = Dense::zeros(g_j.rows(), k_in);
-                let mut grads: DistGrads<T> = Vec::new();
-                let mut col = 0;
-                for (idx, (w, a_src, a_dst)) in heads.iter().enumerate() {
-                    let kh = w.cols();
-                    let g_h = Dense::from_fn(g_j.rows(), kh, |r, c| g_j[(r, col + c)]);
-                    let (dh_h, g) =
-                        backward_gat(ctx, w, a_src, a_dst, *slope, &cache.sub[idx], &g_h);
-                    atgnn_tensor::ops::add_assign(&mut dh, &dh_h);
-                    grads.extend(g);
-                    col += kh;
-                }
-                (dh, grads)
-            }
         }
     }
 
@@ -195,13 +133,6 @@ impl<T: Scalar> DistLayer<T> {
             } => {
                 vec![w.as_mut_slice(), a_src.as_mut_slice(), a_dst.as_mut_slice()]
             }
-            DistLayer::Gin { w1, w2, .. } => vec![w1.as_mut_slice(), w2.as_mut_slice()],
-            DistLayer::GatMultiHead { heads, .. } => heads
-                .iter_mut()
-                .flat_map(|(w, a1, a2)| {
-                    vec![w.as_mut_slice(), a1.as_mut_slice(), a2.as_mut_slice()]
-                })
-                .collect(),
         }
     }
 
@@ -216,13 +147,6 @@ impl<T: Scalar> DistLayer<T> {
             DistLayer::Gat {
                 w, a_src, a_dst, ..
             } => vec![flat(w.as_slice()), flat(a_src), flat(a_dst)],
-            DistLayer::Gin { w1, w2, eps } => {
-                vec![flat(w1.as_slice()), flat(w2.as_slice()), vec![eps.to_f64()]]
-            }
-            DistLayer::GatMultiHead { heads, .. } => heads
-                .iter()
-                .flat_map(|(w, a1, a2)| vec![flat(w.as_slice()), flat(a1), flat(a2)])
-                .collect(),
         }
     }
 
@@ -237,17 +161,6 @@ impl<T: Scalar> DistLayer<T> {
             DistLayer::Gat {
                 w, a_src, a_dst, ..
             } => vec![w.as_mut_slice(), a_src.as_mut_slice(), a_dst.as_mut_slice()],
-            DistLayer::Gin { w1, w2, eps } => vec![
-                w1.as_mut_slice(),
-                w2.as_mut_slice(),
-                std::slice::from_mut(eps),
-            ],
-            DistLayer::GatMultiHead { heads, .. } => heads
-                .iter_mut()
-                .flat_map(|(w, a1, a2)| {
-                    vec![w.as_mut_slice(), a1.as_mut_slice(), a2.as_mut_slice()]
-                })
-                .collect(),
         }
     }
 }
@@ -324,8 +237,6 @@ impl<T: Scalar> DistGnnModel<T> {
     /// Returns every diagnostic the abstract interpreter produces
     /// (determinism, FP-stability, aliasing, precision, plus the plan
     /// structure checks); an empty vector means the run is proven safe.
-    /// Layers without a canned DAG (GIN) are skipped — their kernels are
-    /// covered by the kernel-level tests, not the DAG analyzer.
     pub fn verify_plan(&self) -> Vec<atgnn::Diagnostic> {
         let plan = match self.exec {
             AttentionExec::FusedOnePass => ExecPlan::fused(),
@@ -333,10 +244,9 @@ impl<T: Scalar> DistGnnModel<T> {
         };
         let mut kinds: Vec<ModelKind> = Vec::new();
         for (layer, _) in &self.layers {
-            if let Some(k) = layer.kind() {
-                if !kinds.contains(&k) {
-                    kinds.push(k);
-                }
+            let k = layer.kind();
+            if !kinds.contains(&k) {
+                kinds.push(k);
             }
         }
         let mut diags = Vec::new();
@@ -498,11 +408,6 @@ impl<T: Scalar> DistGnnModel<T> {
                     *beta -= lr * *db;
                 }
             }
-            if let DistLayer::Gin { eps, .. } = layer {
-                if let Some(de) = g.get(2).and_then(|s| s.first()) {
-                    *eps -= lr * *de;
-                }
-            }
         }
     }
 }
@@ -566,14 +471,8 @@ mod tests {
     fn layer_kinds_map_back_to_their_dags() {
         for kind in KINDS {
             let model = DistGnnModel::<f64>::uniform(kind, &[4, 3], Activation::Relu, 1);
-            assert_eq!(model.layers[0].0.kind(), Some(kind));
+            assert_eq!(model.layers[0].0.kind(), kind);
         }
-        let gin = DistLayer::<f64>::Gin {
-            w1: Dense::zeros(3, 3),
-            w2: Dense::zeros(3, 3),
-            eps: 0.0,
-        };
-        assert_eq!(gin.kind(), None);
     }
 
     #[test]
@@ -746,115 +645,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "loss mismatch {a} vs {b}");
             }
             assert!(err < 1e-8, "output drift {err}");
-        }
-    }
-
-    #[test]
-    fn distributed_gin_equals_sequential() {
-        // GIN is outside the uniform-constructor kinds; wire it manually
-        // with identical parameters on both sides.
-        use atgnn::layers::GinLayer;
-        use atgnn::AGnnLayer;
-        let n = 12;
-        let a = graph(n);
-        let x = init::features(n, 3, 41);
-        let seq_layer = GinLayer::<f64>::new(3, 5, 2, Activation::Identity, 43);
-        let seq_model =
-            atgnn::GnnModel::new(vec![Box::new(seq_layer.clone()) as Box<dyn AGnnLayer<f64>>]);
-        let seq = seq_model.inference(&a, &x);
-        // Sequential gradients through a linear probe loss.
-        let probe = init::features(n, 2, 45);
-        let (out, ctxs) = seq_model.forward_cached(&a, &x);
-        let _ = out;
-        let (seq_grads, _) = seq_model.backward(&a, &ctxs, &probe);
-        let (w1, w2) = (seq_layer.weights().0.clone(), seq_layer.weights().1.clone());
-        let eps = seq_layer.eps();
-        let (results, _) = Cluster::run(4, move |comm| {
-            let ctx = DistContext::new(&comm, &a).expect("square grid and adjacency");
-            let model = DistGnnModel::<f64> {
-                layers: vec![(
-                    DistLayer::Gin {
-                        w1: w1.clone(),
-                        w2: w2.clone(),
-                        eps,
-                    },
-                    Activation::Identity,
-                )],
-                exec: AttentionExec::FusedOnePass,
-            };
-            let (c0, c1) = ctx.col_range();
-            let x_j = x.slice_rows(c0, c1 - c0);
-            let (out_j, caches) = model.forward_cached(&ctx, &x_j);
-            let fwd_err = out_j.max_abs_diff(&seq.slice_rows(c0, c1 - c0));
-            let grads = model.backward(&ctx, &caches, probe.slice_rows(c0, c1 - c0));
-            let mut grad_err = 0.0f64;
-            for (ss, ds) in seq_grads[0].slots.iter().zip(&grads[0]) {
-                for (a, b) in ss.iter().zip(ds) {
-                    grad_err = grad_err.max((a - b).abs());
-                }
-            }
-            (fwd_err, grad_err)
-        });
-        for (f, g) in results {
-            assert!(f < 1e-10, "forward {f}");
-            assert!(g < 1e-9, "grads {g}");
-        }
-    }
-
-    #[test]
-    fn distributed_multihead_gat_equals_sequential() {
-        use atgnn::layers::{HeadCombine, MultiHeadGatLayer};
-        use atgnn::AGnnLayer;
-        let n = 12;
-        let a = GnnModel::<f64>::prepare_adjacency(ModelKind::Gat, &graph(n));
-        let x = init::features(n, 3, 81);
-        let seq_layer =
-            MultiHeadGatLayer::<f64>::new(3, 2, 3, HeadCombine::Concat, Activation::Identity, 83);
-        let seq_model = GnnModel::new(vec![Box::new(seq_layer.clone()) as Box<dyn AGnnLayer<f64>>]);
-        let seq = seq_model.inference(&a, &x);
-        let probe = init::features(n, 6, 85);
-        let (_, ctxs) = seq_model.forward_cached(&a, &x);
-        let (seq_grads, _) = seq_model.backward(&a, &ctxs, &probe);
-        // Mirror the heads into the distributed layer (the sequential
-        // layer exposes parameters as flat slices: 3 per head).
-        let slices = seq_layer.param_slices();
-        let heads: Vec<(Dense<f64>, Vec<f64>, Vec<f64>)> = (0..3)
-            .map(|h| {
-                (
-                    Dense::from_vec(3, 2, slices[3 * h].to_vec()),
-                    slices[3 * h + 1].to_vec(),
-                    slices[3 * h + 2].to_vec(),
-                )
-            })
-            .collect();
-        let (results, _) = Cluster::run(4, move |comm| {
-            let ctx = DistContext::new(&comm, &a).expect("square grid and adjacency");
-            let model = DistGnnModel::<f64> {
-                layers: vec![(
-                    DistLayer::GatMultiHead {
-                        heads: heads.clone(),
-                        slope: atgnn::layers::GAT_SLOPE,
-                    },
-                    Activation::Identity,
-                )],
-                exec: AttentionExec::FusedOnePass,
-            };
-            let (c0, c1) = ctx.col_range();
-            let x_j = x.slice_rows(c0, c1 - c0);
-            let (out_j, caches) = model.forward_cached(&ctx, &x_j);
-            let fwd_err = out_j.max_abs_diff(&seq.slice_rows(c0, c1 - c0));
-            let grads = model.backward(&ctx, &caches, probe.slice_rows(c0, c1 - c0));
-            let mut grad_err = 0.0f64;
-            for (ss, ds) in seq_grads[0].slots.iter().zip(&grads[0]) {
-                for (a, b) in ss.iter().zip(ds) {
-                    grad_err = grad_err.max((a - b).abs());
-                }
-            }
-            (fwd_err, grad_err)
-        });
-        for (f, g) in results {
-            assert!(f < 1e-10, "forward {f}");
-            assert!(g < 1e-9, "grads {g}");
         }
     }
 }

@@ -46,12 +46,19 @@
 //! only the outer loop, never the neighbor order, so results are
 //! bit-identical across `ATGNN_THREADS` *and* tile widths.
 //!
-//! The staged kernels remain available behind [`AttentionExec::Staged`] as
-//! the test oracle; layer code selects a path through an `ExecPlan` (in
-//! `atgnn::plan`) rather than calling score kernels directly.
+//! The models differ only in their edge score, a [`Score`] ([`Va`],
+//! [`Agnn`], [`Gat`]) that the fused sweep, the staged oracle and the
+//! score pass all run: one [`forward`] serves every model on either path.
+//! The staged pipeline ([`scores`] → [`masked::row_softmax`] →
+//! [`spmm::spmm`]) remains behind [`AttentionExec::Staged`] as the test
+//! oracle; layer code selects a path through an `ExecPlan` (in
+//! `atgnn::plan`) rather than calling score kernels directly. The
+//! backward stays per model ([`backward_gat`], [`backward_agnn`]): the
+//! two softmax backward sweeps share the edge dots and the row dot but
+//! differ in everything they write.
 
 use crate::csr::Csr;
-use crate::{fused, masked, sddmm, spmm};
+use crate::{masked, sddmm, spmm};
 use atgnn_tensor::rt::{self, Cost, DisjointSlice};
 use atgnn_tensor::{blocks, gemm, micro, Activation, Dense, Scalar};
 use std::borrow::Cow;
@@ -128,7 +135,7 @@ pub struct FusedAttention<T: Scalar> {
 
 /// Two floats per softmax row of a GAT forward — the row max `m_i` and
 /// the normaliser the row was finished with — recorded by
-/// [`attention_forward_gat_stats`] so that backward recomputes `Ψ` with
+/// [`attention_forward_gat_stats_into`] so that backward recomputes `Ψ` with
 /// `masked::softmax_finish` instead of storing it.
 #[derive(Clone, Debug)]
 pub struct RowStats<T> {
@@ -137,6 +144,218 @@ pub struct RowStats<T> {
     rows: Vec<[T; 2]>,
     /// Whether the rows were finished on the wide path.
     wide: bool,
+}
+
+/// One attentional model's edge score — the only thing VA, AGNN and GAT
+/// differ in. The fused sweep, the staged oracle and the score pass
+/// ([`forward`], [`scores`], [`psi`]) all run through it, monomorphised
+/// per score. A square or row-prefix `A` (see [`dst_rows`]) passes one
+/// feature matrix as both sides; an off-diagonal distributed block passes
+/// its row-side and column-side operands.
+pub trait Score<T: Scalar>: Sync {
+    /// Whether the scores pass through the row softmax (`Ψ = sm(E)`);
+    /// VA's raw scores are `Ψ` itself.
+    const SOFTMAX: bool;
+    /// Whether scoring fills a secondary cache the backward pass reads
+    /// (AGNN's cosines, GAT's pre-activations `C`).
+    const SECONDARY: bool;
+
+    /// Panics unless the operands fit `a`: a row-side operand for every
+    /// row of `a`, a column-side one for every column.
+    fn check(&self, a: &Csr<T>);
+
+    /// Scores row `r`: `e[t]` for the stored column `cols[t]`, and the
+    /// secondary value into `sec[t]` when `sec` is given. Returns the row
+    /// maximum its loop tracked (`-∞` without a softmax, where nothing
+    /// consults it).
+    ///
+    /// # Safety
+    /// [`Score::check`] must have accepted a matrix whose row `r` stores
+    /// exactly `cols`: an impl may index its column-side operand
+    /// unchecked.
+    unsafe fn score_row(&self, r: usize, cols: &[u32], e: &mut [T], sec: Option<&mut [T]>) -> T;
+}
+
+/// VA's score `e_ij = ⟨x_i, y_j⟩`, no softmax: `Ψ = A ⊙ (X Yᵀ)`. VA's
+/// backward `N = A ⊙ (M Hᵀ)` is the same score with `dst: M, src: H`,
+/// so [`forward`] returns `(N, N H)` for it.
+#[derive(Clone, Copy)]
+pub struct Va<'a, T> {
+    /// Row-side features `X`, read at `a`'s rows.
+    pub dst: &'a Dense<T>,
+    /// Column-side features `Y`, read at `a`'s stored columns.
+    pub src: &'a Dense<T>,
+}
+
+impl<T: Scalar> Score<T> for Va<'_, T> {
+    const SOFTMAX: bool = false;
+    const SECONDARY: bool = false;
+
+    fn check(&self, a: &Csr<T>) {
+        assert!(
+            a.rows() <= self.dst.rows(),
+            "va attention: A has more rows than H"
+        );
+        assert_eq!(
+            a.cols(),
+            self.src.rows(),
+            "va attention: A cols must match H rows"
+        );
+        assert_eq!(
+            self.dst.cols(),
+            self.src.cols(),
+            "va attention: feature widths differ"
+        );
+    }
+
+    #[inline]
+    unsafe fn score_row(&self, r: usize, cols: &[u32], e: &mut [T], _: Option<&mut [T]>) -> T {
+        let hr = self.dst.row(r);
+        for (slot, &c) in e.iter_mut().zip(cols) {
+            *slot = gemm::dot(hr, self.src.row(c as usize));
+        }
+        T::neg_infinity() // no softmax: the row max is never consulted
+    }
+}
+
+/// AGNN's score `e_ij = β · cos_ij`, `cos_ij = ⟨x_i, y_j⟩ / (n_i n_j)`
+/// with `n` the row L2 norms ([`blocks::row_l2_norms`]) — a zero-norm
+/// endpoint gives a zero cosine — softmaxed. The secondary cache holds
+/// the cosines.
+#[derive(Clone, Copy)]
+pub struct Agnn<'a, T> {
+    /// Row-side features `X`, read at `a`'s rows.
+    pub dst: &'a Dense<T>,
+    /// Column-side features `Y`, read at `a`'s stored columns.
+    pub src: &'a Dense<T>,
+    /// Row norms of `dst`.
+    pub n_dst: &'a [T],
+    /// Row norms of `src`.
+    pub n_src: &'a [T],
+    /// The temperature `β`.
+    pub beta: T,
+}
+
+impl<T: Scalar> Score<T> for Agnn<'_, T> {
+    const SOFTMAX: bool = true;
+    const SECONDARY: bool = true;
+
+    fn check(&self, a: &Csr<T>) {
+        assert!(
+            a.rows() <= self.dst.rows(),
+            "agnn attention: A has more rows than H"
+        );
+        assert_eq!(
+            a.cols(),
+            self.src.rows(),
+            "agnn attention: A cols must match H rows"
+        );
+        assert_eq!(
+            self.dst.cols(),
+            self.src.cols(),
+            "agnn attention: feature widths differ"
+        );
+        assert_eq!(
+            self.n_dst.len(),
+            self.dst.rows(),
+            "agnn attention: row norms length"
+        );
+        assert_eq!(
+            self.n_src.len(),
+            self.src.rows(),
+            "agnn attention: column norms length"
+        );
+    }
+
+    #[inline]
+    unsafe fn score_row(&self, r: usize, cols: &[u32], e: &mut [T], sec: Option<&mut [T]>) -> T {
+        let hr = self.dst.row(r);
+        let nr = self.n_dst[r];
+        let cos_of = |c: usize| {
+            let denom = nr * self.n_src[c];
+            if denom == T::zero() {
+                T::zero()
+            } else {
+                gemm::dot(hr, self.src.row(c)) / denom
+            }
+        };
+        let beta = self.beta;
+        let mut m = T::neg_infinity();
+        match sec {
+            Some(sec) => {
+                for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
+                    let cos = cos_of(c as usize);
+                    *cache = cos;
+                    let s = beta * cos;
+                    *slot = s;
+                    m = Scalar::max(m, s);
+                }
+            }
+            None => {
+                for (slot, &c) in e.iter_mut().zip(cols) {
+                    let s = beta * cos_of(c as usize);
+                    *slot = s;
+                    m = Scalar::max(m, s);
+                }
+            }
+        }
+        m
+    }
+}
+
+/// GAT's score `e_ij = LeakyReLU(u_i + v_j)` — the virtual `C = u 𝟙ᵀ +
+/// 𝟙 vᵀ` sampled on `A` (for `H' = H W`, `u = H' a₁`, `v = H' a₂`: the
+/// split concatenated dot product of Figure 2) — softmaxed. The
+/// secondary cache holds the pre-activations `C_ij = u_i + v_j`.
+#[derive(Clone, Copy)]
+pub struct Gat<'a, T> {
+    /// Row-side scores `u`, one per row of `a`.
+    pub u: &'a [T],
+    /// Column-side scores `v`, one per column of `a`.
+    pub v: &'a [T],
+    /// The LeakyReLU's negative slope.
+    pub slope: f64,
+}
+
+impl<T: Scalar> Score<T> for Gat<'_, T> {
+    const SOFTMAX: bool = true;
+    const SECONDARY: bool = true;
+
+    fn check(&self, a: &Csr<T>) {
+        assert_eq!(a.rows(), self.u.len(), "gat attention: u length mismatch");
+        assert_eq!(a.cols(), self.v.len(), "gat attention: v length mismatch");
+    }
+
+    #[inline]
+    unsafe fn score_row(&self, r: usize, cols: &[u32], e: &mut [T], sec: Option<&mut [T]>) -> T {
+        let act = Activation::LeakyRelu(self.slope);
+        let (ur, v) = (self.u[r], self.v);
+        // The gather-and-activate loop carries no loop dependency once the
+        // row max moves out of it into a [`micro::max_wide`] pass over the
+        // finished score row — IEEE max is exact in any association, so
+        // the lane-tree max matches the sequential fold bit-for-bit while
+        // the gather loop pipelines freely.
+        //
+        // SAFETY (both gathers): `Csr` construction validates every stored
+        // column index against `cols()`, and `check` pinned
+        // `v.len() == a.cols()` (the caller's contract); the per-element
+        // bounds check would otherwise keep the gather loop scalar.
+        match sec {
+            Some(sec) => {
+                for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
+                    let pre = ur + unsafe { *v.get_unchecked(c as usize) };
+                    *cache = pre;
+                    *slot = act.eval(pre);
+                }
+            }
+            None => {
+                for (slot, &c) in e.iter_mut().zip(cols) {
+                    *slot = act.eval(ur + unsafe { *v.get_unchecked(c as usize) });
+                }
+            }
+        }
+        micro::max_wide(e)
+    }
 }
 
 /// Aggregates one output row: `out_row[t] += p_j · src[j, t]` for every
@@ -231,16 +450,16 @@ fn aggregate_row_scaled<T: Scalar>(
     }
 }
 
-/// The shared one-pass driver: per nnz-balanced row chunk, let the model
-/// score one row at a time (`score_row(r, cols, scores, secondary)` with
-/// its own hoisted inner loop, exactly like the staged kernels, returning
-/// the running row maximum its loop tracked), apply the row softmax on
-/// the still-resident score buffer (when the model has one), and
+/// The one-pass sweep: per nnz-balanced row chunk, let the score rate one
+/// row at a time ([`Score::score_row`], with its own hoisted inner loop —
+/// the same body the staged score pass runs — returning the running row
+/// maximum its loop tracked), apply the row softmax on the
+/// still-resident score buffer (when the score has one), and
 /// aggregate `src` rows under the resulting weights — one traversal of
 /// `indptr`/`indices` total.
 ///
 /// With `want_cache` the (softmaxed) scores land in the future `Ψ` value
-/// array and the secondary values in their own array; without it the row
+/// array and the score's secondary values in their own array; without it the row
 /// of scores lives in per-thread scratch and **no** `Csr` value array is
 /// ever created (asserted by tests via [`crate::csr::value_allocs`]).
 /// With `STATS` each softmax row's max and normaliser land in the
@@ -248,24 +467,24 @@ fn aggregate_row_scaled<T: Scalar>(
 /// sweep — inference above all — compiles to a body without it.
 ///
 /// The aggregation goes to `out`, `a.rows() × src.cols()` in `src`'s
-/// layout and **zero on entry** (the sweep accumulates into it): the
-/// allocating entry points pass a fresh `zeros_matching`, the writing
-/// ones zero-fill the caller's buffer first.
-fn fused_sweep<T: Scalar, const STATS: bool>(
+/// layout and **zero on entry** (the sweep accumulates into it):
+/// [`forward`] passes a fresh `zeros_matching`, the writing GAT training
+/// forward zero-fills the caller's buffer first.
+fn fused_sweep<T: Scalar, S: Score<T>, const STATS: bool>(
     a: &Csr<T>,
+    s: &S,
     src: &Dense<T>,
     out: &mut Dense<T>,
-    softmax: bool,
     want_cache: bool,
-    want_secondary: bool,
-    score_row: impl Fn(usize, &[u32], &mut [T], Option<&mut [T]>) -> T + Sync,
 ) -> SweepCaches<T> {
+    s.check(a);
     assert_eq!(a.cols(), src.rows(), "attention: A cols must match H rows");
     assert_eq!(
         (out.shape(), out.stride()),
         ((a.rows(), src.cols()), src.stride()),
         "attention: output must be A.rows() x H.cols() in H's layout"
     );
+    let (softmax, want_secondary) = (S::SOFTMAX, S::SECONDARY);
     debug_assert!(softmax || !STATS, "row stats of no softmax");
     let k = src.cols();
     let nnz = a.nnz();
@@ -348,7 +567,9 @@ fn fused_sweep<T: Scalar, const STATS: bool>(
                         for r in b0..b1 {
                             let (rlo, rhi) = (indptr[r], indptr[r + 1]);
                             let e = &mut flat[rlo - f0..rhi - f0];
-                            let m = score_row(r, &indices[rlo..rhi], e, None);
+                            // SAFETY: `s.check(a)` passed at entry, and
+                            // the columns are row `r` of `a`.
+                            let m = unsafe { s.score_row(r, &indices[rlo..rhi], e, None) };
                             for s in e.iter_mut() {
                                 *s -= m;
                             }
@@ -391,7 +612,8 @@ fn fused_sweep<T: Scalar, const STATS: bool>(
                         }
                     };
                     let sec = sec_part.as_deref_mut().map(|p| &mut p[rlo - s0..rhi - s0]);
-                    let m = score_row(r, cols, e, sec);
+                    // SAFETY: as in the blocked schedule above.
+                    let m = unsafe { s.score_row(r, cols, e, sec) };
                     // The softmax finalizes on the still-resident row
                     // buffer without ever re-traversing the adjacency
                     // structure, with exactly one exp per stored entry —
@@ -425,106 +647,55 @@ struct SweepCaches<T: Scalar> {
     stats: Option<RowStats<T>>,
 }
 
-impl<T: Scalar> SweepCaches<T> {
-    /// The [`FusedAttention`] of the sweep that aggregated into `out`.
-    fn with_out(self, out: Dense<T>) -> FusedAttention<T> {
-        FusedAttention {
-            out,
-            psi: self.psi,
-            scores: self.scores,
+// ---------------------------------------------------------------------------
+// Forward entry points
+// ---------------------------------------------------------------------------
+
+/// The attention forward `Z = Ψ src` for any [`Score`], through the
+/// selected execution path — the one entry point layer code uses. `Ψ`
+/// is `sm(E)` for a softmaxed score and the raw scores `E` otherwise (VA).
+/// [`AttentionExec::FusedOnePass`] runs the one-pass sweep;
+/// [`AttentionExec::Staged`] materializes [`scores`], then
+/// [`masked::row_softmax`], then [`spmm::spmm`] — the pre-fusion
+/// pipeline, kept as the equivalence-test oracle. With `want_cache`
+/// the result carries `Ψ` and the score's secondary cache.
+pub fn forward<T: Scalar, S: Score<T>>(
+    exec: AttentionExec,
+    a: &Csr<T>,
+    s: &S,
+    src: &Dense<T>,
+    want_cache: bool,
+) -> FusedAttention<T> {
+    match exec {
+        AttentionExec::FusedOnePass => {
+            let mut out = src.zeros_matching(a.rows(), src.cols());
+            let caches = fused_sweep::<T, S, false>(a, s, src, &mut out, want_cache);
+            FusedAttention {
+                out,
+                psi: caches.psi,
+                scores: caches.scores,
+            }
+        }
+        AttentionExec::Staged => {
+            let (e, secondary) = score_pass(a, s, want_cache);
+            let psi = if S::SOFTMAX {
+                masked::row_softmax(&e)
+            } else {
+                e
+            };
+            let out = spmm::spmm(&psi, src);
+            FusedAttention {
+                out,
+                psi: want_cache.then_some(psi),
+                scores: secondary,
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// One-pass fused forward kernels
-// ---------------------------------------------------------------------------
-
-/// Fused VA forward: `Z' = (A ⊙ (H Hᵀ)) H` in one sweep. VA applies no
-/// softmax — `psi` caches the *raw* scores `Ψ = A ⊙ (H Hᵀ)`. `a` may be a
-/// row-prefix block (see [`dst_rows`]).
-pub fn attention_forward_va<T: Scalar>(
-    a: &Csr<T>,
-    h: &Dense<T>,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    assert!(a.rows() <= h.rows(), "va attention: A has more rows than H");
-    let mut out = h.zeros_matching(a.rows(), h.cols());
-    fused_sweep::<T, false>(a, h, &mut out, false, want_cache, false, |r, cols, e, _| {
-        let hr = h.row(r);
-        for (slot, &c) in e.iter_mut().zip(cols) {
-            *slot = gemm::dot(hr, h.row(c as usize));
-        }
-        T::neg_infinity() // no softmax: the row max is never consulted
-    })
-    .with_out(out)
-}
-
-/// Fused AGNN forward: `Z = sm(A ⊙ (β · H Hᵀ ⊘ n nᵀ)) H'` in one sweep
-/// (`H' = H W`, projected by the caller). `scores` caches the raw cosines
-/// the backward pass needs; zero-norm endpoints give a zero cosine. `a`
-/// may be a row-prefix block (see [`dst_rows`]).
-pub fn attention_forward_agnn<T: Scalar>(
-    a: &Csr<T>,
-    h: &Dense<T>,
-    hp: &Dense<T>,
-    beta: T,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    assert!(
-        a.rows() <= h.rows(),
-        "agnn attention: A has more rows than H"
-    );
-    let norms = blocks::row_l2_norms(h);
-    let mut out = hp.zeros_matching(a.rows(), hp.cols());
-    fused_sweep::<T, false>(
-        a,
-        hp,
-        &mut out,
-        true,
-        want_cache,
-        true,
-        move |r, cols, e, sec| {
-            let hr = h.row(r);
-            let nr = norms[r];
-            let cos_of = |c: usize| {
-                let denom = nr * norms[c];
-                if denom == T::zero() {
-                    T::zero()
-                } else {
-                    gemm::dot(hr, h.row(c)) / denom
-                }
-            };
-            let mut m = T::neg_infinity();
-            match sec {
-                Some(sec) => {
-                    for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
-                        let cos = cos_of(c as usize);
-                        *cache = cos;
-                        let s = beta * cos;
-                        *slot = s;
-                        m = Scalar::max(m, s);
-                    }
-                }
-                None => {
-                    for (slot, &c) in e.iter_mut().zip(cols) {
-                        let s = beta * cos_of(c as usize);
-                        *slot = s;
-                        m = Scalar::max(m, s);
-                    }
-                }
-            }
-            m
-        },
-    )
-    .with_out(out)
-}
-
-/// Fused GAT forward: `Z = sm(A ⊙ LeakyReLU(u 𝟙ᵀ + 𝟙 vᵀ)) H'` in one
-/// sweep. `scores` caches the pre-activation values `C_ij = u_i + v_j`.
-/// GAT training takes [`attention_forward_gat_stats`] instead; the
-/// caching form serves the callers that need `Ψ` as a matrix.
-pub fn attention_forward_gat<T: Scalar>(
+/// [`forward`] with GAT's score `LeakyReLU(u_i + v_j)` aggregating `hp`.
+pub fn forward_gat<T: Scalar>(
+    exec: AttentionExec,
     a: &Csr<T>,
     u: &[T],
     v: &[T],
@@ -532,32 +703,18 @@ pub fn attention_forward_gat<T: Scalar>(
     slope: f64,
     want_cache: bool,
 ) -> FusedAttention<T> {
-    let mut out = hp.zeros_matching(a.rows(), hp.cols());
-    gat_sweep::<T, false>(a, u, v, hp, slope, want_cache, &mut out).with_out(out)
+    forward(exec, a, &Gat { u, v, slope }, hp, want_cache)
 }
 
-/// Fused GAT training forward with `Ψ` kept virtual: the inference sweep
-/// (the blocked-flat schedule in wide mode) plus each row's [`RowStats`].
-/// No `Csr` value array is allocated. [`attention_backward_gat_virtual`]
-/// and [`attention_psi_t_gat_virtual`] recompute `C_ij = u_i + v_j` and
-/// `Ψ` from `u`, `v` and the stats, bit-identical to the `Ψ` and `C`
-/// [`attention_forward_gat`] caches.
-pub fn attention_forward_gat_stats<T: Scalar>(
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    hp: &Dense<T>,
-    slope: f64,
-) -> (Dense<T>, RowStats<T>) {
-    let mut out = hp.zeros_matching(a.rows(), hp.cols());
-    let stats = gat_sweep::<T, true>(a, u, v, hp, slope, false, &mut out).stats;
-    (out, stats.expect("a RowStats sweep returns its stats"))
-}
-
-/// [`attention_forward_gat_stats`] into `out`, an `a.rows() × hp.cols()`
-/// matrix in `hp`'s layout whose old contents are overwritten (it is
-/// zero-filled before the sweep accumulates into it). Returns the row
-/// stats.
+/// The fused GAT training forward with `Ψ` kept virtual, into `out`: the
+/// inference sweep (the blocked-flat schedule in wide mode) plus each
+/// row's [`RowStats`]. `out` is an `a.rows() × hp.cols()` matrix in
+/// `hp`'s layout whose old contents are overwritten (it is zero-filled
+/// before the sweep accumulates into it). No `Csr` value array is
+/// allocated. [`attention_backward_gat_virtual_into`] and
+/// [`attention_psi_t_gat_virtual_into`] recompute `C_ij = u_i + v_j` and
+/// `Ψ` from `u`, `v` and the stats, bit-identical to the `Ψ` and `C` a
+/// caching [`forward_gat`] returns.
 pub fn attention_forward_gat_stats_into<T: Scalar>(
     a: &Csr<T>,
     u: &[T],
@@ -567,85 +724,79 @@ pub fn attention_forward_gat_stats_into<T: Scalar>(
     out: &mut Dense<T>,
 ) -> RowStats<T> {
     out.zero_fill();
-    let stats = gat_sweep::<T, true>(a, u, v, hp, slope, false, out).stats;
+    let stats = fused_sweep::<T, _, true>(a, &Gat { u, v, slope }, hp, out, false).stats;
     stats.expect("a RowStats sweep returns its stats")
 }
 
-/// The GAT scoring of every forward entry point, aggregating into `out`
-/// (zero on entry, see [`fused_sweep`]).
-fn gat_sweep<T: Scalar, const STATS: bool>(
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    hp: &Dense<T>,
-    slope: f64,
-    want_cache: bool,
-    out: &mut Dense<T>,
-) -> SweepCaches<T> {
-    assert_eq!(a.rows(), u.len(), "gat attention: u length mismatch");
-    assert_eq!(a.cols(), v.len(), "gat attention: v length mismatch");
-    let act = Activation::LeakyRelu(slope);
-    fused_sweep::<T, STATS>(
-        a,
-        hp,
-        out,
-        true,
-        want_cache,
-        true,
-        move |r, cols, e, sec| {
-            let ur = u[r];
-            // The gather-and-activate loop carries no loop dependency once the
-            // row max moves out of it into a [`micro::max_wide`] pass over the
-            // finished score row — IEEE max is exact in any association, so
-            // the lane-tree max matches the sequential fold bit-for-bit while
-            // the gather loop pipelines freely.
-            //
-            // SAFETY (both gathers): `Csr` construction validates every stored
-            // column index against `cols()`, and the entry assert pins
-            // `v.len() == a.cols()`; the per-element bounds check would
-            // otherwise keep the gather loop scalar.
-            match sec {
-                Some(sec) => {
-                    for ((slot, cache), &c) in e.iter_mut().zip(sec.iter_mut()).zip(cols) {
-                        let pre = ur + unsafe { *v.get_unchecked(c as usize) };
-                        *cache = pre;
-                        *slot = act.eval(pre);
-                    }
-                }
-                None => {
-                    for (slot, &c) in e.iter_mut().zip(cols) {
-                        *slot = act.eval(ur + unsafe { *v.get_unchecked(c as usize) });
-                    }
-                }
-            }
-            micro::max_wide(e)
-        },
-    )
+/// The staged score pass: `E` on `a`'s pattern and the score's secondary
+/// cache (`None` for VA) — what the distributed blocks materialize, since
+/// their softmax row reduction spans a whole grid row and cannot stream
+/// locally. The fused sweep scores with the same [`Score::score_row`].
+pub fn scores<T: Scalar, S: Score<T>>(a: &Csr<T>, s: &S) -> (Csr<T>, Option<Csr<T>>) {
+    score_pass(a, s, true)
 }
 
+/// The attention matrix `Ψ` alone: [`scores`] softmaxed (or raw, for VA).
+pub fn psi<T: Scalar, S: Score<T>>(a: &Csr<T>, s: &S) -> Csr<T> {
+    let (e, _) = score_pass(a, s, false);
+    if S::SOFTMAX {
+        masked::row_softmax(&e)
+    } else {
+        e
+    }
+}
+
+/// [`scores`], with the secondary cache only when `want_secondary`.
+fn score_pass<T: Scalar, S: Score<T>>(
+    a: &Csr<T>,
+    s: &S,
+    want_secondary: bool,
+) -> (Csr<T>, Option<Csr<T>>) {
+    s.check(a);
+    let with_sec = want_secondary && S::SECONDARY;
+    let nnz = a.nnz();
+    let indptr = a.indptr();
+    let indices = a.indices();
+    let mut e_values = vec![T::zero(); nnz];
+    let mut sec_values: Vec<T> = if with_sec {
+        vec![T::zero(); nnz]
+    } else {
+        Vec::new()
+    };
+    {
+        let e_slots = DisjointSlice::new(&mut e_values);
+        let sec_slots = DisjointSlice::new(&mut sec_values);
+        rt::parallel_for(
+            a.rows(),
+            Cost::Prefix(indptr),
+            nnz >= PAR_THRESHOLD,
+            |lo, hi| {
+                let (s0, s1) = (indptr[lo], indptr[hi]);
+                // SAFETY: row ranges are disjoint across chunk bodies, and
+                // indptr is monotone, so the value ranges are disjoint too.
+                let e_part = unsafe { e_slots.range_mut(s0, s1) };
+                // SAFETY: as above.
+                let mut sec_part = with_sec.then(|| unsafe { sec_slots.range_mut(s0, s1) });
+                for r in lo..hi {
+                    let (rlo, rhi) = (indptr[r], indptr[r + 1]);
+                    let sec = sec_part.as_deref_mut().map(|p| &mut p[rlo - s0..rhi - s0]);
+                    // SAFETY: `s.check(a)` passed above, and `cols` is row `r`
+                    // of `a`.
+                    unsafe {
+                        s.score_row(r, &indices[rlo..rhi], &mut e_part[rlo - s0..rhi - s0], sec);
+                    }
+                }
+            },
+        );
+    }
+    (
+        a.with_values(e_values),
+        with_sec.then(|| a.with_values(sec_values)),
+    )
+}
 // ---------------------------------------------------------------------------
 // One-pass fused backward kernels
 // ---------------------------------------------------------------------------
-
-/// Fused VA backward sweep: computes `N = A ⊙ (M Hᵀ)` *and* `N H` in one
-/// traversal (the layer still needs `N` itself for the `Nᵀ H` scatter).
-/// Returns `(N, N H)`.
-pub fn attention_backward_va<T: Scalar>(
-    a: &Csr<T>,
-    m: &Dense<T>,
-    h: &Dense<T>,
-) -> (Csr<T>, Dense<T>) {
-    assert_eq!(a.rows(), m.rows(), "va backward: A rows must match M rows");
-    let mut out = h.zeros_matching(a.rows(), h.cols());
-    let caches = fused_sweep::<T, false>(a, h, &mut out, false, true, false, |r, cols, e, _| {
-        let mr = m.row(r);
-        for (slot, &c) in e.iter_mut().zip(cols) {
-            *slot = gemm::dot(mr, h.row(c as usize));
-        }
-        T::neg_infinity() // no softmax: the row max is never consulted
-    });
-    (caches.psi.expect("va backward: sweep always caches N"), out)
-}
 
 /// `d[e] = ⟨g_row, hp[cols[e]]⟩` over one row's stored entries — the
 /// SDDMM inside both softmax backward sweeps — four neighbors per pass
@@ -673,7 +824,7 @@ fn edge_dots<T: Scalar>(d: &mut [T], g_row: &[T], cols: &[u32], hp: &Dense<T>) {
 /// and the distributed blocks' form; see [`gat_backward_sweep`]).
 /// Returns `(∂C, ∂u)`; the column sums `∂v` are a scatter and stay on the
 /// existing sequential kernel.
-pub fn attention_backward_gat<T: Scalar>(
+fn fused_backward_gat<T: Scalar>(
     a: &Csr<T>,
     psi: &Csr<T>,
     c_pre: &Csr<T>,
@@ -701,29 +852,13 @@ pub fn attention_backward_gat<T: Scalar>(
     (a.with_values(dc), du)
 }
 
-/// [`attention_backward_gat`] with `Ψ` and `C` recomputed from the
-/// [`attention_forward_gat_stats`] call that produced `stats` on the same
-/// `a`, `u` and `v`: `C_ij = u_i + v_j` and
-/// `Ψ_ij` is what `masked::softmax_finish` makes of `LeakyReLU(C_ij) − m_i`
-/// and `norm_i` — the forward's op sequence, so the result is
-/// bit-identical to the cached form's.
-pub fn attention_backward_gat_virtual<T: Scalar>(
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    stats: &RowStats<T>,
-    hp: &Dense<T>,
-    g: &Dense<T>,
-    slope: f64,
-) -> (Csr<T>, Vec<T>) {
-    let mut dc = vec![T::zero(); a.nnz()];
-    let du = attention_backward_gat_virtual_into(a, u, v, stats, hp, g, slope, &mut dc);
-    (a.with_values(dc), du)
-}
-
-/// [`attention_backward_gat_virtual`] writing `∂C`'s values — every one
-/// of them — into `dc` (`a.nnz()` long, `a`'s storage order) instead of a
-/// new `Csr`. Returns `∂u`.
+/// [`backward_gat`]'s fused sweep with `Ψ` and `C` recomputed from the
+/// [`attention_forward_gat_stats_into`] call that produced `stats` on the
+/// same `a`, `u` and `v`: `C_ij = u_i + v_j` and `Ψ_ij` is what
+/// `masked::softmax_finish` makes of `LeakyReLU(C_ij) − m_i` and
+/// `norm_i` — the forward's op sequence, so the result is bit-identical
+/// to the cached form's. Writes `∂C`'s values — every one of them — into
+/// `dc` (`a.nnz()` long, `a`'s storage order). Returns `∂u`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_backward_gat_virtual_into<T: Scalar>(
     a: &Csr<T>,
@@ -751,28 +886,15 @@ pub fn attention_backward_gat_virtual_into<T: Scalar>(
     })
 }
 
-/// `Ψᵀ G` with `Ψ` recomputed as in [`attention_backward_gat_virtual`]:
-/// [`spmm::spmm_t`]'s gather over `a`'s transposed pattern, bit-identical
-/// to `spmm_t(Ψ, G)` on the cached `Ψ`. Each entry gathers three row
-/// scalars of its source row (`u_i`, `m_i`, `norm_i`) where the cached
-/// form reads one stored value; the exponentials then run in one loop
-/// over the column.
-pub fn attention_psi_t_gat_virtual<T: Scalar>(
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    stats: &RowStats<T>,
-    g: &Dense<T>,
-    slope: f64,
-) -> Dense<T> {
-    let mut out = g.zeros_matching(a.cols(), g.cols());
-    psi_t_gat_virtual(a, u, v, stats, g, slope, &mut out);
-    out
-}
-
-/// [`attention_psi_t_gat_virtual`] into `out`, an `a.cols() × g.cols()`
-/// matrix in `g`'s layout whose old contents are overwritten (it is
-/// zero-filled before the gather accumulates into it).
+/// `Ψᵀ G` with `Ψ` recomputed as in
+/// [`attention_backward_gat_virtual_into`], into `out`, an
+/// `a.cols() × g.cols()` matrix in `g`'s layout whose old contents are
+/// overwritten (it is zero-filled before the gather accumulates into
+/// it): [`spmm::spmm_t`]'s gather over `a`'s transposed pattern,
+/// bit-identical to `spmm_t(Ψ, G)` on the cached `Ψ`. Each entry gathers
+/// three row scalars of its source row (`u_i`, `m_i`, `norm_i`) where the
+/// cached form reads one stored value; the exponentials then run in one
+/// loop over the column.
 pub fn attention_psi_t_gat_virtual_into<T: Scalar>(
     a: &Csr<T>,
     u: &[T],
@@ -782,21 +904,8 @@ pub fn attention_psi_t_gat_virtual_into<T: Scalar>(
     slope: f64,
     out: &mut Dense<T>,
 ) {
-    out.zero_fill();
-    psi_t_gat_virtual(a, u, v, stats, g, slope, out);
-}
-
-/// The gather of both `Ψᵀ G` entry points, into a zeroed `out`.
-fn psi_t_gat_virtual<T: Scalar>(
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    stats: &RowStats<T>,
-    g: &Dense<T>,
-    slope: f64,
-    out: &mut Dense<T>,
-) {
     check_virtual(a, u, v, stats);
+    out.zero_fill();
     let act = Activation::LeakyRelu(slope);
     spmm::gather_t(a, g, out, |j, _, src, vals, norms| {
         let vj = v[j];
@@ -908,7 +1017,7 @@ pub struct AgnnBackward<T: Scalar> {
 /// with their row sums, and the aggregation `P H`. Scatter-shaped pieces
 /// (`Pᵀ H`, column sums) stay on the existing deterministic kernels in the
 /// layer.
-pub fn attention_backward_agnn<T: Scalar>(
+fn fused_backward_agnn<T: Scalar>(
     a: &Csr<T>,
     psi: &Csr<T>,
     cos: &Csr<T>,
@@ -1014,15 +1123,15 @@ pub fn attention_backward_agnn<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Staged oracle pipelines
+// Staged backward oracles
 // ---------------------------------------------------------------------------
 
 /// The destination features of a row-prefix block: `a` is `r × n` with
 /// `n = h.rows()`, and its destination nodes are the first `r` source
 /// nodes (DGL's block convention), so they read the first `r` rows of `h`
-/// — `h` itself, borrowed, for a square `a`. The fused sweeps index `h`
-/// by destination row directly; this serves the paths whose kernels take
-/// destination and source features as separate matrices.
+/// — `h` itself, borrowed, for a square `a`. A [`Score`] indexes `h` by
+/// destination row directly (pass `h` as both sides); this serves the
+/// kernels that take destination features as a matrix of their own.
 pub fn dst_rows<'h, T: Scalar>(a: &Csr<T>, h: &'h Dense<T>) -> Cow<'h, Dense<T>> {
     if a.rows() == h.rows() {
         Cow::Borrowed(h)
@@ -1031,71 +1140,9 @@ pub fn dst_rows<'h, T: Scalar>(a: &Csr<T>, h: &'h Dense<T>) -> Cow<'h, Dense<T>>
     }
 }
 
-/// Staged VA forward: materialized scores, then SpMM — the pre-fusion
-/// pipeline, kept as the equivalence-test oracle.
-pub fn staged_forward_va<T: Scalar>(
-    a: &Csr<T>,
-    h: &Dense<T>,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    let psi = sddmm::sddmm_pattern(a, &dst_rows(a, h), h);
-    let out = spmm::spmm(&psi, h);
-    FusedAttention {
-        out,
-        psi: want_cache.then_some(psi),
-        scores: None,
-    }
-}
-
-/// Staged AGNN forward: fused score kernel, materialized softmax, SpMM.
-pub fn staged_forward_agnn<T: Scalar>(
-    a: &Csr<T>,
-    h: &Dense<T>,
-    hp: &Dense<T>,
-    beta: T,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    let norms = blocks::row_l2_norms(h);
-    let (scores, cos) =
-        fused::agnn_scores_block(a, &dst_rows(a, h), h, &norms[..a.rows()], &norms, beta);
-    let psi = masked::row_softmax(&scores);
-    let out = spmm::spmm(&psi, hp);
-    FusedAttention {
-        out,
-        psi: want_cache.then_some(psi),
-        scores: want_cache.then_some(cos),
-    }
-}
-
-/// Staged GAT forward: fused score kernel, materialized softmax, SpMM.
-pub fn staged_forward_gat<T: Scalar>(
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    hp: &Dense<T>,
-    slope: f64,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    let (e, c_pre) = fused::gat_scores(a, u, v, slope);
-    let psi = masked::row_softmax(&e);
-    let out = spmm::spmm(&psi, hp);
-    FusedAttention {
-        out,
-        psi: want_cache.then_some(psi),
-        scores: want_cache.then_some(c_pre),
-    }
-}
-
-/// Staged VA backward: SDDMM then SpMM, materializing `N` in between.
-pub fn staged_backward_va<T: Scalar>(a: &Csr<T>, m: &Dense<T>, h: &Dense<T>) -> (Csr<T>, Dense<T>) {
-    let n = sddmm::sddmm_pattern(a, m, h);
-    let nh = spmm::spmm(&n, h);
-    (n, nh)
-}
-
 /// Staged GAT backward: SDDMM, softmax backward, activation gradient and
 /// row sums as separate passes.
-pub fn staged_backward_gat<T: Scalar>(
+fn staged_backward_gat<T: Scalar>(
     a: &Csr<T>,
     psi: &Csr<T>,
     c_pre: &Csr<T>,
@@ -1112,7 +1159,7 @@ pub fn staged_backward_gat<T: Scalar>(
 }
 
 /// Staged AGNN backward: the original multi-pass pipeline.
-pub fn staged_backward_agnn<T: Scalar>(
+fn staged_backward_agnn<T: Scalar>(
     a: &Csr<T>,
     psi: &Csr<T>,
     cos: &Csr<T>,
@@ -1158,65 +1205,8 @@ pub fn staged_backward_agnn<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Exec dispatchers — the only entry points layer code should use
+// Backward dispatchers
 // ---------------------------------------------------------------------------
-
-/// VA forward through the selected execution path.
-pub fn forward_va<T: Scalar>(
-    exec: AttentionExec,
-    a: &Csr<T>,
-    h: &Dense<T>,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    match exec {
-        AttentionExec::FusedOnePass => attention_forward_va(a, h, want_cache),
-        AttentionExec::Staged => staged_forward_va(a, h, want_cache),
-    }
-}
-
-/// AGNN forward through the selected execution path.
-pub fn forward_agnn<T: Scalar>(
-    exec: AttentionExec,
-    a: &Csr<T>,
-    h: &Dense<T>,
-    hp: &Dense<T>,
-    beta: T,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    match exec {
-        AttentionExec::FusedOnePass => attention_forward_agnn(a, h, hp, beta, want_cache),
-        AttentionExec::Staged => staged_forward_agnn(a, h, hp, beta, want_cache),
-    }
-}
-
-/// GAT forward through the selected execution path.
-pub fn forward_gat<T: Scalar>(
-    exec: AttentionExec,
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    hp: &Dense<T>,
-    slope: f64,
-    want_cache: bool,
-) -> FusedAttention<T> {
-    match exec {
-        AttentionExec::FusedOnePass => attention_forward_gat(a, u, v, hp, slope, want_cache),
-        AttentionExec::Staged => staged_forward_gat(a, u, v, hp, slope, want_cache),
-    }
-}
-
-/// VA backward through the selected execution path.
-pub fn backward_va<T: Scalar>(
-    exec: AttentionExec,
-    a: &Csr<T>,
-    m: &Dense<T>,
-    h: &Dense<T>,
-) -> (Csr<T>, Dense<T>) {
-    match exec {
-        AttentionExec::FusedOnePass => attention_backward_va(a, m, h),
-        AttentionExec::Staged => staged_backward_va(a, m, h),
-    }
-}
 
 /// GAT backward through the selected execution path.
 #[allow(clippy::too_many_arguments)]
@@ -1230,7 +1220,7 @@ pub fn backward_gat<T: Scalar>(
     slope: f64,
 ) -> (Csr<T>, Vec<T>) {
     match exec {
-        AttentionExec::FusedOnePass => attention_backward_gat(a, psi, c_pre, hp, g, slope),
+        AttentionExec::FusedOnePass => fused_backward_gat(a, psi, c_pre, hp, g, slope),
         AttentionExec::Staged => staged_backward_gat(a, psi, c_pre, hp, g, slope),
     }
 }
@@ -1248,60 +1238,9 @@ pub fn backward_agnn<T: Scalar>(
     beta: T,
 ) -> AgnnBackward<T> {
     match exec {
-        AttentionExec::FusedOnePass => attention_backward_agnn(a, psi, cos, h, hp, g, beta),
+        AttentionExec::FusedOnePass => fused_backward_agnn(a, psi, cos, h, hp, g, beta),
         AttentionExec::Staged => staged_backward_agnn(a, psi, cos, h, hp, g, beta),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Ψ-only helpers and distributed block wrappers
-// ---------------------------------------------------------------------------
-
-/// `Ψ = A ⊙ (H Hᵀ)` alone (the VA layer's public `psi` accessor).
-pub fn va_psi<T: Scalar>(a: &Csr<T>, h: &Dense<T>) -> Csr<T> {
-    fused::va_scores(a, h)
-}
-
-/// AGNN's softmaxed cosine attention matrix alone.
-pub fn agnn_psi<T: Scalar>(a: &Csr<T>, h: &Dense<T>, beta: T) -> Csr<T> {
-    let (scores, _) = fused::agnn_scores(a, h, beta);
-    masked::row_softmax(&scores)
-}
-
-/// GAT's softmaxed attention matrix alone (from precomputed `u`, `v`).
-pub fn gat_psi<T: Scalar>(a: &Csr<T>, u: &[T], v: &[T], slope: f64) -> Csr<T> {
-    let (e, _) = fused::gat_scores(a, u, v, slope);
-    masked::row_softmax(&e)
-}
-
-/// Staged VA block scores for the distributed 2D-partitioned path, where
-/// the softmax row reduction spans a whole grid row and cannot stream
-/// locally: `A_block ⊙ (X Yᵀ)`.
-pub fn staged_va_block_scores<T: Scalar>(a: &Csr<T>, x: &Dense<T>, y: &Dense<T>) -> Csr<T> {
-    sddmm::sddmm_pattern(a, x, y)
-}
-
-/// Staged AGNN block scores (distributed path): row-side features/norms
-/// differ from column-side on off-diagonal blocks.
-pub fn staged_agnn_block_scores<T: Scalar>(
-    a: &Csr<T>,
-    x: &Dense<T>,
-    y: &Dense<T>,
-    nx: &[T],
-    ny: &[T],
-    beta: T,
-) -> (Csr<T>, Csr<T>) {
-    fused::agnn_scores_block(a, x, y, nx, ny, beta)
-}
-
-/// Staged GAT block scores (distributed path).
-pub fn staged_gat_block_scores<T: Scalar>(
-    a: &Csr<T>,
-    u: &[T],
-    v: &[T],
-    slope: f64,
-) -> (Csr<T>, Csr<T>) {
-    fused::gat_scores(a, u, v, slope)
 }
 
 #[cfg(test)]
@@ -1335,12 +1274,35 @@ mod tests {
         })
     }
 
+    fn fused<S: Score<f64>>(
+        a: &Csr<f64>,
+        s: &S,
+        src: &Dense<f64>,
+        cache: bool,
+    ) -> FusedAttention<f64> {
+        forward(AttentionExec::FusedOnePass, a, s, src, cache)
+    }
+
+    fn staged<S: Score<f64>>(
+        a: &Csr<f64>,
+        s: &S,
+        src: &Dense<f64>,
+        cache: bool,
+    ) -> FusedAttention<f64> {
+        forward(AttentionExec::Staged, a, s, src, cache)
+    }
+
+    fn gat<'a>(u: &'a [f64], v: &'a [f64]) -> Gat<'a, f64> {
+        Gat { u, v, slope: 0.2 }
+    }
+
     #[test]
     fn fused_va_forward_matches_staged() {
         let a = graph();
         let h = feats(6, 3, 1);
-        let fused = attention_forward_va(&a, &h, true);
-        let staged = staged_forward_va(&a, &h, true);
+        let va = Va { dst: &h, src: &h };
+        let fused = fused(&a, &va, &h, true);
+        let staged = staged(&a, &va, &h, true);
         assert!(fused.out.max_abs_diff(&staged.out) < 1e-12);
         let (fp, sp) = (fused.psi.unwrap(), staged.psi.unwrap());
         for (x, y) in fp.values().iter().zip(sp.values()) {
@@ -1353,8 +1315,16 @@ mod tests {
         let a = graph();
         let h = feats(6, 3, 2);
         let hp = feats(6, 4, 3);
-        let fused = attention_forward_agnn(&a, &h, &hp, 1.3, true);
-        let staged = staged_forward_agnn(&a, &h, &hp, 1.3, true);
+        let norms = blocks::row_l2_norms(&h);
+        let agnn = Agnn {
+            dst: &h,
+            src: &h,
+            n_dst: &norms,
+            n_src: &norms,
+            beta: 1.3,
+        };
+        let fused = fused(&a, &agnn, &hp, true);
+        let staged = staged(&a, &agnn, &hp, true);
         assert!(fused.out.max_abs_diff(&staged.out) < 1e-12);
         let (fp, sp) = (fused.psi.unwrap(), staged.psi.unwrap());
         for (x, y) in fp.values().iter().zip(sp.values()) {
@@ -1372,8 +1342,8 @@ mod tests {
         let hp = feats(6, 4, 4);
         let u: Vec<f64> = (0..6).map(|i| (i as f64) * 0.3 - 1.0).collect();
         let v: Vec<f64> = (0..6).map(|i| 0.7 - (i as f64) * 0.2).collect();
-        let fused = attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
-        let staged = staged_forward_gat(&a, &u, &v, &hp, 0.2, true);
+        let fused = fused(&a, &gat(&u, &v), &hp, true);
+        let staged = staged(&a, &gat(&u, &v), &hp, true);
         assert!(fused.out.max_abs_diff(&staged.out) < 1e-12);
         let (fp, sp) = (fused.psi.unwrap(), staged.psi.unwrap());
         for (x, y) in fp.values().iter().zip(sp.values()) {
@@ -1387,9 +1357,7 @@ mod tests {
         let hp = feats(6, 4, 5);
         let u = vec![0.5f64; 6];
         let v = vec![-0.25f64; 6];
-        let psi = attention_forward_gat(&a, &u, &v, &hp, 0.2, true)
-            .psi
-            .unwrap();
+        let psi = fused(&a, &gat(&u, &v), &hp, true).psi.unwrap();
         for total in masked::row_sums(&psi) {
             assert!((total - 1.0).abs() < 1e-12);
         }
@@ -1403,13 +1371,13 @@ mod tests {
         let hp = feats(6, 4, 6);
         let u = vec![-1e4f64; 6];
         let v = vec![-500.0f64; 6];
-        let fa = attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
+        let fa = fused(&a, &gat(&u, &v), &hp, true);
         let psi = fa.psi.unwrap();
         assert!(psi.values().iter().all(|p| p.is_finite() && *p >= 0.0));
         for total in masked::row_sums(&psi) {
             assert!((total - 1.0).abs() < 1e-12);
         }
-        let staged = staged_forward_gat(&a, &u, &v, &hp, 0.2, false);
+        let staged = staged(&a, &gat(&u, &v), &hp, false);
         assert!(fa.out.max_abs_diff(&staged.out) < 1e-12);
     }
 
@@ -1420,7 +1388,7 @@ mod tests {
         let hp = feats(3, 2, 7);
         let u = vec![0.1f64; 3];
         let v = vec![0.2f64; 3];
-        let fa = attention_forward_gat(&a, &u, &v, &hp, 0.2, false);
+        let fa = fused(&a, &gat(&u, &v), &hp, false);
         for j in 0..2 {
             assert_eq!(fa.out[(1, j)], 0.0);
             assert_eq!(fa.out[(2, j)], 0.0);
@@ -1434,10 +1402,18 @@ mod tests {
         let hp = feats(6, 4, 9);
         let u = vec![0.4f64; 6];
         let v = vec![0.6f64; 6];
+        let norms = blocks::row_l2_norms(&h);
+        let agnn = Agnn {
+            dst: &h,
+            src: &h,
+            n_dst: &norms,
+            n_src: &norms,
+            beta: 1.0,
+        };
         let before = csr::value_allocs();
-        let _ = attention_forward_va(&a, &h, false);
-        let _ = attention_forward_agnn(&a, &h, &hp, 1.0, false);
-        let _ = attention_forward_gat(&a, &u, &v, &hp, 0.2, false);
+        let _ = fused(&a, &Va { dst: &h, src: &h }, &h, false);
+        let _ = fused(&a, &agnn, &hp, false);
+        let _ = fused(&a, &gat(&u, &v), &hp, false);
         assert_eq!(
             csr::value_allocs() - before,
             0,
@@ -1452,9 +1428,9 @@ mod tests {
         let g = feats(6, 4, 11);
         let u: Vec<f64> = (0..6).map(|i| (i as f64) * 0.25 - 0.6).collect();
         let v: Vec<f64> = (0..6).map(|i| 0.1 * (i as f64)).collect();
-        let fa = attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
+        let fa = fused(&a, &gat(&u, &v), &hp, true);
         let (psi, c_pre) = (fa.psi.unwrap(), fa.scores.unwrap());
-        let (dc_f, du_f) = attention_backward_gat(&a, &psi, &c_pre, &hp, &g, 0.2);
+        let (dc_f, du_f) = fused_backward_gat(&a, &psi, &c_pre, &hp, &g, 0.2);
         let (dc_s, du_s) = staged_backward_gat(&a, &psi, &c_pre, &hp, &g, 0.2);
         for (x, y) in dc_f.values().iter().zip(dc_s.values()) {
             assert!((x - y).abs() < 1e-12);
@@ -1471,9 +1447,17 @@ mod tests {
         let hp = feats(6, 4, 13);
         let g = feats(6, 4, 14);
         let beta = 0.9;
-        let fa = attention_forward_agnn(&a, &h, &hp, beta, true);
+        let norms = blocks::row_l2_norms(&h);
+        let agnn = Agnn {
+            dst: &h,
+            src: &h,
+            n_dst: &norms,
+            n_src: &norms,
+            beta,
+        };
+        let fa = fused(&a, &agnn, &hp, true);
         let (psi, cos) = (fa.psi.unwrap(), fa.scores.unwrap());
-        let f = attention_backward_agnn(&a, &psi, &cos, &h, &hp, &g, beta);
+        let f = fused_backward_agnn(&a, &psi, &cos, &h, &hp, &g, beta);
         let s = staged_backward_agnn(&a, &psi, &cos, &h, &hp, &g, beta);
         assert!((f.dbeta - s.dbeta).abs() < 1e-12);
         assert!(f.ph.max_abs_diff(&s.ph) < 1e-12);
@@ -1493,10 +1477,11 @@ mod tests {
         let a = graph();
         let h = feats(6, 3, 15);
         let m = feats(6, 3, 16);
-        let (n_f, nh_f) = attention_backward_va(&a, &m, &h);
-        let (n_s, nh_s) = staged_backward_va(&a, &m, &h);
-        assert!(nh_f.max_abs_diff(&nh_s) < 1e-12);
-        for (x, y) in n_f.values().iter().zip(n_s.values()) {
+        // VA's backward `(N, N H)` is the VA forward scoring `M` against `H`.
+        let va = Va { dst: &m, src: &h };
+        let (f, s) = (fused(&a, &va, &h, true), staged(&a, &va, &h, true));
+        assert!(f.out.max_abs_diff(&s.out) < 1e-12);
+        for (x, y) in f.psi.unwrap().values().iter().zip(s.psi.unwrap().values()) {
             assert!((x - y).abs() < 1e-12);
         }
     }
@@ -1549,8 +1534,8 @@ mod tests {
         let hp = feats(6, 5, 20);
         let u: Vec<f64> = (0..6).map(|i| (i as f64) * 0.3 - 1.0).collect();
         let v: Vec<f64> = (0..6).map(|i| 0.7 - (i as f64) * 0.2).collect();
-        let tight = attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
-        let padded = attention_forward_gat(&a, &u, &v, &hp.padded(), 0.2, true);
+        let tight = fused(&a, &gat(&u, &v), &hp, true);
+        let padded = fused(&a, &gat(&u, &v), &hp.padded(), true);
         assert!(padded.out.is_padded() && padded.out.padding_is_zero());
         for r in 0..6 {
             for (x, y) in padded.out.row(r).iter().zip(tight.out.row(r)) {
@@ -1581,10 +1566,14 @@ mod tests {
         for hp in [feats(6, 5, 21), feats(6, 5, 21).padded()] {
             let g = feats(6, 5, 22);
             let g = if hp.is_padded() { g.padded() } else { g };
-            let (want_z, stats) = attention_forward_gat_stats(&a, &u, &v, &hp, 0.2);
-            let (want_dc, want_du) =
-                attention_backward_gat_virtual(&a, &u, &v, &stats, &hp, &g, 0.2);
-            let want_pt = attention_psi_t_gat_virtual(&a, &u, &v, &stats, &g, 0.2);
+            // The references write into fresh zeroed buffers.
+            let mut want_z = hp.zeros_matching(6, 5);
+            let stats = attention_forward_gat_stats_into(&a, &u, &v, &hp, 0.2, &mut want_z);
+            let mut want_dc = vec![0.0; a.nnz()];
+            let want_du =
+                attention_backward_gat_virtual_into(&a, &u, &v, &stats, &hp, &g, 0.2, &mut want_dc);
+            let mut want_pt = g.zeros_matching(6, 5);
+            attention_psi_t_gat_virtual_into(&a, &u, &v, &stats, &g, 0.2, &mut want_pt);
             let mut stale = hp.clone();
             for r in 0..6 {
                 stale.row_mut(r).fill(f64::NAN);
@@ -1595,11 +1584,11 @@ mod tests {
             assert_eq!(format!("{got_stats:?}"), format!("{stats:?}"));
             let mut dc = vec![f64::NAN; a.nnz()];
             let du = attention_backward_gat_virtual_into(&a, &u, &v, &stats, &hp, &g, 0.2, &mut dc);
-            assert_eq!(bits(&dc), bits(want_dc.values()));
+            assert_eq!(bits(&dc), bits(&want_dc));
             assert_eq!(bits(&du), bits(&want_du));
             assert_eq!(
                 bits(&masked::col_sums_on(&a, &dc)),
-                bits(&masked::col_sums(&want_dc))
+                bits(&masked::col_sums(&a.with_values(want_dc)))
             );
             let mut pt = stale;
             attention_psi_t_gat_virtual_into(&a, &u, &v, &stats, &g, 0.2, &mut pt);
@@ -1619,8 +1608,15 @@ mod tests {
             *v = 0.0;
         }
         let hp = feats(6, 2, 19);
-        let fa = attention_forward_agnn(&a, &h, &hp, 1.0, true);
-        let cos = fa.scores.unwrap();
+        let norms = blocks::row_l2_norms(&h);
+        let agnn = Agnn {
+            dst: &h,
+            src: &h,
+            n_dst: &norms,
+            n_src: &norms,
+            beta: 1.0,
+        };
+        let cos = fused(&a, &agnn, &hp, true).scores.unwrap();
         assert!(cos.values().iter().all(|v| v.is_finite()));
         assert_eq!(cos.get(0, 1), 0.0);
     }

@@ -18,17 +18,19 @@
 //! * [`masked`] — operations on values aligned to a sparse pattern:
 //!   Hadamard product/division, the graph softmax `sm(·)` of Section 4.2,
 //!   row/column sums, and `X + Xᵀ`.
-//! * [`fused`] — the fused virtual-tensor kernels of Section 6.2: the dense
-//!   `n×n` score matrix `C` is *never* instantiated; each fused kernel
-//!   iterates the non-zeros of the sparse sampler and evaluates the virtual
-//!   entries on the fly (the CUDA grid-stride loop of the paper maps to a
-//!   parallel loop over CSR rows).
+//! * [`fused`] — the unfused dense references of the virtual-tensor
+//!   scores of Section 6.2, which materialize the `n×n` score matrix the
+//!   fused scores never instantiate (ablation and test oracle only).
 //! * [`norm`] — adjacency preprocessing: self-loops, symmetric GCN
 //!   normalization, row normalization.
-//! * [`attention`] — one-pass fused attention pipelines (Section 6.2 pushed
-//!   through the whole SDDMM→softmax→SpMM sandwich): scores, streaming row
-//!   softmax and aggregation in a single CSR sweep with feature-column
-//!   tiling, plus the staged pipelines kept as the test oracle.
+//! * [`attention`] — the attention forward for every model (Section 6.2
+//!   pushed through the whole SDDMM→softmax→SpMM sandwich): a
+//!   [`attention::Score`] per model (VA, AGNN, GAT) evaluates the virtual
+//!   scores on `A`'s non-zeros only (the CUDA grid-stride loop of the
+//!   paper maps to a parallel loop over CSR rows), and one forward runs it
+//!   as a single CSR sweep — scores, streaming row softmax and aggregation
+//!   with feature-column tiling — or as the staged pipeline kept as the
+//!   test oracle.
 
 pub mod attention;
 pub mod coo;

@@ -15,8 +15,26 @@ use atgnn::optimizer::Sgd;
 use atgnn::plan::ExecPlan;
 use atgnn::{AGnnLayer, GnnModel};
 use atgnn_graphgen::{erdos_renyi, kronecker};
-use atgnn_sparse::{attention, csr, norm, spmm, Csr};
-use atgnn_tensor::{init, rt, Activation, Dense};
+use atgnn_sparse::attention::{self, Agnn, AttentionExec, FusedAttention, Gat, Score, Va};
+use atgnn_sparse::{csr, norm, spmm, Csr};
+use atgnn_tensor::{blocks, init, rt, Activation, Dense};
+
+const FUSED: AttentionExec = AttentionExec::FusedOnePass;
+const STAGED: AttentionExec = AttentionExec::Staged;
+
+fn forward<S: Score<f64>>(
+    exec: AttentionExec,
+    a: &Csr<f64>,
+    s: &S,
+    src: &Dense<f64>,
+    cache: bool,
+) -> FusedAttention<f64> {
+    attention::forward(exec, a, s, src, cache)
+}
+
+fn gat<'a>(u: &'a [f64], v: &'a [f64]) -> Gat<'a, f64> {
+    Gat { u, v, slope: 0.2 }
+}
 
 fn graphs() -> Vec<(&'static str, Csr<f64>)> {
     vec![
@@ -65,29 +83,40 @@ fn fused_matches_staged_on_real_graphs_across_thread_counts() {
             .map(|i| ((i * 29 % 41) as f64) / 23.0 - 0.8)
             .collect();
         let beta = 1.3f64;
+        let norms = blocks::row_l2_norms(&h);
+        let agnn = Agnn {
+            dst: &h,
+            src: &h,
+            n_dst: &norms,
+            n_src: &norms,
+            beta,
+        };
         for threads in [1usize, 2, 8] {
             rt::set_threads(threads);
             let tag = format!("{name}/threads={threads}");
 
             // VA forward + backward.
-            let f = attention::attention_forward_va(&a, &h, true);
-            let s = attention::staged_forward_va(&a, &h, true);
+            let va = Va { dst: &h, src: &h };
+            let f = forward(FUSED, &a, &va, &h, true);
+            let s = forward(STAGED, &a, &va, &h, true);
             assert!(f.out.max_abs_diff(&s.out) < 1e-9, "{tag}: va fwd");
             csr_close(&f.psi.unwrap(), &s.psi.unwrap(), 1e-9, &tag);
-            let (nf, nhf) = attention::attention_backward_va(&a, &m, &h);
-            let (ns, nhs) = attention::staged_backward_va(&a, &m, &h);
-            assert!(nhf.max_abs_diff(&nhs) < 1e-9, "{tag}: va bwd NH");
-            csr_close(&nf, &ns, 1e-9, &tag);
+            // VA's backward `(N, N H)`: the forward scoring M against H.
+            let va_bwd = Va { dst: &m, src: &h };
+            let f = forward(FUSED, &a, &va_bwd, &h, true);
+            let s = forward(STAGED, &a, &va_bwd, &h, true);
+            assert!(f.out.max_abs_diff(&s.out) < 1e-9, "{tag}: va bwd NH");
+            csr_close(&f.psi.unwrap(), &s.psi.unwrap(), 1e-9, &tag);
 
             // AGNN forward + backward.
-            let f = attention::attention_forward_agnn(&a, &h, &hp, beta, true);
-            let s = attention::staged_forward_agnn(&a, &h, &hp, beta, true);
+            let f = forward(FUSED, &a, &agnn, &hp, true);
+            let s = forward(STAGED, &a, &agnn, &hp, true);
             assert!(f.out.max_abs_diff(&s.out) < 1e-9, "{tag}: agnn fwd");
             let (psi, cos) = (f.psi.unwrap(), f.scores.unwrap());
             csr_close(&psi, &s.psi.unwrap(), 1e-9, &tag);
             csr_close(&cos, &s.scores.unwrap(), 1e-9, &tag);
-            let bf = attention::attention_backward_agnn(&a, &psi, &cos, &h, &hp, &g, beta);
-            let bs = attention::staged_backward_agnn(&a, &psi, &cos, &h, &hp, &g, beta);
+            let bf = attention::backward_agnn(FUSED, &a, &psi, &cos, &h, &hp, &g, beta);
+            let bs = attention::backward_agnn(STAGED, &a, &psi, &cos, &h, &hp, &g, beta);
             assert!((bf.dbeta - bs.dbeta).abs() < 1e-9, "{tag}: agnn dbeta");
             assert!(bf.ph.max_abs_diff(&bs.ph) < 1e-9, "{tag}: agnn PH");
             csr_close(&bf.p, &bs.p, 1e-9, &tag);
@@ -95,14 +124,14 @@ fn fused_matches_staged_on_real_graphs_across_thread_counts() {
             vec_close(&bf.row_corr, &bs.row_corr, 1e-9, &tag);
 
             // GAT forward + backward.
-            let f = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
-            let s = attention::staged_forward_gat(&a, &u, &v, &hp, 0.2, true);
+            let f = forward(FUSED, &a, &gat(&u, &v), &hp, true);
+            let s = forward(STAGED, &a, &gat(&u, &v), &hp, true);
             assert!(f.out.max_abs_diff(&s.out) < 1e-9, "{tag}: gat fwd");
             let (psi, c_pre) = (f.psi.unwrap(), f.scores.unwrap());
             csr_close(&psi, &s.psi.unwrap(), 1e-9, &tag);
             csr_close(&c_pre, &s.scores.unwrap(), 1e-9, &tag);
-            let (dcf, duf) = attention::attention_backward_gat(&a, &psi, &c_pre, &hp, &g, 0.2);
-            let (dcs, dus) = attention::staged_backward_gat(&a, &psi, &c_pre, &hp, &g, 0.2);
+            let (dcf, duf) = attention::backward_gat(FUSED, &a, &psi, &c_pre, &hp, &g, 0.2);
+            let (dcs, dus) = attention::backward_gat(STAGED, &a, &psi, &c_pre, &hp, &g, 0.2);
             csr_close(&dcf, &dcs, 1e-9, &tag);
             vec_close(&duf, &dus, 1e-9, &tag);
 
@@ -111,8 +140,8 @@ fn fused_matches_staged_on_real_graphs_across_thread_counts() {
             // scores would underflow a naive exp-then-sum.
             let neg_u = vec![-1e4f64; n];
             let neg_v = vec![-750.0f64; n];
-            let f = attention::attention_forward_gat(&a, &neg_u, &neg_v, &hp, 0.2, true);
-            let s = attention::staged_forward_gat(&a, &neg_u, &neg_v, &hp, 0.2, true);
+            let f = forward(FUSED, &a, &gat(&neg_u, &neg_v), &hp, true);
+            let s = forward(STAGED, &a, &gat(&neg_u, &neg_v), &hp, true);
             assert!(f.out.max_abs_diff(&s.out) < 1e-9, "{tag}: gat neg fwd");
             let psi = f.psi.unwrap();
             assert!(
@@ -206,13 +235,23 @@ fn fused_forward_allocates_no_intermediate_score_csrs() {
     let hp = feats(n, 16, 7);
     let u: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.1 - 0.3).collect();
     let v: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 0.1 - 0.2).collect();
+    let norms = blocks::row_l2_norms(&h);
+    let va = Va { dst: &h, src: &h };
+    let agnn = Agnn {
+        dst: &h,
+        src: &h,
+        n_dst: &norms,
+        n_src: &norms,
+        beta: 1.0,
+    };
+    let mut z = hp.zeros_matching(n, hp.cols());
 
     // Inference (no caches): zero Csr value allocations on the hot path.
     let before = csr::value_allocs();
-    let _ = attention::attention_forward_va(&a, &h, false);
-    let _ = attention::attention_forward_agnn(&a, &h, &hp, 1.0, false);
-    let _ = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, false);
-    let _ = attention::attention_forward_gat_stats(&a, &u, &v, &hp, 0.2);
+    let _ = forward(FUSED, &a, &va, &h, false);
+    let _ = forward(FUSED, &a, &agnn, &hp, false);
+    let _ = forward(FUSED, &a, &gat(&u, &v), &hp, false);
+    let _ = attention::attention_forward_gat_stats_into(&a, &u, &v, &hp, 0.2, &mut z);
     assert_eq!(
         csr::value_allocs() - before,
         0,
@@ -222,18 +261,18 @@ fn fused_forward_allocates_no_intermediate_score_csrs() {
     // Training (caches requested): exactly the returned cache matrices —
     // Ψ for VA, Ψ + secondary for AGNN/GAT — and nothing else.
     let before = csr::value_allocs();
-    let _ = attention::attention_forward_va(&a, &h, true);
+    let _ = forward(FUSED, &a, &va, &h, true);
     assert_eq!(csr::value_allocs() - before, 1, "va caches Ψ only");
     let before = csr::value_allocs();
-    let _ = attention::attention_forward_agnn(&a, &h, &hp, 1.0, true);
+    let _ = forward(FUSED, &a, &agnn, &hp, true);
     assert_eq!(csr::value_allocs() - before, 2, "agnn caches Ψ + cos only");
     let before = csr::value_allocs();
-    let _ = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, true);
+    let _ = forward(FUSED, &a, &gat(&u, &v), &hp, true);
     assert_eq!(csr::value_allocs() - before, 2, "gat caches Ψ + C only");
 
     // The staged pipeline allocates strictly more for the same results.
     let before = csr::value_allocs();
-    let _ = attention::staged_forward_gat(&a, &u, &v, &hp, 0.2, true);
+    let _ = forward(STAGED, &a, &gat(&u, &v), &hp, true);
     let staged_allocs = csr::value_allocs() - before;
     assert!(
         staged_allocs > 2,
@@ -268,17 +307,25 @@ fn multi_tile_aggregation_is_bitwise_spmm_over_its_own_psi() {
         for padded in [false, true] {
             let layout = |m: Dense<f64>| if padded { m.padded() } else { m };
             let (h, hp) = (layout(feats(n, k, 1)), layout(feats(n, k, 2)));
-            let forward = |model: &str, cache: bool| match model {
-                "va" => attention::attention_forward_va(&a, &h, cache),
-                "agnn" => attention::attention_forward_agnn(&a, &h, &hp, 1.3, cache),
-                _ => attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, cache),
+            let norms = blocks::row_l2_norms(&h);
+            let agnn = Agnn {
+                dst: &h,
+                src: &h,
+                n_dst: &norms,
+                n_src: &norms,
+                beta: 1.3,
+            };
+            let run = |model: &str, cache: bool| match model {
+                "va" => forward(FUSED, &a, &Va { dst: &h, src: &h }, &h, cache),
+                "agnn" => forward(FUSED, &a, &agnn, &hp, cache),
+                _ => forward(FUSED, &a, &gat(&u, &v), &hp, cache),
             };
             for (model, src) in [("va", &h), ("agnn", &hp), ("gat", &hp)] {
                 let tag = format!("{model}/k={k}/padded={padded}");
-                let cached = forward(model, true);
+                let cached = run(model, true);
                 let psi = cached.psi.expect("a cached forward returns Ψ");
                 assert_bits_eq(&cached.out, &spmm::spmm(&psi, src), &tag);
-                assert_bits_eq(&forward(model, false).out, &cached.out, &tag);
+                assert_bits_eq(&run(model, false).out, &cached.out, &tag);
             }
         }
     }
@@ -311,6 +358,6 @@ fn fused_gat_matches_dense_reference() {
             }
         }
     }
-    let got = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, false);
+    let got = forward(FUSED, &a, &gat(&u, &v), &hp, false);
     assert!(got.out.max_abs_diff(&want) < 1e-12);
 }

@@ -12,8 +12,9 @@ use atgnn::loss::Mse;
 use atgnn::optimizer::Sgd;
 use atgnn::{ExecPlan, GnnModel, Layout, ModelKind, ReorderStrategy};
 use atgnn_graphgen::{kronecker, reorder};
+use atgnn_sparse::attention::{self, AttentionExec};
 use atgnn_sparse::csr::value_allocs;
-use atgnn_sparse::{attention, Coo, Csr};
+use atgnn_sparse::{Coo, Csr};
 use atgnn_tensor::rng::Rng;
 use atgnn_tensor::{init, micro, Activation, Dense};
 
@@ -117,7 +118,8 @@ fn fused_attention_commutes_with_permutation() {
         let u: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let v: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let hp = Dense::from_fn(n, k, |i, j| ((i * 13 + j * 7) % 19) as f64 / 9.0 - 1.0);
-        let want = attention::attention_forward_gat(&a, &u, &v, &hp, 0.2, false).out;
+        let want =
+            attention::forward_gat(AttentionExec::FusedOnePass, &a, &u, &v, &hp, 0.2, false).out;
 
         let perm = arb_permutation(&mut rng, n);
         let inv = reorder::inverse(&perm);
@@ -125,9 +127,10 @@ fn fused_attention_commutes_with_permutation() {
         let up: Vec<f64> = perm.iter().map(|&o| u[o as usize]).collect();
         let vp: Vec<f64> = perm.iter().map(|&o| v[o as usize]).collect();
         let hpp = hp.gather_rows(&perm);
-        let got = attention::attention_forward_gat(&ap, &up, &vp, &hpp, 0.2, false)
-            .out
-            .gather_rows(&inv);
+        let got =
+            attention::forward_gat(AttentionExec::FusedOnePass, &ap, &up, &vp, &hpp, 0.2, false)
+                .out
+                .gather_rows(&inv);
         let err = got.max_abs_diff(&want);
         assert!(
             err < 1e-6,

@@ -31,7 +31,8 @@ use atgnn::optimizer::Sgd;
 use atgnn::plan::{ExecPlan, Layout};
 use atgnn::{GnnModel, ModelKind};
 use atgnn_graphgen::kronecker;
-use atgnn_sparse::{attention, masked, spmm, Coo, Csr};
+use atgnn_sparse::attention::{self, AttentionExec};
+use atgnn_sparse::{masked, spmm, Coo, Csr};
 use atgnn_tensor::micro::{self, MicroKernel, LANE};
 use atgnn_tensor::{gemm, init, ops, Activation, Dense};
 
@@ -156,8 +157,9 @@ fn gat_sweep_matches_across_modes_on_awkward_k_with_empty_rows() {
     for k in AWKWARD_K {
         let h = init::features::<f64>(6, k, 43);
         let hp = h.padded();
-        let run =
-            |src: &Dense<f64>| attention::attention_forward_gat(&a, &u, &v, src, 0.2, false).out;
+        let run = |src: &Dense<f64>| {
+            attention::forward_gat(AttentionExec::FusedOnePass, &a, &u, &v, src, 0.2, false).out
+        };
         let outs = under_all_modes(|| run(&h));
         let padded_outs = under_all_modes(|| run(&hp));
         let (_, baseline) = &outs[1]; // scalar oracle + tight
@@ -201,9 +203,9 @@ fn single_row_graph_is_handled_in_every_mode() {
         let h = init::features::<f64>(1, k, 7);
         let u = vec![0.4];
         let v = vec![-0.3];
-        for (wide, out) in
-            under_all_modes(|| attention::attention_forward_gat(&a, &u, &v, &h, 0.2, false).out)
-        {
+        for (wide, out) in under_all_modes(|| {
+            attention::forward_gat(AttentionExec::FusedOnePass, &a, &u, &v, &h, 0.2, false).out
+        }) {
             // softmax over one entry is exactly 1, so out == h.
             let err = rel_err(&out, &h);
             let bound = if wide { 1e-6 } else { 1e-12 };
@@ -420,7 +422,7 @@ fn padding_stays_zero_through_a_training_step() {
         assert!(h.is_padded() && h.padding_is_zero(), "spmm tail k={k}");
         let u = init::glorot_vec::<f64>(a.rows(), 1);
         let v = init::glorot_vec::<f64>(a.rows(), 2);
-        let z = attention::attention_forward_gat(&a, &u, &v, &h, 0.2, false).out;
+        let z = attention::forward_gat(AttentionExec::FusedOnePass, &a, &u, &v, &h, 0.2, false).out;
         assert!(z.is_padded() && z.padding_is_zero(), "sweep tail k={k}");
     }
     // End to end: a full train step under an explicitly padded plan runs

@@ -1,7 +1,7 @@
 //! Virtual `Ψ` ≡ materialized `Ψ`, bit for bit.
 //!
 //! A fused GAT training forward keeps two floats per row instead of the
-//! nnz-long `Ψ` and `C` (`attention::attention_forward_gat_stats`), and
+//! nnz-long `Ψ` and `C` (`attention::attention_forward_gat_stats_into`), and
 //! backward recomputes both. This pins the recomputing kernels against
 //! the materialized public ones — `forward_gat(FusedOnePass, .., true)`,
 //! then `backward_gat`, `spmm_t(Ψ, G)` and `col_sums` — `to_bits`-equal
@@ -172,15 +172,19 @@ fn check_case<T: Bits>(sw: &Switches, mode: MicroKernel, case: &str, kernels: Ke
     for threads in THREADS {
         sw.set(mode, threads);
         let tag = format!("{case} t={threads}");
-        let (out, stats) = attention::attention_forward_gat_stats(a, u, v, hp, GAT_SLOPE);
+        let mut out = hp.zeros_matching(a.rows(), hp.cols());
+        let stats = attention::attention_forward_gat_stats_into(a, u, v, hp, GAT_SLOPE, &mut out);
         assert!(same_dense(&out, &cached.out), "{tag}: forward output");
-        let (dc_v, du_v) =
-            attention::attention_backward_gat_virtual(a, u, v, &stats, hp, g, GAT_SLOPE);
-        assert!(dc_v.same_pattern(&dc), "{tag}: ∂C pattern");
-        assert_eq!(bits(dc_v.values()), bits(dc.values()), "{tag}: ∂C");
+        // ∂C's values in `a`'s storage order: `dc`'s pattern.
+        let mut dc_v = vec![T::zero(); a.nnz()];
+        let du_v = attention::attention_backward_gat_virtual_into(
+            a, u, v, &stats, hp, g, GAT_SLOPE, &mut dc_v,
+        );
+        assert_eq!(bits(&dc_v), bits(dc.values()), "{tag}: ∂C");
         assert_eq!(bits(&du_v), bits(&du), "{tag}: ∂u");
-        assert_eq!(bits(&masked::col_sums(&dc_v)), bits(&dv), "{tag}: ∂v");
-        let psi_t_g_v = attention::attention_psi_t_gat_virtual(a, u, v, &stats, g, GAT_SLOPE);
+        assert_eq!(bits(&masked::col_sums_on(a, &dc_v)), bits(&dv), "{tag}: ∂v");
+        let mut psi_t_g_v = g.zeros_matching(a.cols(), g.cols());
+        attention::attention_psi_t_gat_virtual_into(a, u, v, &stats, g, GAT_SLOPE, &mut psi_t_g_v);
         assert!(same_dense(&psi_t_g_v, &psi_t_g), "{tag}: Ψᵀ G");
     }
 }
